@@ -133,6 +133,10 @@ def _validate_dim(args):
         raise SystemExit(_usage_error("--grid must list one division count per axis"))
     if args.threads < 1:
         raise SystemExit(_usage_error("--threads must be >= 1"))
+    for flag in ("levels", "base"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise SystemExit(_usage_error(f"--{flag} must be >= 1, got {value}"))
 
 
 def _usage_error(message):
@@ -195,7 +199,7 @@ def _pick_solution(args, allow_constant=False):
 
 def cmd_convergence(args):
     entry = _pick_solution(args)
-    base = args.base or (2 if args.dim >= 3 else 4)
+    base = args.base if args.base is not None else (2 if args.dim >= 3 else 4)
     levels = [base * 2 ** i for i in range(args.levels)]
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else None
     t0 = time.time()

@@ -4,12 +4,16 @@ A :class:`FormField` evaluates components (and, when supplied, components
 of its exterior derivative) at arrays of points; it is what the solver
 and error norms consume for non-polynomial data.
 
-Catalog entries are built symbolically: the exterior derivative and the
-codifferential of the chosen solution are computed with sympy using the
-same sign algebra as the exact kernel, then lambdified.  The load is
-``f = delta(d(omega)) + omega``, so each entry solves the reaction-
-diffusion model problem exactly; nothing is ever differentiated
-numerically.
+``CATALOG`` names each manufactured solution and gives its dimension,
+degree, boundary compatibility and the components of omega as sympy
+text.  :func:`manufactured` derives an entry on its first lookup and
+returns the same object on every later one: the exterior derivative and
+the codifferential of omega are computed with sympy, using the same sign
+algebra as the exact kernel, and lambdified without simplification.  The
+load is ``f = delta(d(omega)) + omega``, so each entry solves the
+reaction-diffusion model problem exactly; nothing is ever differentiated
+numerically.  sympy is imported only by these derivations, so ``import
+boxforms`` does not load it.
 
 Boundary compatibility tags:
 
@@ -19,10 +23,10 @@ Boundary compatibility tags:
   interior-test flavor.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .forms import CellBox
 from .indices import complement, hodge_sign, multi_indices, wedge_sign
@@ -55,20 +59,20 @@ class FormField:
 
 
 # ---------------------------------------------------------------------------
-# symbolic exterior calculus on component dictionaries
+# symbolic exterior calculus on component dictionaries of sympy expressions
 
 
 def symbolic_d(parts, n, xs):
     out = {}
     for alpha, expr in parts.items():
         for i in range(1, n + 1):
-            dd = sp.diff(expr, xs[i - 1])
+            dd = expr.diff(xs[i - 1])
             if dd == 0:
                 continue
             s, gamma = wedge_sign((i,), alpha)
             if s == 0:
                 continue
-            out[gamma] = sp.simplify(out.get(gamma, 0) + s * dd)
+            out[gamma] = out.get(gamma, 0) + s * dd
     return {a: e for a, e in out.items() if e != 0}
 
 
@@ -79,11 +83,12 @@ def symbolic_hodge(parts, n):
 def symbolic_codifferential(parts, n, k, xs):
     sign = (-1) ** (n * (k + 1) + 1)
     inner = symbolic_d(symbolic_hodge(parts, n), n, xs)
-    return {a: sp.simplify(sign * e) for a, e in symbolic_hodge(inner, n).items()
-            if sp.simplify(sign * e) != 0}
+    return {a: sign * e for a, e in symbolic_hodge(inner, n).items()}
 
 
 def _lambdify(parts, n, xs):
+    import sympy as sp
+
     out = {}
     for alpha, expr in parts.items():
         fn = sp.lambdify(xs, expr, "numpy")
@@ -96,7 +101,7 @@ def _lambdify(parts, n, xs):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManufacturedSolution:
     """Closed-form solution with analytic derivative data and load."""
 
@@ -110,55 +115,44 @@ class ManufacturedSolution:
     load: FormField          # f = delta(d omega) + omega
 
 
-def _build(name, n, k, parts, compatibility, domain=None):
+_S2 = "sin(pi*x1)*sin(pi*x2)"
+_S3 = "sin(pi*x1)*sin(pi*x2)*sin(pi*x3)"
+
+#: name -> (n, k, boundary compatibility, {multi-index: component of omega})
+CATALOG = {
+    "sin1d_k0": (1, 0, "essential", {(): "sin(pi*x1)"}),
+    "sin2d_k0": (2, 0, "essential", {(): _S2}),
+    "cos2d_k0": (2, 0, "natural", {(): "cos(pi*x1)*cos(pi*x2)"}),
+    "sin2d_k1": (2, 1, "essential", {(1,): _S2, (2,): _S2}),
+    "cos2d_k1": (2, 1, "natural",
+                 {(1,): "sin(pi*x1)*cos(pi*x2)", (2,): "-cos(pi*x1)*sin(pi*x2)"}),
+    "sin2d_k2": (2, 2, "essential", {(1, 2): _S2}),
+    "sin3d_k1": (3, 1, "essential", {(1,): _S3, (2,): _S3, (3,): _S3}),
+    "sin3d_k2": (3, 2, "essential", {(1, 2): _S3, (1, 3): _S3, (2, 3): _S3}),
+}
+
+
+@functools.cache
+def manufactured(name):
+    """The catalog entry ``name``, derived on its first lookup and cached."""
+    if name not in CATALOG:
+        known = ", ".join(sorted(CATALOG))
+        raise KeyError(f"unknown manufactured solution {name!r}; available: {known}")
+    import sympy as sp
+
+    n, k, compatibility, text = CATALOG[name]
     xs = sp.symbols(f"x1:{n + 1}")
-    parts = {tuple(a): sp.sympify(e) for a, e in parts.items()}
+    parts = {a: sp.sympify(e) for a, e in text.items()}
     d_parts = symbolic_d(parts, n, xs)
-    if k < n:
-        dd_parts = symbolic_codifferential(d_parts, n, k + 1, xs) if d_parts else {}
-    else:
-        dd_parts = {}
+    dd_parts = symbolic_codifferential(d_parts, n, k + 1, xs) if d_parts else {}
     load_parts = dict(dd_parts)
     for a, e in parts.items():
-        load_parts[a] = sp.simplify(load_parts.get(a, 0) + e)
+        load_parts[a] = load_parts.get(a, 0) + e
     omega = FormField(n, k, _lambdify(parts, n, xs), _lambdify(d_parts, n, xs))
     delta_d = FormField(n, k, _lambdify(dd_parts, n, xs))
     load = FormField(n, k, _lambdify(load_parts, n, xs))
-    return ManufacturedSolution(name, n, k, domain or CellBox.unit(n),
-                                compatibility, omega, delta_d, load)
-
-
-def _catalog():
-    x1, x2, x3 = sp.symbols("x1 x2 x3")
-    pi = sp.pi
-    s1, s2, s3 = sp.sin(pi * x1), sp.sin(pi * x2), sp.sin(pi * x3)
-    c1, c2, c3 = sp.cos(pi * x1), sp.cos(pi * x2), sp.cos(pi * x3)
-    entries = [
-        _build("sin1d_k0", 1, 0, {(): s1}, "essential"),
-        _build("sin2d_k0", 2, 0, {(): s1 * s2}, "essential"),
-        _build("cos2d_k0", 2, 0, {(): c1 * c2}, "natural"),
-        _build("sin2d_k1", 2, 1, {(1,): s1 * s2, (2,): s1 * s2}, "essential"),
-        _build("cos2d_k1", 2, 1, {(1,): s1 * c2, (2,): -c1 * s2}, "natural"),
-        _build("sin2d_k2", 2, 2, {(1, 2): s1 * s2}, "essential"),
-        _build("sin3d_k1", 3, 1,
-               {(1,): s1 * s2 * s3, (2,): s1 * s2 * s3, (3,): s1 * s2 * s3},
-               "essential"),
-        _build("sin3d_k2", 3, 2,
-               {(1, 2): s1 * s2 * s3, (1, 3): s1 * s2 * s3, (2, 3): s1 * s2 * s3},
-               "essential"),
-    ]
-    return {e.name: e for e in entries}
-
-
-CATALOG = _catalog()
-
-
-def manufactured(name):
-    try:
-        return CATALOG[name]
-    except KeyError:
-        known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown manufactured solution {name!r}; available: {known}")
+    return ManufacturedSolution(name, n, k, CellBox.unit(n), compatibility,
+                                omega, delta_d, load)
 
 
 def constant_solution(n, k, sigma, scale=1.0):

@@ -6,9 +6,9 @@ and mass entries are assembled exactly (rational local matrices, cast to
 float only at the end); only load vectors, error norms and consistency
 functionals of non-polynomial data use quadrature.
 
-Solver paths: exact elimination when the data is rational and the system
-is small, conjugate gradients (relative residual 1e-12, at most 50*N
-iterations) otherwise.  The exact path doubles as the oracle for the
+Solver paths: conjugate gradients (relative residual 1e-12, at most 50*N
+iterations) by default; exact elimination when the caller asks for it
+and the data is rational.  The exact path doubles as the oracle for the
 iterative one.
 """
 
@@ -30,9 +30,6 @@ from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
 #: piecewise-coordinate count up to which the exact kernel representation
 #: is the default space basis (pure-Python elimination stays fast there)
 KERNEL_COLUMN_LIMIT = 400
-
-#: system size up to which rational data is solved by exact elimination
-EXACT_SOLVE_LIMIT = 500
 
 
 def local_energy_matrix(basis, cell):
@@ -232,10 +229,8 @@ class Solution:
         return pw.form_on_cell(vec, ci)
 
 
-def solve(problem, method="auto", rtol=1e-12):
-    """Solve the Galerkin system; exact elimination or CG."""
-    if method == "auto":
-        method = "exact" if (problem.exact and problem.size <= EXACT_SOLVE_LIMIT) else "cg"
+def solve(problem, method="cg", rtol=1e-12):
+    """Solve the Galerkin system by CG, or by exact elimination on request."""
     if method == "exact":
         if not problem.exact:
             raise ValueError("exact solve requested but data is not rational")

@@ -55,6 +55,17 @@ def test_convergence_csv_columns():
     assert float(rows[1]["order_Hd"]) > 0.5
 
 
+@pytest.mark.parametrize("flag", ["--levels", "--base"])
+def test_nonpositive_sweep_size_rejected(flag):
+    sizes = {"--levels": "1", "--base": "4", flag: "0"}
+    argv = ["convergence", "--dim", "1", "--k", "0"]
+    for name, value in sizes.items():
+        argv += [name, value]
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert flag in err
+
+
 def test_convergence_single_level():
     code, out, _ = run_cli(["convergence", "--dim", "1", "--k", "0", "--levels", "1"])
     assert code == 0

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from boxforms import fields
 from boxforms.fields import CATALOG, constant_solution, manufactured
 from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
 
@@ -128,3 +134,80 @@ def test_constant_solution_contract():
 def test_unknown_name_lists_choices():
     with pytest.raises(KeyError, match="available"):
         manufactured("missing")
+
+
+_SYMPY_FREE = """
+import sys
+import boxforms
+from boxforms import cli
+assert "sympy" not in sys.modules, "import boxforms loaded sympy"
+assert cli.main(["verify", "--dim", "1"]) == 0
+assert "sympy" not in sys.modules, "verify loaded sympy"
+entry = boxforms.manufactured("sin2d_k0")
+assert "sympy" in sys.modules, "deriving an entry did not use sympy"
+assert boxforms.manufactured("sin2d_k0") is entry, "entry derived twice"
+"""
+
+
+def test_sympy_loads_only_with_the_first_catalog_lookup():
+    src = Path(fields.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _SYMPY_FREE], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+def _grid_points(n):
+    axis = np.linspace(0.0, 1.0, 7)
+    return np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def test_scalar_loads_match_closed_forms():
+    pts = _grid_points(2)
+    x1, x2 = pts[:, 0], pts[:, 1]
+    factor = 2 * np.pi ** 2 + 1
+    sin = manufactured("sin2d_k0").load.at(pts)
+    cos = manufactured("cos2d_k0").load.at(pts)
+    assert set(sin) == set(cos) == {()}
+    assert np.allclose(sin[()], factor * np.sin(np.pi * x1) * np.sin(np.pi * x2),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(cos[()], factor * np.cos(np.pi * x1) * np.cos(np.pi * x2),
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_sin2d_k1_derivatives_match_closed_forms():
+    entry = manufactured("sin2d_k1")
+    pts = _grid_points(2)
+    shift = np.pi * (pts[:, 0] - pts[:, 1])
+    d_omega = entry.omega.d_at(pts)
+    delta_d = entry.delta_d.at(pts)
+    assert set(d_omega) == {(1, 2)}
+    assert np.allclose(d_omega[(1, 2)], -np.pi * np.sin(shift), rtol=1e-12, atol=1e-12)
+    assert set(delta_d) == {(1,), (2,)}
+    for alpha in delta_d:
+        assert np.allclose(delta_d[alpha], np.pi ** 2 * np.cos(shift), rtol=1e-12, atol=1e-12)
+
+
+_K1_2D, _K2_2D = [(1,), (2,)], [(1, 2)]
+_K1_3D, _K2_3D = [(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]
+
+#: name -> nonzero components of (d omega, delta d omega, load)
+_NONZERO = {
+    "sin1d_k0": ([(1,)], [()], [()]),
+    "sin2d_k0": (_K1_2D, [()], [()]),
+    "cos2d_k0": (_K1_2D, [()], [()]),
+    "sin2d_k1": (_K2_2D, _K1_2D, _K1_2D),
+    "cos2d_k1": (_K2_2D, _K1_2D, _K1_2D),
+    "sin2d_k2": ([], [], _K2_2D),
+    "sin3d_k1": (_K2_3D, _K1_3D, _K1_3D),
+    "sin3d_k2": ([(1, 2, 3)], _K2_3D, _K2_3D),
+}
+
+
+def test_nonzero_components_are_pinned():
+    assert sorted(_NONZERO) == sorted(CATALOG)
+    for name, (d_keys, dd_keys, load_keys) in _NONZERO.items():
+        entry = manufactured(name)
+        assert sorted(entry.omega.d_components) == d_keys, name
+        assert sorted(entry.delta_d.components) == dd_keys, name
+        assert sorted(entry.load.components) == load_keys, name

@@ -110,6 +110,21 @@ def test_cg_matches_exact_solve():
     assert iterative.history[-1] <= 1e-12
 
 
+def test_default_solve_is_cg_even_for_rational_data():
+    mesh = build_grid([[0, 1], [0, 1]], (3, 3))
+    space = build_solver_space(1, mesh, INTERIOR_TEST, "kernel")
+    load = PolyForm(2, 1, {
+        (1,): Polynomial(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-3, 4)}),
+        (2,): Polynomial(2, {(0, 0): Fraction(-2, 3), (0, 1): Fraction(5, 7)})})
+    problem = assemble(space, load)
+    default = solve(problem)
+    exact = solve(problem, method="exact")
+    assert default.x_exact is None
+    assert len(default.history) > 1
+    gap = problem.energy_norm(default.x - exact.x)
+    assert gap <= 1e-10 * problem.energy_norm(exact.x)
+
+
 def test_cg_failure_reports_history():
     gram = np.array([[2.0, 0.3], [0.3, 0.5]])
     with pytest.raises(RuntimeError, match="residual"):
