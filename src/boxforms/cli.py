@@ -20,7 +20,7 @@ from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
 from .solver import (assemble, broken_error, build_solver_space, consistency_residual,
-                     convergence_sweep, solve)
+                     convergence_sweep, flavor_for, solve)
 from .verify import run_verify
 from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, build_constraints,
                       interpolated_generating_set, kernel_space, space_summary)
@@ -55,8 +55,6 @@ def _build_parser():
                        help="constraint flavor: interior (natural bc) or full (essential)")
         p.add_argument("--quad", type=int, default=5, help="Gauss points per axis")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (computations are deterministic; currently serial)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default=None)
 
@@ -131,8 +129,6 @@ def _validate_dim(args):
         raise SystemExit(_usage_error(f"--k must be in 0..{args.dim}"))
     if args.grid is not None and len(args.grid) != args.dim:
         raise SystemExit(_usage_error("--grid must list one division count per axis"))
-    if args.threads < 1:
-        raise SystemExit(_usage_error("--threads must be >= 1"))
     for flag in ("levels", "base"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
@@ -236,8 +232,7 @@ def cmd_solve(args):
     entry = _pick_solution(args, allow_constant=True)
     divisions = args.grid or (4,) * args.dim
     mesh = build_grid(entry.domain, divisions)
-    flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else (
-        FULL_TEST if entry.compatibility == "essential" else INTERIOR_TEST)
+    flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else flavor_for(entry)
     space = build_solver_space(entry.k, mesh, flavor)
     problem = assemble(space, entry.load, args.quad)
     solution = solve(problem)

@@ -461,9 +461,6 @@ class PolyForm:
                 total += box.integrate(p * q)
         return total
 
-    def norm_sq(self, box):
-        return self.inner_product(self, box)
-
     def evaluate(self, point):
         """Component values at a point: {alpha: scalar}, zeros omitted."""
         out = {}

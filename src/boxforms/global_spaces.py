@@ -16,8 +16,9 @@ which the unisolvence check below guarantees to exist.
 from fractions import Fraction
 
 from . import spaces
-from .exactla import invert, rank
+from .exactla import rank
 from .forms import PolyForm
+from .local import face_dof_matrix, tables
 from .mesh import face_dofs
 from .reports import CheckReport
 
@@ -44,43 +45,6 @@ class GlobalSpace:
             for dof in expansion:
                 self.supports[dof].append(ci)
 
-    def restriction(self, dof, cell_id):
-        """Local PolyForm of one basis function on one cell (zero form if absent)."""
-        form = self.cell_expansions[cell_id].get(dof)
-        return form if form is not None else PolyForm.zero(self.mesh.n, self.k)
-
-
-def _local_conforming_expansions(mesh, k):
-    """Per cell: unisolvent local basis dual to the face DOFs.
-
-    Returns (dof_table, per-cell list of (face_id, PolyForm)).  Cached per
-    congruence class: cells of equal widths share the dual-coefficient
-    matrix, only the centered basis forms differ.
-    """
-    table = face_dofs(k, mesh)
-    class_cache = {}
-    per_cell = []
-    for ci, (cell, tup) in enumerate(zip(mesh.cells, mesh.cell_tuples)):
-        local = spaces.basis(spaces.Q1MINUS, k, cell)
-        key = mesh.congruence_key(ci)
-        if key not in class_cache:
-            local_faces = mesh.cell_faces(tup, k)
-            vandermonde = [[mesh.face_dof(face, phi) for phi in local]
-                           for face in local_faces]
-            class_cache[key] = invert(vandermonde)
-        inv = class_cache[key]
-        entries = []
-        for a, (gid, sign) in enumerate(table.cell_dofs[ci]):
-            form = None
-            for j in range(len(local)):
-                c = inv[j][a]
-                if c:
-                    term = c * local[j]
-                    form = term if form is None else form + term
-            entries.append((gid, sign * form))
-        per_cell.append(entries)
-    return table, per_cell
-
 
 def build_space(kind, k, mesh):
     """Assemble a global space; N counts k-faces (or (n-k)-faces for star kinds)."""
@@ -92,16 +56,18 @@ def build_space(kind, k, mesh):
         return GlobalSpace(kind, k, mesh, primal.dof_faces, expansions)
     if kind not in (VQ, VQ0):
         raise ValueError(f"unknown global space kind {kind!r}")
-    table, per_cell = _local_conforming_expansions(mesh, k)
-    if kind == VQ:
-        keep = list(range(table.n_dofs))
-    else:
-        keep = table.interior_ids
+    table = face_dofs(k, mesh)
+    keep = list(range(table.n_dofs)) if kind == VQ else table.interior_ids
     renumber = {gid: i for i, gid in enumerate(keep)}
     dof_faces = [table.faces[gid] for gid in keep]
+    # per cell, the local basis dual to the face DOFs: congruent cells share
+    # the dual coefficients, only the centered basis differs
     expansions = []
-    for entries in per_cell:
-        expansions.append({renumber[gid]: form for gid, form in entries
+    for ci, cell in enumerate(mesh.cells):
+        local = spaces.basis(spaces.Q1MINUS, k, cell)
+        shape = tables(mesh, k, ci)
+        expansions.append({renumber[gid]: sign * shape.face_function(local, a)
+                           for a, (gid, sign) in enumerate(table.cell_dofs[ci])
                            if gid in renumber})
     return GlobalSpace(kind, k, mesh, dof_faces, expansions)
 
@@ -123,11 +89,9 @@ def expand_in_face_dofs(space, pw_forms):
 
 def check_unisolvence(mesh, k):
     """Face DOFs against the local tensor basis give a nonsingular matrix."""
-    for tup, cell in zip(mesh.cell_tuples, mesh.cells):
+    for ci, (tup, cell) in enumerate(zip(mesh.cell_tuples, mesh.cells)):
         local = spaces.basis(spaces.Q1MINUS, k, cell)
-        faces = mesh.cell_faces(tup, k)
-        vandermonde = [[mesh.face_dof(face, phi) for phi in local] for face in faces]
-        if rank(vandermonde) != len(local):
+        if rank(face_dof_matrix(mesh, ci, local)) != len(local):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {tup}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)

@@ -46,6 +46,7 @@ class CubicalMesh:
         self._cell_id = {t: i for i, t in enumerate(self.cell_tuples)}
         self._faces = {}
         self._face_id = {}
+        self.local_tables = {}  # (k, widths) -> LocalTables, filled by local.tables
 
     # -- face lattice
 
@@ -107,10 +108,6 @@ class CubicalMesh:
         return self._cell_id[tuple(cell_tuple)]
 
     # -- geometry and integration on faces
-
-    def face_point(self, face):
-        """Any point of the face: lower corner (exact)."""
-        return tuple(self.grid[i][face.pos[i]] for i in range(self.n))
 
     def face_measure(self, face):
         m = Fraction(1)

@@ -13,7 +13,7 @@ import numpy as np
 from . import spaces
 from .exactla import SingularMatrixError, invert, mat_vec
 from .forms import PolyForm, adjoint_pairing
-from .quadrature import box_rule, polyform_values
+from .quadrature import box_rule, component_array, form_array
 from .reports import CheckReport
 
 
@@ -61,28 +61,16 @@ class LocalProjector:
     def coefficients_from_field(self, field, order=5):
         """Float trial coefficients for a sampled (non-polynomial) k-form."""
         points, weights = box_rule(self.cell, order)
-        omega_vals = field.at(points)
-        if self.k == self.cell.n:
-            top = self.trial[0]
-            phi_vals = polyform_values(top, points)
-            rhs = [sum(np.dot(weights, omega_vals.get(a, 0.0) * v)
-                       for a, v in phi_vals.items())]
+        n = self.cell.n
+        omega = component_array(field.at(points), self.k, n, weights.shape) * weights
+        if self.k == n:
+            rhs = np.einsum("tap,ap->t", form_array([self.trial[0]], points), omega)
         else:
-            d_vals = field.d_at(points)
-            rhs = []
-            for mu in self.tests:
-                mu_vals = polyform_values(mu, points)
-                dmu_vals = polyform_values(mu.codifferential(), points)
-                acc = 0.0
-                for alpha, v in mu_vals.items():
-                    if alpha in d_vals:
-                        acc += np.dot(weights, d_vals[alpha] * v)
-                for alpha, v in dmu_vals.items():
-                    if alpha in omega_vals:
-                        acc -= np.dot(weights, omega_vals[alpha] * v)
-                rhs.append(acc)
-        inv = np.array([[float(x) for x in row] for row in self.inverse])
-        return inv @ np.array(rhs)
+            d_omega = component_array(field.d_at(points), self.k + 1, n, weights.shape) * weights
+            codiffs = [mu.codifferential() for mu in self.tests]
+            rhs = (np.einsum("tap,ap->t", form_array(self.tests, points), d_omega)
+                   - np.einsum("tap,ap->t", form_array(codiffs, points), omega))
+        return np.array(self.inverse, dtype=float) @ rhs
 
 
 def project_cell(omega, k, cell, order=5):
@@ -103,12 +91,7 @@ def project_mesh(omega, k, mesh, order=5):
     """
     per_cell = []
     for i, cell in enumerate(mesh.cells):
-        if isinstance(omega, PolyForm):
-            local = omega
-        elif isinstance(omega, (list, tuple)):
-            local = omega[i]
-        else:
-            local = omega
+        local = omega[i] if isinstance(omega, (list, tuple)) else omega
         per_cell.append(project_cell(local, k, cell, order=order))
     return per_cell
 
@@ -129,17 +112,12 @@ def check_commuting(omega, k, cell_or_mesh, order=5, tol=1e-9):
                     "projection_commutes_with_d", cell.n, k, False,
                     counterexample=f"cell {cell.lo}..{cell.hi}: {left} != {right}")
         else:
-            left = LocalProjector(k + 1, cell).coefficients_from_field(
-                omega.d_field(), order=order)
-            proj = LocalProjector(k, cell)
+            proj, target = LocalProjector(k, cell), LocalProjector(k + 1, cell)
+            left = target.coefficients_from_field(omega.d_field(), order=order)
             coeffs = proj.coefficients_from_field(omega, order=order)
-            d_forms = [phi.exterior_derivative() for phi in proj.trial]
-            target = LocalProjector(k + 1, cell)
-            # express d of the projected form in the degree-(k+1) trial basis
-            right = np.zeros(len(target.trial))
-            for c, df in zip(coeffs, d_forms):
-                if not df.is_zero():
-                    right += c * np.array([float(x) for x in target.coefficients(df)])
+            # d of the projected form, expanded in the degree-(k+1) trial basis
+            d_cols = [target.coefficients(phi.exterior_derivative()) for phi in proj.trial]
+            right = np.array(d_cols, dtype=float).T @ coeffs
             if np.max(np.abs(left - right)) > tol:
                 return CheckReport(
                     "projection_commutes_with_d", cell.n, k, False,

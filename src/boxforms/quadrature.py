@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 
+from .indices import multi_indices
+
 
 @lru_cache(maxsize=None)
 def _reference_rule(n, order):
@@ -14,17 +16,19 @@ def _reference_rule(n, order):
     return pts, wts
 
 
-def box_rule(box, order):
-    """Points (m, n) and weights (m,) integrating degree <= 2*order-1 per axis."""
+def centered_rule(widths, order):
+    """Offsets from the center (m, n) and weights (m,) on a box of these widths."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    n = box.n
-    ref_pts, ref_wts = _reference_rule(n, order)
-    center = np.array([float(c) for c in box.center])
-    half = np.array([float(w) / 2.0 for w in box.widths])
-    points = center + ref_pts * half
-    weights = ref_wts * np.prod(half)
-    return points, weights
+    ref_pts, ref_wts = _reference_rule(len(widths), order)
+    half = np.array([float(w) / 2.0 for w in widths])
+    return ref_pts * half, ref_wts * np.prod(half)
+
+
+def box_rule(box, order):
+    """Points (m, n) and weights (m,) integrating degree <= 2*order-1 per axis."""
+    offsets, weights = centered_rule(box.widths, order)
+    return np.array([float(c) for c in box.center]) + offsets, weights
 
 
 def integrate(func, box, order):
@@ -46,3 +50,23 @@ def polyform_values(form, points):
             acc += term
         out[alpha] = acc
     return out
+
+
+def component_array(values, k, n, shape):
+    """Components {alpha: values} of a k-form as one (component, *shape) array.
+
+    Rows follow the lexicographic multi-index order and absent components
+    read zero; a degree-(n+1) form (d of a top form) has no rows.
+    """
+    alphas = multi_indices(k, n) if k <= n else []
+    out = np.zeros((len(alphas), *shape))
+    for i, alpha in enumerate(alphas):
+        if alpha in values:
+            out[i] = np.reshape(values[alpha], shape)
+    return out
+
+
+def form_array(forms, points):
+    """Values of same-degree PolyForms as one (form, component, point) array."""
+    return np.stack([component_array(polyform_values(f, points), f.k, f.n, (len(points),))
+                     for f in forms])

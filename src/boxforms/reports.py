@@ -1,6 +1,5 @@
 """Pass/fail report values shared by the structural check operations."""
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -22,9 +21,6 @@ class CheckReport:
         if self.details:
             out["details"] = self.details
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def __bool__(self):
         return self.passed

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
+from . import local
 from .exactla import solve as exact_solve
 from .fields import manufactured
 from .forms import PolyForm
+from .local import local_energy_matrix  # re-exported as part of the solver API
 from .mesh import build_grid
-from .quadrature import box_rule, polyform_values
+from .quadrature import component_array
 from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
                       build_constraints, interpolated_generating_set, kernel_space,
                       prune_vectors)
@@ -30,19 +32,6 @@ from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
 #: piecewise-coordinate count up to which the exact kernel representation
 #: is the default space basis (pure-Python elimination stays fast there)
 KERNEL_COLUMN_LIMIT = 400
-
-
-def local_energy_matrix(basis, cell):
-    """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact."""
-    d_forms = [phi.exterior_derivative() for phi in basis]
-    size = len(basis)
-    rows = [[None] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            val = (d_forms[a].inner_product(d_forms[b], cell)
-                   + basis[a].inner_product(basis[b], cell))
-            rows[a][b] = rows[b][a] = val
-    return rows
 
 
 def basis_matrix(space):
@@ -93,20 +82,29 @@ def _cell_slices(space):
     return out
 
 
+def _gauss_grid(pw, quad_order):
+    """Per cell shape: (cell ids, tabulation, Gauss points as (cell, point, axis))."""
+    shapes = {}
+    for ci in range(pw.mesh.n_cells):
+        shapes.setdefault(local.tables(pw.mesh, pw.k, ci), []).append(ci)
+    for table, ids in shapes.items():
+        tab = table.tabulation(quad_order)
+        centers = np.array([[float(c) for c in pw.mesh.cells[ci].center] for ci in ids])
+        yield ids, tab, centers[:, None, :] + tab.offsets
+
+
+def _field_array(values_at, k, points):
+    """A field's degree-k components on a Gauss grid, as (component, cell, point)."""
+    n = points.shape[-1]
+    return component_array(values_at(points.reshape(-1, n)), k, n, points.shape[:-1])
+
+
 def _load_pw_float(pw, load, quad_order):
-    mesh = pw.mesh
-    out = np.zeros(pw.ncols)
-    for ci, cell in enumerate(mesh.cells):
-        points, weights = box_rule(cell, quad_order)
-        f_vals = load.at(points)
-        for j, phi in enumerate(pw.bases[ci]):
-            acc = 0.0
-            for alpha, pv in polyform_values(phi, points).items():
-                fv = f_vals.get(alpha)
-                if fv is not None:
-                    acc += float(np.dot(weights, fv * pv))
-            out[pw.col(ci, j)] = acc
-    return out
+    out = np.zeros((pw.mesh.n_cells, pw.dim_local))
+    for ids, tab, points in _gauss_grid(pw, quad_order):
+        f = _field_array(load.at, pw.k, points) * tab.weights
+        out[ids] = np.einsum("acp,jap->cj", f, tab.values)
+    return out.ravel()
 
 
 def assemble(space, load, quad_order=5):
@@ -119,17 +117,8 @@ def assemble(space, load, quad_order=5):
     pw = space.pw
     mesh = pw.mesh
     v_mat = basis_matrix(space)
-    class_blocks = {}
-    blocks = []
-    exact_blocks = []
-    for ci, cell in enumerate(mesh.cells):
-        key = mesh.congruence_key(ci)
-        if key not in class_blocks:
-            rows = local_energy_matrix(pw.bases[ci], cell)
-            class_blocks[key] = (rows, np.array([[float(x) for x in r] for r in rows]))
-        exact_blocks.append(class_blocks[key][0])
-        blocks.append(class_blocks[key][1])
-    big = scipy.sparse.block_diag(blocks, format="csc")
+    cell_tables = [local.tables(mesh, pw.k, ci) for ci in range(mesh.n_cells)]
+    big = scipy.sparse.block_diag([t.energy_float for t in cell_tables], format="csc")
     gram = (v_mat.T @ (big @ v_mat)).toarray()
     gram = (gram + gram.T) / 2.0
     try:
@@ -151,7 +140,7 @@ def assemble(space, load, quad_order=5):
                 shared = slices[i].keys() & slices[j].keys()
                 for ci in shared:
                     li, lj = slices[i][ci], slices[j][ci]
-                    lmat = exact_blocks[ci]
+                    lmat = cell_tables[ci].energy
                     acc += sum(li[a] * sum(lmat[a][b] * lj[b]
                                            for b in range(len(lj)) if lj[b])
                                for a in range(len(li)) if li[a])
@@ -254,28 +243,15 @@ def broken_error(exact_field, solution, quad_order=5):
     derivative: err_Hd = sqrt(err_L2^2 + err_dL2^2).
     """
     pw = solution.space.pw
-    mesh = pw.mesh
-    coeffs = solution.pw_coefficients()
-    err0 = 0.0
-    err1 = 0.0
-    for ci, cell in enumerate(mesh.cells):
-        points, weights = box_rule(cell, quad_order)
-        local = coeffs[ci * pw.dim_local:(ci + 1) * pw.dim_local]
-        w_vals = exact_field.at(points)
-        acc = {a: -v for a, v in w_vals.items()}
-        for j, phi in enumerate(pw.bases[ci]):
-            if local[j]:
-                for alpha, pv in polyform_values(phi, points).items():
-                    acc[alpha] = acc.get(alpha, 0.0) + local[j] * pv
-        err0 += sum(float(np.dot(weights, v * v)) for v in acc.values())
-        dw_vals = exact_field.d_at(points)
-        acc = {a: -v for a, v in dw_vals.items()}
-        for j, phi in enumerate(pw.bases[ci]):
-            if local[j]:
-                df = phi.exterior_derivative()
-                for alpha, pv in polyform_values(df, points).items():
-                    acc[alpha] = acc.get(alpha, 0.0) + local[j] * pv
-        err1 += sum(float(np.dot(weights, v * v)) for v in acc.values())
+    coeffs = solution.pw_coefficients().reshape(pw.mesh.n_cells, pw.dim_local)
+    err0 = err1 = 0.0
+    for ids, tab, points in _gauss_grid(pw, quad_order):
+        u = coeffs[ids]
+        e0 = np.einsum("cj,jap->acp", u, tab.values) - _field_array(exact_field.at, pw.k, points)
+        e1 = (np.einsum("cj,jap->acp", u, tab.d_values)
+              - _field_array(exact_field.d_at, pw.k + 1, points))
+        err0 += float(np.einsum("acp,p->", e0 * e0, tab.weights))
+        err1 += float(np.einsum("acp,p->", e1 * e1, tab.weights))
     return math.sqrt(err0), math.sqrt(err0 + err1)
 
 
@@ -287,25 +263,13 @@ def consistency_residual(entry, problem, quad_order=5, rtol=1e-12):
     unit broken norm equals the Gram-norm of its Riesz representer.
     """
     pw = problem.space.pw
-    mesh = pw.mesh
-    ell_pw = np.zeros(pw.ncols)
-    for ci, cell in enumerate(mesh.cells):
-        points, weights = box_rule(cell, quad_order)
-        dw_vals = entry.omega.d_at(points)
-        dd_vals = entry.delta_d.at(points)
-        for j, phi in enumerate(pw.bases[ci]):
-            acc = 0.0
-            df = phi.exterior_derivative()
-            for alpha, pv in polyform_values(df, points).items():
-                dv = dw_vals.get(alpha)
-                if dv is not None:
-                    acc += float(np.dot(weights, dv * pv))
-            for alpha, pv in polyform_values(phi, points).items():
-                cv = dd_vals.get(alpha)
-                if cv is not None:
-                    acc -= float(np.dot(weights, cv * pv))
-            ell_pw[pw.col(ci, j)] = acc
-    ell = np.asarray(problem.V.T @ ell_pw).ravel()
+    ell_pw = np.zeros((pw.mesh.n_cells, pw.dim_local))
+    for ids, tab, points in _gauss_grid(pw, quad_order):
+        dw = _field_array(entry.omega.d_at, pw.k + 1, points) * tab.weights
+        dd = _field_array(entry.delta_d.at, pw.k, points) * tab.weights
+        ell_pw[ids] = (np.einsum("acp,jap->cj", dw, tab.d_values)
+                       - np.einsum("acp,jap->cj", dd, tab.values))
+    ell = np.asarray(problem.V.T @ ell_pw.ravel()).ravel()
     if not np.any(ell):
         return 0.0
     y, _ = conjugate_gradient(problem.G, ell, rtol=rtol)

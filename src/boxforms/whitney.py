@@ -19,17 +19,18 @@ Two representations are built:
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).
 
-The second is contained in the first; containment is verified exactly in
-the test-suite, equality of dimensions is reported but never asserted.
+The second is contained in the first; the test-suite checks containment,
+and equality of dimensions on small meshes, exactly.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from . import spaces
-from .exactla import independent_subset, invert, nullspace, rank, spans_equal
+from . import local, spaces
+from .exactla import independent_subset, nullspace, rank, spans_equal
 from .forms import PolyForm, adjoint_pairing
 from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space
 from .mesh import face_dofs
@@ -47,9 +48,13 @@ class PiecewiseWhitney:
     def __init__(self, k, mesh):
         self.k = k
         self.mesh = mesh
-        self.bases = [spaces.basis(spaces.P1MINUS, k, cell) for cell in mesh.cells]
-        self.dim_local = len(self.bases[0])
+        self.dim_local = spaces.dimension(spaces.P1MINUS, k, mesh.n)
         self.ncols = mesh.n_cells * self.dim_local
+
+    @cached_property
+    def bases(self):
+        """The P1minus basis of every cell, built for exact callers on first use."""
+        return [spaces.basis(spaces.P1MINUS, self.k, cell) for cell in self.mesh.cells]
 
     def col(self, cell_id, j):
         return cell_id * self.dim_local + j
@@ -66,7 +71,7 @@ class PiecewiseWhitney:
 
     def constant_form_vector(self, sigma, scale=1):
         """Coefficients of the global constant form scale*dx^sigma."""
-        j = [lbl for lbl in self.bases[0].labels].index(("const", tuple(sigma)))
+        j = local.tables(self.mesh, self.k, 0).basis.labels.index(("const", tuple(sigma)))
         return {self.col(ci, j): Fraction(scale) for ci in range(self.mesh.n_cells)}
 
 
@@ -175,43 +180,16 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    n = mesh.n
     pw = pw or PiecewiseWhitney(k, mesh)
-    table = face_dofs(k, mesh)
-    keep = list(range(table.n_dofs)) if flavor == INTERIOR_TEST else table.interior_ids
-
-    # per congruence class: projected coefficients of each local face function
-    patterns = {}
-    rep_for_key = {}
-    for ci, tup in enumerate(mesh.cell_tuples):
-        key = mesh.congruence_key(ci)
-        if key in patterns:
-            continue
-        rep_for_key[key] = ci
-        cell = mesh.cells[ci]
-        local = spaces.basis(spaces.Q1MINUS, k, cell)
-        local_faces = mesh.cell_faces(tup, k)
-        vinv = invert([[mesh.face_dof(f, phi) for phi in local] for f in local_faces])
-        projector = LocalProjector(k, cell)
-        pats = []
-        for a in range(len(local_faces)):
-            expansion = PolyForm.zero(n, k)
-            for j in range(len(local)):
-                if vinv[j][a]:
-                    expansion = expansion + vinv[j][a] * local[j]
-            pats.append(projector.coefficients(expansion))
-        patterns[key] = pats
-
-    # local position of each global face within each incident cell
+    dofs = face_dofs(k, mesh)
+    keep = list(range(dofs.n_dofs)) if flavor == INTERIOR_TEST else dofs.interior_ids
     vectors = []
     for gid in keep:
-        face = table.faces[gid]
+        face = dofs.faces[gid]
         vec = {}
         for ci in mesh.cells_of_face(face):
-            tup = mesh.cell_tuples[ci]
-            local_faces = mesh.cell_faces(tup, k)
-            a = local_faces.index(face)
-            for j, c in enumerate(patterns[mesh.congruence_key(ci)][a]):
+            a = mesh.cell_faces(mesh.cell_tuples[ci], k).index(face)
+            for j, c in enumerate(local.tables(mesh, k, ci).patterns[a]):
                 if c:
                     vec[pw.col(ci, j)] = c
         vectors.append(vec)
@@ -245,29 +223,16 @@ def prune_vectors(space, tol=1e-10, force_float=False):
 
 
 def local_d_matrix(pw_k, pw_k1, cell_id):
-    """Columns: coefficients of d(phi_j) in the degree-(k+1) local basis."""
-    target = pw_k1.bases[cell_id]
-    cols = []
-    for phi in pw_k.bases[cell_id]:
-        df = phi.exterior_derivative()
-        coeffs = spaces.expand_in_span(list(target), df)
-        if coeffs is None:
-            raise AssertionError("d of a Whitney form left the Whitney space")
-        cols.append(coeffs)
-    return cols
+    """Columns: coefficients of d(phi_j) in the degree-(k+1) local basis of ``pw_k1``."""
+    return local.tables(pw_k.mesh, pw_k.k, cell_id).d_matrix
 
 
 def apply_broken_d(vector, pw_k, pw_k1):
     """Broken exterior derivative as a map of sparse coefficient vectors."""
-    cache = {}
     out = {}
-    mesh = pw_k.mesh
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
-        key = mesh.congruence_key(ci)
-        if key not in cache:
-            cache[key] = local_d_matrix(pw_k, pw_k1, ci)
-        for i, c in enumerate(cache[key][j]):
+        for i, c in enumerate(local_d_matrix(pw_k, pw_k1, ci)[j]):
             if c:
                 acc = out.get(pw_k1.col(ci, i), Fraction(0)) + val * c
                 if acc:
@@ -320,24 +285,19 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
     """
     n = mesh.n
     source_kind = VQ if flavor == INTERIOR_TEST else VQ0
-    pws = {k: PiecewiseWhitney(k, mesh) for k in range(n + 1)}
     for k in range(n):
         space = build_space(source_kind, k, mesh)
         projectors = {}  # cell id -> (P_k, P_{k+1})
-        dmats = {}       # congruence key -> local d matrix columns
         for dof in range(space.ndof):
             for ci in space.supports[dof]:
                 v = space.cell_expansions[ci][dof]
                 if ci not in projectors:
                     cell = mesh.cells[ci]
                     projectors[ci] = (LocalProjector(k, cell), LocalProjector(k + 1, cell))
-                key = mesh.congruence_key(ci)
-                if key not in dmats:
-                    dmats[key] = local_d_matrix(pws[k], pws[k + 1], ci)
                 proj_k, proj_k1 = projectors[ci]
                 left = proj_k1.coefficients(v.exterior_derivative())
                 ck = proj_k.coefficients(v)
-                cols = dmats[key]
+                cols = local.tables(mesh, k, ci).d_matrix
                 right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0))
                          for i in range(len(left))]
                 if left != right:

@@ -137,7 +137,3 @@ def test_config_file_defaults_and_override(tmp_path):
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 1
 
-
-def test_threads_flag_validated():
-    code, _, _ = run_cli(["verify", "--dim", "1", "--threads", "0"])
-    assert code == 2

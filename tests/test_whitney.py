@@ -149,3 +149,16 @@ def test_full_test_flavor_is_smaller():
         di = interior.dense_matrix()
         df = full.dense_matrix()
         assert rank(di) == rank(di + df)
+
+
+@pytest.mark.parametrize("mesh", [build_grid([[0, 1], [0, 1]], (3, 3)),
+                                  build_grid([[0, 1], [0, 1]], (4, 2)),
+                                  MESH3], ids=["3x3", "4x2", "2x2x2"])
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_generators_span_the_kernel(mesh, flavor):
+    for k in range(mesh.n + 1):
+        summary = space_summary(k, mesh, flavor)
+        assert summary["dim_generators_span"] == summary["dim_kernel"]
+        if flavor == FULL_TEST:
+            gens = interpolated_generating_set(k, mesh, flavor)
+            assert gens.dim == summary["dim_generators_span"]
