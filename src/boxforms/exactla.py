@@ -1,10 +1,13 @@
 """Exact Gaussian elimination over Fraction: rank, kernels, solves, spans.
 
-One deterministic elimination routine backs every rank and kernel
-computation in the package: pivots are chosen as the first row with a
-nonzero entry in the leftmost unfinished column, rows stay in the order
-given.  Kernels come out in the canonical reduced form (one basis vector
-per free column, unit entry there), so downstream bases are reproducible.
+One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
+``solve``, ``invert`` and ``independent_subset``.  Rows are held as
+``{column: nonzero Fraction}`` and enter one at a time, in the order given:
+each is reduced by the pivot rows kept so far, leftmost column first, and
+what remains becomes a new pivot row with a unit leading entry.
+Back-substitution then clears each pivot column outside its own row.  The
+reduced form is unique for a fixed column order, so kernels come out
+canonical (one basis vector per free column, unit entry there).
 """
 
 from fractions import Fraction
@@ -14,39 +17,60 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _copy(matrix):
-    return [list(row) for row in matrix]
+def _add_multiple(row, f, other):
+    """row += f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        new = row[c] + f * v if c in row else f * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
+def _eliminate(rows, reduce=True):
+    """Sparse elimination of rows given as dense lists or {column: value} dicts.
+
+    Returns (pivot rows keyed by leading column, indices of the rows that
+    gained a pivot); the pivot rows are those of the reduced row echelon
+    form when ``reduce`` is set.
+    """
+    pivots = {}
+    kept = []
+    for index, row in enumerate(rows):
+        work = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+        while work:
+            c = min(work)
+            if c not in pivots:
+                break
+            _add_multiple(work, -work[c], pivots[c])
+        else:
+            continue
+        lead = work[c]
+        pivots[c] = {j: v / lead for j, v in work.items()} if lead != 1 else work
+        kept.append(index)
+    if reduce:
+        for c in sorted(pivots, reverse=True):
+            row = pivots[c]
+            for j in [j for j in row if j != c and j in pivots]:
+                _add_multiple(row, -row[j], pivots[j])
+    return pivots, kept
 
 
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = _copy(matrix)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [v / pv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    if not matrix:
+        return [], []
+    pivots, _ = _eliminate(matrix)
+    order = sorted(pivots)
+    rows = [[Fraction(0)] * len(matrix[0]) for _ in matrix]
+    for row, c in zip(rows, order):
+        for j, v in pivots[c].items():
+            row[j] = v
+    return rows, order
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return len(_eliminate(matrix, reduce=False)[0])
 
 
 def nullspace(matrix, ncols=None):
@@ -55,16 +79,16 @@ def nullspace(matrix, ncols=None):
         if ncols is None:
             raise ValueError("nullspace of an empty matrix needs ncols")
         return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(matrix)
     ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    pivots, _ = _eliminate(matrix)
+    free = {fc: i for i, fc in enumerate(c for c in range(ncols) if c not in pivots)}
+    basis = [[Fraction(0)] * ncols for _ in free]
+    for fc, i in free.items():
+        basis[i][fc] = Fraction(1)
+    for pc, row in pivots.items():
+        for c, v in row.items():
+            if c != pc:
+                basis[free[c]][pc] = -v
     return basis
 
 
@@ -75,22 +99,20 @@ def solve(matrix, rhs):
         return []
     if any(len(row) != n for row in matrix):
         raise ValueError("solve expects a square matrix")
-    aug = [list(row) + [b] for row, b in zip(_copy(matrix), rhs)]
-    red, pivots = rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
+    pivots, _ = _eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [red[i][n] for i in range(n)]
+    return [pivots[i].get(n, Fraction(0)) for i in range(n)]
 
 
 def invert(matrix):
     """Exact inverse of a square nonsingular matrix."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    pivots, _ = _eliminate([list(row) + [Fraction(i == j) for j in range(n)]
+                            for i, row in enumerate(matrix)])
+    if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(matrix, vec):
@@ -99,7 +121,7 @@ def mat_vec(matrix, vec):
 
 def determinant(matrix):
     """Exact determinant via fraction-free style elimination on a copy."""
-    m = _copy(matrix)
+    m = [list(row) for row in matrix]
     n = len(m)
     det = Fraction(1)
     for c in range(n):
@@ -121,10 +143,6 @@ def determinant(matrix):
 # -- span utilities (rows are coefficient vectors)
 
 
-def span_rank(vectors):
-    return rank(vectors) if vectors else 0
-
-
 def in_span(vectors, candidate):
     """True if candidate is a linear combination of the given vectors."""
     if not any(candidate):
@@ -136,32 +154,15 @@ def in_span(vectors, candidate):
 
 def spans_equal(vecs_a, vecs_b):
     """Mutual containment by three rank computations."""
-    ra = span_rank(vecs_a)
-    rb = span_rank(vecs_b)
-    if ra != rb:
+    ra = rank(vecs_a)
+    if ra != rank(vecs_b):
         return False
-    return span_rank(vecs_a + vecs_b) == ra
+    return rank(vecs_a + vecs_b) == ra
 
 
 def independent_subset(vectors):
-    """Indices of a maximal independent subset, scanning in the order given."""
-    if not vectors:
-        return []
-    ncols = len(vectors[0])
-    kept = []
-    rows = []  # running echelon of the kept vectors
-    for idx, v in enumerate(vectors):
-        work = list(v)
-        for pivot_col, row in rows:
-            if work[pivot_col]:
-                f = work[pivot_col]
-                work = [a - f * b for a, b in zip(work, row)]
-        pc = next((c for c in range(ncols) if work[c]), None)
-        if pc is None:
-            continue
-        pv = work[pc]
-        work = [a / pv for a in work]
-        rows.append((pc, work))
-        rows.sort(key=lambda pr: pr[0])
-        kept.append(idx)
-    return kept
+    """Indices of a maximal independent subset, scanning in the order given.
+
+    Vectors may be dense lists or sparse dicts of column -> value.
+    """
+    return _eliminate(vectors, reduce=False)[1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .indices import complement, hodge_sign, is_multi_index, multi_indices, wedge_sign
+from .indices import complement, hodge_sign, is_multi_index, wedge_sign
 
 
 def ratio(x):

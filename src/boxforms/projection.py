@@ -12,7 +12,7 @@ import numpy as np
 
 from . import spaces
 from .exactla import SingularMatrixError, invert, mat_vec
-from .forms import PolyForm, adjoint_pairing
+from .forms import PolyForm
 from .quadrature import box_rule, component_array, form_array
 from .reports import CheckReport
 
@@ -32,8 +32,9 @@ class LocalProjector:
             self.matrix = [[cell.volume]]
         else:
             self.tests = spaces.basis(spaces.P1MINUS_STAR, k + 1, cell)
-            self.matrix = [[adjoint_pairing(phi, mu, cell) for phi in self.trial]
-                           for mu in self.tests]
+            self.test_codiffs = [mu.codifferential() for mu in self.tests]
+            columns = [self._rhs(phi) for phi in self.trial]
+            self.matrix = [list(row) for row in zip(*columns)]
         try:
             self.inverse = invert(self.matrix)
         except SingularMatrixError as err:
@@ -41,9 +42,12 @@ class LocalProjector:
                 f"adjoint projection system singular for k={k} on {cell}") from err
 
     def _rhs(self, omega):
+        """The adjoint pairings of omega with every test form (d omega taken once)."""
         if self.k == self.cell.n:
             return [omega.inner_product(self.trial[0], self.cell)]
-        return [adjoint_pairing(omega, mu, self.cell) for mu in self.tests]
+        d_omega = omega.exterior_derivative()
+        return [d_omega.inner_product(mu, self.cell) - omega.inner_product(delta_mu, self.cell)
+                for mu, delta_mu in zip(self.tests, self.test_codiffs)]
 
     def coefficients(self, omega):
         """Exact coefficients of the projection in the trial basis."""
@@ -67,9 +71,8 @@ class LocalProjector:
             rhs = np.einsum("tap,ap->t", form_array([self.trial[0]], points), omega)
         else:
             d_omega = component_array(field.d_at(points), self.k + 1, n, weights.shape) * weights
-            codiffs = [mu.codifferential() for mu in self.tests]
             rhs = (np.einsum("tap,ap->t", form_array(self.tests, points), d_omega)
-                   - np.einsum("tap,ap->t", form_array(codiffs, points), omega))
+                   - np.einsum("tap,ap->t", form_array(self.test_codiffs, points), omega))
         return np.array(self.inverse, dtype=float) @ rhs
 
 

@@ -280,8 +280,7 @@ def consistency_residual(entry, problem, quad_order=5, rtol=1e-12):
 # space construction and convergence studies
 
 
-def build_solver_space(k, mesh, flavor=INTERIOR_TEST, representation="auto",
-                       prune_tol=1e-10):
+def build_solver_space(k, mesh, flavor=INTERIOR_TEST, representation="auto"):
     """A ready-to-assemble independent basis of the glued space.
 
     ``representation``: "kernel" (exact nullspace of the constraints),
@@ -295,8 +294,7 @@ def build_solver_space(k, mesh, flavor=INTERIOR_TEST, representation="auto",
         return kernel_space(build_constraints(k, mesh, flavor, pw=pw))
     if representation == "generators":
         gens = interpolated_generating_set(k, mesh, flavor, pw=pw)
-        pruned, _ = prune_vectors(gens, tol=prune_tol)
-        return pruned
+        return prune_vectors(gens)[0]
     raise ValueError(f"unknown representation {representation!r}")
 
 

@@ -175,8 +175,7 @@ def form_spans_equal(group_a, group_b):
 
 
 def form_span_rank(group):
-    vectors = coefficient_vectors(group)
-    return rank(vectors) if vectors else 0
+    return rank(coefficient_vectors(group))
 
 
 def expand_in_span(basis_forms, target):

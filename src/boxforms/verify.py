@@ -7,9 +7,7 @@ reports; the test-suite runs the same functions.
 
 import random
 from fractions import Fraction
-from math import comb
 
-from . import spaces
 from .forms import CellBox, PolyForm, Polynomial, boundary_bump
 from .global_spaces import check_conforming_complex, check_unisolvence
 from .indices import multi_indices

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import local, spaces
 from .exactla import independent_subset, nullspace, rank, spans_equal
 from .forms import PolyForm, adjoint_pairing
@@ -153,14 +151,6 @@ class WhitneySpace:
             out.append(row)
         return out
 
-    def float_matrix(self):
-        """Vectors as a dense float array, one column per vector."""
-        out = np.zeros((self.pw.ncols, len(self.vectors)))
-        for i, v in enumerate(self.vectors):
-            for c, val in v.items():
-                out[c, i] = float(val)
-        return out
-
 
 def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
@@ -196,23 +186,13 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
 
 
-def prune_vectors(space, tol=1e-10, force_float=False):
-    """Restrict to an independent subset (exact for small sets, QR beyond).
+def prune_vectors(space):
+    """Restrict to an independent subset, found by exact elimination (no tolerance).
 
-    Returns (pruned space, kept indices).
+    Vectors are kept in the order given, each one unless it lies in the
+    span of those kept before it.  Returns (pruned space, kept indices).
     """
-    nvec = len(space.vectors)
-    if nvec == 0:
-        return space, []
-    if not force_float and space.pw.ncols * nvec <= 200_000:
-        kept = independent_subset(space.dense_matrix())
-    else:
-        from scipy.linalg import qr
-        mat = space.float_matrix()
-        _, r, piv = qr(mat, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        cut = diag > tol * (diag[0] if diag.size else 1.0)
-        kept = sorted(piv[: int(np.sum(cut))])
+    kept = independent_subset(space.vectors)
     pruned = WhitneySpace(space.k, space.mesh, space.flavor, space.representation,
                           [space.vectors[i] for i in kept], space.pw)
     return pruned, kept
@@ -342,13 +322,12 @@ def space_summary(k, mesh, flavor=INTERIOR_TEST):
     constraints = build_constraints(k, mesh, flavor)
     kernel = kernel_space(constraints)
     generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
-    gen_rank = rank(generators.dense_matrix()) if generators.vectors else 0
     return {
         "k": k,
         "flavor": flavor,
         "n_cells": mesh.n_cells,
         "dim_piecewise": constraints.ncols,
-        "rank_B": rank(constraints.rows) if constraints.rows else 0,
+        "rank_B": rank(constraints.rows),
         "dim_kernel": kernel.dim,
-        "dim_generators_span": gen_rank,
+        "dim_generators_span": len(independent_subset(generators.vectors)),
     }

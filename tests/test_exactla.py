@@ -107,3 +107,128 @@ def test_nullspace_is_canonical():
     assert len(kernel) == 2
     assert kernel[0][1] == 1 and kernel[0][3] == 0
     assert kernel[1][3] == 1 and kernel[1][1] == 0
+
+
+# -- the dense elimination the sparse one replaced, kept as the oracle
+
+
+def reference_rref(matrix):
+    m = [list(row) for row in matrix]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [v / pv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def reference_independent_subset(vectors):
+    if not vectors:
+        return []
+    ncols = len(vectors[0])
+    kept = []
+    rows = []
+    for idx, v in enumerate(vectors):
+        work = list(v)
+        for pivot_col, row in rows:
+            if work[pivot_col]:
+                f = work[pivot_col]
+                work = [a - f * b for a, b in zip(work, row)]
+        pc = next((c for c in range(ncols) if work[c]), None)
+        if pc is None:
+            continue
+        pv = work[pc]
+        work = [a / pv for a in work]
+        rows.append((pc, work))
+        rows.sort(key=lambda pr: pr[0])
+        kept.append(idx)
+    return kept
+
+
+def reference_nullspace(matrix):
+    red, pivots = reference_rref(matrix)
+    ncols = len(matrix[0])
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def random_cases(count, seed):
+    """Seeded rational matrices: tall, wide, square, low rank, zero rows and columns."""
+    rng = random.Random(seed)
+    for case in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        shape = case % 5
+        if shape == 0:
+            rows = 1
+        elif shape == 1:
+            rows, cols = max(rows, cols) + 2, min(rows, cols)      # tall
+        elif shape == 2:
+            rows, cols = min(rows, cols), max(rows, cols) + 2      # wide
+        elif shape == 3:
+            cols = rows                                            # square
+        m = rand_matrix(rows, cols, rng, density=rng.choice([0.2, 0.5, 0.9]))
+        if case % 3 == 0 and rows > 1:
+            # rank-deficient: later rows combine earlier ones
+            a, b = rng.sample(range(rows), 2)
+            m[b] = [x + F(rng.randint(-2, 2), 3) * y for x, y in zip(m[b], m[a])]
+            m.append([F(2) * x - y for x, y in zip(m[0], m[-1])])
+        if case % 4 == 1:
+            z = rng.randrange(len(m))
+            m[z] = [F(0)] * cols                                   # zero row
+        if case % 4 == 2:
+            z = rng.randrange(cols)
+            for row in m:
+                row[z] = F(0)                                      # zero column
+        yield m
+
+
+def test_rref_matches_dense_reference():
+    for m in random_cases(300, seed=3):
+        assert rref(m) == reference_rref(m)
+
+
+def test_nullspace_and_rank_match_dense_reference():
+    for m in random_cases(300, seed=4):
+        red, pivots = reference_rref(m)
+        assert rank(m) == len(pivots)
+        assert nullspace(m) == reference_nullspace(m)
+
+
+def test_independent_subset_matches_reference_dense_and_sparse():
+    for m in random_cases(300, seed=5):
+        expected = reference_independent_subset(m)
+        assert independent_subset(m) == expected
+        assert independent_subset([{c: v for c, v in enumerate(row) if v} for row in m]) == expected
+
+
+def test_rref_edge_shapes():
+    assert rref([]) == ([], [])
+    assert rref([[F(0), F(0)]]) == ([[F(0), F(0)]], [])
+    assert rref([[F(0), F(3), F(6)]]) == ([[F(0), F(1), F(2)]], [1])
+    zeros = [[F(0)] * 3 for _ in range(4)]
+    assert rref(zeros) == (zeros, [])
+    assert nullspace(zeros) == reference_nullspace(zeros)
+    assert independent_subset([]) == []
+    assert independent_subset([{}, {2: F(1)}, {2: F(-2)}]) == [1]

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from test_exactla import reference_independent_subset
 
 from boxforms.exactla import rank, spans_equal
 from boxforms.mesh import build_grid
@@ -82,9 +83,18 @@ def test_generating_set_can_be_dependent_and_prunes():
     pruned, kept = prune_vectors(gens)
     assert pruned.dim == rank(gens.dense_matrix()) == 8
     assert kept == sorted(kept)
-    # float pruning agrees on the count
-    pruned_f, _ = prune_vectors(gens, force_float=True)
-    assert pruned_f.dim == 8
+
+
+def test_pruning_is_exact_above_the_old_float_switch():
+    # 289 vertex generators over 768 broken coordinates: 221,952 dense
+    # entries, where pruning used to switch to a float pivoted QR
+    mesh = build_grid([[0, 1], [0, 1]], (16, 16))
+    gens = interpolated_generating_set(0, mesh, INTERIOR_TEST)
+    assert gens.pw.ncols * gens.dim > 200_000
+    pruned, kept = prune_vectors(gens)
+    assert kept == reference_independent_subset(gens.dense_matrix())
+    assert pruned.dim == 288
+    assert pruned.vectors == [gens.vectors[i] for i in kept]
 
 
 def test_summary_fields():
