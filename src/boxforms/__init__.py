@@ -17,7 +17,7 @@ from .mesh import CubicalMesh, build_grid, face_dofs
 from .projection import LocalProjector, check_commuting, project_cell, project_mesh
 from .reports import CheckReport
 from .solver import (assemble, broken_error, build_solver_space, consistency_residual,
-                     convergence_sweep, solve)
+                     consistency_with_floor, convergence_sweep, solve)
 from .spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR, SpaceBasis,
                      basis, check_Q_exactness, check_ap_identity, check_local_couple,
                      check_orthogonality, dimension)

@@ -19,7 +19,7 @@ from .forms import format_form
 from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
-from .solver import (assemble, broken_error, build_solver_space, consistency_residual,
+from .solver import (assemble, broken_error, build_solver_space, consistency_with_floor,
                      convergence_sweep, flavor_for, solve)
 from .verify import run_verify
 from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, build_constraints,
@@ -237,6 +237,7 @@ def cmd_solve(args):
     problem = assemble(space, entry.load, args.quad)
     solution = solve(problem)
     err_l2, err_hd = broken_error(entry.omega, solution, args.quad)
+    consistency, floor = consistency_with_floor(entry, problem, args.quad)
     payload = {
         "command": "solve",
         "solution": entry.name,
@@ -245,7 +246,10 @@ def cmd_solve(args):
         "dim_space": space.dim,
         "err_L2": err_l2,
         "err_Hd": err_hd,
-        "consistency": consistency_residual(entry, problem, args.quad),
+        "consistency": consistency,
+        "consistency_at_floor": consistency <= floor,
+        "cg_iterations": solution.cg_iterations,
+        "cg_residual": solution.cg_residual,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
     return 0

@@ -4,8 +4,9 @@ Local bases are centered monomial forms ``prod (x_i - c_i)^tau_i dx^sigma``,
 so a cell's local matrices and its basis values at its own Gauss points
 depend only on its widths.  :func:`tables` builds one :class:`LocalTables`
 per (mesh, k, widths) on the first cell of that shape and caches it on the
-mesh.  Its exact entries equal every congruent cell's as Fractions; its
-float tabulations equal them up to rounding.
+mesh in a list indexed by cell id, so a lookup hashes nothing.  Its exact
+entries equal every congruent cell's as Fractions; its float tabulations
+equal them up to rounding.
 """
 
 from collections import namedtuple
@@ -87,10 +88,14 @@ class LocalTables:
                    PolyForm.zero(self.cell.n, self.k))
 
     @cached_property
+    def projector(self):
+        """The exact degree-k adjoint projector of the shape, on this table's cell."""
+        return LocalProjector(self.k, self.cell)
+
+    @cached_property
     def patterns(self):
         """P1minus coefficients of the adjoint projection of each face function."""
-        projector = LocalProjector(self.k, self.cell)
-        return [projector.coefficients(self.face_function(self.q_basis, a))
+        return [self.projector.coefficients(self.face_function(self.q_basis, a))
                 for a in range(len(self.q_basis))]
 
     def tabulation(self, order):
@@ -106,9 +111,14 @@ class LocalTables:
 
 def tables(mesh, k, cell_id):
     """The degree-k LocalTables shared by every cell congruent to ``cell_id``."""
-    widths = mesh.congruence_key(cell_id)
-    if (k, widths) not in mesh.local_tables:
-        first = next(ci for ci in range(mesh.n_cells) if mesh.congruence_key(ci) == widths)
-        mesh.local_tables[k, widths] = LocalTables(mesh, k, first)
-    return mesh.local_tables[k, widths]
+    per_cell = mesh.local_tables.get(k)
+    if per_cell is None:
+        per_shape, per_cell = {}, []
+        for ci in range(mesh.n_cells):
+            widths = mesh.congruence_key(ci)
+            if widths not in per_shape:
+                per_shape[widths] = LocalTables(mesh, k, ci)
+            per_cell.append(per_shape[widths])
+        mesh.local_tables[k] = per_cell
+    return per_cell[cell_id]
 

@@ -46,7 +46,7 @@ class CubicalMesh:
         self._cell_id = {t: i for i, t in enumerate(self.cell_tuples)}
         self._faces = {}
         self._face_id = {}
-        self.local_tables = {}  # (k, widths) -> LocalTables, filled by local.tables
+        self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
 
     # -- face lattice
 

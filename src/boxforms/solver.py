@@ -3,22 +3,28 @@
 The bilinear form is ``<d_h w, d_h m> + <w, m>`` summed over cells; its
 Gram matrix doubles as the square of the broken energy norm.  Stiffness
 and mass entries are assembled exactly (rational local matrices, cast to
-float only at the end); only load vectors, error norms and consistency
-functionals of non-polynomial data use quadrature.
+float only at the end) into a sparse Gram matrix; only load vectors,
+error norms and consistency functionals of non-polynomial data use
+quadrature.
 
-Solver paths: conjugate gradients (relative residual 1e-12, at most 50*N
-iterations) by default; exact elimination when the caller asks for it
-and the data is rational.  The exact path doubles as the oracle for the
-iterative one.
+Solver paths: conjugate gradients on the sparse Gram matrix (relative
+residual 1e-12, at most 50*N iterations) by default; exact elimination
+when the caller asks for it and the data is rational.  The exact path
+doubles as the oracle for the iterative one.  The consistency residual
+takes back-solves with a sparse LU factorization of the Gram matrix,
+made once per problem on first demand, and comes with a roundoff floor:
+a residual at or below it may be all rounding.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from . import local
+from .exactla import independent_subset
 from .exactla import solve as exact_solve
 from .fields import manufactured
 from .forms import PolyForm
@@ -32,6 +38,9 @@ from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
 #: piecewise-coordinate count up to which the exact kernel representation
 #: is the default space basis (pure-Python elimination stays fast there)
 KERNEL_COLUMN_LIMIT = 400
+
+#: unit roundoff of float64
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def basis_matrix(space):
@@ -49,9 +58,9 @@ def basis_matrix(space):
 @dataclass
 class DiscreteProblem:
     space: WhitneySpace
-    G: np.ndarray              # float Gram (stiffness + mass)
-    F: np.ndarray              # float load
-    V: scipy.sparse.spmatrix   # piecewise-coordinates-from-basis map
+    G: scipy.sparse.csr_matrix  # float Gram (stiffness + mass)
+    F: np.ndarray               # float load
+    V: scipy.sparse.spmatrix    # piecewise-coordinates-from-basis map (CSC)
     quad_order: int
     G_exact: list | None = None
     F_exact: list | None = None
@@ -67,6 +76,20 @@ class DiscreteProblem:
     def energy_norm(self, coeffs):
         v = np.asarray(coeffs, dtype=float)
         return math.sqrt(max(float(v @ (self.G @ v)), 0.0))
+
+    @cached_property
+    def factor(self):
+        """Sparse LU factorization of G, made on first use."""
+        # imported here: at module level it adds about a third to `import boxforms`
+        from scipy.sparse.linalg import splu
+        # G is symmetric positive definite: a symmetric fill-reducing order with
+        # diagonal pivots keeps Cholesky's sparsity
+        return splu(self.G.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+
+    def dual_norm(self, vec):
+        """sqrt(vec . G^-1 vec): the norm of a functional on the discrete space."""
+        return math.sqrt(max(float(vec @ self.factor.solve(vec)), 0.0))
 
 
 def _cell_slices(space):
@@ -112,21 +135,19 @@ def assemble(space, load, quad_order=5):
 
     ``load`` is a FormField (quadrature path) or a PolyForm, in which case
     everything is also assembled exactly.  Raises when the basis is
-    dependent (prune generating sets before assembling).
+    dependent (prune generating sets before assembling); independence is
+    decided by exact elimination unless the space already carries its proof.
     """
+    if not space.independent and len(independent_subset(space.vectors)) < space.dim:
+        raise ValueError("basis vectors are linearly dependent; "
+                         "prune the generating set before assembling")
     pw = space.pw
     mesh = pw.mesh
     v_mat = basis_matrix(space)
     cell_tables = [local.tables(mesh, pw.k, ci) for ci in range(mesh.n_cells)]
     big = scipy.sparse.block_diag([t.energy_float for t in cell_tables], format="csc")
-    gram = (v_mat.T @ (big @ v_mat)).toarray()
-    gram = (gram + gram.T) / 2.0
-    try:
-        np.linalg.cholesky(gram + 0.0)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(
-            "basis is not positive definite (linearly dependent vectors); "
-            "prune the generating set before assembling") from err
+    gram = v_mat.T @ (big @ v_mat)
+    gram = ((gram + gram.T) / 2.0).tocsr()
 
     exact = isinstance(load, PolyForm)
     g_exact = f_exact = None
@@ -199,6 +220,16 @@ class Solution:
     history: list = field(default_factory=list)
     _pw_cache: np.ndarray | None = None
 
+    @property
+    def cg_iterations(self):
+        """CG iterations taken (a zero load returns at once, with one history entry)."""
+        return len(self.history) if np.any(self.problem.F) else 0
+
+    @property
+    def cg_residual(self):
+        """Final relative CG residual; None on the exact path."""
+        return self.history[-1] if self.history else None
+
     def pw_coefficients(self):
         """Float coefficients in the broken (piecewise) coordinates."""
         if self._pw_cache is None:
@@ -255,25 +286,45 @@ def broken_error(exact_field, solution, quad_order=5):
     return math.sqrt(err0), math.sqrt(err0 + err1)
 
 
-def consistency_residual(entry, problem, quad_order=5, rtol=1e-12):
-    """sup over the discrete space of the nonconformity functional.
+def consistency_with_floor(entry, problem, quad_order=5):
+    """(consistency residual, its roundoff floor), from one quadrature pass.
 
-    The functional is ``<d w, d_h m> - <delta d w, m>`` (zero for every m
-    in the continuous energy space); the sup over the discrete space with
-    unit broken norm equals the Gram-norm of its Riesz representer.
+    The residual is the sup over the discrete space, at unit broken norm,
+    of the nonconformity functional ``<d w, d_h m> - <delta d w, m>``
+    (zero for every m in the continuous energy space): the G^-1 norm of
+    its load vector ell.  Each entry of ell sums m rounded products, so
+    its rounding error is at most gamma_m = m u / (1 - m u) times the same
+    sum over absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3.1).  The floor is gamma_m times
+    the G^-1 norm of that absolute-value sum; a residual at or below it
+    may be all rounding.
     """
     pw = problem.space.pw
     ell_pw = np.zeros((pw.mesh.n_cells, pw.dim_local))
+    abs_pw = np.zeros_like(ell_pw)
+    terms = 0
     for ids, tab, points in _gauss_grid(pw, quad_order):
         dw = _field_array(entry.omega.d_at, pw.k + 1, points) * tab.weights
         dd = _field_array(entry.delta_d.at, pw.k, points) * tab.weights
         ell_pw[ids] = (np.einsum("acp,jap->cj", dw, tab.d_values)
                        - np.einsum("acp,jap->cj", dd, tab.values))
-    ell = np.asarray(problem.V.T @ ell_pw.ravel()).ravel()
+        abs_pw[ids] = (np.einsum("acp,jap->cj", np.abs(dw), np.abs(tab.d_values))
+                       + np.einsum("acp,jap->cj", np.abs(dd), np.abs(tab.values)))
+        terms = max(terms, tab.d_values[0].size + tab.values[0].size)
+    ell = problem.V.T @ ell_pw.ravel()
     if not np.any(ell):
-        return 0.0
-    y, _ = conjugate_gradient(problem.G, ell, rtol=rtol)
-    return math.sqrt(max(float(ell @ y), 0.0))
+        return 0.0, 0.0
+    # the sum into ell, then n + 3 roundings inside each product: Gauss
+    # weight, field value, their product, and the basis monomial
+    m = terms + int(np.diff(problem.V.indptr).max()) + pw.mesh.n + 3
+    gamma = m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
+    bound = abs(problem.V).T @ abs_pw.ravel()
+    return problem.dual_norm(ell), gamma * problem.dual_norm(bound)
+
+
+def consistency_residual(entry, problem, quad_order=5):
+    """sup over the discrete space of the nonconformity functional (see consistency_with_floor)."""
+    return consistency_with_floor(entry, problem, quad_order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +359,10 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5,
 
     ``solution`` is a catalog name or a ManufacturedSolution; ``levels``
     is a list of per-axis division counts.  Returns one row per level with
-    errors, the consistency residual, and observed orders between
-    consecutive levels.
+    errors, the consistency residual and whether it is at its roundoff
+    floor, the CG iteration count and final residual, and observed orders
+    between consecutive levels (no consistency order where either level
+    is at the floor).
     """
     entry = manufactured(solution) if isinstance(solution, str) else solution
     flavor = flavor or flavor_for(entry)
@@ -321,7 +374,7 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5,
         problem = assemble(space, entry.load, quad_order)
         sol = solve(problem, method="cg", rtol=rtol)
         err_l2, err_hd = broken_error(entry.omega, sol, quad_order)
-        cons = consistency_residual(entry, problem, quad_order)
+        cons, floor = consistency_with_floor(entry, problem, quad_order)
         row = {
             "level": level,
             "h": float(mesh.h_max),
@@ -330,6 +383,9 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5,
             "err_L2": err_l2,
             "err_Hd": err_hd,
             "consistency": cons,
+            "consistency_at_floor": cons <= floor,
+            "cg_iterations": sol.cg_iterations,
+            "cg_residual": sol.cg_residual,
             "order_L2": None,
             "order_Hd": None,
             "order_consistency": None,
@@ -339,7 +395,7 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5,
             for key in ("L2", "Hd"):
                 a, b = prev[f"err_{key}"], row[f"err_{key}"]
                 row[f"order_{key}"] = math.log(a / b) / ratio if a > 0 and b > 0 else None
-            if prev["consistency"] > 0 and cons > 0:
+            if not (prev["consistency_at_floor"] or row["consistency_at_floor"]):
                 row["order_consistency"] = math.log(prev["consistency"] / cons) / ratio
         rows.append(row)
         prev = row

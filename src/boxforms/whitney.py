@@ -32,7 +32,6 @@ from .exactla import independent_subset, nullspace, rank, spans_equal
 from .forms import PolyForm, adjoint_pairing
 from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space
 from .mesh import face_dofs
-from .projection import LocalProjector
 from .reports import CheckReport
 
 INTERIOR_TEST = "interior-test"
@@ -124,15 +123,20 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
 
 
 class WhitneySpace:
-    """A concrete basis (or generating set) of the glued space."""
+    """A concrete basis (or generating set) of the glued space.
 
-    def __init__(self, k, mesh, flavor, representation, vectors, pw):
+    ``independent`` is True only when exact elimination has proved the
+    vectors linearly independent (kernel bases and pruned generating sets).
+    """
+
+    def __init__(self, k, mesh, flavor, representation, vectors, pw, independent=False):
         self.k = k
         self.mesh = mesh
         self.flavor = flavor
         self.representation = representation  # "kernel" | "generators"
         self.vectors = vectors                # sparse dicts col -> Fraction
         self.pw = pw
+        self.independent = independent
 
     @property
     def dim(self):
@@ -159,7 +163,7 @@ def kernel_space(constraints):
     for dense in nullspace(constraints.rows, ncols=pw.ncols):
         vectors.append({c: val for c, val in enumerate(dense) if val})
     return WhitneySpace(constraints.k, pw.mesh, constraints.flavor,
-                        "kernel", vectors, pw)
+                        "kernel", vectors, pw, independent=True)
 
 
 def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
@@ -194,7 +198,7 @@ def prune_vectors(space):
     """
     kept = independent_subset(space.vectors)
     pruned = WhitneySpace(space.k, space.mesh, space.flavor, space.representation,
-                          [space.vectors[i] for i in kept], space.pw)
+                          [space.vectors[i] for i in kept], space.pw, independent=True)
     return pruned, kept
 
 
@@ -267,17 +271,15 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
     source_kind = VQ if flavor == INTERIOR_TEST else VQ0
     for k in range(n):
         space = build_space(source_kind, k, mesh)
-        projectors = {}  # cell id -> (P_k, P_{k+1})
         for dof in range(space.ndof):
             for ci in space.supports[dof]:
-                v = space.cell_expansions[ci][dof]
-                if ci not in projectors:
-                    cell = mesh.cells[ci]
-                    projectors[ci] = (LocalProjector(k, cell), LocalProjector(k + 1, cell))
-                proj_k, proj_k1 = projectors[ci]
-                left = proj_k1.coefficients(v.exterior_derivative())
-                ck = proj_k.coefficients(v)
-                cols = local.tables(mesh, k, ci).d_matrix
+                shape, shape_up = local.tables(mesh, k, ci), local.tables(mesh, k + 1, ci)
+                # the shape's projectors sit on its first cell: move v there
+                shift = [a - b for a, b in zip(mesh.cells[ci].center, shape.cell.center)]
+                v = space.cell_expansions[ci][dof].translate(shift)
+                left = shape_up.projector.coefficients(v.exterior_derivative())
+                ck = shape.projector.coefficients(v)
+                cols = shape.d_matrix
                 right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0))
                          for i in range(len(left))]
                 if left != right:

@@ -91,6 +91,21 @@ def test_convergence_json_manifest(tmp_path):
     assert "versions" in payload and len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--dim", "2", "--k", "1", "--levels", "2", "--base", "8",
+     "--format", "json"],
+    ["solve", "--dim", "2", "--k", "1", "--solution", "sin2d_k1", "--grid", "8,8"],
+], ids=["convergence", "solve"])
+def test_json_reports_floor_flag_and_cg_counters(argv):
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    payload = json.loads(out)
+    for row in payload.get("rows", [payload]):
+        assert row["consistency_at_floor"] is True
+        assert row["cg_iterations"] > 1
+        assert 0 < row["cg_residual"] <= 1e-12
+
+
 def test_unknown_solution_lists_catalog():
     code, _, err = run_cli(["convergence", "--dim", "2", "--k", "0",
                             "--solution", "nope"])

@@ -177,6 +177,17 @@ def test_contraction_matches_per_cell_loops(name, divisions):
     assert abs(got_c - ref_c) <= max(1e-12 * ref_c, 1e-14)
 
 
+@pytest.mark.parametrize("name, m", [("sin2d_k1", 24), ("cos2d_k0", 16)])
+def test_back_solve_consistency_matches_cg(name, m):
+    entry = manufactured(name)
+    mesh = build_grid(entry.domain, (m, m))
+    space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
+    problem = assemble(space, entry.load, 5)
+    got = consistency_residual(entry, problem, 5)
+    ref = reference_consistency(entry, problem, 5)
+    assert abs(got - ref) <= max(1e-12 * ref, 1e-14)
+
+
 def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
     calls = []
     original = spaces.basis

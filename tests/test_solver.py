@@ -1,14 +1,20 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxforms.fields import constant_solution, manufactured
+import boxforms
+from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
 from boxforms.solver import (Solution, assemble, broken_error, build_solver_space,
-                             conjugate_gradient, consistency_residual,
+                             conjugate_gradient, consistency_residual, consistency_with_floor,
                              convergence_sweep, local_energy_matrix, solve)
 from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
@@ -28,9 +34,10 @@ def test_top_degree_gram_is_cell_volumes():
     problem = assemble(space, PolyForm.covector(2, (1, 2), 1))
     # kernel basis of the unconstrained top space is one indicator per cell
     volumes = sorted(float(c.volume) for c in mesh.cells)
-    diag = sorted(np.diag(problem.G))
+    gram = problem.G.toarray()
+    diag = sorted(np.diag(gram))
     assert np.allclose(diag, volumes)
-    assert np.allclose(problem.G, np.diag(np.diag(problem.G)))
+    assert np.allclose(gram, np.diag(np.diag(gram)))
 
 
 def test_gram_symmetry():
@@ -208,3 +215,70 @@ def test_top_degree_sweep_mass_only():
     rows = convergence_sweep("sin2d_k2", [2, 4])
     # L2-projection problem: first-order L2 convergence of piecewise constants
     assert rows[-1]["order_L2"] > 0.8
+
+
+# ---------------------------------------------------------------------------
+# exact independence, the lazy factorization and the consistency floor
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_generating_set_independence_is_decided_exactly(k):
+    mesh = build_grid([[0, 1], [0, 1]], (3, 3))
+    load = PolyForm.covector(2, (1,) if k else (), 1)
+    interior = interpolated_generating_set(k, mesh, INTERIOR_TEST)
+    assert not interior.independent
+    with pytest.raises(ValueError, match="prune"):
+        assemble(interior, load)
+    full = interpolated_generating_set(k, mesh, FULL_TEST)
+    assert not full.independent
+    problem = assemble(full, load)
+    assert problem.size == full.dim
+    assert problem.dual_norm(problem.F) > 0
+
+
+def test_roundoff_level_consistency_is_flagged():
+    rows = convergence_sweep("sin2d_k1", [8, 16])
+    assert all(row["consistency_at_floor"] for row in rows)
+    assert all(row["order_consistency"] is None for row in rows)
+
+
+@pytest.mark.parametrize("name, levels", [("cos2d_k0", [4, 8, 16]), ("sin3d_k1", [4, 8])])
+def test_converging_consistency_is_above_the_floor(name, levels):
+    rows = convergence_sweep(name, levels)
+    assert not any(row["consistency_at_floor"] for row in rows)
+    assert rows[-1]["order_consistency"] >= 1.9
+
+
+def test_floor_does_not_hide_a_1e_9_inconsistency():
+    entry = manufactured("sin2d_k1")
+    mesh = build_grid(entry.domain, (8, 8))
+    problem = assemble(build_solver_space(1, mesh, FULL_TEST), entry.load)
+    shifted = FormField(2, 1, {alpha: (lambda pts, fn=fn: fn(pts) + 1e-9)
+                               for alpha, fn in entry.delta_d.components.items()})
+    residual, floor = consistency_with_floor(
+        dataclasses.replace(entry, delta_d=shifted), problem)
+    assert residual > 1e-10
+    assert residual > floor
+
+
+_LAZY_SPLU = """
+import sys
+import boxforms
+from boxforms import cli
+assert "scipy.sparse.linalg" not in sys.modules, "import boxforms loaded scipy.sparse.linalg"
+assert cli.main(["verify", "--dim", "1"]) == 0
+assert "scipy.sparse.linalg" not in sys.modules, "verify loaded scipy.sparse.linalg"
+entry = boxforms.manufactured("cos2d_k0")
+mesh = boxforms.build_grid(entry.domain, (2, 2))
+problem = boxforms.assemble(boxforms.build_solver_space(0, mesh), entry.load)
+assert boxforms.consistency_residual(entry, problem) > 0
+assert "scipy.sparse.linalg" in sys.modules, "the consistency residual made no factorization"
+"""
+
+
+def test_factorization_module_loads_only_on_demand():
+    src = Path(boxforms.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _LAZY_SPLU], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
