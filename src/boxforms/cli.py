@@ -23,7 +23,7 @@ from .solver import (assemble, broken_error, build_solver_space, consistency_wit
                      convergence_sweep, flavor_for, solve)
 from .verify import run_verify
 from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, build_constraints,
-                      interpolated_generating_set, kernel_space, space_summary)
+                      interpolated_generating_set, kernel_space, summarize)
 
 _FLAVOR_NAMES = {"interior": INTERIOR_TEST, "full": FULL_TEST}
 
@@ -267,7 +267,8 @@ def cmd_basis(args):
             f"{args.dump_limit}; pick a smaller grid or raise the limit"))
     kernel = kernel_space(constraints)
     generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
-    lines = [f"summary: {json.dumps(space_summary(k, mesh, flavor), sort_keys=True)}", ""]
+    summary = summarize(constraints, kernel, generators)
+    lines = [f"summary: {json.dumps(summary, sort_keys=True)}", ""]
     lines.append(f"kernel basis ({kernel.dim} elements):")
     for i in range(kernel.dim):
         for ci in range(mesh.n_cells):

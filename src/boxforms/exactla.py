@@ -1,58 +1,97 @@
-"""Exact Gaussian elimination over Fraction: rank, kernels, solves, spans.
+"""Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``solve``, ``invert`` and ``independent_subset``.  Rows are held as
-``{column: nonzero Fraction}`` and enter one at a time, in the order given:
-each is reduced by the pivot rows kept so far, leftmost column first, and
-what remains becomes a new pivot row with a unit leading entry.
-Back-substitution then clears each pivot column outside its own row.  The
+``solve``, ``invert`` and ``independent_subset``.  It is fraction-free
+(Bareiss, Math. Comp. 22, 1968, with content division for his exact
+quotients): each input row is scaled by the lcm of its denominators and
+divided by the gcd of its entries, giving a primitive ``{column: int}``
+row.  Rows enter one at a time, in the order given: each is reduced by the
+pivot rows kept so far, leftmost column first, as ``b*row - a*pivot`` with
+a/b the ratio of the two pivot-column entries in lowest terms, then made
+primitive again; what remains becomes a new pivot row.  Back-substitution
+clears each pivot column outside its own row the same way, and only then
+does each pivot row become Fractions with a unit leading entry.  The
 reduced form is unique for a fixed column order, so kernels come out
 canonical (one basis vector per free column, unit entry there).
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-def _add_multiple(row, f, other):
-    """row += f * other in place, dropping the entries that cancel."""
-    for c, v in other.items():
-        new = row[c] + f * v if c in row else f * v
+def _primitive(row):
+    """An integer row {column: int} divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g != 1 else row
+
+
+def integer_scaled(values):
+    """(ints, d) with values[i] == ints[i] / d, d the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_row(row):
+    """The primitive integer multiple of a dense or {column: value} row of ints and Fractions."""
+    row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    if not row:
+        return row
+    return _primitive(dict(zip(row, integer_scaled(row.values())[0])))
+
+
+def _cancel(row, pivot, c):
+    """b*row - a*pivot, made primitive, with a/b = row[c]/pivot[c] in lowest terms.
+
+    Column c drops out; ``pivot[c]`` is positive.
+    """
+    a, b = row[c], pivot[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        row = {j: b * v for j, v in row.items()}
+    for j, v in pivot.items():
+        new = row.get(j, 0) - a * v
         if new:
-            row[c] = new
+            row[j] = new
         else:
-            del row[c]
+            del row[j]
+    return _primitive(row)
 
 
 def _eliminate(rows, reduce=True):
     """Sparse elimination of rows given as dense lists or {column: value} dicts.
 
     Returns (pivot rows keyed by leading column, indices of the rows that
-    gained a pivot); the pivot rows are those of the reduced row echelon
-    form when ``reduce`` is set.
+    gained a pivot).  When ``reduce`` is set the pivot rows are those of the
+    reduced row echelon form, as Fractions; otherwise they are primitive
+    integer rows of an echelon form.
     """
     pivots = {}
     kept = []
     for index, row in enumerate(rows):
-        work = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+        work = _integer_row(row)
         while work:
             c = min(work)
             if c not in pivots:
                 break
-            _add_multiple(work, -work[c], pivots[c])
+            work = _cancel(work, pivots[c], c)
         else:
             continue
-        lead = work[c]
-        pivots[c] = {j: v / lead for j, v in work.items()} if lead != 1 else work
+        pivots[c] = work if work[c] > 0 else {j: -v for j, v in work.items()}
         kept.append(index)
     if reduce:
         for c in sorted(pivots, reverse=True):
             row = pivots[c]
             for j in [j for j in row if j != c and j in pivots]:
-                _add_multiple(row, -row[j], pivots[j])
+                row = _cancel(row, pivots[j], j)
+            pivots[c] = row
+        for c, row in pivots.items():
+            lead = row[c]
+            pivots[c] = {j: Fraction(v, lead) for j, v in row.items()}
     return pivots, kept
 
 
@@ -119,37 +158,7 @@ def mat_vec(matrix, vec):
     return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]
 
 
-def determinant(matrix):
-    """Exact determinant via fraction-free style elimination on a copy."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
-
-
 # -- span utilities (rows are coefficient vectors)
-
-
-def in_span(vectors, candidate):
-    """True if candidate is a linear combination of the given vectors."""
-    if not any(candidate):
-        return True
-    if not vectors:
-        return False
-    return rank(vectors) == rank(vectors + [candidate])
 
 
 def spans_equal(vecs_a, vecs_b):

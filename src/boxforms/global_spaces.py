@@ -72,21 +72,6 @@ def build_space(kind, k, mesh):
     return GlobalSpace(kind, k, mesh, dof_faces, expansions)
 
 
-def expand_in_face_dofs(space, pw_forms):
-    """Coefficients of a conforming piecewise form in the global basis.
-
-    ``pw_forms`` gives the form cell by cell.  Coefficients are read off
-    as face DOFs; membership must be verified separately (see
-    check_conforming_complex).
-    """
-    mesh = space.mesh
-    coeffs = [Fraction(0)] * space.ndof
-    for dof, face in enumerate(space.dof_faces):
-        if space.supports[dof]:
-            coeffs[dof] = mesh.face_dof(face, pw_forms[space.supports[dof][0]])
-    return coeffs
-
-
 def check_unisolvence(mesh, k):
     """Face DOFs against the local tensor basis give a nonsingular matrix."""
     for ci, (tup, cell) in enumerate(zip(mesh.cell_tuples, mesh.cells)):

@@ -1,8 +1,9 @@
 """Per-shape local data: what every cell of the same widths shares.
 
 Local bases are centered monomial forms ``prod (x_i - c_i)^tau_i dx^sigma``,
-so a cell's local matrices and its basis values at its own Gauss points
-depend only on its widths.  :func:`tables` builds one :class:`LocalTables`
+so a cell's local matrices, its gluing pairings with the Hodge duals of
+the face functions, and its basis values at its own Gauss points depend
+only on its widths.  :func:`tables` builds one :class:`LocalTables`
 per (mesh, k, widths) on the first cell of that shape and caches it on the
 mesh in a list indexed by cell id, so a lookup hashes nothing.  Its exact
 entries equal every congruent cell's as Fractions; its float tabulations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import spaces
 from .exactla import invert
-from .forms import PolyForm
+from .forms import PolyForm, adjoint_pairing
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
 
@@ -86,6 +87,18 @@ class LocalTables:
         """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""
         return sum((row[a] * phi for row, phi in zip(self.vandermonde_inverse, local) if row[a]),
                    PolyForm.zero(self.cell.n, self.k))
+
+    @cached_property
+    def gluing_pairings(self):
+        """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the shape's cell.
+
+        f_a is face function a of Q1minus^(n-k-1) and phi_j the P1minus^k
+        basis: the gluing constraint entries of one cell, before the
+        scatter through the face DOFs.
+        """
+        dual = tables(self._mesh, self.cell.n - self.k - 1, self._cell_id)
+        tests = [dual.face_function(dual.q_basis, a).hodge() for a in range(len(dual.q_basis))]
+        return [[adjoint_pairing(phi, mu, self.cell) for phi in self.basis] for mu in tests]
 
     @cached_property
     def projector(self):

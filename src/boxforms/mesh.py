@@ -10,7 +10,10 @@ spaces is the (unnormalized) integral of the trace over the face.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .forms import CellBox, ratio
 from .indices import complement, multi_indices
@@ -109,13 +112,6 @@ class CubicalMesh:
 
     # -- geometry and integration on faces
 
-    def face_measure(self, face):
-        m = Fraction(1)
-        for axis in face.axes:
-            i = axis - 1
-            m *= self.grid[i][face.pos[i] + 1] - self.grid[i][face.pos[i]]
-        return m
-
     def integrate_on_face(self, face, poly):
         """Exact integral of a polynomial over the face (trace measure).
 
@@ -156,9 +152,10 @@ class CubicalMesh:
     def h_max(self):
         return max(max(c.widths) for c in self.cells)
 
-    @property
-    def aspect_ratio(self):
-        return max(max(c.widths) / min(c.widths) for c in self.cells)
+    @cached_property
+    def float_centers(self):
+        """Cell centers as a (cells, n) float array, indexed by cell id."""
+        return np.array([[float(c) for c in cell.center] for cell in self.cells])
 
     def congruence_key(self, cell_id):
         return self.cells[cell_id].widths

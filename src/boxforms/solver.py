@@ -18,13 +18,14 @@ a residual at or below it may be all rounding.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from . import local
-from .exactla import independent_subset
+from .exactla import independent_subset, integer_scaled
 from .exactla import solve as exact_solve
 from .fields import manufactured
 from .forms import PolyForm
@@ -92,16 +93,17 @@ class DiscreteProblem:
         return math.sqrt(max(float(vec @ self.factor.solve(vec)), 0.0))
 
 
-def _cell_slices(space):
-    """Per basis vector: {cell id: dense local coefficient list}."""
+def _cell_members(space):
+    """Per cell: (basis vector index, dense local coefficient list) for each vector on it."""
     pw = space.pw
-    out = []
-    for vec in space.vectors:
+    out = [[] for _ in range(pw.mesh.n_cells)]
+    for i, vec in enumerate(space.vectors):
         per_cell = {}
         for col, val in vec.items():
             ci, j = divmod(col, pw.dim_local)
             per_cell.setdefault(ci, [0] * pw.dim_local)[j] = val
-        out.append(per_cell)
+        for ci, coeffs in per_cell.items():
+            out[ci].append((i, coeffs))
     return out
 
 
@@ -112,8 +114,7 @@ def _gauss_grid(pw, quad_order):
         shapes.setdefault(local.tables(pw.mesh, pw.k, ci), []).append(ci)
     for table, ids in shapes.items():
         tab = table.tabulation(quad_order)
-        centers = np.array([[float(c) for c in pw.mesh.cells[ci].center] for ci in ids])
-        yield ids, tab, centers[:, None, :] + tab.offsets
+        yield ids, tab, pw.mesh.float_centers[ids][:, None, :] + tab.offsets
 
 
 def _field_array(values_at, k, points):
@@ -152,30 +153,30 @@ def assemble(space, load, quad_order=5):
     exact = isinstance(load, PolyForm)
     g_exact = f_exact = None
     if exact:
-        slices = _cell_slices(space)
+        # cell by cell, in integers over one denominator per vector: the local
+        # energy applied once to each vector on the cell, then dot products
+        # among the vectors that share it
         size = space.dim
         g_exact = [[0] * size for _ in range(size)]
+        f_exact = [0] * size
+        for ci, members in enumerate(_cell_members(space)):
+            if not members:
+                continue
+            energy, e_den = integer_scaled([e for row in cell_tables[ci].energy for e in row])
+            energy = [energy[a:a + pw.dim_local] for a in range(0, len(energy), pw.dim_local)]
+            pair, p_den = integer_scaled([load.inner_product(phi, mesh.cells[ci])
+                                          for phi in pw.bases[ci]])
+            scaled = [(i, *integer_scaled(li)) for i, li in members]
+            for p, (i, li, di) in enumerate(scaled):
+                applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]
+                f_exact[i] += Fraction(sum(c * q for c, q in zip(li, pair) if c), di * p_den)
+                row = g_exact[i]
+                for j, lj, dj in scaled[p:]:
+                    row[j] += Fraction(sum(c * a for c, a in zip(lj, applied) if c),
+                                       di * dj * e_den)
         for i in range(size):
-            for j in range(i, size):
-                acc = 0
-                shared = slices[i].keys() & slices[j].keys()
-                for ci in shared:
-                    li, lj = slices[i][ci], slices[j][ci]
-                    lmat = cell_tables[ci].energy
-                    acc += sum(li[a] * sum(lmat[a][b] * lj[b]
-                                           for b in range(len(lj)) if lj[b])
-                               for a in range(len(li)) if li[a])
-                g_exact[i][j] = g_exact[j][i] = acc
-        pair = {}
-        f_exact = []
-        for i in range(size):
-            acc = 0
-            for ci, loc in slices[i].items():
-                if ci not in pair:
-                    pair[ci] = [load.inner_product(phi, mesh.cells[ci])
-                                for phi in pw.bases[ci]]
-                acc += sum(c * p for c, p in zip(loc, pair[ci]) if c)
-            f_exact.append(acc)
+            for j in range(i + 1, size):
+                g_exact[j][i] = g_exact[i][j]
         f_float = np.array([float(x) for x in f_exact])
     else:
         f_float = np.asarray(v_mat.T @ _load_pw_float(pw, load, quad_order))

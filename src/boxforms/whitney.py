@@ -15,7 +15,7 @@ for every test function mu in a conforming Hodge-dual space.  Two flavors:
 
 Two representations are built:
 
-* the exact kernel of the constraint matrix (elimination over Fraction),
+* the exact kernel of the constraint matrix (exact rational elimination),
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).
 
@@ -29,8 +29,8 @@ from functools import cached_property
 
 from . import local, spaces
 from .exactla import independent_subset, nullspace, rank, spans_equal
-from .forms import PolyForm, adjoint_pairing
-from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space
+from .forms import PolyForm
+from .global_spaces import VQ, VQ0, build_space
 from .mesh import face_dofs
 from .reports import CheckReport
 
@@ -79,7 +79,6 @@ class ConstraintSystem:
     k: int
     flavor: str
     pw: PiecewiseWhitney
-    test_space: object        # GlobalSpace or None for k = n
     rows: list = field(default_factory=list)
 
     @property
@@ -99,7 +98,15 @@ class ConstraintSystem:
 
 
 def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
-    """Assemble the constraint matrix; for k = n there are no constraints."""
+    """Assemble the constraint matrix; for k = n there are no constraints.
+
+    Each test function is, on every cell, ``sign * star(f_a)`` for a face
+    function f_a of Q1minus^(n-k-1) (see global_spaces.build_space), so a
+    cell's entries are its shape's ``LocalTables.gluing_pairings`` scattered
+    through the face DOFs of degree n-k-1: interior faces only for
+    interior-test, all faces for full-test.  Rows are dense lists of
+    Fractions, one per test DOF in face order.
+    """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     n = mesh.n
@@ -107,19 +114,18 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
         raise ValueError(f"no degree-{k} space in dimension {n}")
     pw = pw or PiecewiseWhitney(k, mesh)
     if k == n:
-        return ConstraintSystem(k, flavor, pw, None, [])
-    kind = VQSTAR0 if flavor == INTERIOR_TEST else VQSTAR
-    test_space = build_space(kind, k + 1, mesh)
-    rows = []
-    for dof in range(test_space.ndof):
-        row = [Fraction(0)] * pw.ncols
-        for ci in test_space.supports[dof]:
-            mu = test_space.cell_expansions[ci][dof]
-            cell = mesh.cells[ci]
-            for j, phi in enumerate(pw.bases[ci]):
-                row[pw.col(ci, j)] = adjoint_pairing(phi, mu, cell)
-        rows.append(row)
-    return ConstraintSystem(k, flavor, pw, test_space, rows)
+        return ConstraintSystem(k, flavor, pw, [])
+    dofs = face_dofs(n - k - 1, mesh)
+    keep = dofs.interior_ids if flavor == INTERIOR_TEST else range(dofs.n_dofs)
+    renumber = {gid: i for i, gid in enumerate(keep)}
+    rows = [[Fraction(0)] * pw.ncols for _ in renumber]
+    for ci, cell_dofs in enumerate(dofs.cell_dofs):
+        pairings = local.tables(mesh, k, ci).gluing_pairings
+        base = pw.col(ci, 0)
+        for (gid, sign), values in zip(cell_dofs, pairings):
+            if gid in renumber:
+                rows[renumber[gid]][base:base + pw.dim_local] = [sign * v for v in values]
+    return ConstraintSystem(k, flavor, pw, rows)
 
 
 class WhitneySpace:
@@ -145,16 +151,6 @@ class WhitneySpace:
     def form_on_cell(self, index, cell_id):
         return self.pw.form_on_cell(self.vectors[index], cell_id)
 
-    def dense_matrix(self):
-        """Vectors as dense Fraction rows (small problems only)."""
-        out = []
-        for v in self.vectors:
-            row = [Fraction(0)] * self.pw.ncols
-            for c, val in v.items():
-                row[c] = val
-            out.append(row)
-        return out
-
 
 def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
@@ -176,17 +172,17 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
         raise ValueError(f"unknown flavor {flavor!r}")
     pw = pw or PiecewiseWhitney(k, mesh)
     dofs = face_dofs(k, mesh)
-    keep = list(range(dofs.n_dofs)) if flavor == INTERIOR_TEST else dofs.interior_ids
-    vectors = []
-    for gid in keep:
-        face = dofs.faces[gid]
-        vec = {}
-        for ci in mesh.cells_of_face(face):
-            a = mesh.cell_faces(mesh.cell_tuples[ci], k).index(face)
-            for j, c in enumerate(local.tables(mesh, k, ci).patterns[a]):
-                if c:
-                    vec[pw.col(ci, j)] = c
-        vectors.append(vec)
+    keep = range(dofs.n_dofs) if flavor == INTERIOR_TEST else dofs.interior_ids
+    renumber = {gid: i for i, gid in enumerate(keep)}
+    vectors = [{} for _ in renumber]
+    for ci, cell_dofs in enumerate(dofs.cell_dofs):
+        patterns = local.tables(mesh, k, ci).patterns
+        for (gid, sign), pattern in zip(cell_dofs, patterns):
+            if gid in renumber:
+                vec = vectors[renumber[gid]]
+                for j, c in enumerate(pattern):
+                    if c:
+                        vec[pw.col(ci, j)] = sign * c
     return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
 
 
@@ -319,17 +315,26 @@ def check_crossing_equivalence(mesh):
                        details={"dim": len(kernel_a), "dim_jump": len(kernel_b)})
 
 
-def space_summary(k, mesh, flavor=INTERIOR_TEST):
-    """Dimension bookkeeping for one (k, flavor) pair on a mesh."""
-    constraints = build_constraints(k, mesh, flavor)
-    kernel = kernel_space(constraints)
-    generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+def summarize(constraints, kernel, generators):
+    """Dimension bookkeeping from a built constraint system, its kernel and generating set.
+
+    ``rank_B`` takes its own elimination, so ``dim_kernel + rank_B =
+    dim_piecewise`` stays a check on the kernel rather than an identity.
+    """
     return {
-        "k": k,
-        "flavor": flavor,
-        "n_cells": mesh.n_cells,
+        "k": constraints.k,
+        "flavor": constraints.flavor,
+        "n_cells": constraints.pw.mesh.n_cells,
         "dim_piecewise": constraints.ncols,
         "rank_B": rank(constraints.rows),
         "dim_kernel": kernel.dim,
         "dim_generators_span": len(independent_subset(generators.vectors)),
     }
+
+
+def space_summary(k, mesh, flavor=INTERIOR_TEST):
+    """Dimension bookkeeping for one (k, flavor) pair on a mesh."""
+    constraints = build_constraints(k, mesh, flavor)
+    kernel = kernel_space(constraints)
+    generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+    return summarize(constraints, kernel, generators)

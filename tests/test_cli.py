@@ -152,3 +152,23 @@ def test_config_file_defaults_and_override(tmp_path):
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 1
 
+
+
+def test_basis_builds_constraints_and_kernel_once(monkeypatch):
+    from boxforms import cli, whitney
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_constraints", "kernel_space", "interpolated_generating_set"):
+        wrapped = counting(getattr(whitney, name))
+        monkeypatch.setattr(whitney, name, wrapped)
+        monkeypatch.setattr(cli, name, wrapped)
+    code, _, _ = run_cli(["basis", "--dim", "2", "--k", "1", "--grid", "2,2"])
+    assert code == 0
+    assert sorted(calls) == ["build_constraints", "interpolated_generating_set",
+                             "kernel_space"]

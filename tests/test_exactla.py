@@ -3,13 +3,42 @@ from fractions import Fraction
 
 import pytest
 
-from boxforms.exactla import (SingularMatrixError, determinant, in_span,
-                              independent_subset, invert, mat_vec, nullspace,
-                              rank, rref, solve, spans_equal)
+from boxforms.exactla import (SingularMatrixError, independent_subset, invert, mat_vec,
+                              nullspace, rank, rref, solve, spans_equal)
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def determinant(matrix):
+    """Exact determinant by elimination on a copy (a test-only helper)."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        pv = m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def in_span(vectors, candidate):
+    """True if candidate is a linear combination of the given vectors."""
+    if not any(candidate):
+        return True
+    if not vectors:
+        return False
+    return rank(vectors) == rank(vectors + [candidate])
 
 
 def rand_matrix(rows, cols, rng, density=0.8):
@@ -232,3 +261,77 @@ def test_rref_edge_shapes():
     assert nullspace(zeros) == reference_nullspace(zeros)
     assert independent_subset([]) == []
     assert independent_subset([{}, {2: F(1)}, {2: F(-2)}]) == [1]
+
+
+# -- integer rows: wide entries, ints, mixed ints and Fractions, dict rows
+
+
+def wide_cases(count, seed):
+    """Seeded rows of the kinds elimination sees, with entries up to 1e12 over 1e12.
+
+    Each case is (kind, dense rows); a later row may combine two earlier ones.
+    """
+    rng = random.Random(seed)
+    big = 10 ** 12
+
+    def entry(kind):
+        if rng.random() < 0.3:
+            return 0
+        sign = rng.choice((-1, 1))
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return sign * rng.randint(1, big)
+        return F(sign * rng.randint(1, big), rng.randint(1, big))
+
+    for case in range(count):
+        kind = ("fraction", "int", "mixed")[case % 3]
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[entry(kind) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2 and case % 2:
+            a, b = rng.sample(range(rows - 1), 2)
+            m[-1] = [x * rng.randint(-3, 3) + y for x, y in zip(m[a], m[b])]
+        yield kind, m
+
+
+def as_fractions(m):
+    return [[F(v) for v in row] for row in m]
+
+
+def test_wide_rows_match_dense_reference():
+    for kind, m in wide_cases(240, seed=6):
+        exact = as_fractions(m)
+        assert rref(m) == reference_rref(exact), kind
+        assert nullspace(m) == reference_nullspace(exact), kind
+        expected = reference_independent_subset(exact)
+        assert independent_subset(m) == expected, kind
+        dict_rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+        assert independent_subset(dict_rows) == expected, kind
+        assert rank(dict_rows) == len(reference_rref(exact)[1]), kind
+
+
+def test_wide_square_systems_match_dense_reference():
+    solved = 0
+    for kind, m in wide_cases(240, seed=7):
+        n = len(m)
+        if len(m[0]) < n:
+            continue
+        a = [row[:n] for row in m]
+        exact = as_fractions(a)
+        if len(reference_rref(exact)[1]) < n:
+            with pytest.raises(SingularMatrixError):
+                invert(a)
+            continue
+        b = [row[-1] for row in m]
+        augmented, _ = reference_rref([row + [F(v)] for row, v in zip(exact, b)])
+        assert solve(a, b) == [row[n] for row in augmented], kind
+        identity = [[F(i == j) for j in range(n)] for i in range(n)]
+        both, _ = reference_rref([row + e for row, e in zip(exact, identity)])
+        assert invert(a) == [row[n:] for row in both], kind
+        solved += 1
+    assert solved > 50
+
+
+def test_mixed_int_and_fraction_row():
+    # an int beside a Fraction must be scaled by the row's common denominator
+    assert rref([[2, F(1, 3), 5], [F(1, 2), 0, 1]]) == reference_rref(
+        [[F(2), F(1, 3), F(5)], [F(1, 2), F(0), F(1)]])
+    assert nullspace([[1, F(1, 2)]]) == [[F(-1, 2), F(1)]]

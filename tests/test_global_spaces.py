@@ -4,9 +4,22 @@ import pytest
 
 from boxforms.forms import PolyForm, Polynomial
 from boxforms.global_spaces import (VQ, VQ0, VQSTAR, VQSTAR0, build_space,
-                                    check_conforming_complex, check_unisolvence,
-                                    expand_in_face_dofs)
+                                    check_conforming_complex, check_unisolvence)
 from boxforms.mesh import build_grid
+
+def expand_in_face_dofs(space, pw_forms):
+    """Coefficients of a conforming piecewise form in the global basis.
+
+    ``pw_forms`` gives the form cell by cell.  Coefficients are read off
+    as face DOFs; membership must be verified separately.
+    """
+    mesh = space.mesh
+    coeffs = [Fraction(0)] * space.ndof
+    for dof, face in enumerate(space.dof_faces):
+        if space.supports[dof]:
+            coeffs[dof] = mesh.face_dof(face, pw_forms[space.supports[dof][0]])
+    return coeffs
+
 
 MESH2 = build_grid([[0, 1], [0, 1]], (2, 2))
 MESH3 = build_grid([[0, 1]] * 3, (2, 2, 2))

@@ -10,6 +10,18 @@ from boxforms.mesh import build_grid, face_dofs
 from boxforms.spaces import Q1MINUS, basis
 
 
+def aspect_ratio(mesh):
+    return max(max(c.widths) / min(c.widths) for c in mesh.cells)
+
+
+def face_measure(mesh, face):
+    m = Fraction(1)
+    for axis in face.axes:
+        i = axis - 1
+        m *= mesh.grid[i][face.pos[i] + 1] - mesh.grid[i][face.pos[i]]
+    return m
+
+
 def expected_face_count(divisions, d):
     n = len(divisions)
     total = 0
@@ -78,7 +90,7 @@ def test_cells_congruent_for_uniform_divisions():
     mesh = build_grid([[0, 1], [0, 3]], (2, 2))
     keys = {mesh.congruence_key(ci) for ci in range(mesh.n_cells)}
     assert len(keys) == 1
-    assert mesh.aspect_ratio == 3
+    assert aspect_ratio(mesh) == 3
 
 
 def test_face_integration_and_dof():
@@ -86,7 +98,7 @@ def test_face_integration_and_dof():
     # vertical edge x=1, y in [1,2]
     from boxforms.mesh import Face
     edge = Face((2,), (1, 1))
-    assert mesh.face_measure(edge) == 1
+    assert face_measure(mesh, edge) == 1
     poly = Polynomial.variable(2, 1) * Polynomial.variable(2, 2)
     # trace at x=1: integral of y over [1,2] = 3/2
     assert mesh.integrate_on_face(edge, poly) == Fraction(3, 2)
@@ -146,3 +158,10 @@ def test_conforming_traces_match_across_shared_faces():
                             p1 = p1.substitute(i + 1, value)
                             p2 = p2.substitute(i + 1, value)
                     assert p1 == p2
+
+
+def test_float_centers_are_the_cell_centers():
+    mesh = build_grid([[0, 1], [Fraction(1, 3), 3]], (3, 2))
+    assert mesh.float_centers.tolist() == [[float(c) for c in cell.center]
+                                           for cell in mesh.cells]
+    assert mesh.float_centers is mesh.float_centers

@@ -282,3 +282,64 @@ def test_factorization_module_loads_only_on_demand():
     result = subprocess.run([sys.executable, "-c", _LAZY_SPLU], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+# -- the O(N^2) pair loop that cell-by-cell exact assembly replaced
+
+
+def reference_exact_assembly(space, load):
+    """(G, F) over the space's vectors: one sum over shared cells per pair."""
+    pw = space.pw
+    mesh = pw.mesh
+    slices = []
+    for vec in space.vectors:
+        per_cell = {}
+        for col, val in vec.items():
+            ci, j = divmod(col, pw.dim_local)
+            per_cell.setdefault(ci, [0] * pw.dim_local)[j] = val
+        slices.append(per_cell)
+    lmats = [local_energy_matrix(pw.bases[ci], cell) for ci, cell in enumerate(mesh.cells)]
+    pairs = [[load.inner_product(phi, cell) for phi in pw.bases[ci]]
+             for ci, cell in enumerate(mesh.cells)]
+    size = space.dim
+    g = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            acc = 0
+            for ci in slices[i].keys() & slices[j].keys():
+                li, lj, lmat = slices[i][ci], slices[j][ci], lmats[ci]
+                acc += sum(li[a] * lmat[a][b] * lj[b]
+                           for a in range(len(li)) for b in range(len(lj)) if li[a] and lj[b])
+            g[i][j] = g[j][i] = acc
+    f = [sum(c * pairs[ci][a] for ci, loc in slices[i].items() for a, c in enumerate(loc) if c)
+         for i in range(size)]
+    return g, f
+
+
+def seeded_rational_load(n, k, seed):
+    """A degree-1 polynomial k-form with seeded rational coefficients."""
+    import random
+    from boxforms.indices import multi_indices
+    rng = random.Random(seed)
+
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    parts = {}
+    for alpha in multi_indices(k, n):
+        coeffs = {(0,) * n: coefficient()}
+        for axis in range(n):
+            coeffs[tuple(int(i == axis) for i in range(n))] = coefficient()
+        parts[alpha] = Polynomial(n, coeffs)
+    return PolyForm(n, k, parts)
+
+
+@pytest.mark.parametrize("n, k, m", [(2, 0, 6), (2, 1, 4), (3, 1, 2)])
+def test_exact_assembly_matches_the_pair_loop(n, k, m):
+    mesh = build_grid([[0, 1]] * n, (m,) * n)
+    space = build_solver_space(k, mesh, INTERIOR_TEST, "kernel")
+    load = seeded_rational_load(n, k, seed=10 * n + k)
+    problem = assemble(space, load)
+    g, f = reference_exact_assembly(space, load)
+    assert problem.G_exact == g
+    assert problem.F_exact == f

@@ -4,14 +4,30 @@ from math import comb
 import pytest
 from test_exactla import reference_independent_subset
 
+from boxforms import forms as forms_module
+from boxforms import local
+from boxforms import whitney as whitney_module
 from boxforms.exactla import rank, spans_equal
-from boxforms.mesh import build_grid
+from boxforms.forms import adjoint_pairing
+from boxforms.global_spaces import VQSTAR, VQSTAR0, build_space
+from boxforms.mesh import build_grid, face_dofs
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney,
                               apply_broken_d, build_constraints,
                               check_commuting_squares, check_crossing_equivalence,
                               check_whitney_complex, interpolated_generating_set,
                               kernel_space, local_d_matrix, mean_jump_rows,
-                              prune_vectors, space_summary)
+                              prune_vectors, space_summary, summarize)
+
+def dense_matrix(space):
+    """Vectors of a WhitneySpace as dense Fraction rows (small problems only)."""
+    out = []
+    for v in space.vectors:
+        row = [Fraction(0)] * space.pw.ncols
+        for c, val in v.items():
+            row[c] = val
+        out.append(row)
+    return out
+
 
 MESH2 = build_grid([[0, 1], [0, 1]], (2, 2))
 MESH3 = build_grid([[0, 1]] * 3, (2, 2, 2))
@@ -70,8 +86,8 @@ def test_generator_span_inside_kernel(mesh):
         cs = build_constraints(k, mesh, INTERIOR_TEST)
         kernel = kernel_space(cs)
         gens = interpolated_generating_set(k, mesh, INTERIOR_TEST, pw=cs.pw)
-        dk = kernel.dense_matrix()
-        dg = gens.dense_matrix()
+        dk = dense_matrix(kernel)
+        dg = dense_matrix(gens)
         assert rank(dk) == rank(dk + dg)      # containment
         assert rank(dg) <= kernel.dim         # dimension monotonicity
 
@@ -81,7 +97,7 @@ def test_generating_set_can_be_dependent_and_prunes():
     gens = interpolated_generating_set(0, MESH2, INTERIOR_TEST, pw=cs.pw)
     assert gens.dim == 9          # one per vertex
     pruned, kept = prune_vectors(gens)
-    assert pruned.dim == rank(gens.dense_matrix()) == 8
+    assert pruned.dim == rank(dense_matrix(gens)) == 8
     assert kept == sorted(kept)
 
 
@@ -92,7 +108,7 @@ def test_pruning_is_exact_above_the_old_float_switch():
     gens = interpolated_generating_set(0, mesh, INTERIOR_TEST)
     assert gens.pw.ncols * gens.dim > 200_000
     pruned, kept = prune_vectors(gens)
-    assert kept == reference_independent_subset(gens.dense_matrix())
+    assert kept == reference_independent_subset(dense_matrix(gens))
     assert pruned.dim == 288
     assert pruned.vectors == [gens.vectors[i] for i in kept]
 
@@ -156,8 +172,8 @@ def test_full_test_flavor_is_smaller():
         full = kernel_space(build_constraints(k, MESH2, FULL_TEST))
         assert full.dim < interior.dim
         # essential space is contained in the natural one
-        di = interior.dense_matrix()
-        df = full.dense_matrix()
+        di = dense_matrix(interior)
+        df = dense_matrix(full)
         assert rank(di) == rank(di + df)
 
 
@@ -172,3 +188,91 @@ def test_generators_span_the_kernel(mesh, flavor):
         if flavor == FULL_TEST:
             gens = interpolated_generating_set(k, mesh, flavor)
             assert gens.dim == summary["dim_generators_span"]
+
+
+# -- the per-(test DOF, cell, basis function) build the pairing tables replaced
+
+
+def reference_constraints(k, mesh, flavor):
+    """Constraint rows by pairing every test expansion with every broken basis function."""
+    pw = PiecewiseWhitney(k, mesh)
+    if k == mesh.n:
+        return []
+    test_space = build_space(VQSTAR0 if flavor == INTERIOR_TEST else VQSTAR, k + 1, mesh)
+    rows = []
+    for dof in range(test_space.ndof):
+        row = [Fraction(0)] * pw.ncols
+        for ci in test_space.supports[dof]:
+            mu = test_space.cell_expansions[ci][dof]
+            for j, phi in enumerate(pw.bases[ci]):
+                row[pw.col(ci, j)] = adjoint_pairing(phi, mu, mesh.cells[ci])
+        rows.append(row)
+    return rows
+
+
+RATIONAL_BOX = [[Fraction(1, 3), Fraction(7, 5)], [0, Fraction(2, 3)], [Fraction(-1, 2), 1]]
+CONSTRAINT_MESHES = {
+    "1d-4": ([[0, 1]], (4,)),
+    "2d-3x3": ([[0, 1], [0, 1]], (3, 3)),
+    "2d-3x2-0..3": ([[0, 1], [0, 3]], (3, 2)),
+    "3d-2x2x2": ([[0, 1]] * 3, (2, 2, 2)),
+    "3d-2x1x2-rational": (RATIONAL_BOX, (2, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRAINT_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_constraint_rows_match_the_per_entry_build(name, flavor):
+    domain, divisions = CONSTRAINT_MESHES[name]
+    for k in range(len(divisions) + 1):
+        rows = build_constraints(k, build_grid(domain, divisions), flavor).rows
+        assert rows == reference_constraints(k, build_grid(domain, divisions), flavor), k
+
+
+def test_constraint_build_pairs_once_per_shape(monkeypatch):
+    # 2D k=0: 4 edge face functions times 3 P1minus basis functions per shape,
+    # whatever the number of cells
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return adjoint_pairing(*args)
+
+    for module in (local, forms_module, whitney_module):
+        if hasattr(module, "adjoint_pairing"):
+            monkeypatch.setattr(module, "adjoint_pairing", counting)
+    counts = []
+    for m in (4, 8):
+        calls.clear()
+        build_constraints(0, build_grid([[0, 1], [0, 1]], (m, m)), INTERIOR_TEST)
+        counts.append(len(calls))
+    assert counts == [12, 12]
+
+
+def test_generators_scatter_matches_the_face_lookup():
+    # the per-face build the scatter through the cell DOF table replaced
+    for domain, divisions in CONSTRAINT_MESHES.values():
+        mesh = build_grid(domain, divisions)
+        for k in range(mesh.n + 1):
+            for flavor in (INTERIOR_TEST, FULL_TEST):
+                dofs = face_dofs(k, mesh)
+                keep = range(dofs.n_dofs) if flavor == INTERIOR_TEST else dofs.interior_ids
+                pw = PiecewiseWhitney(k, mesh)
+                expected = []
+                for gid in keep:
+                    face = dofs.faces[gid]
+                    vec = {}
+                    for ci in mesh.cells_of_face(face):
+                        a = mesh.cell_faces(mesh.cell_tuples[ci], k).index(face)
+                        for j, c in enumerate(local.tables(mesh, k, ci).patterns[a]):
+                            if c:
+                                vec[pw.col(ci, j)] = c
+                    expected.append(vec)
+                assert interpolated_generating_set(k, mesh, flavor).vectors == expected
+
+
+def test_summary_from_built_objects_matches_space_summary():
+    for flavor in (INTERIOR_TEST, FULL_TEST):
+        cs = build_constraints(1, MESH3, flavor)
+        gens = interpolated_generating_set(1, MESH3, flavor, pw=cs.pw)
+        assert summarize(cs, kernel_space(cs), gens) == space_summary(1, MESH3, flavor)
