@@ -100,9 +100,9 @@ class ConstraintSystem:
 def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     """Assemble the constraint matrix; for k = n there are no constraints.
 
-    Each test function is, on every cell, ``sign * star(f_a)`` for a face
-    function f_a of Q1minus^(n-k-1) (see global_spaces.build_space), so a
-    cell's entries are its shape's ``LocalTables.gluing_pairings`` scattered
+    Each test function is, on every cell, ``star(f_a)`` for a face function
+    f_a of Q1minus^(n-k-1) (see global_spaces.build_space), so a cell's
+    entries are its shape's ``LocalTables.gluing_pairings`` scattered
     through the face DOFs of degree n-k-1: interior faces only for
     interior-test, all faces for full-test.  Rows are dense lists of
     Fractions, one per test DOF in face order.
@@ -119,12 +119,13 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     keep = dofs.interior_ids if flavor == INTERIOR_TEST else range(dofs.n_dofs)
     renumber = {gid: i for i, gid in enumerate(keep)}
     rows = [[Fraction(0)] * pw.ncols for _ in renumber]
+    # every incidence sign of face_dofs is +1, so the tables scatter unscaled
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
         pairings = local.tables(mesh, k, ci).gluing_pairings
         base = pw.col(ci, 0)
-        for (gid, sign), values in zip(cell_dofs, pairings):
+        for (gid, _), values in zip(cell_dofs, pairings):
             if gid in renumber:
-                rows[renumber[gid]][base:base + pw.dim_local] = [sign * v for v in values]
+                rows[renumber[gid]][base:base + pw.dim_local] = values
     return ConstraintSystem(k, flavor, pw, rows)
 
 
@@ -175,14 +176,16 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     keep = range(dofs.n_dofs) if flavor == INTERIOR_TEST else dofs.interior_ids
     renumber = {gid: i for i, gid in enumerate(keep)}
     vectors = [{} for _ in renumber]
+    # every incidence sign of face_dofs is +1, so the patterns scatter unscaled
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
         patterns = local.tables(mesh, k, ci).patterns
-        for (gid, sign), pattern in zip(cell_dofs, patterns):
+        base = pw.col(ci, 0)
+        for (gid, _), pattern in zip(cell_dofs, patterns):
             if gid in renumber:
                 vec = vectors[renumber[gid]]
                 for j, c in enumerate(pattern):
                     if c:
-                        vec[pw.col(ci, j)] = sign * c
+                        vec[base + j] = c
     return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
 
 
