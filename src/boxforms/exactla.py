@@ -46,7 +46,7 @@ def _integer_row(row):
 def _cancel(row, pivot, c):
     """b*row - a*pivot, made primitive, with a/b = row[c]/pivot[c] in lowest terms.
 
-    Column c drops out; ``pivot[c]`` is positive.
+    Column c drops out.
     """
     a, b = row[c], pivot[c]
     g = gcd(a, b)
@@ -81,7 +81,7 @@ def _eliminate(rows, reduce=True):
             work = _cancel(work, pivots[c], c)
         else:
             continue
-        pivots[c] = work if work[c] > 0 else {j: -v for j, v in work.items()}
+        pivots[c] = work
         kept.append(index)
     if reduce:
         for c in sorted(pivots, reverse=True):

@@ -12,7 +12,7 @@ def F(a, b=1):
 
 
 def determinant(matrix):
-    """Exact determinant by elimination on a copy (a test-only helper)."""
+    """Exact determinant by elimination on a copy."""
     m = [list(row) for row in matrix]
     n = len(m)
     det = Fraction(1)
