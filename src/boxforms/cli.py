@@ -45,36 +45,40 @@ def _build_parser():
     parser.add_argument("--config", help="key = value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def command(name, summary, grid=False, quad=False, formats=False):
+        """A subcommand with the shared flags and those of ``grid``, ``quad``, ``formats``."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key = value file with flag defaults")
         p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
         p.add_argument("--k", type=int, default=None, help="form degree (default: all)")
-        p.add_argument("--grid", type=_parse_grid, default=None,
-                       help="divisions per axis, e.g. 2,2")
         p.add_argument("--flavor", choices=sorted(_FLAVOR_NAMES), default=None,
                        help="constraint flavor: interior (natural bc) or full (essential)")
-        p.add_argument("--quad", type=int, default=5, help="Gauss points per axis")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        if grid:
+            p.add_argument("--grid", type=_parse_grid, default=None,
+                           help="divisions per axis, e.g. 2,2")
+        if quad:
+            p.add_argument("--quad", type=int, default=5, help="Gauss points per axis")
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default=None)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the exact structural suites")
-    shared(p_verify)
+    command("verify", "run the exact structural suites", grid=True)
 
-    p_conv = sub.add_parser("convergence", help="manufactured-solution convergence study")
-    shared(p_conv)
+    p_conv = command("convergence", "manufactured-solution convergence study",
+                     quad=True, formats=True)
     p_conv.add_argument("--levels", type=int, default=3, help="number of refinements")
     p_conv.add_argument("--solution", default=None, help="catalog entry name")
     p_conv.add_argument("--base", type=int, default=None,
                         help="divisions on the coarsest level (default 4 in 2d, 2 in 3d)")
 
-    p_solve = sub.add_parser("solve", help="solve one discrete problem and report errors")
-    shared(p_solve)
+    p_solve = command("solve", "solve one discrete problem and report errors",
+                      grid=True, quad=True)
     p_solve.add_argument("--solution", default="constant",
                          help="catalog entry, or 'constant' for a constant form")
 
-    p_basis = sub.add_parser("basis", help="dump kernel basis and generating set")
-    shared(p_basis)
+    p_basis = command("basis", "dump kernel basis and generating set", grid=True)
     p_basis.add_argument("--dump-limit", type=int, default=200,
                          help="refuse when the broken space exceeds this many coordinates")
     return parser
@@ -127,7 +131,8 @@ def _validate_dim(args):
         raise SystemExit(_usage_error(f"--dim must be in 1..{MAX_DIM}, got {args.dim}"))
     if args.k is not None and not 0 <= args.k <= args.dim:
         raise SystemExit(_usage_error(f"--k must be in 0..{args.dim}"))
-    if args.grid is not None and len(args.grid) != args.dim:
+    grid = getattr(args, "grid", None)
+    if grid is not None and len(grid) != args.dim:
         raise SystemExit(_usage_error("--grid must list one division count per axis"))
     for flag in ("levels", "base"):
         value = getattr(args, flag, None)
@@ -255,6 +260,15 @@ def cmd_solve(args):
     return 0
 
 
+def _dump_lines(tag, space):
+    """One line per (vector, cell) pair, for the cells the vector's keys name."""
+    lines = []
+    for i, vector in enumerate(space.vectors):
+        for ci in sorted({col // space.pw.dim_local for col in vector}):
+            lines.append(f"  {tag}{i} | cell {ci}: {format_form(space.form_on_cell(i, ci))}")
+    return lines
+
+
 def cmd_basis(args):
     divisions = args.grid or (1,) * args.dim
     mesh = build_grid([[0, 1]] * args.dim, divisions)
@@ -270,18 +284,10 @@ def cmd_basis(args):
     summary = summarize(constraints, kernel, generators)
     lines = [f"summary: {json.dumps(summary, sort_keys=True)}", ""]
     lines.append(f"kernel basis ({kernel.dim} elements):")
-    for i in range(kernel.dim):
-        for ci in range(mesh.n_cells):
-            form = kernel.form_on_cell(i, ci)
-            if not form.is_zero():
-                lines.append(f"  v{i} | cell {ci}: {format_form(form)}")
+    lines += _dump_lines("v", kernel)
     lines.append("")
     lines.append(f"projected conforming generators ({generators.dim}):")
-    for i in range(generators.dim):
-        for ci in range(mesh.n_cells):
-            form = generators.form_on_cell(i, ci)
-            if not form.is_zero():
-                lines.append(f"  g{i} | cell {ci}: {format_form(form)}")
+    lines += _dump_lines("g", generators)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

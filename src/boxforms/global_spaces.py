@@ -56,27 +56,22 @@ def build_space(kind, k, mesh):
         return GlobalSpace(kind, k, mesh, primal.dof_faces, expansions)
     if kind not in (VQ, VQ0):
         raise ValueError(f"unknown global space kind {kind!r}")
-    table = face_dofs(k, mesh)
-    keep = list(range(table.n_dofs)) if kind == VQ else table.interior_ids
-    renumber = {gid: i for i, gid in enumerate(keep)}
-    dof_faces = [table.faces[gid] for gid in keep]
+    table = face_dofs(k, mesh, interior=kind == VQ0)
     # per cell, the local basis dual to the face DOFs: congruent cells share
     # the dual coefficients, only the centered basis differs
     expansions = []
     for ci, cell in enumerate(mesh.cells):
         local = spaces.basis(spaces.Q1MINUS, k, cell)
         shape = tables(mesh, k, ci)
-        expansions.append({renumber[gid]: sign * shape.face_function(local, a)
-                           for a, (gid, sign) in enumerate(table.cell_dofs[ci])
-                           if gid in renumber})
-    return GlobalSpace(kind, k, mesh, dof_faces, expansions)
+        expansions.append({dof: shape.face_function(local, a) for a, dof in table.cell_dofs[ci]})
+    return GlobalSpace(kind, k, mesh, table.faces, expansions)
 
 
 def check_unisolvence(mesh, k):
     """Face DOFs against the local tensor basis give a nonsingular matrix."""
-    for ci, (tup, cell) in enumerate(zip(mesh.cell_tuples, mesh.cells)):
+    for tup, cell in zip(mesh.cell_tuples, mesh.cells):
         local = spaces.basis(spaces.Q1MINUS, k, cell)
-        if rank(face_dof_matrix(mesh, ci, local)) != len(local):
+        if rank(face_dof_matrix(cell, local)) != len(local):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {tup}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)

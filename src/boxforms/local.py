@@ -3,8 +3,9 @@
 Local bases are centered monomial forms ``prod (x_i - c_i)^tau_i dx^sigma``,
 so a cell's local matrices, its gluing pairings with the Hodge duals of
 the face functions, and its basis values at its own Gauss points depend
-only on its widths.  :func:`tables` builds one :class:`LocalTables`
-per (mesh, k, widths) on the first cell of that shape and caches it on the
+only on its widths.  A :class:`LocalTables` is a function of a degree k
+and one cell box alone; it knows no mesh.  :func:`tables` builds one per
+(mesh, k, widths) on the first cell of that shape and caches it on the
 mesh in a list indexed by cell id, so a lookup hashes nothing.  Its exact
 entries equal every congruent cell's as Fractions; its float tabulations
 equal them up to rounding.
@@ -18,6 +19,7 @@ import numpy as np
 from . import spaces
 from .exactla import invert
 from .forms import PolyForm, adjoint_pairing
+from .mesh import CubicalMesh
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
 
@@ -35,10 +37,12 @@ def local_energy_matrix(basis, cell):
     return rows
 
 
-def face_dof_matrix(mesh, cell_id, local):
+def face_dof_matrix(cell, local):
     """Face DOFs of a local basis on one cell: rows in local face order."""
-    faces = mesh.cell_faces(mesh.cell_tuples[cell_id], local.k)
-    return [[mesh.face_dof(face, phi) for phi in local] for face in faces]
+    # the one-cell mesh of the box lists its faces in the same local order
+    box = CubicalMesh(cell, (1,) * cell.n)
+    faces = box.cell_faces(box.cell_tuples[0], local.k)
+    return [[box.face_dof(face, phi) for phi in local] for face in faces]
 
 
 #: Gauss offsets from the cell center (point, axis), weights (point,), and the
@@ -47,15 +51,16 @@ Tabulation = namedtuple("Tabulation", "offsets weights values d_values")
 
 
 class LocalTables:
-    """Degree-k local data of every cell congruent to one mesh cell, built on first use."""
+    """Degree-k local data of every cell congruent to ``cell``, built on first use."""
 
-    def __init__(self, mesh, k, cell_id):
+    def __init__(self, k, cell):
         self.k = k
-        self.cell = mesh.cells[cell_id]
-        self._mesh = mesh
-        self._cell_id = cell_id
-        self.basis = spaces.basis(spaces.P1MINUS, k, self.cell)
+        self.cell = cell
         self._tabulations = {}
+
+    @cached_property
+    def basis(self):
+        return spaces.basis(spaces.P1MINUS, self.k, self.cell)
 
     @cached_property
     def energy(self):
@@ -81,7 +86,7 @@ class LocalTables:
     @cached_property
     def vandermonde_inverse(self):
         """Inverse face-DOF Vandermonde of Q1minus^k; column a gives face function a."""
-        return invert(face_dof_matrix(self._mesh, self._cell_id, self.q_basis))
+        return invert(face_dof_matrix(self.cell, self.q_basis))
 
     def face_function(self, local, a):
         """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""
@@ -96,7 +101,7 @@ class LocalTables:
         basis: the gluing constraint entries of one cell, before the
         scatter through the face DOFs.
         """
-        dual = tables(self._mesh, self.cell.n - self.k - 1, self._cell_id)
+        dual = LocalTables(self.cell.n - self.k - 1, self.cell)
         tests = [dual.face_function(dual.q_basis, a).hodge() for a in range(len(dual.q_basis))]
         return [[adjoint_pairing(phi, mu, self.cell) for phi in self.basis] for mu in tests]
 
@@ -127,11 +132,10 @@ def tables(mesh, k, cell_id):
     per_cell = mesh.local_tables.get(k)
     if per_cell is None:
         per_shape, per_cell = {}, []
-        for ci in range(mesh.n_cells):
-            widths = mesh.congruence_key(ci)
-            if widths not in per_shape:
-                per_shape[widths] = LocalTables(mesh, k, ci)
-            per_cell.append(per_shape[widths])
+        for cell in mesh.cells:
+            if cell.widths not in per_shape:
+                per_shape[cell.widths] = LocalTables(k, cell)
+            per_cell.append(per_shape[cell.widths])
         mesh.local_tables[k] = per_cell
     return per_cell[cell_id]
 

@@ -3,9 +3,14 @@
 A d-face is identified by its tuple of tangential axes (ascending) and a
 lattice position: cell slots along tangential axes, grid planes along the
 others.  Faces are numbered lexicographically by (axes, position).  Every
-face carries the ascending-axes orientation, which makes all cell-to-face
-incidence signs +1; the face functional used for the tensor-product
-spaces is the (unnormalized) integral of the trace over the face.
+face carries the ascending-axes orientation, so a cell and a face never
+disagree on it; the face functional used for the tensor-product spaces is
+the (unnormalized) integral of the trace over the face.
+
+:func:`face_dofs` is the one place that numbers these functionals: all
+k-faces, or the interior ones only, in face order.  Its tables, like the
+per-shape ``local.LocalTables``, are cached on the mesh and hold no
+reference back to it, so a mesh nobody uses is freed at once.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .forms import CellBox, ratio
+from .forms import CellBox, _power_integral, ratio
 from .indices import complement, multi_indices
 
 
@@ -48,7 +53,7 @@ class CubicalMesh:
                       for t in self.cell_tuples]
         self._cell_id = {t: i for i, t in enumerate(self.cell_tuples)}
         self._faces = {}
-        self._face_id = {}
+        self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
         self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
 
     # -- face lattice
@@ -65,12 +70,7 @@ class CubicalMesh:
                           for i, m in enumerate(self.divisions)]
                 out.extend(Face(axes, pos) for pos in product(*ranges))
             self._faces[d] = out
-            self._face_id[d] = {f: i for i, f in enumerate(out)}
         return self._faces[d]
-
-    def face_id(self, face):
-        self.faces(len(face.axes))
-        return self._face_id[len(face.axes)][face]
 
     def is_boundary(self, face):
         """True when the face lies in the boundary of the domain."""
@@ -107,9 +107,6 @@ class CubicalMesh:
                 choices.append(tuple(t for t in (lo, hi) if 0 <= t < self.divisions[i]))
         return [self._cell_id[t] for t in product(*choices)]
 
-    def cell_id(self, cell_tuple):
-        return self._cell_id[tuple(cell_tuple)]
-
     # -- geometry and integration on faces
 
     def integrate_on_face(self, face, poly):
@@ -127,9 +124,8 @@ class CubicalMesh:
             term = c
             for axis in face.axes:
                 i = axis - 1
-                a, b = self.grid[i][face.pos[i]], self.grid[i][face.pos[i] + 1]
-                p = e[i]
-                term *= (b ** (p + 1) - a ** (p + 1)) / Fraction(p + 1)
+                term *= _power_integral(self.grid[i][face.pos[i]],
+                                        self.grid[i][face.pos[i] + 1], e[i])
             total += term
         return total
 
@@ -157,9 +153,6 @@ class CubicalMesh:
         """Cell centers as a (cells, n) float array, indexed by cell id."""
         return np.array([[float(c) for c in cell.center] for cell in self.cells])
 
-    def congruence_key(self, cell_id):
-        return self.cells[cell_id].widths
-
 
 def build_grid(domain, divisions):
     """Mesh of ``domain`` (a CellBox or [[lo, hi], ...] spec) with the given divisions."""
@@ -169,30 +162,30 @@ def build_grid(domain, divisions):
     return CubicalMesh(domain, divisions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DofTable:
-    """Face DOFs of the degree-k tensor-product space on a mesh."""
+    """Face DOFs of degree k on a mesh: all k-faces, or the interior ones only."""
 
     k: int
-    mesh: CubicalMesh
-    faces: list
-    boundary: list      # bool per dof
-    cell_dofs: list     # per cell: list of (global dof id, sign) in local face order
+    faces: list       # the kept k-faces; DOF i is the integral over faces[i]
+    cell_dofs: list   # per cell: (local face number, DOF id) of its kept faces
 
     @property
     def n_dofs(self):
         return len(self.faces)
 
-    @property
-    def interior_ids(self):
-        return [i for i, b in enumerate(self.boundary) if not b]
 
+def face_dofs(k, mesh, interior=False):
+    """The mesh's table of k-face DOFs, built on first use and cached on the mesh.
 
-def face_dofs(k, mesh):
-    """One DOF per k-face; all incidence signs are +1 (global orientation)."""
-    faces = mesh.faces(k)
-    boundary = [mesh.is_boundary(f) for f in faces]
-    cell_dofs = []
-    for t in mesh.cell_tuples:
-        cell_dofs.append([(mesh.face_id(f), 1) for f in mesh.cell_faces(t, k)])
-    return DofTable(k, mesh, faces, boundary, cell_dofs)
+    ``interior`` keeps only the faces off the domain boundary; DOFs are
+    numbered in face order either way.
+    """
+    key = (k, interior)
+    if key not in mesh.dof_tables:
+        faces = [f for f in mesh.faces(k) if not (interior and mesh.is_boundary(f))]
+        dof = {f: i for i, f in enumerate(faces)}
+        cell_dofs = [[(a, dof[f]) for a, f in enumerate(mesh.cell_faces(t, k)) if f in dof]
+                     for t in mesh.cell_tuples]
+        mesh.dof_tables[key] = DofTable(k, faces, cell_dofs)
+    return mesh.dof_tables[key]

@@ -115,17 +115,13 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     pw = pw or PiecewiseWhitney(k, mesh)
     if k == n:
         return ConstraintSystem(k, flavor, pw, [])
-    dofs = face_dofs(n - k - 1, mesh)
-    keep = dofs.interior_ids if flavor == INTERIOR_TEST else range(dofs.n_dofs)
-    renumber = {gid: i for i, gid in enumerate(keep)}
-    rows = [[Fraction(0)] * pw.ncols for _ in renumber]
-    # every incidence sign of face_dofs is +1, so the tables scatter unscaled
+    dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
+    rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
         pairings = local.tables(mesh, k, ci).gluing_pairings
         base = pw.col(ci, 0)
-        for (gid, _), values in zip(cell_dofs, pairings):
-            if gid in renumber:
-                rows[renumber[gid]][base:base + pw.dim_local] = values
+        for a, dof in cell_dofs:
+            rows[dof][base:base + pw.dim_local] = pairings[a]
     return ConstraintSystem(k, flavor, pw, rows)
 
 
@@ -172,20 +168,15 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     pw = pw or PiecewiseWhitney(k, mesh)
-    dofs = face_dofs(k, mesh)
-    keep = range(dofs.n_dofs) if flavor == INTERIOR_TEST else dofs.interior_ids
-    renumber = {gid: i for i, gid in enumerate(keep)}
-    vectors = [{} for _ in renumber]
-    # every incidence sign of face_dofs is +1, so the patterns scatter unscaled
+    dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
+    vectors = [{} for _ in range(dofs.n_dofs)]
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
         patterns = local.tables(mesh, k, ci).patterns
         base = pw.col(ci, 0)
-        for (gid, _), pattern in zip(cell_dofs, patterns):
-            if gid in renumber:
-                vec = vectors[renumber[gid]]
-                for j, c in enumerate(pattern):
-                    if c:
-                        vec[base + j] = c
+        for a, dof in cell_dofs:
+            for j, c in enumerate(patterns[a]):
+                if c:
+                    vectors[dof][base + j] = c
     return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
 
 
@@ -205,17 +196,12 @@ def prune_vectors(space):
 # broken exterior derivative in piecewise coordinates
 
 
-def local_d_matrix(pw_k, pw_k1, cell_id):
-    """Columns: coefficients of d(phi_j) in the degree-(k+1) local basis of ``pw_k1``."""
-    return local.tables(pw_k.mesh, pw_k.k, cell_id).d_matrix
-
-
 def apply_broken_d(vector, pw_k, pw_k1):
     """Broken exterior derivative as a map of sparse coefficient vectors."""
     out = {}
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
-        for i, c in enumerate(local_d_matrix(pw_k, pw_k1, ci)[j]):
+        for i, c in enumerate(local.tables(pw_k.mesh, pw_k.k, ci).d_matrix[j]):
             if c:
                 acc = out.get(pw_k1.col(ci, i), Fraction(0)) + val * c
                 if acc:

@@ -106,6 +106,32 @@ def test_json_reports_floor_flag_and_cg_counters(argv):
         assert 0 < row["cg_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--dim", "2", "--k", "1", "--grid", "8,8"],
+    ["verify", "--dim", "1", "--quad", "3"],
+    ["basis", "--dim", "1", "--quad", "3"],
+    ["verify", "--dim", "1", "--format", "json"],
+    ["solve", "--dim", "1", "--k", "0", "--format", "json"],
+    ["basis", "--dim", "1", "--format", "json"],
+], ids=["convergence-grid", "verify-quad", "basis-quad", "verify-format", "solve-format",
+        "basis-format"])
+def test_flag_the_command_does_not_read_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dim", "1", "--k", "0", "--grid", "2"],
+    ["convergence", "--dim", "1", "--k", "0", "--levels", "1"],
+    ["solve", "--dim", "1", "--k", "0", "--grid", "2"],
+    ["basis", "--dim", "1", "--grid", "2"],
+], ids=["verify", "convergence", "solve", "basis"])
+def test_every_command_accepts_a_seed(argv):
+    code, _, _ = run_cli(argv + ["--seed", "7"])
+    assert code == 0
+
+
 def test_unknown_solution_lists_catalog():
     code, _, err = run_cli(["convergence", "--dim", "2", "--k", "0",
                             "--solution", "nope"])
@@ -172,3 +198,20 @@ def test_basis_builds_constraints_and_kernel_once(monkeypatch):
     assert code == 0
     assert sorted(calls) == ["build_constraints", "interpolated_generating_set",
                              "kernel_space"]
+
+
+def test_basis_dump_reconstructs_only_the_cells_a_vector_names(monkeypatch):
+    from boxforms import whitney
+    cells = []
+    form_on_cell = whitney.PiecewiseWhitney.form_on_cell
+
+    def counting(self, vector, cell_id):
+        cells.append(cell_id)
+        return form_on_cell(self, vector, cell_id)
+
+    monkeypatch.setattr(whitney.PiecewiseWhitney, "form_on_cell", counting)
+    code, out, _ = run_cli(["basis", "--dim", "2", "--k", "0", "--grid", "3,3"])
+    assert code == 0
+    dumped = [int(line.split("| cell ")[1].split(":")[0])
+              for line in out.splitlines() if "| cell" in line]
+    assert cells == dumped

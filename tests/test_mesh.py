@@ -88,7 +88,7 @@ def test_facet_incidence():
 
 def test_cells_congruent_for_uniform_divisions():
     mesh = build_grid([[0, 1], [0, 3]], (2, 2))
-    keys = {mesh.congruence_key(ci) for ci in range(mesh.n_cells)}
+    keys = {cell.widths for cell in mesh.cells}
     assert len(keys) == 1
     assert aspect_ratio(mesh) == 3
 
@@ -115,20 +115,26 @@ def test_face_dof_tables(n, k, divisions):
     mesh = build_grid([[0, 1]] * n, divisions)
     table = face_dofs(k, mesh)
     assert table.n_dofs == len(mesh.faces(k))
-    assert all(sign == 1 for dofs in table.cell_dofs for _, sign in dofs)
     per_cell = len(mesh.cell_faces(mesh.cell_tuples[0], k))
     assert all(len(dofs) == per_cell for dofs in table.cell_dofs)
+
+
+def test_face_dof_tables_are_built_once_per_mesh():
+    mesh = build_grid([[0, 1], [0, 1]], (2, 3))
+    for interior in (False, True):
+        assert face_dofs(1, mesh, interior) is face_dofs(1, mesh, interior)
+    assert face_dofs(1, mesh) is not face_dofs(1, mesh, interior=True)
 
 
 def test_spec_dof_counts():
     mesh2 = build_grid([[0, 1], [0, 1]], (2, 2))
     assert face_dofs(0, mesh2).n_dofs == 9
-    assert len(face_dofs(0, mesh2).interior_ids) == 1
+    assert face_dofs(0, mesh2, interior=True).n_dofs == 1
     assert face_dofs(1, mesh2).n_dofs == 12
-    assert len(face_dofs(1, mesh2).interior_ids) == 4
+    assert face_dofs(1, mesh2, interior=True).n_dofs == 4
     mesh3 = build_grid([[0, 1]] * 3, (2, 2, 2))
     assert face_dofs(2, mesh3).n_dofs == 36
-    assert len(face_dofs(2, mesh3).interior_ids) == 12
+    assert face_dofs(2, mesh3, interior=True).n_dofs == 12
 
 
 def test_conforming_traces_match_across_shared_faces():

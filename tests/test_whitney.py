@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -8,14 +10,15 @@ from boxforms import forms as forms_module
 from boxforms import local
 from boxforms import whitney as whitney_module
 from boxforms.exactla import rank, spans_equal
-from boxforms.forms import adjoint_pairing
+from boxforms.forms import PolyForm, Polynomial, adjoint_pairing
 from boxforms.global_spaces import VQSTAR, VQSTAR0, build_space
 from boxforms.mesh import build_grid, face_dofs
+from boxforms.solver import assemble
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney,
                               apply_broken_d, build_constraints,
                               check_commuting_squares, check_crossing_equivalence,
                               check_whitney_complex, interpolated_generating_set,
-                              kernel_space, local_d_matrix, mean_jump_rows,
+                              kernel_space, mean_jump_rows,
                               prune_vectors, space_summary, summarize)
 
 def dense_matrix(space):
@@ -138,7 +141,7 @@ def test_commuting_squares(mesh, flavor):
 def test_broken_d_map():
     pw0 = PiecewiseWhitney(0, MESH2)
     pw1 = PiecewiseWhitney(1, MESH2)
-    cols = local_d_matrix(pw0, pw1, 0)
+    cols = local.tables(MESH2, 0, 0).d_matrix
     assert len(cols) == pw0.dim_local and len(cols[0]) == pw1.dim_local
     # derivative of a piecewise linear: check on one cell explicitly
     vec = {pw0.col(0, 1): Fraction(2)}  # 2*(x1 - c1) on cell 0
@@ -229,6 +232,39 @@ def test_constraint_rows_match_the_per_entry_build(name, flavor):
         assert rows == reference_constraints(k, build_grid(domain, divisions), flavor), k
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRAINT_MESHES))
+def test_face_dof_tables_filter_the_face_lattice(name):
+    mesh = build_grid(*CONSTRAINT_MESHES[name])
+    for k in range(mesh.n + 1):
+        everything = face_dofs(k, mesh)
+        interior = face_dofs(k, mesh, interior=True)
+        assert everything.faces == mesh.faces(k)
+        assert interior.faces == [f for f in mesh.faces(k) if not mesh.is_boundary(f)]
+        for table in (everything, interior):
+            for t, cell_dofs in zip(mesh.cell_tuples, table.cell_dofs):
+                local_faces = mesh.cell_faces(t, k)
+                assert [(local_faces[a], table.faces[dof]) for a, dof in cell_dofs] == \
+                    [(f, f) for f in local_faces if f in table.faces]
+
+
+def test_a_mesh_is_freed_without_the_cycle_collector():
+    # the face-DOF and per-shape tables cached on a mesh hold no reference to it
+    mesh = build_grid([[0, 1], [0, 2]], (2, 3))
+    load = PolyForm(2, 1, {(1,): Polynomial.variable(2, 2), (2,): Polynomial.constant(2, 1)})
+    gc.disable()
+    try:
+        constraints = build_constraints(1, mesh, INTERIOR_TEST)
+        kernel = kernel_space(constraints)
+        generators, _ = prune_vectors(interpolated_generating_set(1, mesh, INTERIOR_TEST))
+        problems = [assemble(space, load) for space in (kernel, generators)]
+        squares = check_commuting_squares(mesh, FULL_TEST)
+        alive = weakref.ref(mesh)
+        del mesh, constraints, kernel, generators, problems
+        assert squares.passed and alive() is None
+    finally:
+        gc.enable()
+
+
 def test_constraint_build_pairs_once_per_shape(monkeypatch):
     # 2D k=0: 4 edge face functions times 3 P1minus basis functions per shape,
     # whatever the number of cells
@@ -255,12 +291,10 @@ def test_generators_scatter_matches_the_face_lookup():
         mesh = build_grid(domain, divisions)
         for k in range(mesh.n + 1):
             for flavor in (INTERIOR_TEST, FULL_TEST):
-                dofs = face_dofs(k, mesh)
-                keep = range(dofs.n_dofs) if flavor == INTERIOR_TEST else dofs.interior_ids
+                dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
                 pw = PiecewiseWhitney(k, mesh)
                 expected = []
-                for gid in keep:
-                    face = dofs.faces[gid]
+                for face in dofs.faces:
                     vec = {}
                     for ci in mesh.cells_of_face(face):
                         a = mesh.cell_faces(mesh.cell_tuples[ci], k).index(face)
