@@ -16,12 +16,27 @@ Conventions, fixed once for the whole package:
 All coefficients are ``fractions.Fraction``; every identity checked in the
 test-suite holds exactly.  Scalars passed to constructors may be ints,
 Fractions or strings like ``"3/4"``.
+
+Integrals are computed without per-term Fraction work.  Each box caches,
+per axis, the moments ``int t^p dt`` of its side as integers over one
+denominator, and regrows the table when a call needs higher powers.  An
+integral scales each polynomial to integers over the lcm of its
+denominators, sums the term pairs in integers against the moment tables,
+and builds one Fraction at the end; a product polynomial is never formed.
+
+The public constructors check every exponent vector and multi-index.
+Results of ``+``, ``-``, products, nonzero scalar multiples, ``partial``,
+``d`` and ``hodge`` are built from data that is already clean and skip
+those checks; signs of +-1 become a negation or a pass-through.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import lcm, prod
+from operator import add, getitem
 
 from .indices import complement, hodge_sign, is_multi_index, wedge_sign
 
@@ -37,6 +52,21 @@ def ratio(x):
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+
+def _sum_into(out, items):
+    """Add (key, value) pairs into ``out``, dropping every key whose sum is zero."""
+    for key, value in items:
+        s = out.get(key)
+        if s is None:
+            out[key] = value
+        else:
+            s = s + value
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 class Polynomial:
@@ -58,6 +88,14 @@ class Polynomial:
             if c:
                 clean[tuple(expts)] = c
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, n, coeffs):
+        """Wrap clean coefficients: exponent n-tuples to nonzero Fractions, unchecked."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.coeffs = coeffs
+        return poly
 
     # -- constructors
 
@@ -103,38 +141,36 @@ class Polynomial:
 
     # -- arithmetic
 
+    def _check_dimension(self, other):
+        if other.n != self.n:
+            raise ValueError(f"polynomials in {self.n} and {other.n} variables")
+
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.n, out)
+        self._check_dimension(other)
+        return Polynomial._of(self.n, _sum_into(dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self):
-        return Polynomial(self.n, {e: -c for e, c in self.coeffs.items()})
+        return Polynomial._of(self.n, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            self._check_dimension(other)
             out = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return Polynomial(self.n, out)
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e)
+                    out[e] = c1 * c2 if s is None else s + c1 * c2
+            return Polynomial._of(self.n, {e: c for e, c in out.items() if c})
         if not isinstance(other, (int, str, Fraction)):
             return NotImplemented
         c = ratio(other)
-        return Polynomial(self.n, {e: c * v for e, v in self.coeffs.items()})
+        if not c:
+            return Polynomial._of(self.n, {})
+        return Polynomial._of(self.n, {e: c * v for e, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -147,7 +183,7 @@ class Polynomial:
             p = e[i - 1]
             if p:
                 out[e[: i - 1] + (p - 1,) + e[i:]] = c * p
-        return Polynomial(self.n, out)
+        return Polynomial._of(self.n, out)
 
     def evaluate(self, point):
         total = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in point) else 0.0
@@ -207,10 +243,37 @@ class Polynomial:
 # axis-aligned boxes
 
 
-@lru_cache(maxsize=None)
-def _power_integral(lo, hi, p):
-    # int_lo^hi t^p dt, exact
-    return (hi ** (p + 1) - lo ** (p + 1)) / Fraction(p + 1)
+_ONE = Fraction(1)
+
+
+def _integer_coefficients(polys):
+    """Coefficient dicts of several polynomials as integers over one common denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
+    return [{e: c.numerator * (den // c.denominator) for e, c in p.coeffs.items()}
+            for p in polys], den
+
+
+def _moment_table(lo, hi, size):
+    """(ints, den) with ``int_lo^hi t^p dt == ints[p] / den`` for p < size, in integers.
+
+    With lo = L/q and hi = H/q the integral is (H^(p+1) - L^(p+1)) / ((p+1) q^(p+1)),
+    so den = q^size * lcm(1..size) serves every p.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    low, high = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    m = lcm(*range(1, size + 1))
+    ints, low_p, high_p = [], low, high
+    for p in range(size):
+        ints.append((high_p - low_p) * q ** (size - p - 1) * (m // (p + 1)))
+        low_p *= low
+        high_p *= high
+    return ints, q ** size * m
+
+
+def _power_table(value, size):
+    """(ints, den) with ``value^p == ints[p] / den`` for p < size: point evaluation."""
+    num, q = value.numerator, value.denominator
+    return [num ** p * q ** (size - 1 - p) for p in range(size)], q ** (size - 1)
 
 
 @dataclass(frozen=True)
@@ -258,15 +321,62 @@ class CellBox:
             v *= w
         return v
 
-    def integrate(self, poly):
-        """Exact integral of a polynomial over the box."""
-        total = Fraction(0)
-        for e, c in poly.coeffs.items():
-            term = c
-            for a, b, p in zip(self.lo, self.hi, e):
-                term *= _power_integral(a, b, p)
-            total += term
-        return total
+    def moments(self, axis, size):
+        """(ints, den) with ``int t^p dt`` over the box's side on ``axis`` equal
+        to ``ints[p] / den`` for every p < size.
+
+        The table is cached on the box and regrown, at least doubling, when
+        a later call needs higher powers.
+        """
+        cache = self.__dict__.get("_moments")
+        if cache is None:
+            cache = self.__dict__["_moments"] = [None] * len(self.lo)
+        table = cache[axis]
+        if table is None or len(table[0]) < size:
+            size = max(size, 2 * len(table[0]) if table else 4)
+            table = cache[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
+        return table
+
+    def pair_integral(self, left, right, frozen=None):
+        """Exact ``sum_c int left[c] * right[c]`` over the box, for two equal-length
+        lists of polynomials, without forming a product polynomial.
+
+        Each list is scaled to integers over one denominator; the sum runs
+        over term pairs in integers against the moment tables, and one
+        Fraction is built at the end.  Axes in ``frozen`` (0-based axis:
+        value) are evaluated at the value instead of integrated.
+        """
+        left, den_left = _integer_coefficients(left)
+        right, den_right = _integer_coefficients(right)
+        top = list(map(add, map(max, zip(*chain.from_iterable(left))),
+                       map(max, zip(*chain.from_iterable(right)))))
+        if not top:
+            return Fraction(0)
+        moments, den = [], den_left * den_right
+        for axis, a in enumerate(top):
+            if frozen and axis in frozen:
+                ints, axis_den = _power_table(frozen[axis], a + 1)
+            else:
+                ints, axis_den = self.moments(axis, a + 1)
+            moments.append(ints)
+            den *= axis_den
+        total = 0
+        for p, q in zip(left, right):
+            for e, a in p.items():
+                s = 0
+                for f, b in q.items():
+                    s += b * prod(map(getitem, moments, map(add, e, f)))
+                total += a * s
+        return Fraction(total, den)
+
+    def integrate(self, poly, frozen=None):
+        """Exact integral of a polynomial over the box: the pair integral against 1.
+
+        With ``frozen``, the coordinates on those axes are fixed at the given
+        values: on a face of the box, that is the integral of the trace.
+        """
+        one = Polynomial._of(self.n, {(0,) * self.n: _ONE})
+        return self.pair_integral([poly], [one], frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +411,15 @@ class PolyForm:
         if k == n + 1 and clean:
             raise ValueError("only the zero form may carry degree n+1")
         self.parts = clean
+
+    @classmethod
+    def _of(cls, n, k, parts):
+        """Wrap clean parts: increasing k-indices to nonzero Polynomials, unchecked."""
+        form = object.__new__(cls)
+        form.n = n
+        form.k = k
+        form.parts = parts
+        return form
 
     # -- constructors
 
@@ -340,28 +459,25 @@ class PolyForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.parts)
-        for a, p in other.parts.items():
-            s = out.get(a, Polynomial.zero(self.n)) + p
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return PolyForm(self.n, self.k, out)
+        return PolyForm._of(self.n, self.k, _sum_into(dict(self.parts), other.parts.items()))
 
     def __neg__(self):
-        return PolyForm(self.n, self.k, {a: -p for a, p in self.parts.items()})
+        return PolyForm._of(self.n, self.k, {a: -p for a, p in self.parts.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, Polynomial):
-            return PolyForm(self.n, self.k, {a: scalar * p for a, p in self.parts.items()})
+            if not scalar:
+                return PolyForm._of(self.n, self.k, {})
+            return PolyForm._of(self.n, self.k, {a: scalar * p for a, p in self.parts.items()})
         if not isinstance(scalar, (int, str, Fraction)):
             return NotImplemented
         c = ratio(scalar)
-        return PolyForm(self.n, self.k, {a: p * c for a, p in self.parts.items()})
+        if not c:
+            return PolyForm._of(self.n, self.k, {})
+        return PolyForm._of(self.n, self.k, {a: p * c for a, p in self.parts.items()})
 
     __rmul__ = __mul__
 
@@ -379,19 +495,23 @@ class PolyForm:
             raise ValueError("cannot differentiate beyond top degree")
         out = {}
         for alpha, poly in self.parts.items():
-            for i in range(1, self.n + 1):
-                dp = poly.partial(i)
-                if not dp:
-                    continue
-                s, gamma = wedge_sign((i,), alpha)
-                if s == 0:
-                    continue
-                acc = out.get(gamma, Polynomial.zero(self.n)) + s * dp
-                if acc:
-                    out[gamma] = acc
-                else:
-                    out.pop(gamma, None)
-        return PolyForm(self.n, self.k + 1, out)
+            for i, sign, gamma in _d_targets(alpha, self.n):
+                acc = out.setdefault(gamma, {})
+                for e, c in poly.coeffs.items():
+                    p = e[i]
+                    if p:
+                        f = e[:i] + (p - 1,) + e[i + 1:]
+                        v = c if p == 1 else c * p
+                        if sign < 0:
+                            v = -v
+                        s = acc.get(f)
+                        acc[f] = v if s is None else s + v
+        parts = {}
+        for gamma, acc in out.items():
+            coeffs = {e: c for e, c in acc.items() if c}
+            if coeffs:
+                parts[gamma] = Polynomial._of(self.n, coeffs)
+        return PolyForm._of(self.n, self.k + 1, parts)
 
     d = exterior_derivative
 
@@ -401,8 +521,9 @@ class PolyForm:
             raise ValueError("no Hodge dual above top degree")
         out = {}
         for alpha, poly in self.parts.items():
-            out[complement(alpha, self.n)] = hodge_sign(alpha, self.n) * poly
-        return PolyForm(self.n, self.n - self.k, out)
+            sign, beta = _star(alpha, self.n)
+            out[beta] = poly if sign > 0 else -poly
+        return PolyForm._of(self.n, self.n - self.k, out)
 
     star = hodge
 
@@ -410,8 +531,8 @@ class PolyForm:
         """delta = (-1)^(n(k+1)+1) star d star, the formal L2 adjoint of d."""
         if self.k == 0:
             raise ValueError("codifferential undefined on 0-forms")
-        sign = (-1) ** (self.n * (self.k + 1) + 1)
-        return sign * self.hodge().exterior_derivative().hodge()
+        out = self.hodge().exterior_derivative().hodge()
+        return out if self.n * (self.k + 1) % 2 else -out
 
     delta = codifferential
 
@@ -454,12 +575,9 @@ class PolyForm:
     def inner_product(self, other, box):
         """Exact L2 inner product over a box (orthonormal covector frame)."""
         self._check_compatible(other)
-        total = Fraction(0)
-        for alpha, p in self.parts.items():
-            q = other.parts.get(alpha)
-            if q is not None:
-                total += box.integrate(p * q)
-        return total
+        shared = [a for a in self.parts if a in other.parts]
+        return box.pair_integral([self.parts[a] for a in shared],
+                                 [other.parts[a] for a in shared])
 
     def evaluate(self, point):
         """Component values at a point: {alpha: scalar}, zeros omitted."""
@@ -487,6 +605,23 @@ class PolyForm:
 
     def __str__(self):
         return format_form(self)
+
+
+@lru_cache(maxsize=None)
+def _d_targets(alpha, n):
+    """(axis position, sign, gamma) with ``dx^i ^ dx^alpha = sign dx^gamma``, i not in alpha."""
+    out = []
+    for i in range(1, n + 1):
+        sign, gamma = wedge_sign((i,), alpha)
+        if sign:
+            out.append((i - 1, sign, gamma))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _star(alpha, n):
+    """(sign, complement) with ``star dx^alpha = sign dx^complement``."""
+    return hodge_sign(alpha, n), complement(alpha, n)
 
 
 def adjoint_pairing(omega, mu, box):

@@ -57,6 +57,7 @@ class LocalTables:
         self.k = k
         self.cell = cell
         self._tabulations = {}
+        self._gluing_pairings = None
 
     @cached_property
     def basis(self):
@@ -94,18 +95,6 @@ class LocalTables:
                    PolyForm.zero(self.cell.n, self.k))
 
     @cached_property
-    def gluing_pairings(self):
-        """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the shape's cell.
-
-        f_a is face function a of Q1minus^(n-k-1) and phi_j the P1minus^k
-        basis: the gluing constraint entries of one cell, before the
-        scatter through the face DOFs.
-        """
-        dual = LocalTables(self.cell.n - self.k - 1, self.cell)
-        tests = [dual.face_function(dual.q_basis, a).hodge() for a in range(len(dual.q_basis))]
-        return [[adjoint_pairing(phi, mu, self.cell) for phi in self.basis] for mu in tests]
-
-    @cached_property
     def projector(self):
         """The exact degree-k adjoint projector of the shape, on this table's cell."""
         return LocalProjector(self.k, self.cell)
@@ -139,3 +128,20 @@ def tables(mesh, k, cell_id):
         mesh.local_tables[k] = per_cell
     return per_cell[cell_id]
 
+
+def gluing_pairings(mesh, k, cell_id):
+    """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the cell's shape.
+
+    f_a is face function a of Q1minus^(n-k-1) and phi_j the P1minus^k
+    basis: the gluing constraint entries of one cell, before the scatter
+    through the face DOFs.  Built once per shape and kept on its degree-k
+    table; the face functions come from the mesh's degree-(n-k-1) table,
+    so that shape's Vandermonde inverse is computed once.
+    """
+    table = tables(mesh, k, cell_id)
+    if table._gluing_pairings is None:
+        dual = tables(mesh, mesh.n - k - 1, cell_id)
+        tests = [dual.face_function(dual.q_basis, a).hodge() for a in range(len(dual.q_basis))]
+        table._gluing_pairings = [[adjoint_pairing(phi, mu, table.cell) for phi in table.basis]
+                                  for mu in tests]
+    return table._gluing_pairings

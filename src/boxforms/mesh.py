@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .forms import CellBox, _power_integral, ratio
+from .forms import CellBox, ratio
 from .indices import complement, multi_indices
 
 
@@ -113,21 +113,13 @@ class CubicalMesh:
         """Exact integral of a polynomial over the face (trace measure).
 
         Normal coordinates are frozen at the face plane; a 0-face integral
-        is point evaluation.
+        is point evaluation.  The face is one of the faces of a cell, whose
+        moment tables serve the tangential axes.
         """
-        work = poly
-        for i in range(self.n):
-            if (i + 1) not in face.axes:
-                work = work.substitute(i + 1, self.grid[i][face.pos[i]])
-        total = Fraction(0)
-        for e, c in work.coeffs.items():
-            term = c
-            for axis in face.axes:
-                i = axis - 1
-                term *= _power_integral(self.grid[i][face.pos[i]],
-                                        self.grid[i][face.pos[i] + 1], e[i])
-            total += term
-        return total
+        cell = self.cells[self._cell_id[tuple(min(p, m - 1)
+                                              for p, m in zip(face.pos, self.divisions))]]
+        frozen = {i: self.grid[i][face.pos[i]] for i in range(self.n) if (i + 1) not in face.axes}
+        return cell.integrate(poly, frozen)
 
     def face_dof(self, face, omega):
         """Integral of the trace of a k-form over a k-face (ascending orientation)."""

@@ -99,6 +99,32 @@ def project_mesh(omega, k, mesh, order=5):
     return per_cell
 
 
+def commuting_gap(omega, proj, target, order=5, tol=1e-9):
+    """None when ``target.project(d omega) == d proj.project(omega)``, else a witness.
+
+    ``proj`` and ``target`` are the degree-k and degree-(k+1) projectors of
+    one cell, so a caller checking many forms builds them once.  Exact for
+    polynomial input; within ``tol`` in the max coefficient norm for
+    sampled fields.
+    """
+    cell = proj.cell
+    if isinstance(omega, PolyForm):
+        left = target.project(omega.exterior_derivative())
+        right = proj.project(omega).exterior_derivative()
+        if left != right:
+            return f"cell {cell.lo}..{cell.hi}: {left} != {right}"
+        return None
+    left = target.coefficients_from_field(omega.d_field(), order=order)
+    coeffs = proj.coefficients_from_field(omega, order=order)
+    # d of the projected form, expanded in the degree-(k+1) trial basis
+    d_cols = [target.coefficients(phi.exterior_derivative()) for phi in proj.trial]
+    right = np.array(d_cols, dtype=float).T @ coeffs
+    gap = np.max(np.abs(left - right))
+    if gap > tol:
+        return f"cell {cell.lo}..{cell.hi}: max coefficient gap {gap:.3e}"
+    return None
+
+
 def check_commuting(omega, k, cell_or_mesh, order=5, tol=1e-9):
     """Projection commutes with d: P^(k+1)(d w) = d(P^k w).
 
@@ -107,24 +133,10 @@ def check_commuting(omega, k, cell_or_mesh, order=5, tol=1e-9):
     """
     cells = getattr(cell_or_mesh, "cells", [cell_or_mesh])
     for cell in cells:
-        if isinstance(omega, PolyForm):
-            left = LocalProjector(k + 1, cell).project(omega.exterior_derivative())
-            right = LocalProjector(k, cell).project(omega).exterior_derivative()
-            if left != right:
-                return CheckReport(
-                    "projection_commutes_with_d", cell.n, k, False,
-                    counterexample=f"cell {cell.lo}..{cell.hi}: {left} != {right}")
-        else:
-            proj, target = LocalProjector(k, cell), LocalProjector(k + 1, cell)
-            left = target.coefficients_from_field(omega.d_field(), order=order)
-            coeffs = proj.coefficients_from_field(omega, order=order)
-            # d of the projected form, expanded in the degree-(k+1) trial basis
-            d_cols = [target.coefficients(phi.exterior_derivative()) for phi in proj.trial]
-            right = np.array(d_cols, dtype=float).T @ coeffs
-            if np.max(np.abs(left - right)) > tol:
-                return CheckReport(
-                    "projection_commutes_with_d", cell.n, k, False,
-                    counterexample=f"cell {cell.lo}..{cell.hi}: max coefficient "
-                                   f"gap {np.max(np.abs(left - right)):.3e}")
+        witness = commuting_gap(omega, LocalProjector(k, cell), LocalProjector(k + 1, cell),
+                                order=order, tol=tol)
+        if witness is not None:
+            return CheckReport("projection_commutes_with_d", cell.n, k, False,
+                               counterexample=witness)
     n = cells[0].n
     return CheckReport("projection_commutes_with_d", n, k, True)

@@ -102,7 +102,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
 
     Each test function is, on every cell, ``star(f_a)`` for a face function
     f_a of Q1minus^(n-k-1) (see global_spaces.build_space), so a cell's
-    entries are its shape's ``LocalTables.gluing_pairings`` scattered
+    entries are its shape's ``local.gluing_pairings`` scattered
     through the face DOFs of degree n-k-1: interior faces only for
     interior-test, all faces for full-test.  Rows are dense lists of
     Fractions, one per test DOF in face order.
@@ -118,7 +118,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
     rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
-        pairings = local.tables(mesh, k, ci).gluing_pairings
+        pairings = local.gluing_pairings(mesh, k, ci)
         base = pw.col(ci, 0)
         for a, dof in cell_dofs:
             rows[dof][base:base + pw.dim_local] = pairings[a]

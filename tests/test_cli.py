@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import boxforms
 from boxforms.cli import CSV_COLUMNS, main
 from boxforms.forms import parse_form
 
@@ -25,6 +30,17 @@ def test_verify_passes_and_reports_json():
     payload = json.loads(out)
     assert payload["pass"] is True
     assert all(set(r) >= {"lemma", "n", "k", "pass"} for r in payload["reports"])
+
+
+@pytest.mark.parametrize("args", [["verify", "--dim", "1"], ["verify", "--dim", "9"]])
+def test_python_dash_m_matches_main(args):
+    # the package runs as a module from the source tree, without an install
+    src = str(Path(boxforms.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "boxforms", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
+    code, out, _ = run_cli(args)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_verify_is_deterministic():

@@ -5,7 +5,9 @@ import pytest
 
 from boxforms.forms import (CellBox, PolyForm, Polynomial, adjoint_pairing,
                             boundary_bump, format_form, parse_form)
-from boxforms.indices import multi_indices
+from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
+from boxforms.mesh import build_grid
+from boxforms.verify import random_box, stretched_box
 
 T2 = CellBox.reference(2)
 T3 = CellBox.reference(3)
@@ -282,3 +284,241 @@ class TestTextFormat:
             parse_form("nonsense", 2)
         with pytest.raises(ValueError):
             parse_form("(x5) * dx[1]", 2)
+
+
+# -- reference arithmetic ---------------------------------------------------
+# The per-term Fraction routines the moment-table kernel replaced: products
+# formed term by term, integrals of each monomial from its corner powers,
+# d one axis at a time, and signs applied by multiplying with +-1.  Every
+# result goes through the public, checking constructors.
+
+
+def ref_sum(polys, n):
+    out = {}
+    for poly in polys:
+        for e, c in poly.coeffs.items():
+            out[e] = out.get(e, 0) + c
+    return Polynomial(n, out)
+
+
+def ref_product(p, q):
+    return ref_sum([Polynomial(p.n, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2})
+                    for e1, c1 in p.coeffs.items() for e2, c2 in q.coeffs.items()], p.n)
+
+
+def ref_scale(poly, s):
+    return Polynomial(poly.n, {e: s * c for e, c in poly.coeffs.items()})
+
+
+def ref_integrate(box, poly):
+    total = Fraction(0)
+    for e, c in poly.coeffs.items():
+        term = c
+        for a, b, p in zip(box.lo, box.hi, e):
+            term *= (b ** (p + 1) - a ** (p + 1)) / Fraction(p + 1)
+        total += term
+    return total
+
+
+def ref_inner_product(w, m, box):
+    return sum((ref_integrate(box, ref_product(p, m.parts[a]))
+                for a, p in w.parts.items() if a in m.parts), Fraction(0))
+
+
+def ref_partial(poly, i):
+    return Polynomial(poly.n, {e[:i - 1] + (e[i - 1] - 1,) + e[i:]: c * e[i - 1]
+                               for e, c in poly.coeffs.items() if e[i - 1]})
+
+
+def ref_d(form):
+    n, out = form.n, {}
+    for alpha, poly in form.parts.items():
+        for i in range(1, n + 1):
+            s, gamma = wedge_sign((i,), alpha)
+            if s:
+                out[gamma] = ref_sum([out.get(gamma, Polynomial(n)),
+                                      ref_scale(ref_partial(poly, i), s)], n)
+    return PolyForm(n, form.k + 1, out)
+
+
+def ref_hodge(form):
+    n = form.n
+    return PolyForm(n, n - form.k, {complement(a, n): ref_scale(p, hodge_sign(a, n))
+                                    for a, p in form.parts.items()})
+
+
+def ref_codifferential(form):
+    sign = (-1) ** (form.n * (form.k + 1) + 1)
+    out = ref_hodge(ref_d(ref_hodge(form)))
+    return PolyForm(out.n, out.k, {a: ref_scale(p, sign) for a, p in out.parts.items()})
+
+
+def ref_adjoint_pairing(omega, mu, box):
+    return (ref_inner_product(ref_d(omega), mu, box)
+            - ref_inner_product(omega, ref_codifferential(mu), box))
+
+
+def wide_polynomial(n, rng, top, terms=4):
+    """Seeded polynomial with per-axis exponents up to ``top``; may be zero or cancel."""
+    shape = rng.random()
+    if shape < 0.1:
+        return Polynomial.zero(n)
+    coeffs = {tuple(rng.randint(0, top) for _ in range(n)):
+              Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(terms)}
+    poly = Polynomial(n, coeffs)
+    if shape < 0.2:
+        return poly - poly  # a sum that cancels
+    if shape < 0.35:
+        # cancels on some terms only
+        other = Polynomial(n, {e: -c for e, c in list(coeffs.items())[:2]})
+        return poly + other
+    return poly
+
+
+def wide_form(n, k, rng, top):
+    return PolyForm(n, k, {alpha: wide_polynomial(n, rng, top)
+                           for alpha in multi_indices(k, n) if rng.random() < 0.8})
+
+
+def oracle_boxes(n, rng):
+    return [CellBox.reference(n), stretched_box(n), random_box(n, rng), random_box(n, rng)]
+
+
+def assert_fraction_coefficients(form):
+    assert all(type(c) is Fraction for p in form.parts.values() for c in p.coeffs.values())
+
+
+class TestKernelAgainstReference:
+    # exponents: up to 3 as in verify, then up to 9 per axis on the same
+    # boxes, so that products reach 18 and the cached moment tables regrow
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_integrals(self, n):
+        rng = random.Random(40 + n)
+        boxes = oracle_boxes(n, rng)
+        for top in (3, 9):
+            for box in boxes:
+                for _ in range(6):
+                    p, q = wide_polynomial(n, rng, top), wide_polynomial(n, rng, top)
+                    got = box.integrate(p)
+                    assert type(got) is Fraction and got == ref_integrate(box, p)
+                    k = rng.randint(0, n)
+                    w, m = wide_form(n, k, rng, top), wide_form(n, k, rng, top)
+                    got = w.inner_product(m, box)
+                    assert type(got) is Fraction and got == ref_inner_product(w, m, box)
+                    got = PolyForm.from_scalar(p).inner_product(PolyForm.from_scalar(q), box)
+                    assert got == ref_integrate(box, ref_product(p, q))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_operators(self, n):
+        rng = random.Random(50 + n)
+        for top in (3, 9):
+            for k in range(n + 1):
+                for _ in range(4):
+                    w = wide_form(n, k, rng, top)
+                    got = w.exterior_derivative()
+                    assert got == ref_d(w)
+                    assert_fraction_coefficients(got)
+                    if k < n:
+                        assert got.exterior_derivative() == ref_d(ref_d(w))
+                    got = w.hodge()
+                    assert got == ref_hodge(w)
+                    assert_fraction_coefficients(got)
+                    if k:
+                        got = w.codifferential()
+                        assert got == ref_codifferential(w)
+                        assert_fraction_coefficients(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_adjoint_pairing(self, n):
+        rng = random.Random(60 + n)
+        for box in oracle_boxes(n, rng):
+            for top in (2, 6):
+                for k in range(n):
+                    omega, mu = wide_form(n, k, rng, top), wide_form(n, k + 1, rng, top)
+                    got = adjoint_pairing(omega, mu, box)
+                    assert type(got) is Fraction and got == ref_adjoint_pairing(omega, mu, box)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_face_integrals(self, n):
+        # the trace integral over every face of a mesh: freeze the normal
+        # coordinates by substitution, then integrate monomial by monomial
+        rng = random.Random(70 + n)
+        box = random_box(n, rng)
+        mesh = build_grid(list(zip(box.lo, box.hi)), (2,) * n)
+        for d in range(n + 1):
+            for face in mesh.faces(d):
+                poly = wide_polynomial(n, rng, 5)
+                frozen = poly
+                for i in range(n):
+                    if i + 1 not in face.axes:
+                        frozen = frozen.substitute(i + 1, mesh.grid[i][face.pos[i]])
+                face_box = CellBox(
+                    tuple(mesh.grid[i][face.pos[i]] if i + 1 in face.axes else 0 for i in range(n)),
+                    tuple(mesh.grid[i][face.pos[i] + 1] if i + 1 in face.axes else 1
+                          for i in range(n)))
+                got = mesh.integrate_on_face(face, poly)
+                assert type(got) is Fraction and got == ref_integrate(face_box, frozen)
+
+
+def assert_clean(value):
+    """Nonzero Fraction coefficients only, and equal (with equal hash) to the
+    same data passed through the public constructor."""
+    if isinstance(value, PolyForm):
+        for alpha, poly in value.parts.items():
+            assert isinstance(poly, Polynomial) and poly and poly.n == value.n
+            assert_clean(poly)
+        rebuilt = PolyForm(value.n, value.k, dict(value.parts))
+    else:
+        for e, c in value.coeffs.items():
+            assert type(c) is Fraction and c != 0
+            assert len(e) == value.n and all(type(p) is int and p >= 0 for p in e)
+        rebuilt = Polynomial(value.n, dict(value.coeffs))
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
+class TestResultsStayClean:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_polynomial_results(self, n):
+        rng = random.Random(80 + n)
+        for _ in range(40):
+            p, q = wide_polynomial(n, rng, 3), wide_polynomial(n, rng, 3)
+            # (p + q) * (p - q): the cross terms cancel inside the product
+            results = [p + q, p - q, p - p, p + (-p), -p, p * q, (p + q) * (p - q),
+                       p * Polynomial.zero(n),
+                       p * 0, 0 * p, p * Fraction(0), p * 1, p * -1, p * Fraction(-2, 3),
+                       p * "3/4", 5 * p]
+            results += [p.partial(i) for i in range(1, n + 1)]
+            for result in results:
+                assert_clean(result)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_form_results(self, n):
+        rng = random.Random(90 + n)
+        for _ in range(12):
+            k = rng.randint(0, n)
+            w, m = wide_form(n, k, rng, 3), wide_form(n, k, rng, 3)
+            poly = wide_polynomial(n, rng, 2)
+            results = [w + m, w - m, w - w, -w, w * poly, poly * w, w * Polynomial.zero(n),
+                       w * 0, 0 * w, w * 1, w * Fraction(-1), w * "2/5",
+                       w.exterior_derivative(), w.hodge()]
+            if k < n:
+                # d d w = 0: every coefficient of the second d cancels
+                results.append(w.exterior_derivative().exterior_derivative())
+            if k:
+                results.append(w.codifferential())
+            for result in results:
+                assert_clean(result)
+
+    def test_public_constructors_still_check(self):
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(ValueError):
+            PolyForm(2, 1, {(3,): 1})
+        with pytest.raises(ValueError):
+            PolyForm(3, 2, {(2, 1): 1})
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, 0): 1}) + Polynomial(3, {(1, 0, 0): 1})
+

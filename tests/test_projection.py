@@ -1,9 +1,13 @@
+import io
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from boxforms import cli, exactla, projection
 from boxforms.fields import manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
@@ -228,3 +232,32 @@ def test_quasi_optimality_ratio_bounded():
             else:
                 worst = max(worst, (proj_err / best_err) ** 0.5)
     assert np.isfinite(worst) and worst < 100.0
+
+
+def test_verify_builds_projectors_and_inverses_once(monkeypatch):
+    # verify --dim 3 --grid 2,2,2 --flavor interior builds 39 projectors:
+    # 6 in the local-space suite (ap identity, 2 boxes, k = 0..2), 29 in the
+    # projection suite (16 well-posedness, 1 bubble, and one degree-k and
+    # degree-(k+1) pair per (k, box) for the commuting check, 12) and 4 in
+    # the mesh suite (one per degree for the mesh's one cell shape).  Each
+    # inverts one system; the 4 further inverses are the face-DOF
+    # Vandermonde inverses of the mesh's shape, one per degree.
+    counts = {"projectors": 0, "invert": 0}
+    real_invert, real_init = exactla.invert, projection.LocalProjector.__init__
+
+    def counting_invert(*args, **kwargs):
+        counts["invert"] += 1
+        return real_invert(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["projectors"] += 1
+        real_init(self, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("boxforms") and getattr(module, "invert", None) is real_invert:
+            monkeypatch.setattr(module, "invert", counting_invert)
+    monkeypatch.setattr(projection.LocalProjector, "__init__", counting_init)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--dim", "3", "--grid", "2,2,2", "--flavor", "interior"]) == 0
+    assert counts == {"projectors": 39, "invert": 43}
+
