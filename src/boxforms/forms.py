@@ -17,23 +17,21 @@ All coefficients are ``fractions.Fraction``; every identity checked in the
 test-suite holds exactly.  Scalars passed to constructors may be ints,
 Fractions or strings like ``"3/4"``.
 
-Integrals are computed without per-term Fraction work.  Each box caches,
-per axis, the moments ``int t^p dt`` of its side as integers over one
-denominator, and regrows the table when a call needs higher powers.  An
+Integrals do no per-term Fraction work.  Each box caches, per axis, the
+moments ``int t^p dt`` of its side as integers over one denominator.  An
 integral scales each polynomial to integers over the lcm of its
 denominators, sums the term pairs in integers against the moment tables,
-and builds one Fraction at the end; a product polynomial is never formed.
+and builds one Fraction at the end; no product polynomial is formed.
 
-The public constructors check every exponent vector and multi-index.
-Results of ``+``, ``-``, products, nonzero scalar multiples, ``partial``,
-``d`` and ``hodge`` are built from data that is already clean and skip
-those checks; signs of +-1 become a negation or a pass-through.
+The public constructors check every exponent vector and multi-index;
+results of arithmetic, ``partial``, ``d`` and ``hodge`` are built from
+clean data and skip the checks.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import lcm, prod
 from operator import add, getitem
@@ -243,9 +241,6 @@ class Polynomial:
 # axis-aligned boxes
 
 
-_ONE = Fraction(1)
-
-
 def _integer_coefficients(polys):
     """Coefficient dicts of several polynomials as integers over one common denominator."""
     den = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
@@ -321,20 +316,20 @@ class CellBox:
             v *= w
         return v
 
+    @cached_property
+    def _moments(self):
+        return [None] * len(self.lo)
+
     def moments(self, axis, size):
         """(ints, den) with ``int t^p dt`` over the box's side on ``axis`` equal
         to ``ints[p] / den`` for every p < size.
 
-        The table is cached on the box and regrown, at least doubling, when
-        a later call needs higher powers.
+        The table is cached on the box and rebuilt larger when a call needs
+        higher powers than any before it.
         """
-        cache = self.__dict__.get("_moments")
-        if cache is None:
-            cache = self.__dict__["_moments"] = [None] * len(self.lo)
-        table = cache[axis]
+        table = self._moments[axis]
         if table is None or len(table[0]) < size:
-            size = max(size, 2 * len(table[0]) if table else 4)
-            table = cache[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
+            table = self._moments[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
         return table
 
     def pair_integral(self, left, right, frozen=None):
@@ -375,7 +370,7 @@ class CellBox:
         With ``frozen``, the coordinates on those axes are fixed at the given
         values: on a face of the box, that is the integral of the trace.
         """
-        one = Polynomial._of(self.n, {(0,) * self.n: _ONE})
+        one = Polynomial._of(self.n, {(0,) * self.n: Fraction(1)})
         return self.pair_integral([poly], [one], frozen)
 
 
