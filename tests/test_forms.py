@@ -287,10 +287,10 @@ class TestTextFormat:
 
 
 # -- reference arithmetic ---------------------------------------------------
-# The per-term Fraction routines the moment-table kernel replaced: products
-# formed term by term, integrals of each monomial from its corner powers,
-# d one axis at a time, and signs applied by multiplying with +-1.  Every
-# result goes through the public, checking constructors.
+# Plain per-term Fraction routines, independent of the moment-table kernel:
+# products formed term by term, each monomial integrated from its corner
+# powers, d one axis at a time, and signs applied by multiplying with +-1.
+# Every result goes through the public, checking constructors.
 
 
 def ref_sum(polys, n):
