@@ -154,10 +154,6 @@ def invert(matrix):
     return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(matrix, vec):
-    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]
-
-
 # -- span utilities (rows are coefficient vectors)
 
 

@@ -301,15 +301,17 @@ class CellBox:
     def n(self):
         return len(self.lo)
 
-    @property
+    # derived geometry, computed once per box; equality and hashing stay on lo and hi
+
+    @cached_property
     def center(self):
         return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
 
-    @property
+    @cached_property
     def widths(self):
         return tuple(b - a for a, b in zip(self.lo, self.hi))
 
-    @property
+    @cached_property
     def volume(self):
         v = Fraction(1)
         for w in self.widths:
@@ -538,14 +540,17 @@ class PolyForm:
         if self.k > self.n:
             raise ValueError("no Koszul contraction above top degree")
         center = center or (0,) * self.n
-        out = PolyForm.zero(self.n, self.k - 1)
+        out = {}
         for alpha, poly in self.parts.items():
             for j, axis in enumerate(alpha):
-                xj = Polynomial.variable(self.n, axis, shift=center[axis - 1])
-                rest = alpha[:j] + alpha[j + 1:]
-                term = PolyForm(self.n, self.k - 1, {rest: (-1) ** j * (xj * poly)})
-                out = out + term
-        return out
+                # (x_axis - c_axis) * poly, in the key order of the product
+                i, shift = axis - 1, ratio(center[axis - 1])
+                term = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in poly.coeffs.items()}
+                if shift:
+                    _sum_into(term, ((e, -shift * c) for e, c in poly.coeffs.items()))
+                _add_component(out, alpha[:j] + alpha[j + 1:], term, j % 2)
+        return PolyForm._of(self.n, self.k - 1,
+                            {a: Polynomial._of(self.n, c) for a, c in out.items()})
 
     def koszul_delta(self, center=None):
         """star kappa star; raises degree by one."""
@@ -557,13 +562,14 @@ class PolyForm:
         self._check_compatible(other, same_degree=False)
         if self.k + other.k > self.n:
             raise ValueError(f"wedge degree {self.k}+{other.k} exceeds n={self.n}")
-        out = PolyForm.zero(self.n, self.k + other.k)
+        out = {}
         for a, p in self.parts.items():
             for b, q in other.parts.items():
                 s, gamma = wedge_sign(a, b)
                 if s:
-                    out = out + PolyForm(self.n, self.k + other.k, {gamma: s * (p * q)})
-        return out
+                    _add_component(out, gamma, (p * q).coeffs, s < 0)
+        return PolyForm._of(self.n, self.k + other.k,
+                            {g: Polynomial._of(self.n, c) for g, c in out.items()})
 
     # -- metric pairings and evaluation
 
@@ -600,6 +606,22 @@ class PolyForm:
 
     def __str__(self):
         return format_form(self)
+
+
+def _add_component(out, key, coeffs, negate):
+    """Add a term's coefficients (negated if asked) into ``out[key]``, taking ownership.
+
+    Keys and components keep the order that summing term forms one by one
+    would give: a component that cancels is dropped, and comes back last.
+    """
+    if negate:
+        coeffs = {e: -c for e, c in coeffs.items()}
+    acc = out.get(key)
+    if acc is None:
+        if coeffs:
+            out[key] = coeffs
+    elif not _sum_into(acc, coeffs.items()):
+        del out[key]
 
 
 @lru_cache(maxsize=None)

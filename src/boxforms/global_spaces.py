@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import spaces
 from .exactla import rank
 from .forms import PolyForm
-from .local import face_dof_matrix, tables
+from .local import face_dof_matrix, shapes, tables
 from .mesh import face_dofs
 from .reports import CheckReport
 
@@ -68,59 +68,84 @@ def build_space(kind, k, mesh):
 
 
 def check_unisolvence(mesh, k):
-    """Face DOFs against the local tensor basis give a nonsingular matrix."""
-    for tup, cell in zip(mesh.cell_tuples, mesh.cells):
-        local = spaces.basis(spaces.Q1MINUS, k, cell)
-        if rank(face_dof_matrix(cell, local)) != len(local):
+    """Face DOFs against the local tensor basis give a nonsingular matrix.
+
+    The matrix of a cell is its shape's matrix (the basis is centered on
+    the cell and the faces move with it), so one rank per shape decides
+    every cell; a failure names the shape's first cell.
+    """
+    for ci, shape in shapes(mesh, k):
+        if rank(face_dof_matrix(shape.cell, shape.q_basis)) != len(shape.q_basis):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
-                               counterexample=f"cell {tup}")
+                               counterexample=f"cell {mesh.cell_tuples[ci]}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)
 
 
-def _d_coefficients(space, space_up, dof):
-    """Face-DOF coefficients of d(basis function) in the degree k+1 space."""
-    mesh = space.mesh
-    coeffs = {}
-    for up_dof, face in enumerate(space_up.dof_faces):
-        cells = [c for c in mesh.cells_of_face(face) if dof in space.cell_expansions[c]]
-        if not cells:
-            continue
-        value = mesh.face_dof(face, space.cell_expansions[cells[0]][dof].exterior_derivative())
-        if value:
-            coeffs[up_dof] = value
-    return coeffs
+def _d_rows(mesh, k, interior):
+    """Face-DOF coefficients c of d of every degree-k basis function, and the
+    first (dof, cell) at which ``sum_j c[j] psi_j`` is not d of the function.
+
+    The face functions f_b are independent, so on a support cell, where the
+    function is f_a, the sum is ``d f_a = sum_b I[b][a] f_b`` exactly when
+    each kept face b (DOF j) has c[j] == I[b][a] and each dropped one has
+    I[b][a] == 0; off the support, when c[j] == 0 for each kept face.  c[j]
+    is read on the first support cell of face j, in cell order.
+    """
+    low, up = face_dofs(k, mesh, interior), face_dofs(k + 1, mesh, interior)
+    rows = [{} for _ in range(low.n_dofs)]
+    support = [set() for _ in range(low.n_dofs)]
+    members = {}
+    bad = []
+    for ci, cell_dofs in enumerate(low.cell_dofs):
+        shape = tables(mesh, k, ci)
+        incidence = shape.incidence
+        kept = dict(up.cell_dofs[ci])
+        for a, dof in cell_dofs:
+            if (shape, a) not in members:
+                face_functions = tables(mesh, k + 1, ci).face_functions
+                combo = sum((row[a] * f for row, f in zip(incidence, face_functions) if row[a]),
+                            PolyForm.zero(mesh.n, k + 1))
+                members[shape, a] = combo == shape.face_functions[a].exterior_derivative()
+            support[dof].add(ci)
+            ok = members[shape, a]
+            for b, r in enumerate(incidence):
+                j = kept.get(b)
+                if j is None:
+                    ok = ok and not r[a]
+                elif rows[dof].setdefault(j, r[a]) != r[a]:
+                    ok = False
+            if not ok:
+                bad.append((dof, ci))
+    cells_of = [[] for _ in range(up.n_dofs)]
+    for ci, cell_dofs in enumerate(up.cell_dofs):
+        for _, j in cell_dofs:
+            cells_of[j].append(ci)
+    for dof, row in enumerate(rows):
+        rows[dof] = row = {j: c for j, c in row.items() if c}
+        bad += [(dof, ci) for j in row for ci in cells_of[j] if ci not in support[dof]]
+    return rows, min(bad, default=None)
 
 
 def check_conforming_complex(mesh, with_boundary_conditions=False):
     """d maps each conforming space into the next one, and d o d = 0.
 
-    For every global basis function, d of it is expanded in the
-    degree-(k+1) global basis via face DOFs and the expansion is verified
-    cell by cell, exactly; the composite coefficient maps multiply to zero.
+    On each cell of its support a global basis function is a face function
+    f_a of the cell's shape, and d acts cell by cell, so the global
+    statement is a per-shape one, ``d f_a = sum_b I[b][a] f_b`` with I the
+    shape's ``incidence`` table (checked once per shape and face used),
+    plus a scatter of I through the face-DOF numbering: every cell that
+    has a (k+1)-face must give it the same coefficient, a cell off the
+    support 0, and a dropped boundary face must get 0.  The composite
+    coefficient maps then multiply to zero.  All of it is exact.
     """
     kind = VQ0 if with_boundary_conditions else VQ
     n = mesh.n
-    level = [build_space(kind, k, mesh) for k in range(n + 1)]
     d_maps = []
     for k in range(n):
-        rows = []
-        for dof in range(level[k].ndof):
-            coeffs = _d_coefficients(level[k], level[k + 1], dof)
-            # membership: the DOF expansion must reproduce d phi on every cell
-            for ci in range(mesh.n_cells):
-                target = level[k].cell_expansions[ci].get(dof)
-                d_local = (target.exterior_derivative() if target is not None
-                           else PolyForm.zero(n, k + 1))
-                combo = PolyForm.zero(n, k + 1)
-                for up_dof, c in coeffs.items():
-                    local = level[k + 1].cell_expansions[ci].get(up_dof)
-                    if local is not None and c:
-                        combo = combo + c * local
-                if d_local != combo:
-                    return CheckReport(
-                        "conforming_complex", n, k, False,
-                        counterexample=f"dof {dof} cell {ci}: d(phi) not in span")
-            rows.append(coeffs)
+        rows, bad = _d_rows(mesh, k, with_boundary_conditions)
+        if bad is not None:
+            return CheckReport("conforming_complex", n, k, False,
+                               counterexample=f"dof {bad[0]} cell {bad[1]}: d(phi) not in span")
         d_maps.append(rows)
     for k in range(n - 1):
         for dof, coeffs in enumerate(d_maps[k]):
@@ -131,5 +156,5 @@ def check_conforming_complex(mesh, with_boundary_conditions=False):
             if any(acc.values()):
                 return CheckReport("conforming_complex", n, k, False,
                                    counterexample=f"d(d(dof {dof})) != 0")
-    return CheckReport("conforming_complex", n, None, True,
-                       details={"kind": kind, "dims": [sp.ndof for sp in level]})
+    dims = [face_dofs(k, mesh, with_boundary_conditions).n_dofs for k in range(n + 1)]
+    return CheckReport("conforming_complex", n, None, True, details={"kind": kind, "dims": dims})

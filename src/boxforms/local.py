@@ -37,12 +37,12 @@ def local_energy_matrix(basis, cell):
     return rows
 
 
-def face_dof_matrix(cell, local):
-    """Face DOFs of a local basis on one cell: rows in local face order."""
+def face_dof_matrix(cell, forms):
+    """Face DOFs of same-degree forms on one cell: rows in local face order."""
     # the one-cell mesh of the box lists its faces in the same local order
     box = CubicalMesh(cell, (1,) * cell.n)
-    faces = box.cell_faces(box.cell_tuples[0], local.k)
-    return [[box.face_dof(face, phi) for phi in local] for face in faces]
+    faces = box.cell_faces(box.cell_tuples[0], forms[0].k)
+    return [[box.face_dof(face, phi) for phi in forms] for face in faces]
 
 
 #: Gauss offsets from the cell center (point, axis), weights (point,), and the
@@ -95,6 +95,21 @@ class LocalTables:
                    PolyForm.zero(self.cell.n, self.k))
 
     @cached_property
+    def face_functions(self):
+        """The face functions of this table's cell, in local face order."""
+        return [self.face_function(self.q_basis, a) for a in range(len(self.q_basis))]
+
+    @cached_property
+    def incidence(self):
+        """Row b, column a: the DOF on local (k+1)-face b of d(face function a).
+
+        If d maps Q1minus^k into Q1minus^(k+1), then
+        ``d f_a == sum_b incidence[b][a] * f_b`` with f_b the degree-(k+1)
+        face functions of the same cell.
+        """
+        return face_dof_matrix(self.cell, [f.exterior_derivative() for f in self.face_functions])
+
+    @cached_property
     def projector(self):
         """The exact degree-k adjoint projector of the shape, on this table's cell."""
         return LocalProjector(self.k, self.cell)
@@ -102,8 +117,7 @@ class LocalTables:
     @cached_property
     def patterns(self):
         """P1minus coefficients of the adjoint projection of each face function."""
-        return [self.projector.coefficients(self.face_function(self.q_basis, a))
-                for a in range(len(self.q_basis))]
+        return [self.projector.coefficients(f) for f in self.face_functions]
 
     def tabulation(self, order):
         """Basis values and d-values at the Gauss points of the given order."""
@@ -129,6 +143,14 @@ def tables(mesh, k, cell_id):
     return per_cell[cell_id]
 
 
+def shapes(mesh, k):
+    """(first cell id, table) for each cell shape of the mesh, in cell order."""
+    first = {}
+    for ci in range(mesh.n_cells):
+        first.setdefault(tables(mesh, k, ci), ci)
+    return [(ci, table) for table, ci in first.items()]
+
+
 def gluing_pairings(mesh, k, cell_id):
     """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the cell's shape.
 
@@ -141,7 +163,7 @@ def gluing_pairings(mesh, k, cell_id):
     table = tables(mesh, k, cell_id)
     if table._gluing_pairings is None:
         dual = tables(mesh, mesh.n - k - 1, cell_id)
-        tests = [dual.face_function(dual.q_basis, a).hodge() for a in range(len(dual.q_basis))]
+        tests = [f.hodge() for f in dual.face_functions]
         table._gluing_pairings = [[adjoint_pairing(phi, mu, table.cell) for phi in table.basis]
                                   for mu in tests]
     return table._gluing_pairings

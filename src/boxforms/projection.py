@@ -8,10 +8,14 @@ P is well defined; on top degree (k = n) it degenerates to the plain L2
 projection onto constant volume forms.  P commutes with d cell by cell.
 """
 
+from fractions import Fraction
+from functools import cached_property
+from operator import mul
+
 import numpy as np
 
 from . import spaces
-from .exactla import SingularMatrixError, invert, mat_vec
+from .exactla import SingularMatrixError, integer_scaled, invert
 from .forms import PolyForm
 from .quadrature import box_rule, component_array, form_array
 from .reports import CheckReport
@@ -40,6 +44,14 @@ class LocalProjector:
         except SingularMatrixError as err:
             raise RuntimeError(
                 f"adjoint projection system singular for k={k} on {cell}") from err
+        # the inverse as integers over one denominator, for the exact product
+        ints, self._inverse_den = integer_scaled([v for row in self.inverse for v in row])
+        size = len(self.inverse)
+        self._inverse_ints = [ints[i * size:(i + 1) * size] for i in range(size)]
+
+    @cached_property
+    def inverse_float(self):
+        return np.array(self.inverse, dtype=float)
 
     def _rhs(self, omega):
         """The adjoint pairings of omega with every test form (d omega taken once)."""
@@ -53,7 +65,9 @@ class LocalProjector:
         """Exact coefficients of the projection in the trial basis."""
         if omega.k != self.k or omega.n != self.cell.n:
             raise ValueError("form degree/dimension does not match the projector")
-        return mat_vec(self.inverse, self._rhs(omega))
+        rhs, den = integer_scaled(self._rhs(omega))
+        den *= self._inverse_den
+        return [Fraction(sum(map(mul, row, rhs)), den) for row in self._inverse_ints]
 
     def project(self, omega):
         out = PolyForm.zero(self.cell.n, self.k)
@@ -73,7 +87,7 @@ class LocalProjector:
             d_omega = component_array(field.d_at(points), self.k + 1, n, weights.shape) * weights
             rhs = (np.einsum("tap,ap->t", form_array(self.tests, points), d_omega)
                    - np.einsum("tap,ap->t", form_array(self.test_codiffs, points), omega))
-        return np.array(self.inverse, dtype=float) @ rhs
+        return self.inverse_float @ rhs
 
 
 def project_cell(omega, k, cell, order=5):

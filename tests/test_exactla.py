@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from boxforms.exactla import (SingularMatrixError, independent_subset, invert, mat_vec,
-                              nullspace, rank, rref, solve, spans_equal)
+from boxforms.exactla import (SingularMatrixError, independent_subset, invert, nullspace,
+                              rank, rref, solve, spans_equal)
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def mat_vec(matrix, vec):
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in matrix]
 
 
 def determinant(matrix):

@@ -461,6 +461,80 @@ class TestKernelAgainstReference:
                 assert type(got) is Fraction and got == ref_integrate(face_box, frozen)
 
 
+def ref_koszul(form, center=None):
+    """Term by term through the public constructors, summed one term at a time."""
+    n = form.n
+    center = center or (0,) * n
+    out = PolyForm.zero(n, form.k - 1)
+    for alpha, poly in form.parts.items():
+        for j, axis in enumerate(alpha):
+            xj = Polynomial.variable(n, axis, shift=center[axis - 1])
+            rest = alpha[:j] + alpha[j + 1:]
+            out = out + PolyForm(n, form.k - 1, {rest: (-1) ** j * ref_product(xj, poly)})
+    return out
+
+
+def ref_wedge(w, m):
+    out = PolyForm.zero(w.n, w.k + m.k)
+    for a, p in w.parts.items():
+        for b, q in m.parts.items():
+            s, gamma = wedge_sign(a, b)
+            if s:
+                out = out + PolyForm(w.n, w.k + m.k, {gamma: ref_scale(ref_product(p, q), s)})
+    return out
+
+
+def assert_same_order(got, expected):
+    """Equal, with components and coefficients stored in the same order, so
+    that float evaluation sums in the same order too."""
+    assert got == expected
+    assert list(got.parts) == list(expected.parts)
+    assert all(list(p.coeffs) == list(expected.parts[a].coeffs) for a, p in got.parts.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_koszul_and_wedge_match_the_term_by_term_sums(n):
+    rng = random.Random(100 + n)
+    centers = [None, (0,) * n, random_box(n, rng).center, random_box(n, rng).center]
+    for top in (2, 5):
+        for k in range(n + 1):
+            for _ in range(4):
+                w = wide_form(n, k, rng, top)
+                if k:
+                    for center in centers:
+                        got = w.koszul(center)
+                        assert_clean(got)
+                        assert_same_order(got, ref_koszul(w, center))
+                for l in range(n - k + 1):
+                    m = wide_form(n, l, rng, top)
+                    for pair in ((w, m), (w, w), (m, w)):
+                        if sum(f.k for f in pair) <= n:
+                            got = pair[0].wedge(pair[1])
+                            assert_clean(got)
+                            assert_same_order(got, ref_wedge(*pair))
+
+
+def test_koszul_term_sums_that_cancel():
+    # x2 dx1^dx2 - x1 dx2^dx1 ... : components that cancel and come back
+    n = 2
+    w = PolyForm(n, 2, {(1, 2): Polynomial(n, {(1, 0): 1, (0, 1): -2})})
+    for center in (None, (1, Fraction(1, 2)), (Fraction(-3, 4), 2)):
+        assert_same_order(w.koszul(center), ref_koszul(w, center))
+    one = PolyForm(n, 1, {(1,): x(n, 2), (2,): x(n, 1)})
+    assert_same_order(one.wedge(one), ref_wedge(one, one))
+    assert one.wedge(one).is_zero()
+
+
+def test_box_geometry_is_computed_once():
+    box = CellBox((0, Fraction(1, 3)), (2, 1))
+    assert box.widths == (2, Fraction(2, 3)) and box.widths is box.widths
+    assert box.center == (1, Fraction(2, 3)) and box.center is box.center
+    assert box.volume == Fraction(4, 3) and box.volume is box.volume
+    fresh = CellBox((0, Fraction(1, 3)), (2, 1))
+    assert fresh == box and hash(fresh) == hash(box)
+    assert fresh != CellBox((0, 0), (2, 1))
+
+
 def assert_clean(value):
     """Nonzero Fraction coefficients only, and equal (with equal hash) to the
     same data passed through the public constructor."""

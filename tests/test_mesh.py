@@ -22,6 +22,29 @@ def face_measure(mesh, face):
     return m
 
 
+def graded_mesh(breakpoints):
+    """Tensor mesh with the given breakpoints per axis, so its cells have several shapes.
+
+    ``CubicalMesh`` spaces its grid planes evenly; this sets ``grid`` and
+    ``cells`` after construction, before anything is cached on the mesh.
+    """
+    grid = [[Fraction(x) for x in axis] for axis in breakpoints]
+    mesh = build_grid([[axis[0], axis[-1]] for axis in grid], [len(axis) - 1 for axis in grid])
+    mesh.grid = grid
+    mesh.cells = [CellBox(tuple(grid[i][t[i]] for i in range(mesh.n)),
+                          tuple(grid[i][t[i] + 1] for i in range(mesh.n)))
+                  for t in mesh.cell_tuples]
+    return mesh
+
+
+#: graded meshes: several cell shapes, each of the shared ones at several positions
+GRADED = {
+    "1d": ([0, "1/4", 1, "5/4"],),
+    "2d": ([0, "1/3", 1, "4/3"], [0, "1/2", 2]),
+    "3d": ([0, "1/3", 1], [0, "1/2", 1], [0, 1, "3/2"]),
+}
+
+
 def expected_face_count(divisions, d):
     n = len(divisions)
     total = 0
@@ -171,3 +194,18 @@ def test_float_centers_are_the_cell_centers():
     assert mesh.float_centers.tolist() == [[float(c) for c in cell.center]
                                            for cell in mesh.cells]
     assert mesh.float_centers is mesh.float_centers
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_graded_mesh_tiles_its_domain_with_several_shapes(name):
+    mesh = graded_mesh(GRADED[name])
+    assert sum(cell.volume for cell in mesh.cells) == mesh.domain.volume
+    assert 1 < len({cell.widths for cell in mesh.cells}) < mesh.n_cells
+    one = Polynomial.constant(mesh.n, 1)
+    for d in range(mesh.n + 1):
+        for face in mesh.faces(d):
+            assert mesh.integrate_on_face(face, one) == face_measure(mesh, face)
+            for ci in mesh.cells_of_face(face):
+                cell = mesh.cells[ci]
+                assert all(cell.lo[i] <= mesh.grid[i][face.pos[i]] <= cell.hi[i]
+                           for i in range(mesh.n))

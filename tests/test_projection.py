@@ -13,6 +13,7 @@ from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
 from boxforms.projection import LocalProjector, check_commuting, project_cell, project_mesh
 from boxforms.spaces import P1MINUS, Q1MINUS, basis
+from boxforms.verify import random_box, random_form, stretched_box
 
 T2 = CellBox.reference(2)
 
@@ -140,6 +141,25 @@ def test_wellposed_on_random_rational_boxes():
             cell = CellBox(tuple(lo), tuple(hi))
             for k in range(n + 1):
                 LocalProjector(k, cell)  # raises RuntimeError when singular
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_product_matches_the_fraction_product(n):
+    # the inverse applied as integers over one denominator, against the
+    # plain Fraction product of the inverse with the right-hand side
+    rng = random.Random(200 + n)
+    for cell in (CellBox.reference(n), stretched_box(n), random_box(n, rng), random_box(n, rng)):
+        for k in range(n + 1):
+            projector = LocalProjector(k, cell)
+            forms = [PolyForm.zero(n, k)] + [random_form(n, k, rng) for _ in range(3)]
+            for omega in forms + list(projector.trial):
+                rhs = projector._rhs(omega)
+                expected = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
+                            for row in projector.inverse]
+                got = projector.coefficients(omega)
+                assert got == expected and all(type(c) is Fraction for c in got)
+            assert projector.inverse_float is projector.inverse_float
+            assert np.array_equal(projector.inverse_float, np.array(projector.inverse, dtype=float))
 
 
 def test_top_degree_is_mean_projection():

@@ -1,18 +1,22 @@
 import gc
+import re
 import weakref
 from fractions import Fraction
 from math import comb
 
 import pytest
 from test_exactla import reference_independent_subset
+from test_global_spaces import CHECK_MESHES
+from test_mesh import GRADED, graded_mesh
 
 from boxforms import forms as forms_module
-from boxforms import local
+from boxforms import local, mesh as mesh_module, projection
 from boxforms import whitney as whitney_module
 from boxforms.exactla import rank, spans_equal
 from boxforms.forms import PolyForm, Polynomial, adjoint_pairing
-from boxforms.global_spaces import VQSTAR, VQSTAR0, build_space
+from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
+from boxforms.reports import CheckReport
 from boxforms.solver import assemble
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney,
                               apply_broken_d, build_constraints,
@@ -310,3 +314,126 @@ def test_summary_from_built_objects_matches_space_summary():
         cs = build_constraints(1, MESH3, flavor)
         gens = interpolated_generating_set(1, MESH3, flavor, pw=cs.pw)
         assert summarize(cs, kernel_space(cs), gens) == space_summary(1, MESH3, flavor)
+
+
+# -- the per-(dof, cell) square the per-shape squares replaced
+
+
+def reference_commuting_squares(mesh, flavor=INTERIOR_TEST):
+    """Projection then broken d equals d then projection, mesh-wise.
+
+    Checked exactly on every global basis function of the conforming
+    source space at every degree.
+    """
+    n = mesh.n
+    source_kind = VQ if flavor == INTERIOR_TEST else VQ0
+    for k in range(n):
+        space = build_space(source_kind, k, mesh)
+        for dof in range(space.ndof):
+            for ci in space.supports[dof]:
+                shape, shape_up = local.tables(mesh, k, ci), local.tables(mesh, k + 1, ci)
+                # the shape's projectors sit on its first cell: move v there
+                shift = [a - b for a, b in zip(mesh.cells[ci].center, shape.cell.center)]
+                v = space.cell_expansions[ci][dof].translate(shift)
+                left = shape_up.projector.coefficients(v.exterior_derivative())
+                ck = shape.projector.coefficients(v)
+                cols = shape.d_matrix
+                right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0))
+                         for i in range(len(left))]
+                if left != right:
+                    return CheckReport(
+                        "interpolation_commutes", n, k, False,
+                        counterexample=f"dof {dof} cell {ci}: {left} != {right}")
+    return CheckReport("interpolation_commutes", n, None, True,
+                       details={"source": source_kind})
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_per_shape_squares_match_the_per_cell_reference(name, flavor):
+    mesh = CHECK_MESHES[name]()
+    report = check_commuting_squares(mesh, flavor)
+    assert report.passed, report.to_dict()
+    assert report == reference_commuting_squares(mesh, flavor)
+
+
+def perturbed_square(mesh, flavor, k, attribute, perturb):
+    """Check the squares after ``perturb`` edits a copy of one table attribute
+    of the mesh's last shape; return the report and that shape's table."""
+    shape = local.tables(mesh, k, mesh.n_cells - 1)
+    value = [list(column) for column in getattr(shape, attribute)]
+    perturb(value)
+    shape.__dict__[attribute] = value
+    return check_commuting_squares(mesh, flavor), shape
+
+
+def assert_names_a_dof_and_cell_of(report, mesh, flavor, shape):
+    assert not report.passed
+    match = re.match(r"dof (\d+) cell (\d+): ", report.counterexample)
+    dof, cell = int(match[1]), int(match[2])
+    assert local.tables(mesh, report.k, cell) is shape
+    dofs = face_dofs(report.k, mesh, interior=flavor == FULL_TEST).cell_dofs[cell]
+    assert dof in {d for _, d in dofs}
+
+
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_a_perturbed_d_matrix_entry_fails_at_a_dof_and_cell(flavor):
+    # graded 2D, degree 0: column 1 of D is d of the first linear function
+    mesh = graded_mesh(GRADED["2d"])
+
+    def bump(columns):
+        columns[1][0] += 1
+
+    report, shape = perturbed_square(mesh, flavor, 0, "d_matrix", bump)
+    assert report.k == 0
+    assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
+    # the per-cell reference reads the same D, and fails at the same place
+    assert report == reference_commuting_squares(mesh, flavor)
+
+
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
+    # graded 3D, degree 1: one coefficient of one face function's projection
+    mesh = graded_mesh(GRADED["3d"])
+    a = face_dofs(1, mesh, interior=flavor == FULL_TEST).cell_dofs[mesh.n_cells - 1][0][0]
+
+    def bump(patterns):
+        j = next(j for j, col in enumerate(local.tables(mesh, 1, 0).d_matrix) if any(col))
+        patterns[a][j] += 1
+
+    report, shape = perturbed_square(mesh, flavor, 1, "patterns", bump)
+    assert report.k == 1
+    assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
+
+
+def count_work(monkeypatch, check, *args):
+    """Calls of the exact projector product and of the face functional during one check."""
+    counts = {"coefficients": 0, "face_dof": 0}
+    real_coefficients = projection.LocalProjector.coefficients
+    real_face_dof = mesh_module.CubicalMesh.face_dof
+
+    def coefficients(self, omega):
+        counts["coefficients"] += 1
+        return real_coefficients(self, omega)
+
+    def face_dof(self, face, omega):
+        counts["face_dof"] += 1
+        return real_face_dof(self, face, omega)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projection.LocalProjector, "coefficients", coefficients)
+        patch.setattr(mesh_module.CubicalMesh, "face_dof", face_dof)
+        assert check(*args).passed
+    return counts
+
+
+@pytest.mark.parametrize("small,large", [((2, 2), (4, 4)), ((2, 2, 2), (3, 3, 3))])
+def test_mesh_checks_do_per_shape_work(monkeypatch, small, large):
+    # one cell shape on both meshes: the exact work must not grow with the cell count
+    cases = [(check_commuting_squares, flavor) for flavor in (INTERIOR_TEST, FULL_TEST)] + \
+            [(check_conforming_complex, bc) for bc in (False, True)]
+    for check, option in cases:
+        counts = [count_work(monkeypatch, check, build_grid([[0, 1]] * len(d), d), option)
+                  for d in (small, large)]
+        assert counts[0] == counts[1], (check.__name__, option, counts)
+        assert counts[0]["coefficients" if check is check_commuting_squares else "face_dof"]
