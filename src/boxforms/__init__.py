@@ -16,8 +16,6 @@ from .indices import complement, hodge_sign, multi_indices, wedge_sign
 from .mesh import CubicalMesh, build_grid, face_dofs
 from .projection import LocalProjector, check_commuting, project_cell, project_mesh
 from .reports import CheckReport
-from .solver import (assemble, broken_error, build_solver_space, consistency_residual,
-                     consistency_with_floor, convergence_sweep, solve)
 from .spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR, SpaceBasis,
                      basis, check_Q_exactness, check_ap_identity, check_local_couple,
                      check_orthogonality, dimension)
@@ -28,3 +26,12 @@ from .whitney import (FULL_TEST, INTERIOR_TEST, ConstraintSystem, PiecewiseWhitn
                       space_summary)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Solver names load on first use: only solving needs scipy."""
+    if name in ("assemble", "broken_error", "build_solver_space", "consistency_residual",
+                "consistency_with_floor", "convergence_sweep", "solve"):
+        from . import solver
+        return getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

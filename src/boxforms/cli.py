@@ -19,8 +19,6 @@ from .forms import format_form
 from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
-from .solver import (assemble, broken_error, build_solver_space, consistency_with_floor,
-                     convergence_sweep, flavor_for, solve)
 from .verify import run_verify
 from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, build_constraints,
                       interpolated_generating_set, kernel_space, summarize)
@@ -199,6 +197,7 @@ def _pick_solution(args, allow_constant=False):
 
 
 def cmd_convergence(args):
+    from .solver import convergence_sweep  # scipy loads only for commands that solve
     entry = _pick_solution(args)
     base = args.base if args.base is not None else (2 if args.dim >= 3 else 4)
     levels = [base * 2 ** i for i in range(args.levels)]
@@ -234,6 +233,8 @@ def cmd_convergence(args):
 
 
 def cmd_solve(args):
+    from .solver import (assemble, broken_error, build_solver_space, consistency_with_floor,
+                         flavor_for, solve)
     entry = _pick_solution(args, allow_constant=True)
     divisions = args.grid or (4,) * args.dim
     mesh = build_grid(entry.domain, divisions)

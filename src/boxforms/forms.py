@@ -17,11 +17,12 @@ All coefficients are ``fractions.Fraction``; every identity checked in the
 test-suite holds exactly.  Scalars passed to constructors may be ints,
 Fractions or strings like ``"3/4"``.
 
-Integrals do no per-term Fraction work.  Each box caches, per axis, the
-moments ``int t^p dt`` of its side as integers over one denominator.  An
-integral scales each polynomial to integers over the lcm of its
-denominators, sums the term pairs in integers against the moment tables,
-and builds one Fraction at the end; no product polynomial is formed.
+Every exact integral is an entry of one kernel, ``CellBox.pairing_table``:
+L2 pairings of two lists of form tuples, paired position by position and
+summed, so ``(d w, w)`` against ``(mu, -delta mu)`` is an adjoint pairing.
+Each box caches per-axis moments ``int t^p dt`` as integers over one
+denominator; the kernel sums term pairs in integers against them and
+builds one Fraction per entry, with no product polynomial.
 
 The public constructors check every exponent vector and multi-index;
 results of arithmetic, ``partial``, ``d`` and ``hodge`` are built from
@@ -32,7 +33,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import lcm, prod
 from operator import add, getitem
 
@@ -241,11 +241,13 @@ class Polynomial:
 # axis-aligned boxes
 
 
-def _integer_coefficients(polys):
-    """Coefficient dicts of several polynomials as integers over one common denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p.coeffs.values()))
-    return [{e: c.numerator * (den // c.denominator) for e, c in p.coeffs.items()}
-            for p in polys], den
+def _scaled_terms(entries):
+    """Entries (tuples of forms) as {(position, index): {exponents: int}}, over one denominator."""
+    den = lcm(*(c.denominator for entry in entries for form in entry
+                for poly in form.parts.values() for c in poly.coeffs.values()))
+    return [{(p, alpha): {e: c.numerator * (den // c.denominator) for e, c in poly.coeffs.items()}
+             for p, form in enumerate(entry) for alpha, poly in form.parts.items()}
+            for entry in entries], den
 
 
 def _moment_table(lo, hi, size):
@@ -334,21 +336,19 @@ class CellBox:
             table = self._moments[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
         return table
 
-    def pair_integral(self, left, right, frozen=None):
-        """Exact ``sum_c int left[c] * right[c]`` over the box, for two equal-length
-        lists of polynomials, without forming a product polynomial.
+    def pairing_table(self, left, right, frozen=None):
+        """Exact ``rows[i][j] = sum_p <left[i][p], right[j][p]>`` over the box.
 
-        Each list is scaled to integers over one denominator; the sum runs
-        over term pairs in integers against the moment tables, and one
-        Fraction is built at the end.  Axes in ``frozen`` (0-based axis:
-        value) are evaluated at the value instead of integrated.
+        Entries are tuples of forms; forms at one position share a degree.
+        Each list is scaled to integers over one denominator.  Axes in
+        ``frozen`` (0-based axis: value) are evaluated, not integrated.
         """
-        left, den_left = _integer_coefficients(left)
-        right, den_right = _integer_coefficients(right)
-        top = list(map(add, map(max, zip(*chain.from_iterable(left))),
-                       map(max, zip(*chain.from_iterable(right)))))
+        left, den_left = _scaled_terms(left)
+        right, den_right = _scaled_terms(right)
+        top = list(map(add, map(max, zip(*(e for t in left for p in t.values() for e in p))),
+                       map(max, zip(*(e for t in right for p in t.values() for e in p)))))
         if not top:
-            return Fraction(0)
+            return [[Fraction(0)] * len(right) for _ in left]
         moments, den = [], den_left * den_right
         for axis, a in enumerate(top):
             if frozen and axis in frozen:
@@ -357,23 +357,19 @@ class CellBox:
                 ints, axis_den = self.moments(axis, a + 1)
             moments.append(ints)
             den *= axis_den
-        total = 0
-        for p, q in zip(left, right):
-            for e, a in p.items():
-                s = 0
-                for f, b in q.items():
-                    s += b * prod(map(getitem, moments, map(add, e, f)))
-                total += a * s
-        return Fraction(total, den)
+        return [[Fraction(sum(a * b * prod(map(getitem, moments, map(add, e, f)))
+                              for key, q in other.items() if key in terms
+                              for e, a in terms[key].items() for f, b in q.items()), den)
+                 for other in right] for terms in left]
 
     def integrate(self, poly, frozen=None):
-        """Exact integral of a polynomial over the box: the pair integral against 1.
+        """Exact integral of a polynomial over the box: its pairing with 1.
 
         With ``frozen``, the coordinates on those axes are fixed at the given
         values: on a face of the box, that is the integral of the trace.
         """
-        one = Polynomial._of(self.n, {(0,) * self.n: Fraction(1)})
-        return self.pair_integral([poly], [one], frozen)
+        one = PolyForm.from_scalar(Polynomial._of(self.n, {(0,) * self.n: Fraction(1)}))
+        return self.pairing_table([(PolyForm.from_scalar(poly),)], [(one,)], frozen)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +572,7 @@ class PolyForm:
     def inner_product(self, other, box):
         """Exact L2 inner product over a box (orthonormal covector frame)."""
         self._check_compatible(other)
-        shared = [a for a in self.parts if a in other.parts]
-        return box.pair_integral([self.parts[a] for a in shared],
-                                 [other.parts[a] for a in shared])
+        return box.pairing_table([(self,)], [(other,)])[0][0]
 
     def evaluate(self, point):
         """Component values at a point: {alpha: scalar}, zeros omitted."""
@@ -647,10 +641,17 @@ def adjoint_pairing(omega, mu, box):
     This combination is a pure boundary functional: it vanishes whenever
     either argument has vanishing trace on the box boundary.
     """
-    if mu.k != omega.k + 1:
-        raise ValueError(f"expected a ({omega.k + 1})-form test, got degree {mu.k}")
-    return (omega.exterior_derivative().inner_product(mu, box)
-            - omega.inner_product(mu.codifferential(), box))
+    return adjoint_table([omega], [mu], box)[0][0]
+
+
+def adjoint_table(forms, tests, box):
+    """``rows[i][j] = adjoint_pairing(forms[i], tests[j], box)``; d and delta
+    are taken once per form, not once per pair."""
+    bad = [mu.k for mu in tests if forms and mu.k != forms[0].k + 1]
+    if bad:
+        raise ValueError(f"expected a ({forms[0].k + 1})-form test, got degree {bad[0]}")
+    return box.pairing_table([(omega.exterior_derivative(), omega) for omega in forms],
+                             [(mu, -mu.codifferential()) for mu in tests])
 
 
 def boundary_bump(box):

@@ -7,8 +7,8 @@ only on its widths.  A :class:`LocalTables` is a function of a degree k
 and one cell box alone; it knows no mesh.  :func:`tables` builds one per
 (mesh, k, widths) on the first cell of that shape and caches it on the
 mesh in a list indexed by cell id, so a lookup hashes nothing.  Its exact
-entries equal every congruent cell's as Fractions; its float tabulations
-equal them up to rounding.
+matrices are tables of ``CellBox.pairing_table``, equal to every congruent
+cell's as Fractions; its float tabulations equal them up to rounding.
 """
 
 from collections import namedtuple
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spaces
 from .exactla import invert
-from .forms import PolyForm, adjoint_pairing
+from .forms import PolyForm, adjoint_table
 from .mesh import CubicalMesh
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
@@ -26,15 +26,8 @@ from .quadrature import centered_rule, form_array
 
 def local_energy_matrix(basis, cell):
     """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact."""
-    d_forms = [phi.exterior_derivative() for phi in basis]
-    size = len(basis)
-    rows = [[None] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            val = (d_forms[a].inner_product(d_forms[b], cell)
-                   + basis[a].inner_product(basis[b], cell))
-            rows[a][b] = rows[b][a] = val
-    return rows
+    entries = [(phi.exterior_derivative(), phi) for phi in basis]
+    return cell.pairing_table(entries, entries)
 
 
 def face_dof_matrix(cell, forms):
@@ -164,6 +157,6 @@ def gluing_pairings(mesh, k, cell_id):
     if table._gluing_pairings is None:
         dual = tables(mesh, mesh.n - k - 1, cell_id)
         tests = [f.hodge() for f in dual.face_functions]
-        table._gluing_pairings = [[adjoint_pairing(phi, mu, table.cell) for phi in table.basis]
-                                  for mu in tests]
+        table._gluing_pairings = [list(col) for col in
+                                  zip(*adjoint_table(table.basis, tests, table.cell))]
     return table._gluing_pairings

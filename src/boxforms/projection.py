@@ -33,12 +33,12 @@ class LocalProjector:
         self.trial = spaces.basis(spaces.P1MINUS, k, cell)
         if k == n:
             self.tests = None
-            self.matrix = [[cell.volume]]
+            self._test_side = [(self.trial[0],)]
         else:
             self.tests = spaces.basis(spaces.P1MINUS_STAR, k + 1, cell)
             self.test_codiffs = [mu.codifferential() for mu in self.tests]
-            columns = [self._rhs(phi) for phi in self.trial]
-            self.matrix = [list(row) for row in zip(*columns)]
+            self._test_side = [(mu, -dmu) for mu, dmu in zip(self.tests, self.test_codiffs)]
+        self.matrix = cell.pairing_table(self._test_side, [self._left(phi) for phi in self.trial])
         try:
             self.inverse = invert(self.matrix)
         except SingularMatrixError as err:
@@ -53,13 +53,13 @@ class LocalProjector:
     def inverse_float(self):
         return np.array(self.inverse, dtype=float)
 
+    def _left(self, omega):
+        """omega's entry: ``(d omega, omega)``; on top degree ``(omega,)``, for the volume form."""
+        return (omega,) if self.k == self.cell.n else (omega.exterior_derivative(), omega)
+
     def _rhs(self, omega):
-        """The adjoint pairings of omega with every test form (d omega taken once)."""
-        if self.k == self.cell.n:
-            return [omega.inner_product(self.trial[0], self.cell)]
-        d_omega = omega.exterior_derivative()
-        return [d_omega.inner_product(mu, self.cell) - omega.inner_product(delta_mu, self.cell)
-                for mu, delta_mu in zip(self.tests, self.test_codiffs)]
+        """The adjoint pairings of omega with every test form."""
+        return self.cell.pairing_table([self._left(omega)], self._test_side)[0]
 
     def coefficients(self, omega):
         """Exact coefficients of the projection in the trial basis."""
@@ -70,11 +70,8 @@ class LocalProjector:
         return [Fraction(sum(map(mul, row, rhs)), den) for row in self._inverse_ints]
 
     def project(self, omega):
-        out = PolyForm.zero(self.cell.n, self.k)
-        for c, phi in zip(self.coefficients(omega), self.trial):
-            if c:
-                out = out + c * phi
-        return out
+        return sum((c * phi for c, phi in zip(self.coefficients(omega), self.trial) if c),
+                   PolyForm.zero(self.cell.n, self.k))
 
     def coefficients_from_field(self, field, order=5):
         """Float trial coefficients for a sampled (non-polynomial) k-form."""

@@ -29,7 +29,6 @@ from .exactla import independent_subset, integer_scaled
 from .exactla import solve as exact_solve
 from .fields import manufactured
 from .forms import PolyForm
-from .local import local_energy_matrix  # re-exported as part of the solver API
 from .mesh import build_grid
 from .quadrature import component_array
 from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
@@ -164,8 +163,8 @@ def assemble(space, load, quad_order=5):
                 continue
             energy, e_den = integer_scaled([e for row in cell_tables[ci].energy for e in row])
             energy = [energy[a:a + pw.dim_local] for a in range(0, len(energy), pw.dim_local)]
-            pair, p_den = integer_scaled([load.inner_product(phi, mesh.cells[ci])
-                                          for phi in pw.bases[ci]])
+            pair, p_den = integer_scaled(mesh.cells[ci].pairing_table(
+                [(load,)], [(phi,) for phi in pw.bases[ci]])[0])
             scaled = [(i, *integer_scaled(li)) for i, li in members]
             for p, (i, li, di) in enumerate(scaled):
                 applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]

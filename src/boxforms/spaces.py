@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
-from .exactla import independent_subset, nullspace, rank, rref, spans_equal
-from .forms import CellBox, PolyForm, Polynomial, adjoint_pairing
+from .exactla import independent_subset, integer_scaled, nullspace, rank, rref, spans_equal
+from .forms import CellBox, PolyForm, Polynomial, adjoint_table
 from .indices import complement, multi_indices
 from .reports import CheckReport
 
@@ -303,9 +304,9 @@ def check_orthogonality(n, k, cell=None):
     cell = cell or CellBox.reference(n)
     primal = basis(Q1MINUS, k, cell)
     dual = basis(Q1MINUS_STAR, k, cell)
-    for (sigma, tau), omega in zip(primal.labels, primal.elements):
-        for (sigma2, tau2), mu in zip(dual.labels, dual.elements):
-            value = omega.inner_product(mu, cell)
+    table = cell.pairing_table([(omega,) for omega in primal], [(mu,) for mu in dual])
+    for (sigma, tau), row in zip(primal.labels, table):
+        for (sigma2, tau2), value in zip(dual.labels, row):
             diagonal = sigma == sigma2 and tau == tau2 == ()
             if diagonal and value != cell.volume:
                 return CheckReport("dual_orthogonality", n, k, False,
@@ -322,7 +323,8 @@ def check_ap_identity(k, n, cell=None):
 
     For every omega in Q1minus^k and mu in Q1minusStar^(k+1):
     <d P omega, mu> - <P omega, delta mu> = <d omega, mu> - <omega, delta mu>
-    where P is the local adjoint projection onto P1minus^k.
+    where P is the local adjoint projection onto P1minus^k.  As tables: C A == B,
+    A and B adjoint tables of P1minus^k and Q1minus^k, C the coefficients of P.
     """
     from .projection import LocalProjector  # deferred: projection builds on bases
 
@@ -332,11 +334,14 @@ def check_ap_identity(k, n, cell=None):
     projector = LocalProjector(k, cell)
     trial = basis(Q1MINUS, k, cell)
     tests = basis(Q1MINUS_STAR, k + 1, cell)
-    for (sig, tau), omega in zip(trial.labels, trial.elements):
-        projected = projector.project(omega)
-        for (sig2, tau2), mu in zip(tests.labels, tests.elements):
-            lhs = adjoint_pairing(projected, mu, cell)
-            rhs = adjoint_pairing(omega, mu, cell)
+    a_ints, a_den = integer_scaled([v for row in adjoint_table(projector.trial, tests, cell)
+                                    for v in row])
+    a_cols = [a_ints[t::len(tests)] for t in range(len(tests))]
+    b_rows = adjoint_table(trial, tests, cell)
+    for (sig, tau), omega, b_row in zip(trial.labels, trial.elements, b_rows):
+        c_ints, c_den = integer_scaled(projector.coefficients(omega))
+        for (sig2, tau2), a_col, rhs in zip(tests.labels, a_cols, b_row):
+            lhs = Fraction(sum(map(mul, c_ints, a_col)), c_den * a_den)
             if lhs != rhs:
                 return CheckReport(
                     "projection_pairing", n, k, False,

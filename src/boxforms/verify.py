@@ -7,6 +7,7 @@ reports; the test-suite runs the same functions.
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .forms import CellBox, PolyForm, Polynomial, boundary_bump
 from .global_spaces import check_conforming_complex, check_unisolvence
@@ -231,8 +232,8 @@ def mesh_suite(n, divisions, flavors=FLAVORS, domain=None):
     ok = True
     for d in range(n + 1):
         expected = sum(
-            _prod(mesh.divisions[i - 1] for i in axes)
-            * _prod(mesh.divisions[i] + 1 for i in range(n) if (i + 1) not in axes)
+            prod(mesh.divisions[i - 1] for i in axes)
+            * prod(mesh.divisions[i] + 1 for i in range(n) if (i + 1) not in axes)
             for axes in multi_indices(d, n))
         if len(mesh.faces(d)) != expected:
             ok = False
@@ -270,13 +271,6 @@ def mesh_suite(n, divisions, flavors=FLAVORS, domain=None):
     if n == 2:
         reports.append(check_crossing_equivalence(mesh))
     return reports
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def run_verify(n, ks=None, divisions=None, seed=0, flavors=FLAVORS):

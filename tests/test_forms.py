@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxforms.forms import (CellBox, PolyForm, Polynomial, adjoint_pairing,
+from boxforms.forms import (CellBox, PolyForm, Polynomial, adjoint_pairing, adjoint_table,
                             boundary_bump, format_form, parse_form)
 from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
 from boxforms.mesh import build_grid
@@ -384,6 +384,31 @@ def oracle_boxes(n, rng):
     return [CellBox.reference(n), stretched_box(n), random_box(n, rng), random_box(n, rng)]
 
 
+def ref_table(left, right, pair):
+    """Entry by entry: ``pair`` summed over the positions of two form tuples."""
+    return [[sum((pair(a, b) for a, b in zip(lt, rt)), Fraction(0)) for rt in right]
+            for lt in left]
+
+
+def assert_same_table(got, expected):
+    assert [len(row) for row in got] == [len(row) for row in expected]
+    for got_row, expected_row in zip(got, expected):
+        for value, want in zip(got_row, expected_row):
+            assert type(value) is Fraction and value == want
+
+
+def table_entries(n, degrees, rng, top, count):
+    """``count`` form tuples of the given degrees, a zero tuple, and two tuples
+    of one-component forms, on the first and on the last index of each
+    degree, so that entries of two such lists may share no component."""
+    entries = [tuple(wide_form(n, k, rng, top) for k in degrees) for _ in range(count)]
+    entries.append(tuple(PolyForm.zero(n, k) for k in degrees))
+    for pick in (0, -1):
+        entries.append(tuple(PolyForm(n, k, {multi_indices(k, n)[pick]: wide_polynomial(n, rng, top)})
+                             for k in degrees))
+    return entries
+
+
 def assert_fraction_coefficients(form):
     assert all(type(c) is Fraction for p in form.parts.values() for c in p.coeffs.values())
 
@@ -395,6 +420,7 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_integrals(self, n):
         rng = random.Random(40 + n)
+        rng_tables = random.Random(140 + n)
         boxes = oracle_boxes(n, rng)
         for top in (3, 9):
             for box in boxes:
@@ -408,6 +434,14 @@ class TestKernelAgainstReference:
                     assert type(got) is Fraction and got == ref_inner_product(w, m, box)
                     got = PolyForm.from_scalar(p).inner_product(PolyForm.from_scalar(q), box)
                     assert got == ref_integrate(box, ref_product(p, q))
+                # whole tables of tuple entries: two positions of independent degrees
+                degrees = (rng_tables.randint(0, n), rng_tables.randint(0, n))
+                left = table_entries(n, degrees, rng_tables, top, 3)
+                right = table_entries(n, degrees, rng_tables, top, 2)
+                assert_same_table(box.pairing_table(left, right),
+                                  ref_table(left, right, lambda a, b: ref_inner_product(a, b, box)))
+                assert box.pairing_table([], right) == []
+                assert box.pairing_table(left[:1], []) == [[]]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_operators(self, n):
@@ -432,12 +466,20 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_adjoint_pairing(self, n):
         rng = random.Random(60 + n)
+        rng_tables = random.Random(160 + n)
         for box in oracle_boxes(n, rng):
             for top in (2, 6):
                 for k in range(n):
                     omega, mu = wide_form(n, k, rng, top), wide_form(n, k + 1, rng, top)
                     got = adjoint_pairing(omega, mu, box)
                     assert type(got) is Fraction and got == ref_adjoint_pairing(omega, mu, box)
+                    forms = [f for (f,) in table_entries(n, (k,), rng_tables, top, 3)]
+                    tests = [f for (f,) in table_entries(n, (k + 1,), rng_tables, top, 2)]
+                    assert_same_table(adjoint_table(forms, tests, box), ref_table(
+                        [(f,) for f in forms], [(m,) for m in tests],
+                        lambda a, b: ref_adjoint_pairing(a, b, box)))
+                    with pytest.raises(ValueError):
+                        adjoint_table(forms, [omega], box)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_face_integrals(self, n):
@@ -459,6 +501,27 @@ class TestKernelAgainstReference:
                           for i in range(n)))
                 got = mesh.integrate_on_face(face, poly)
                 assert type(got) is Fraction and got == ref_integrate(face_box, frozen)
+        # whole tables on the box with the normal axes of a few faces of each
+        # dimension frozen at the face's plane; the reference substitutes,
+        # then integrates
+        for face in [face for d in range(n) for face in mesh.faces(d)[:3]]:
+            values = {i: mesh.grid[i][face.pos[i]] for i in range(n) if i + 1 not in face.axes}
+            face_box = CellBox(tuple(0 if i in values else a for i, a in enumerate(box.lo)),
+                               tuple(1 if i in values else b for i, b in enumerate(box.hi)))
+
+            def traced(form):
+                out = {}
+                for alpha, poly in form.parts.items():
+                    for i, value in values.items():
+                        poly = poly.substitute(i + 1, value)
+                    out[alpha] = poly
+                return PolyForm(n, form.k, out)
+
+            degrees = (rng.randint(0, n), rng.randint(0, n))
+            left = table_entries(n, degrees, rng, 4, 2)
+            right = table_entries(n, degrees, rng, 4, 2)
+            assert_same_table(box.pairing_table(left, right, values), ref_table(
+                left, right, lambda a, b: ref_inner_product(traced(a), traced(b), face_box)))
 
 
 def ref_koszul(form, center=None):

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "boxforms"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 #: (module file, name) pairs imported only to be re-exported
-RE_EXPORTS = {("solver.py", "local_energy_matrix")}
+RE_EXPORTS = set()
 
 
 def imported_names(tree):

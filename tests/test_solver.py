@@ -13,9 +13,10 @@ import boxforms
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
+from boxforms.local import local_energy_matrix
 from boxforms.solver import (Solution, assemble, broken_error, build_solver_space,
                              conjugate_gradient, consistency_residual, consistency_with_floor,
-                             convergence_sweep, local_energy_matrix, solve)
+                             convergence_sweep, solve)
 from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
 
@@ -264,10 +265,14 @@ def test_floor_does_not_hide_a_1e_9_inconsistency():
 _LAZY_SPLU = """
 import sys
 import boxforms
+assert "scipy" not in sys.modules, "import boxforms loaded scipy"
 from boxforms import cli
 assert "scipy.sparse.linalg" not in sys.modules, "import boxforms loaded scipy.sparse.linalg"
 assert cli.main(["verify", "--dim", "1"]) == 0
 assert "scipy.sparse.linalg" not in sys.modules, "verify loaded scipy.sparse.linalg"
+assert "scipy" not in sys.modules, "verify loaded scipy"
+assert cli.main(["basis", "--dim", "2", "--grid", "2,2"]) == 0
+assert "scipy" not in sys.modules, "basis loaded scipy"
 entry = boxforms.manufactured("cos2d_k0")
 mesh = boxforms.build_grid(entry.domain, (2, 2))
 problem = boxforms.assemble(boxforms.build_solver_space(0, mesh), entry.load)

@@ -1,16 +1,21 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
-from boxforms.forms import CellBox, PolyForm, Polynomial, format_form
+from boxforms import spaces
+from boxforms.forms import CellBox, PolyForm, Polynomial, adjoint_pairing, format_form
 from boxforms.indices import complement, multi_indices
 from boxforms.spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
                              basis, check_Q_exactness, check_ap_identity,
                              check_local_couple, check_orthogonality,
                              coefficient_vectors, dimension, expand_in_span,
                              form_span_rank, form_spans_equal)
+from boxforms.projection import LocalProjector
+from boxforms.reports import CheckReport
+from boxforms.verify import random_box, stretched_box
 
 T2 = CellBox.reference(2)
 STRETCH2 = CellBox((0, 0), (1, 3))
@@ -172,3 +177,98 @@ def test_expand_in_span():
     assert coeffs == [Fraction(2), Fraction(1), Fraction(0)]
     outside = PolyForm.from_scalar(Polynomial.variable(2, 1) * Polynomial.variable(2, 2))
     assert expand_in_span(list(basis(P1MINUS, 0, cell)), outside) is None
+
+
+# -- the per-pair loops that the pairing tables replaced
+
+
+def reference_orthogonality(n, k, cell):
+    primal = spaces.basis(Q1MINUS, k, cell)
+    dual = spaces.basis(Q1MINUS_STAR, k, cell)
+    for (sigma, tau), omega in zip(primal.labels, primal.elements):
+        for (sigma2, tau2), mu in zip(dual.labels, dual.elements):
+            value = omega.inner_product(mu, cell)
+            diagonal = sigma == sigma2 and tau == tau2 == ()
+            if diagonal and value != cell.volume:
+                return CheckReport("dual_orthogonality", n, k, False,
+                                   counterexample=f"<dx{sigma}, dx{sigma2}> = {value}")
+            if not diagonal and value != 0:
+                return CheckReport(
+                    "dual_orthogonality", n, k, False,
+                    counterexample=f"<t{tau} dx{sigma}, t{tau2} dx{sigma2}> = {value}")
+    return CheckReport("dual_orthogonality", n, k, True)
+
+
+def reference_ap_identity(k, n, cell):
+    projector = LocalProjector(k, cell)
+    trial = spaces.basis(Q1MINUS, k, cell)
+    tests = spaces.basis(Q1MINUS_STAR, k + 1, cell)
+    for (sig, tau), omega in zip(trial.labels, trial.elements):
+        projected = projector.project(omega)
+        for (sig2, tau2), mu in zip(tests.labels, tests.elements):
+            lhs = adjoint_pairing(projected, mu, cell)
+            rhs = adjoint_pairing(omega, mu, cell)
+            if lhs != rhs:
+                return CheckReport(
+                    "projection_pairing", n, k, False,
+                    counterexample=(f"omega = t{tau} dx{sig}, mu = t{tau2} dx{sig2}: "
+                                    f"{lhs} != {rhs}"))
+    return CheckReport("projection_pairing", n, k, True)
+
+
+def report_cells(n):
+    cells = [CellBox.reference(n), stretched_box(n), random_box(n, random.Random(90 + n))]
+    return cells if n < 4 else cells[:1]
+
+
+def assert_reports_match_references(n, cell):
+    failed = []
+    for k in range(n + 1):
+        report = check_orthogonality(n, k, cell)
+        assert report.to_dict() == reference_orthogonality(n, k, cell).to_dict()
+        failed.append(not report.passed)
+        if k < n:
+            report = check_ap_identity(k, n, cell)
+            assert report.to_dict() == reference_ap_identity(k, n, cell).to_dict()
+            failed.append(not report.passed)
+    return failed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_checks_match_the_per_pair_loops(n):
+    for cell in report_cells(n):
+        assert not any(assert_reports_match_references(n, cell))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_checks_match_the_per_pair_loops_on_perturbed_input(n, monkeypatch):
+    real_basis, real_coefficients = spaces.basis, LocalProjector.coefficients
+
+    def off_by_one(self, omega):
+        # one coefficient of the projection of the last Q1minus form
+        coeffs = real_coefficients(self, omega)
+        if omega == real_basis(Q1MINUS, self.k, self.cell).elements[-1]:
+            coeffs[0] += 1
+        return coeffs
+
+    def scaled_star(kind, k, cell):
+        # the first Q1minusStar element (a constant form) times 3/2
+        out = real_basis(kind, k, cell)
+        if kind == Q1MINUS_STAR:
+            elements = [out.elements[0] * Fraction(3, 2)] + out.elements[1:]
+            out = spaces.SpaceBasis(kind, k, cell, elements, out.labels)
+        return out
+
+    for perturbed in ("coefficient", "star element"):
+        with monkeypatch.context() as patch:
+            if perturbed == "coefficient":
+                patch.setattr(LocalProjector, "coefficients", off_by_one)
+            else:
+                patch.setattr(spaces, "basis", scaled_star)
+            for cell in report_cells(n):
+                failed = assert_reports_match_references(n, cell)
+                # reports alternate orthogonality (even) and ap identity (odd):
+                # a coefficient fails every ap identity, a star element every
+                # orthogonality check
+                assert failed == [(i % 2 == 1) == (perturbed == "coefficient")
+                                  for i in range(2 * n + 1)]

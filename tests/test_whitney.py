@@ -13,7 +13,7 @@ from boxforms import forms as forms_module
 from boxforms import local, mesh as mesh_module, projection
 from boxforms import whitney as whitney_module
 from boxforms.exactla import rank, spans_equal
-from boxforms.forms import PolyForm, Polynomial, adjoint_pairing
+from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
 from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
@@ -271,21 +271,21 @@ def test_a_mesh_is_freed_without_the_cycle_collector():
 
 def test_constraint_build_pairs_once_per_shape(monkeypatch):
     # 2D k=0: 4 edge face functions times 3 P1minus basis functions per shape,
-    # whatever the number of cells
-    calls = []
+    # whatever the number of cells; counted as adjoint_table entries
+    entries = []
 
-    def counting(*args):
-        calls.append(args)
-        return adjoint_pairing(*args)
+    def counting(forms, tests, box):
+        entries.append(len(forms) * len(tests))
+        return adjoint_table(forms, tests, box)
 
     for module in (local, forms_module, whitney_module):
-        if hasattr(module, "adjoint_pairing"):
-            monkeypatch.setattr(module, "adjoint_pairing", counting)
+        if hasattr(module, "adjoint_table"):
+            monkeypatch.setattr(module, "adjoint_table", counting)
     counts = []
     for m in (4, 8):
-        calls.clear()
+        entries.clear()
         build_constraints(0, build_grid([[0, 1], [0, 1]], (m, m)), INTERIOR_TEST)
-        counts.append(len(calls))
+        counts.append(sum(entries))
     assert counts == [12, 12]
 
 
