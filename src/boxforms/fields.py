@@ -5,15 +5,14 @@ of its exterior derivative) at arrays of points; it is what the solver
 and error norms consume for non-polynomial data.
 
 ``CATALOG`` names each manufactured solution and gives its dimension,
-degree, boundary compatibility and the components of omega as sympy
-text.  :func:`manufactured` derives an entry on its first lookup and
-returns the same object on every later one: the exterior derivative and
-the codifferential of omega are computed with sympy, using the same sign
-algebra as the exact kernel, and lambdified without simplification.  The
-load is ``f = delta(d(omega)) + omega``, so each entry solves the
-reaction-diffusion model problem exactly; nothing is ever differentiated
-numerically.  sympy is imported only by these derivations, so ``import
-boxforms`` does not load it.
+degree, boundary compatibility and the components of omega as text, each
+a signed product of ``sin(pi*xI)`` and ``cos(pi*xI)`` factors.  That
+family is closed under partial derivatives, so :func:`manufactured`
+derives d(omega), delta(d(omega)) and the load ``f = delta(d(omega)) +
+omega`` exactly, on term dictionaries with the sign algebra of the exact
+kernel, on an entry's first lookup; later lookups return the same object.
+Each entry solves the reaction-diffusion model problem exactly: nothing
+is differentiated numerically, and no computer algebra system is loaded.
 
 Boundary compatibility tags:
 
@@ -24,7 +23,9 @@ Boundary compatibility tags:
 """
 
 import functools
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,46 +60,76 @@ class FormField:
 
 
 # ---------------------------------------------------------------------------
-# symbolic exterior calculus on component dictionaries of sympy expressions
+# exact exterior calculus on term dictionaries: {(p, factors): c} stands for
+# c * pi**p * prod_i factors[i](pi * x_i), each factor "1", "sin" or "cos"
+
+_PARTIAL = {"sin": (1, "cos"), "cos": (-1, "sin")}
 
 
-def symbolic_d(parts, n, xs):
+def _add(terms, key, c):
+    """Add c to one term, which is dropped when its coefficient becomes 0."""
+    c += terms.get(key, 0)
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+def symbolic_d(parts, n):
     out = {}
-    for alpha, expr in parts.items():
-        for i in range(1, n + 1):
-            dd = expr.diff(xs[i - 1])
-            if dd == 0:
-                continue
-            s, gamma = wedge_sign((i,), alpha)
-            if s == 0:
-                continue
-            out[gamma] = out.get(gamma, 0) + s * dd
-    return {a: e for a, e in out.items() if e != 0}
+    for alpha, terms in parts.items():
+        for (p, factors), c in terms.items():
+            for i, f in enumerate(factors):
+                s, gamma = wedge_sign((i + 1,), alpha)
+                if f != "1" and s != 0:
+                    sf, g = _PARTIAL[f]
+                    key = (p + 1, factors[:i] + (g,) + factors[i + 1:])
+                    _add(out.setdefault(gamma, {}), key, s * sf * c)
+    return {a: t for a, t in out.items() if t}
 
 
 def symbolic_hodge(parts, n):
-    return {complement(a, n): hodge_sign(a, n) * e for a, e in parts.items()}
+    return {complement(a, n): {key: hodge_sign(a, n) * c for key, c in t.items()}
+            for a, t in parts.items()}
 
 
-def symbolic_codifferential(parts, n, k, xs):
+def symbolic_codifferential(parts, n, k):
     sign = (-1) ** (n * (k + 1) + 1)
-    inner = symbolic_d(symbolic_hodge(parts, n), n, xs)
-    return {a: sign * e for a, e in symbolic_hodge(inner, n).items()}
+    inner = symbolic_d(symbolic_hodge(parts, n), n)
+    return {a: {key: sign * c for key, c in t.items()}
+            for a, t in symbolic_hodge(inner, n).items()}
 
 
-def _lambdify(parts, n, xs):
-    import sympy as sp
-
-    out = {}
-    for alpha, expr in parts.items():
-        fn = sp.lambdify(xs, expr, "numpy")
-
-        def wrapper(points, fn=fn):
-            vals = fn(*[points[:, i] for i in range(points.shape[1])])
-            return np.broadcast_to(np.asarray(vals, dtype=float), (len(points),)).copy()
-
-        out[alpha] = wrapper
+def _evaluate(terms, points):
+    """Sum of the terms at points, each sin/cos(pi*x_i) column computed once."""
+    columns = {}
+    out = np.zeros(len(points))
+    for (p, factors), c in terms.items():
+        for i, f in enumerate(factors):
+            if f != "1" and (i, f) not in columns:
+                columns[i, f] = getattr(np, f)(np.pi * points[:, i])
+        trig = [columns[i, f] for i, f in enumerate(factors) if f != "1"]
+        out += float(c) * np.pi ** p * np.prod(trig, axis=0)
     return out
+
+
+def _evaluators(parts):
+    return {alpha: functools.partial(_evaluate, terms) for alpha, terms in parts.items()}
+
+
+_FACTOR = r"(sin|cos)\(pi\*x([1-9][0-9]*)\)"
+_PRODUCT = re.compile(rf"-?{_FACTOR}(?:\*{_FACTOR})*")
+
+
+def parse_component(name, n, text):
+    """The term dictionary of a catalog text, a signed product of sin/cos(pi*xI)."""
+    pieces = re.findall(_FACTOR, text) if _PRODUCT.fullmatch(text) else []
+    factors = {int(axis): f for f, axis in pieces}
+    if not pieces or len(factors) < len(pieces) or max(factors) > n:
+        raise ValueError(f"catalog entry {name!r}: {text!r} is not a signed product of "
+                         f"sin(pi*xI) and cos(pi*xI), each axis 1 <= I <= {n} at most once")
+    key = (0, tuple(factors.get(i, "1") for i in range(1, n + 1)))
+    return {key: Fraction(-1 if text[0] == "-" else 1)}
 
 
 @dataclass(frozen=True)
@@ -138,19 +169,17 @@ def manufactured(name):
     if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise KeyError(f"unknown manufactured solution {name!r}; available: {known}")
-    import sympy as sp
-
     n, k, compatibility, text = CATALOG[name]
-    xs = sp.symbols(f"x1:{n + 1}")
-    parts = {a: sp.sympify(e) for a, e in text.items()}
-    d_parts = symbolic_d(parts, n, xs)
-    dd_parts = symbolic_codifferential(d_parts, n, k + 1, xs) if d_parts else {}
-    load_parts = dict(dd_parts)
-    for a, e in parts.items():
-        load_parts[a] = load_parts.get(a, 0) + e
-    omega = FormField(n, k, _lambdify(parts, n, xs), _lambdify(d_parts, n, xs))
-    delta_d = FormField(n, k, _lambdify(dd_parts, n, xs))
-    load = FormField(n, k, _lambdify(load_parts, n, xs))
+    parts = {a: parse_component(name, n, e) for a, e in text.items()}
+    d_parts = symbolic_d(parts, n)
+    dd_parts = symbolic_codifferential(d_parts, n, k + 1)
+    load_parts = {a: dict(t) for a, t in dd_parts.items()}
+    for a, t in parts.items():
+        for key, c in t.items():
+            _add(load_parts.setdefault(a, {}), key, c)
+    omega = FormField(n, k, _evaluators(parts), _evaluators(d_parts))
+    delta_d = FormField(n, k, _evaluators(dd_parts))
+    load = FormField(n, k, _evaluators(load_parts))
     return ManufacturedSolution(name, n, k, CellBox.unit(n), compatibility,
                                 omega, delta_d, load)
 

@@ -143,7 +143,8 @@ class CubicalMesh:
     @cached_property
     def float_centers(self):
         """Cell centers as a (cells, n) float array, indexed by cell id."""
-        return np.array([[float(c) for c in cell.center] for cell in self.cells])
+        mids = [[float((a + b) / 2) for a, b in zip(axis, axis[1:])] for axis in self.grid]
+        return np.array(list(product(*mids)))
 
 
 def build_grid(domain, divisions):

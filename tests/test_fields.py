@@ -1,10 +1,13 @@
+import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from boxforms import fields
 from boxforms.fields import CATALOG, constant_solution, manufactured
@@ -144,12 +147,14 @@ assert "sympy" not in sys.modules, "import boxforms loaded sympy"
 assert cli.main(["verify", "--dim", "1"]) == 0
 assert "sympy" not in sys.modules, "verify loaded sympy"
 entry = boxforms.manufactured("sin2d_k0")
-assert "sympy" in sys.modules, "deriving an entry did not use sympy"
+assert "sympy" not in sys.modules, "deriving an entry loaded sympy"
 assert boxforms.manufactured("sin2d_k0") is entry, "entry derived twice"
+assert cli.main(["convergence", "--dim", "2", "--k", "0", "--levels", "2"]) == 0
+assert "sympy" not in sys.modules, "convergence loaded sympy"
 """
 
 
-def test_sympy_loads_only_with_the_first_catalog_lookup():
+def test_no_command_or_catalog_lookup_loads_sympy():
     src = Path(fields.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", _SYMPY_FREE], env=env,
@@ -211,3 +216,137 @@ def test_nonzero_components_are_pinned():
         assert sorted(entry.omega.d_components) == d_keys, name
         assert sorted(entry.delta_d.components) == dd_keys, name
         assert sorted(entry.load.components) == load_keys, name
+
+
+# ---------------------------------------------------------------------------
+# sympy reference: the catalog derived as a computer algebra system does it
+
+FAMILIES = ("omega", "d_omega", "delta_d", "load")
+
+
+def reference_d(parts, n, xs):
+    out = {}
+    for alpha, expr in parts.items():
+        for i in range(1, n + 1):
+            dd = expr.diff(xs[i - 1])
+            if dd == 0:
+                continue
+            s, gamma = wedge_sign((i,), alpha)
+            if s == 0:
+                continue
+            out[gamma] = out.get(gamma, 0) + s * dd
+    return {a: e for a, e in out.items() if e != 0}
+
+
+def reference_hodge(parts, n):
+    return {complement(a, n): hodge_sign(a, n) * e for a, e in parts.items()}
+
+
+def reference_codifferential(parts, n, k, xs):
+    sign = (-1) ** (n * (k + 1) + 1)
+    inner = reference_d(reference_hodge(parts, n), n, xs)
+    return {a: sign * e for a, e in reference_hodge(inner, n).items()}
+
+
+def reference_lambdify(parts, n, xs):
+    out = {}
+    for alpha, expr in parts.items():
+        fn = sp.lambdify(xs, expr, "numpy")
+
+        def wrapper(points, fn=fn):
+            vals = fn(*[points[:, i] for i in range(points.shape[1])])
+            return np.broadcast_to(np.asarray(vals, dtype=float), (len(points),)).copy()
+
+        out[alpha] = wrapper
+    return out
+
+
+@functools.cache
+def reference_entry(name):
+    """(xs, {family: {multi-index: sympy expression}}) for each of FAMILIES."""
+    n, k, _, text = CATALOG[name]
+    xs = sp.symbols(f"x1:{n + 1}")
+    parts = {a: sp.sympify(e) for a, e in text.items()}
+    d_parts = reference_d(parts, n, xs)
+    dd_parts = reference_codifferential(d_parts, n, k + 1, xs) if d_parts else {}
+    load_parts = dict(dd_parts)
+    for a, e in parts.items():
+        load_parts[a] = load_parts.get(a, 0) + e
+    return xs, {"omega": parts, "d_omega": d_parts, "delta_d": dd_parts, "load": load_parts}
+
+
+def derived_terms(name):
+    """The term dictionaries behind each family's evaluators."""
+    entry = manufactured(name)
+    components = {"omega": entry.omega.components, "d_omega": entry.omega.d_components,
+                  "delta_d": entry.delta_d.components, "load": entry.load.components}
+    return {family: {a: fn.args[0] for a, fn in comps.items()}
+            for family, comps in components.items()}
+
+
+def terms_to_sympy(terms, xs):
+    return sum(c * sp.pi ** p * sp.Mul(*[getattr(sp, f)(sp.pi * x)
+                                         for f, x in zip(factors, xs) if f != "1"])
+               for (p, factors), c in terms.items())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_term_algebra_equals_the_sympy_derivation(name):
+    xs, reference = reference_entry(name)
+    derived = derived_terms(name)
+    for family in FAMILIES:
+        ref, new = reference[family], derived[family]
+        assert set(new) == set(ref), (name, family)
+        for alpha, terms in new.items():
+            assert all(c != 0 for c in terms.values()), (name, family, alpha)
+            assert sp.expand(terms_to_sympy(terms, xs) - ref[alpha]) == 0, (name, family, alpha)
+
+
+def test_closed_form_cancels_to_no_components(monkeypatch):
+    # omega = d(sin(pi*x1)*sin(pi*x2)) / pi: d omega cancels term by term
+    name = "closed2d_k1"
+    monkeypatch.setitem(CATALOG, name, (2, 1, "natural", {(1,): "cos(pi*x1)*sin(pi*x2)",
+                                                          (2,): "sin(pi*x1)*cos(pi*x2)"}))
+    entry = manufactured(name)
+    assert entry.omega.d_components == {} and entry.delta_d.components == {}
+    xs, reference = reference_entry(name)
+    assert reference["d_omega"] == {}
+    for alpha, terms in derived_terms(name)["load"].items():
+        assert sp.expand(terms_to_sympy(terms, xs) - reference["load"][alpha]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_evaluators_match_the_lambdified_reference(name):
+    xs, reference = reference_entry(name)
+    entry = manufactured(name)
+    points = np.random.default_rng(7).uniform(-0.5, 1.5, size=(200, entry.n))
+    evaluate = {"omega": entry.omega.at, "d_omega": entry.omega.d_at,
+                "delta_d": entry.delta_d.at, "load": entry.load.at}
+    for family in FAMILIES:
+        lambdified = reference_lambdify(reference[family], entry.n, xs)
+        ref = {a: fn(points) for a, fn in lambdified.items()}
+        new = evaluate[family](points)
+        assert set(new) == set(ref), (name, family)
+        for alpha, values in new.items():
+            scale = np.max(np.abs(ref[alpha]))
+            assert np.max(np.abs(values - ref[alpha])) <= 1e-13 * scale, (name, family, alpha)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("exp(x1)", 1),
+    ("sin(2*pi*x1)", 1),
+    ("x1*(1-x1)", 1),
+    ("sin(pi*x1)*cos(pi*x1)", 2),
+    ("sin(pi*x3)", 2),
+    # a valid factor next to an unknown piece: a scan that skipped it would misread the field
+    ("sin(pi*x1)*exp(x2)", 2),
+    ("2*sin(pi*x1)", 1),
+    ("sin(pi*x1)+cos(pi*x2)", 2),
+])
+def test_catalog_text_outside_the_grammar_is_rejected(monkeypatch, text, n):
+    # manufactured() caches by name, so every case gets a name of its own
+    name = f"bad_{n}d_{text}"
+    monkeypatch.setitem(CATALOG, name, (n, 0, "essential", {(): text}))
+    with pytest.raises(ValueError, match=re.escape(repr(name))) as excinfo:
+        manufactured(name)
+    assert repr(text) in str(excinfo.value)

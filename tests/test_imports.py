@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every third-party module it imports is a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxforms"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 
 #: (module file, name) pairs imported only to be re-exported
 RE_EXPORTS = set()
@@ -43,3 +47,38 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(imported_names(tree)) - used) == ["math", "p"]
+
+
+def top_level_imports(tree):
+    """Top-level names of the absolute imports in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def declared_dependencies(text):
+    """Names in ``[project].dependencies``, read by regex: tomllib needs Python 3.11."""
+    block = re.search(r"^\[project\]\n(?:(?!\[).*\n)*?dependencies\s*=\s*\[([^\]]*)\]",
+                      text, re.M)
+    assert block, "no [project].dependencies list"
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            for spec in re.findall(r'"([^"]+)"', block.group(1))}
+
+
+# every third-party package the program imports is installed under its own name
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_third_party_imports_are_declared_dependencies(path):
+    imported = set(top_level_imports(ast.parse(path.read_text(), filename=str(path))))
+    third_party = imported - set(sys.stdlib_module_names) - {"boxforms"}
+    assert third_party <= declared_dependencies(PYPROJECT.read_text())
+
+
+def test_dependency_scan_flags_an_undeclared_import():
+    tree = ast.parse("import os.path\nimport sympy as sp\nfrom scipy.sparse import csr_matrix\n"
+                     "from . import forms\n")
+    third_party = set(top_level_imports(tree)) - set(sys.stdlib_module_names)
+    assert sorted(third_party) == ["scipy", "sympy"]
+    declared = declared_dependencies(PYPROJECT.read_text())
+    assert {"numpy", "scipy"} <= declared and "sympy" not in declared

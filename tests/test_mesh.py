@@ -190,10 +190,12 @@ def test_conforming_traces_match_across_shared_faces():
 
 
 def test_float_centers_are_the_cell_centers():
-    mesh = build_grid([[0, 1], [Fraction(1, 3), 3]], (3, 2))
-    assert mesh.float_centers.tolist() == [[float(c) for c in cell.center]
-                                           for cell in mesh.cells]
-    assert mesh.float_centers is mesh.float_centers
+    meshes = [build_grid([[0, 1], [Fraction(1, 3), 3]], (3, 2))]
+    meshes += [graded_mesh(GRADED[name]) for name in sorted(GRADED)]
+    for mesh in meshes:
+        assert mesh.float_centers.tolist() == [[float(c) for c in cell.center]
+                                               for cell in mesh.cells]
+        assert mesh.float_centers is mesh.float_centers
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))
