@@ -1,18 +1,19 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``solve``, ``invert`` and ``independent_subset``.  It is fraction-free
-(Bareiss, Math. Comp. 22, 1968, with content division for his exact
-quotients): each input row is scaled by the lcm of its denominators and
-divided by the gcd of its entries, giving a primitive ``{column: int}``
-row.  Rows enter one at a time, in the order given: each is reduced by the
-pivot rows kept so far, leftmost column first, as ``b*row - a*pivot`` with
-a/b the ratio of the two pivot-column entries in lowest terms, then made
-primitive again; what remains becomes a new pivot row.  Back-substitution
-clears each pivot column outside its own row the same way, and only then
-does each pivot row become Fractions with a unit leading entry.  The
-reduced form is unique for a fixed column order, so kernels come out
-canonical (one basis vector per free column, unit entry there).
+``kernel_vectors``, ``solve``, ``solve_consistent``, ``invert`` and
+``independent_subset``.  It is fraction-free (Bareiss, Math. Comp. 22,
+1968, with content division for his exact quotients): each input row is
+scaled by the lcm of its denominators and divided by the gcd of its
+entries, giving a primitive ``{column: int}`` row.  Rows enter one at a
+time, in the order given: each is reduced by the pivot rows kept so far,
+leftmost column first, as ``b*row - a*pivot`` with a/b the ratio of the
+two pivot-column entries in lowest terms, then made primitive again; what
+remains becomes a new pivot row.  Back-substitution clears each pivot
+column outside its own row the same way, and only then does each pivot
+row become Fractions with a unit leading entry.  The reduced form is
+unique for a fixed column order, so kernels come out canonical (one basis
+vector per free column, unit entry there).
 """
 
 from fractions import Fraction
@@ -112,23 +113,30 @@ def rank(matrix):
     return len(_eliminate(matrix, reduce=False)[0])
 
 
-def nullspace(matrix, ncols=None):
-    """Canonical kernel basis, one vector per free column."""
-    if not matrix:
-        if ncols is None:
-            raise ValueError("nullspace of an empty matrix needs ncols")
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(matrix[0])
-    pivots, _ = _eliminate(matrix)
-    free = {fc: i for i, fc in enumerate(c for c in range(ncols) if c not in pivots)}
-    basis = [[Fraction(0)] * ncols for _ in free]
-    for fc, i in free.items():
-        basis[i][fc] = Fraction(1)
+def kernel_vectors(matrix, ncols):
+    """Canonical kernel basis as (free columns, sparse vectors), one per free column.
+
+    Vector i is a ``{column: Fraction}`` dict with a unit entry at free
+    column i, zero at every other free column; entries in column order.
+    """
+    pivots = _eliminate(matrix)[0] if matrix else {}
+    free = [c for c in range(ncols) if c not in pivots]
+    vectors = {fc: {fc: Fraction(1)} for fc in free}
     for pc, row in pivots.items():
         for c, v in row.items():
             if c != pc:
-                basis[free[c]][pc] = -v
-    return basis
+                vectors[c][pc] = -v
+    return free, [dict(sorted(vectors[fc].items())) for fc in free]
+
+
+def nullspace(matrix, ncols=None):
+    """Canonical kernel basis, one dense vector per free column."""
+    if matrix:
+        ncols = len(matrix[0])
+    elif ncols is None:
+        raise ValueError("nullspace of an empty matrix needs ncols")
+    return [[vec.get(c, Fraction(0)) for c in range(ncols)]
+            for vec in kernel_vectors(matrix, ncols)[1]]
 
 
 def solve(matrix, rhs):
@@ -152,6 +160,21 @@ def invert(matrix):
     if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def solve_consistent(rows, rhs, ncols):
+    """One solution of a sparse system that may be singular, zero at its free columns.
+
+    ``rows`` are ``{column: value}`` dicts over ``ncols`` columns.  Raises
+    ValueError when ``rhs`` is not in the span of the columns.
+    """
+    pivots, _ = _eliminate([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        raise ValueError("the system has no solution")
+    x = [Fraction(0)] * ncols
+    for c, row in pivots.items():
+        x[c] = row.get(ncols, Fraction(0))
+    return x
 
 
 # -- span utilities (rows are coefficient vectors)

@@ -61,6 +61,11 @@ class LocalTables:
         return local_energy_matrix(self.basis, self.cell)
 
     @cached_property
+    def energy_inverse(self):
+        """Exact inverse of the local energy matrix (symmetric, like the matrix)."""
+        return invert(self.energy)
+
+    @cached_property
     def energy_float(self):
         return np.array(self.energy, dtype=float)
 

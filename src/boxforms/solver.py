@@ -8,12 +8,19 @@ error norms and consistency functionals of non-polynomial data use
 quadrature.
 
 Solver paths: conjugate gradients on the sparse Gram matrix (relative
-residual 1e-12, at most 50*N iterations) by default; exact elimination
-when the caller asks for it and the data is rational.  The exact path
-doubles as the oracle for the iterative one.  The consistency residual
-takes back-solves with a sparse LU factorization of the Gram matrix,
-made once per problem on first demand, and comes with a roundoff floor:
-a residual at or below it may be all rounding.
+residual 1e-12, at most 50*N iterations) by default; an exact solve when
+the caller asks for it and the data is rational.  The exact solve forms
+no Gram matrix over the basis.  It works in broken coordinates on the
+saddle-point system of the gluing constraints, condensed cell by cell
+onto their multipliers (hybridization, with the paper's test space as
+the multiplier space: Arnold and Brezzi, RAIRO M2AN 19, 1985; Cockburn,
+Gopalakrishnan and Lazarov, SIAM J. Numer. Anal. 47, 2009), and reads
+the basis coefficients off the broken solution.  The exact path doubles
+as the oracle for the iterative one; the exact Gram over the basis is
+built only when something reads ``DiscreteProblem.G_exact``.  The
+consistency residual takes back-solves with a sparse LU factorization of
+the Gram matrix, made once per problem on first demand, and comes with a
+roundoff floor: a residual at or below it may be all rounding.
 """
 
 import math
@@ -25,11 +32,10 @@ import numpy as np
 import scipy.sparse
 
 from . import local
-from .exactla import independent_subset, integer_scaled
-from .exactla import solve as exact_solve
+from .exactla import independent_subset, integer_scaled, solve_consistent
 from .fields import manufactured
 from .forms import PolyForm
-from .mesh import build_grid
+from .mesh import build_grid, face_dofs
 from .quadrature import component_array
 from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
                       build_constraints, interpolated_generating_set, kernel_space,
@@ -62,12 +68,43 @@ class DiscreteProblem:
     F: np.ndarray               # float load
     V: scipy.sparse.spmatrix    # piecewise-coordinates-from-basis map (CSC)
     quad_order: int
-    G_exact: list | None = None
-    F_exact: list | None = None
+    F_exact: list | None = None      # exact load over the basis: V^T load_broken
+    load_broken: list | None = None  # exact load paired with every piecewise basis form
 
     @property
     def exact(self):
-        return self.G_exact is not None
+        return self.F_exact is not None
+
+    @cached_property
+    def G_exact(self):
+        """Exact Gram matrix over the basis, built on first use (None for a quadrature load).
+
+        Cell by cell, in integers over one denominator per vector: the
+        local energy applied once to each vector on the cell, then dot
+        products among the vectors that share it.  No solve reads it.
+        """
+        if not self.exact:
+            return None
+        pw = self.space.pw
+        size = self.space.dim
+        g_exact = [[0] * size for _ in range(size)]
+        for ci, members in enumerate(_cell_members(self.space)):
+            if not members:
+                continue
+            energy, e_den = integer_scaled(
+                [e for row in local.tables(pw.mesh, pw.k, ci).energy for e in row])
+            energy = [energy[a:a + pw.dim_local] for a in range(0, len(energy), pw.dim_local)]
+            scaled = [(i, *integer_scaled(li)) for i, li in members]
+            for p, (i, li, di) in enumerate(scaled):
+                applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]
+                row = g_exact[i]
+                for j, lj, dj in scaled[p:]:
+                    row[j] += Fraction(sum(c * a for c, a in zip(lj, applied) if c),
+                                       di * dj * e_den)
+        for i in range(size):
+            for j in range(i + 1, size):
+                g_exact[j][i] = g_exact[i][j]
+        return g_exact
 
     @property
     def size(self):
@@ -134,9 +171,11 @@ def assemble(space, load, quad_order=5):
     """Gram matrix and load vector over the given basis.
 
     ``load`` is a FormField (quadrature path) or a PolyForm, in which case
-    everything is also assembled exactly.  Raises when the basis is
-    dependent (prune generating sets before assembling); independence is
-    decided by exact elimination unless the space already carries its proof.
+    the load is also assembled exactly, in broken coordinates and over the
+    basis; the exact Gram matrix waits for ``G_exact``.  Raises when the
+    basis is dependent (prune generating sets before assembling);
+    independence is decided by exact elimination unless the space already
+    carries its proof.
     """
     if not space.independent and len(independent_subset(space.vectors)) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
@@ -149,38 +188,17 @@ def assemble(space, load, quad_order=5):
     gram = v_mat.T @ (big @ v_mat)
     gram = ((gram + gram.T) / 2.0).tocsr()
 
-    exact = isinstance(load, PolyForm)
-    g_exact = f_exact = None
-    if exact:
-        # cell by cell, in integers over one denominator per vector: the local
-        # energy applied once to each vector on the cell, then dot products
-        # among the vectors that share it
-        size = space.dim
-        g_exact = [[0] * size for _ in range(size)]
-        f_exact = [0] * size
-        for ci, members in enumerate(_cell_members(space)):
-            if not members:
-                continue
-            energy, e_den = integer_scaled([e for row in cell_tables[ci].energy for e in row])
-            energy = [energy[a:a + pw.dim_local] for a in range(0, len(energy), pw.dim_local)]
-            pair, p_den = integer_scaled(mesh.cells[ci].pairing_table(
-                [(load,)], [(phi,) for phi in pw.bases[ci]])[0])
-            scaled = [(i, *integer_scaled(li)) for i, li in members]
-            for p, (i, li, di) in enumerate(scaled):
-                applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]
-                f_exact[i] += Fraction(sum(c * q for c, q in zip(li, pair) if c), di * p_den)
-                row = g_exact[i]
-                for j, lj, dj in scaled[p:]:
-                    row[j] += Fraction(sum(c * a for c, a in zip(lj, applied) if c),
-                                       di * dj * e_den)
-        for i in range(size):
-            for j in range(i + 1, size):
-                g_exact[j][i] = g_exact[i][j]
+    load_broken = f_exact = None
+    if isinstance(load, PolyForm):
+        load_broken = [q for cell, basis in zip(mesh.cells, pw.bases)
+                       for q in cell.pairing_table([(load,)], [(phi,) for phi in basis])[0]]
+        f_exact = [sum((val * load_broken[c] for c, val in vec.items()), Fraction(0))
+                   for vec in space.vectors]
         f_float = np.array([float(x) for x in f_exact])
     else:
         f_float = np.asarray(v_mat.T @ _load_pw_float(pw, load, quad_order))
     return DiscreteProblem(space, gram, f_float, v_mat, quad_order,
-                           G_exact=g_exact, F_exact=f_exact)
+                           F_exact=f_exact, load_broken=load_broken)
 
 
 def conjugate_gradient(gram, rhs, rtol=1e-12, maxiter=None):
@@ -217,6 +235,7 @@ class Solution:
     problem: DiscreteProblem
     x: np.ndarray
     x_exact: list | None = None
+    w_exact: dict | None = None  # exact path: the solution in broken coordinates
     history: list = field(default_factory=list)
     _pw_cache: np.ndarray | None = None
 
@@ -237,26 +256,117 @@ class Solution:
         return self._pw_cache
 
     def form_on_cell(self, ci):
-        """Exact local PolyForm (exact solve path only)."""
-        if self.x_exact is None:
+        """Exact local PolyForm on cell ci (exact solve path only)."""
+        if self.w_exact is None:
             raise ValueError("exact local forms need the exact solve path")
-        vec = {}
-        pw = self.space.pw
-        for i, xe in enumerate(self.x_exact):
-            if xe:
-                for c, val in self.space.vectors[i].items():
-                    vec[c] = vec.get(c, 0) + xe * val
-        return pw.form_on_cell(vec, ci)
+        return self.space.pw.form_on_cell(self.w_exact, ci)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v) if a)
+
+
+def _local_schur(mesh, k, cell_id):
+    """(P A^-1, P A^-1 P^T) of the cell's shape: P its gluing pairings, A its energy."""
+    pairings = local.gluing_pairings(mesh, k, cell_id)
+    inverse = local.tables(mesh, k, cell_id).energy_inverse  # symmetric
+    pa = [[_dot(p, col) for col in inverse] for p in pairings]
+    return pa, [[_dot(row, p) for p in pairings] for row in pa]
+
+
+def condensed_solution(problem):
+    """The exact Galerkin solution in broken coordinates, as ``{column: Fraction}``.
+
+    It is the w part of the saddle-point system ``A w + B^T lam = f,
+    B w = 0``: A is block-diagonal with the local energy of each cell's
+    shape, B holds the gluing constraints and f is ``load_broken``.  The
+    cell blocks are eliminated.  With P_c the cell's gluing pairings, the
+    multipliers solve ``S lam = g``, where S and g scatter ``P_c A_c^-1 P_c^T``
+    and ``P_c A_c^-1 f_c`` through the test face DOFs; then
+    ``w_c = A_c^-1 (f_c - P_c^T lam_c)`` cell by cell.  Dependent rows of B
+    make S singular but consistent: lam is taken zero at its free columns,
+    and w is unique all the same.
+    """
+    space = problem.space
+    pw, mesh, k = space.pw, space.mesh, space.k
+    if k < mesh.n:
+        dofs = face_dofs(mesh.n - k - 1, mesh, interior=space.flavor == INTERIOR_TEST)
+        cell_dofs, n_dofs = dofs.cell_dofs, dofs.n_dofs
+    else:  # no gluing at the top degree
+        cell_dofs, n_dofs = [()] * mesh.n_cells, 0
+    loads = [problem.load_broken[pw.col(ci, 0):pw.col(ci + 1, 0)] for ci in range(mesh.n_cells)]
+    schur = {}
+    s_rows = [{} for _ in range(n_dofs)]
+    g = [0] * n_dofs
+    for ci, pairs in enumerate(cell_dofs):
+        if not pairs:
+            continue
+        table = local.tables(mesh, k, ci)
+        if table not in schur:
+            schur[table] = _local_schur(mesh, k, ci)
+        pa, m = schur[table]
+        for a, da in pairs:
+            g[da] += _dot(pa[a], loads[ci])
+            row = s_rows[da]
+            for b, db in pairs:
+                row[db] = row.get(db, 0) + m[a][b]
+    lam = solve_consistent(s_rows, g, n_dofs)
+    w = {}
+    for ci, pairs in enumerate(cell_dofs):
+        rhs = loads[ci]
+        if pairs:
+            pairings = local.gluing_pairings(mesh, k, ci)
+            for a, da in pairs:
+                if lam[da]:
+                    rhs = [r - lam[da] * p for r, p in zip(rhs, pairings[a])]
+        for j, row in enumerate(local.tables(mesh, k, ci).energy_inverse):
+            value = _dot(row, rhs)
+            if value:
+                w[pw.col(ci, j)] = value
+    return w
+
+
+def _coordinates(space, w):
+    """Basis coefficients x with ``V x == w`` exactly.
+
+    A canonical kernel basis reads x off w at its free columns; any other
+    independent basis takes one sparse exact solve.  Raises ValueError when
+    w is not in the span of the basis, which then spans less than the glued
+    space.
+    """
+    if space.free_columns is not None:
+        x = [w.get(c, Fraction(0)) for c in space.free_columns]
+        combined = {}
+        for xi, vec in zip(x, space.vectors):
+            if xi:
+                for c, val in vec.items():
+                    combined[c] = combined.get(c, 0) + xi * val
+        if {c: v for c, v in combined.items() if v} == w:
+            return x
+    else:
+        by_column = {c: {} for c in w}
+        for i, vec in enumerate(space.vectors):
+            for c, val in vec.items():
+                by_column.setdefault(c, {})[i] = val
+        columns = sorted(by_column)
+        try:
+            return solve_consistent([by_column[c] for c in columns],
+                                    [w.get(c, 0) for c in columns], space.dim)
+        except ValueError:
+            pass
+    raise ValueError("the exact solution is not in the span of the basis vectors: "
+                     "they span less than the glued space")
 
 
 def solve(problem, method="cg", rtol=1e-12):
-    """Solve the Galerkin system by CG, or by exact elimination on request."""
+    """Solve the Galerkin system by CG, or exactly (see condensed_solution) on request."""
     if method == "exact":
         if not problem.exact:
             raise ValueError("exact solve requested but data is not rational")
-        x_exact = exact_solve(problem.G_exact, problem.F_exact)
+        w = condensed_solution(problem)
+        x_exact = _coordinates(problem.space, w)
         x = np.array([float(v) for v in x_exact])
-        return Solution(problem.space, problem, x, x_exact=x_exact)
+        return Solution(problem.space, problem, x, x_exact=x_exact, w_exact=w)
     if method != "cg":
         raise ValueError(f"unknown solve method {method!r}")
     x, history = conjugate_gradient(problem.G, problem.F, rtol=rtol)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import local, spaces
-from .exactla import independent_subset, nullspace, rank, spans_equal
+from .exactla import independent_subset, kernel_vectors, nullspace, rank, spans_equal
 from .forms import PolyForm
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs
@@ -130,9 +130,12 @@ class WhitneySpace:
 
     ``independent`` is True only when exact elimination has proved the
     vectors linearly independent (kernel bases and pruned generating sets).
+    ``free_columns`` (canonical kernel bases only) holds, per vector, the
+    broken column where it is 1 and every other vector is 0.
     """
 
-    def __init__(self, k, mesh, flavor, representation, vectors, pw, independent=False):
+    def __init__(self, k, mesh, flavor, representation, vectors, pw, independent=False,
+                 free_columns=None):
         self.k = k
         self.mesh = mesh
         self.flavor = flavor
@@ -140,6 +143,7 @@ class WhitneySpace:
         self.vectors = vectors                # sparse dicts col -> Fraction
         self.pw = pw
         self.independent = independent
+        self.free_columns = free_columns
 
     @property
     def dim(self):
@@ -152,11 +156,9 @@ class WhitneySpace:
 def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
     pw = constraints.pw
-    vectors = []
-    for dense in nullspace(constraints.rows, ncols=pw.ncols):
-        vectors.append({c: val for c, val in enumerate(dense) if val})
+    free, vectors = kernel_vectors(constraints.rows, pw.ncols)
     return WhitneySpace(constraints.k, pw.mesh, constraints.flavor,
-                        "kernel", vectors, pw, independent=True)
+                        "kernel", vectors, pw, independent=True, free_columns=free)
 
 
 def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):

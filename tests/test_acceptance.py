@@ -240,7 +240,12 @@ def test_criterion_8_solver_paths_agree():
             (2, 0, (), (6, 6)),
             (2, 1, (1,), (4, 4)),
         ]
-        for n, k, sigma, divisions in cases:
+        # cases where CG iterates for at least 100 steps
+        iterating = [
+            (2, 0, (), (12, 12)),
+            (3, 1, (1,), (4, 4, 4)),
+        ]
+        for n, k, sigma, divisions in cases + iterating:
             mesh = build_grid([[0, 1]] * n, divisions)
             space = build_solver_space(k, mesh, INTERIOR_TEST, "kernel")
             load = PolyForm.covector(n, sigma, Fraction(7, 3))
@@ -251,3 +256,5 @@ def test_criterion_8_solver_paths_agree():
             gap = problem.energy_norm(direct.x - iterative.x)
             scale = problem.energy_norm(direct.x)
             assert gap <= 1e-9 * max(scale, 1.0), (n, k, gap, scale)
+            if (n, k, sigma, divisions) in iterating:
+                assert iterative.cg_iterations >= 100, (n, k, iterative.cg_iterations)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from boxforms.exactla import (SingularMatrixError, independent_subset, invert, nullspace,
-                              rank, rref, solve, spans_equal)
+from boxforms.exactla import (SingularMatrixError, independent_subset, invert, kernel_vectors,
+                              nullspace, rank, rref, solve, solve_consistent, spans_equal)
 
 
 def F(a, b=1):
@@ -339,3 +339,37 @@ def test_mixed_int_and_fraction_row():
     assert rref([[2, F(1, 3), 5], [F(1, 2), 0, 1]]) == reference_rref(
         [[F(2), F(1, 3), F(5)], [F(1, 2), F(0), F(1)]])
     assert nullspace([[1, F(1, 2)]]) == [[F(-1, 2), F(1)]]
+
+
+def test_kernel_vectors_are_the_sparse_nullspace():
+    rng = random.Random(41)
+    for rows, cols in [(3, 6), (5, 5), (6, 4), (2, 7)]:
+        m = rand_matrix(rows, cols, rng, density=0.5)
+        free, vectors = kernel_vectors(m, cols)
+        assert [[vec.get(c, F(0)) for c in range(cols)] for vec in vectors] == nullspace(m)
+        assert all(list(vec) == sorted(vec) and all(vec.values()) for vec in vectors)
+        for i, fc in enumerate(free):
+            assert [vec.get(fc, 0) for vec in vectors] == [int(i == j) for j in range(len(free))]
+    assert kernel_vectors([], 2) == ([0, 1], [{0: F(1)}, {1: F(1)}])
+
+
+def test_solve_consistent_takes_zero_at_free_columns_and_rejects_inconsistency():
+    # rank 2 in 3 columns, the third row the sum of the first two
+    rows = [{0: F(1), 1: F(2)}, {1: F(1), 2: F(-1)}, {0: F(1), 1: F(3), 2: F(-1)}]
+    x = solve_consistent(rows, [F(3), F(1, 2), F(7, 2)], 3)
+    assert x == [F(2), F(1, 2), F(0)]
+    with pytest.raises(ValueError, match="no solution"):
+        solve_consistent(rows, [F(3), F(1, 2), F(3)], 3)
+    with pytest.raises(ValueError, match="no solution"):
+        solve_consistent([{}], [F(1)], 2)
+    assert solve_consistent([], [], 0) == []
+    # against the square solve on random nonsingular systems
+    rng = random.Random(43)
+    for n in (1, 3, 6):
+        while True:
+            m = rand_matrix(n, n, rng, density=0.6)
+            if rank(m) == n:
+                break
+        b = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in m]
+        assert solve_consistent(sparse, b, n) == solve(m, b)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import boxforms
+from boxforms import exactla, local
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
@@ -19,6 +20,9 @@ from boxforms.solver import (Solution, assemble, broken_error, build_solver_spac
                              convergence_sweep, solve)
 from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
+from boxforms.whitney import WhitneySpace, build_constraints, kernel_space
+from test_global_spaces import CHECK_MESHES
+from test_mesh import GRADED, graded_mesh
 
 
 def test_local_energy_matrix_interval_oracle():
@@ -348,3 +352,79 @@ def test_exact_assembly_matches_the_pair_loop(n, k, m):
     g, f = reference_exact_assembly(space, load)
     assert problem.G_exact == g
     assert problem.F_exact == f
+
+
+# -- the exact solve by condensation onto the gluing multipliers, against the dense path
+
+
+def reference_exact_solve(problem):
+    """The path the condensed solve replaced: exact elimination on the dense Gram matrix."""
+    return exactla.solve(problem.G_exact, problem.F_exact)
+
+
+def exact_space(k, mesh, flavor, representation):
+    """(constraints, canonical kernel basis or pruned generating set) of one glued space."""
+    constraints = build_constraints(k, mesh, flavor)
+    if representation == "kernel":
+        return constraints, kernel_space(constraints)
+    return constraints, prune_vectors(interpolated_generating_set(k, mesh, flavor))[0]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+@pytest.mark.parametrize("representation", ["kernel", "generators"])
+def test_condensed_exact_solve_matches_the_dense_path(name, flavor, representation):
+    mesh = CHECK_MESHES[name]()
+    for k in range(mesh.n + 1):
+        constraints, space = exact_space(k, mesh, flavor, representation)
+        problem = assemble(space, seeded_rational_load(mesh.n, k, seed=100 + 10 * mesh.n + k))
+        sol = solve(problem, method="exact")
+        assert "G_exact" not in problem.__dict__
+        assert sol.x_exact == reference_exact_solve(problem), k
+        assert not any(constraints.residual(sol.w_exact)), k
+        assert np.array_equal(sol.x, [float(v) for v in sol.x_exact])
+
+
+@pytest.mark.parametrize("keep_free_columns", [True, False])
+def test_exact_solve_rejects_a_basis_short_of_the_glued_space(keep_free_columns):
+    mesh = build_grid([[0, 1], [0, 1]], (3, 3))
+    space = build_solver_space(0, mesh, INTERIOR_TEST, "kernel")
+    short = WhitneySpace(0, mesh, INTERIOR_TEST, "kernel", space.vectors[1:], space.pw,
+                         independent=True,
+                         free_columns=space.free_columns[1:] if keep_free_columns else None)
+    problem = assemble(short, seeded_rational_load(2, 0, seed=3))
+    with pytest.raises(ValueError, match="span"):
+        solve(problem, method="exact")
+
+
+@pytest.mark.parametrize("representation", ["kernel", "generators"])
+@pytest.mark.parametrize("name, k", [("graded-2d", 1), ("graded-3d", 1), ("uniform-1d-3", 0)])
+def test_solution_form_on_cell_combines_the_basis_forms(name, k, representation):
+    mesh = CHECK_MESHES[name]()
+    _, space = exact_space(k, mesh, INTERIOR_TEST, representation)
+    sol = solve(assemble(space, seeded_rational_load(mesh.n, k, seed=7)), method="exact")
+    for ci in range(mesh.n_cells):
+        expected = sum((xi * space.form_on_cell(i, ci) for i, xi in enumerate(sol.x_exact) if xi),
+                       PolyForm.zero(mesh.n, k))
+        assert sol.form_on_cell(ci) == expected, ci
+    with pytest.raises(ValueError, match="exact solve path"):
+        solve(sol.problem, method="cg").form_on_cell(0)
+
+
+def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
+    # the dense Gram costs O(N^2) to assemble: no exact solve may read it
+    mesh = graded_mesh(GRADED["2d"])
+    space = build_solver_space(1, mesh, INTERIOR_TEST, "kernel")
+    problem = assemble(space, seeded_rational_load(2, 1, seed=5))
+    calls = []
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return exactla.invert(matrix)
+
+    monkeypatch.setattr(local, "invert", counting)
+    solve(problem, method="exact")
+    assert len(calls) == len(local.shapes(mesh, 1)) > 1
+    solve(problem, method="exact")
+    assert len(calls) == len(local.shapes(mesh, 1))
+    assert "G_exact" not in problem.__dict__

@@ -12,7 +12,7 @@ from test_mesh import GRADED, graded_mesh
 from boxforms import forms as forms_module
 from boxforms import local, mesh as mesh_module, projection
 from boxforms import whitney as whitney_module
-from boxforms.exactla import rank, spans_equal
+from boxforms.exactla import nullspace, rank, spans_equal
 from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
 from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
@@ -437,3 +437,19 @@ def test_mesh_checks_do_per_shape_work(monkeypatch, small, large):
                   for d in (small, large)]
         assert counts[0] == counts[1], (check.__name__, option, counts)
         assert counts[0]["coefficients" if check is check_commuting_squares else "face_dof"]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+def test_kernel_space_is_the_dense_nullspace_with_its_free_columns(name):
+    # the dense-vector build the sparse pivot rows replaced
+    mesh = CHECK_MESHES[name]()
+    for k in range(mesh.n + 1):
+        for flavor in (INTERIOR_TEST, FULL_TEST):
+            constraints = build_constraints(k, mesh, flavor)
+            space = kernel_space(constraints)
+            dense = nullspace(constraints.rows, ncols=constraints.ncols)
+            assert space.vectors == [{c: v for c, v in enumerate(vec) if v} for vec in dense]
+            assert len(space.free_columns) == space.dim
+            for i, fc in enumerate(space.free_columns):
+                assert [vec.get(fc, 0) for vec in space.vectors] == \
+                    [int(i == j) for j in range(space.dim)]
