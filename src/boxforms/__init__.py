@@ -11,10 +11,10 @@ from .exactla import nullspace, rank, rref, spans_equal
 from .fields import CATALOG, FormField, ManufacturedSolution, constant_solution, manufactured
 from .forms import (CellBox, PolyForm, Polynomial, adjoint_pairing, boundary_bump,
                     format_form, parse_form)
-from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space, check_conforming_complex
+from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from .indices import complement, hodge_sign, multi_indices, wedge_sign
 from .mesh import CubicalMesh, build_grid, face_dofs
-from .projection import LocalProjector, check_commuting, project_cell, project_mesh
+from .projection import LocalProjector, check_commuting, project_cell
 from .reports import CheckReport
 from .spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR, SpaceBasis,
                      basis, check_Q_exactness, check_ap_identity, check_local_couple,

@@ -7,15 +7,14 @@ Four kinds:
 * ``VQstar``  cell-wise Hodge dual of VQ at complementary degree;
 * ``VQstar0`` cell-wise Hodge dual of VQ0 at complementary degree.
 
-Basis functions are stored as per-cell local expansions (never as global
-closed forms); the expansion on each cell is obtained from the exact
-inverse of the face-DOF Vandermonde of the local tensor-product basis,
-which the unisolvence check below guarantees to exist.
+On each cell of its support a basis function is a face function of the
+cell's shape (``local.LocalTables.face_functions``), from the exact inverse
+of the face-DOF Vandermonde of the local tensor-product basis, which the
+unisolvence check below guarantees to exist.  No global space is built.
 """
 
 from fractions import Fraction
 
-from . import spaces
 from .exactla import rank
 from .forms import PolyForm
 from .local import face_dof_matrix, shapes, tables
@@ -28,43 +27,6 @@ VQSTAR = "VQstar"
 VQSTAR0 = "VQstar0"
 
 KINDS = (VQ, VQ0, VQSTAR, VQSTAR0)
-
-
-class GlobalSpace:
-    """Global-DOF space with cell-local PolyForm expansions."""
-
-    def __init__(self, kind, k, mesh, dof_faces, cell_expansions):
-        self.kind = kind
-        self.k = k
-        self.mesh = mesh
-        self.dof_faces = dof_faces
-        self.ndof = len(dof_faces)
-        self.cell_expansions = cell_expansions  # per cell: {dof id: PolyForm}
-        self.supports = [[] for _ in range(self.ndof)]
-        for ci, expansion in enumerate(cell_expansions):
-            for dof in expansion:
-                self.supports[dof].append(ci)
-
-
-def build_space(kind, k, mesh):
-    """Assemble a global space; N counts k-faces (or (n-k)-faces for star kinds)."""
-    n = mesh.n
-    if kind in (VQSTAR, VQSTAR0):
-        primal = build_space(VQ if kind == VQSTAR else VQ0, n - k, mesh)
-        expansions = [{dof: form.hodge() for dof, form in expansion.items()}
-                      for expansion in primal.cell_expansions]
-        return GlobalSpace(kind, k, mesh, primal.dof_faces, expansions)
-    if kind not in (VQ, VQ0):
-        raise ValueError(f"unknown global space kind {kind!r}")
-    table = face_dofs(k, mesh, interior=kind == VQ0)
-    # per cell, the local basis dual to the face DOFs: congruent cells share
-    # the dual coefficients, only the centered basis differs
-    expansions = []
-    for ci, cell in enumerate(mesh.cells):
-        local = spaces.basis(spaces.Q1MINUS, k, cell)
-        shape = tables(mesh, k, ci)
-        expansions.append({dof: shape.face_function(local, a) for a, dof in table.cell_dofs[ci]})
-    return GlobalSpace(kind, k, mesh, table.faces, expansions)
 
 
 def check_unisolvence(mesh, k):

@@ -5,10 +5,12 @@ so a cell's local matrices, its gluing pairings with the Hodge duals of
 the face functions, and its basis values at its own Gauss points depend
 only on its widths.  A :class:`LocalTables` is a function of a degree k
 and one cell box alone; it knows no mesh.  :func:`tables` builds one per
-(mesh, k, widths) on the first cell of that shape and caches it on the
-mesh in a list indexed by cell id, so a lookup hashes nothing.  Its exact
-matrices are tables of ``CellBox.pairing_table``, equal to every congruent
-cell's as Fractions; its float tabulations equal them up to rounding.
+shape, on its first cell, and caches them on the mesh in a list indexed
+by cell id and filled from the shape ids that ``CubicalMesh.cell_shapes``
+reads off the grid, so no other cell's box is built and none is hashed.
+Its exact matrices are tables of ``CellBox.pairing_table``, equal to every
+congruent cell's as Fractions; its float tabulations equal them up to
+rounding.
 """
 
 from collections import namedtuple
@@ -19,7 +21,7 @@ import numpy as np
 from . import spaces
 from .exactla import invert
 from .forms import PolyForm, adjoint_table
-from .mesh import CubicalMesh
+from .mesh import CubicalMesh, Face, local_faces
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
 
@@ -32,10 +34,11 @@ def local_energy_matrix(basis, cell):
 
 def face_dof_matrix(cell, forms):
     """Face DOFs of same-degree forms on one cell: rows in local face order."""
-    # the one-cell mesh of the box lists its faces in the same local order
+    # the one-cell mesh of the box, whose cell is the box itself (and its moment tables)
     box = CubicalMesh(cell, (1,) * cell.n)
-    faces = box.cell_faces(box.cell_tuples[0], forms[0].k)
-    return [[box.face_dof(face, phi) for phi in forms] for face in faces]
+    box.cells = [cell]
+    return [[box.face_dof(Face(axes, shift), phi) for phi in forms]
+            for axes, shift in local_faces(cell.n, forms[0].k)]
 
 
 #: Gauss offsets from the cell center (point, axis), weights (point,), and the
@@ -132,21 +135,15 @@ def tables(mesh, k, cell_id):
     """The degree-k LocalTables shared by every cell congruent to ``cell_id``."""
     per_cell = mesh.local_tables.get(k)
     if per_cell is None:
-        per_shape, per_cell = {}, []
-        for cell in mesh.cells:
-            if cell.widths not in per_shape:
-                per_shape[cell.widths] = LocalTables(k, cell)
-            per_cell.append(per_shape[cell.widths])
-        mesh.local_tables[k] = per_cell
+        shape_ids, first = mesh.cell_shapes
+        per_shape = [LocalTables(k, mesh.cell(ci)) for ci in first]
+        per_cell = mesh.local_tables[k] = [per_shape[s] for s in shape_ids.tolist()]
     return per_cell[cell_id]
 
 
 def shapes(mesh, k):
     """(first cell id, table) for each cell shape of the mesh, in cell order."""
-    first = {}
-    for ci in range(mesh.n_cells):
-        first.setdefault(tables(mesh, k, ci), ci)
-    return [(ci, table) for table, ci in first.items()]
+    return [(ci, tables(mesh, k, ci)) for ci in mesh.cell_shapes[1]]
 
 
 def gluing_pairings(mesh, k, cell_id):

@@ -2,21 +2,22 @@
 
 A d-face is identified by its tuple of tangential axes (ascending) and a
 lattice position: cell slots along tangential axes, grid planes along the
-others.  Faces are numbered lexicographically by (axes, position).  Every
-face carries the ascending-axes orientation, so a cell and a face never
-disagree on it; the face functional used for the tensor-product spaces is
-the (unnormalized) integral of the trace over the face.
-
-:func:`face_dofs` is the one place that numbers these functionals: all
-k-faces, or the interior ones only, in face order.  Its tables, like the
-per-shape ``local.LocalTables``, are cached on the mesh and hold no
-reference back to it, so a mesh nobody uses is freed at once.
+others.  Faces are numbered lexicographically by (axes, position), cells
+row-major by slot tuple, so both numberings are index arithmetic on
+``divisions``.  Every face carries the ascending-axes orientation, so a
+cell and a face never disagree on it; the face functional used for the
+tensor-product spaces is the (unnormalized) integral of the trace over the
+face.  ``Face`` objects, ``cells`` and the cell-id lookup are built only
+for the exact callers that read them.  A cell's shape is its tuple of
+per-axis width classes, read off ``grid``.  Face-DOF tables hold no
+reference to the mesh.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import compress, product
+from math import prod
 
 import numpy as np
 
@@ -28,6 +29,20 @@ from .indices import complement, multi_indices
 class Face:
     axes: tuple  # tangential axes, ascending, 1-based
     pos: tuple   # length n lattice position
+
+
+@lru_cache(maxsize=None)
+def local_faces(n, d):
+    """(axes, corner offsets) of a cell's d-faces, in local order: lexicographic by
+    (axes, offsets), an offset 0 or 1 on each normal axis and 0 on the others."""
+    return [(axes, tuple(dict(zip(complement(axes, n), offsets)).get(i, 0)
+                         for i in range(1, n + 1)))
+            for axes in multi_indices(d, n) for offsets in product((0, 1), repeat=n - d)]
+
+
+def _lattice_shape(divisions, axes):
+    """Positions of the faces with these tangential axes: slots along them, planes across."""
+    return tuple(m if i + 1 in axes else m + 1 for i, m in enumerate(divisions))
 
 
 class CubicalMesh:
@@ -47,64 +62,69 @@ class CubicalMesh:
         self.grid = [[domain.lo[i] + Fraction(j, m) * (domain.hi[i] - domain.lo[i])
                       for j in range(m + 1)]
                      for i, m in enumerate(divisions)]
-        self.cell_tuples = list(product(*[range(m) for m in divisions]))
-        self.cells = [CellBox(tuple(self.grid[i][t[i]] for i in range(self.n)),
-                              tuple(self.grid[i][t[i] + 1] for i in range(self.n)))
-                      for t in self.cell_tuples]
-        self._cell_id = {t: i for i, t in enumerate(self.cell_tuples)}
-        self._faces = {}
         self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
         self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
+
+    # -- cells, numbered row-major by slot tuple
+
+    @cached_property
+    def cell_tuples(self):
+        return list(product(*map(range, self.divisions)))
+
+    def cell(self, cell_id):
+        """The box of one cell, from the grid."""
+        slots = self.cell_tuples[cell_id]
+        return CellBox(tuple(axis[j] for axis, j in zip(self.grid, slots)),
+                       tuple(axis[j + 1] for axis, j in zip(self.grid, slots)))
+
+    @cached_property
+    def cells(self):
+        return [self.cell(ci) for ci in range(self.n_cells)]
+
+    @cached_property
+    def _cell_id(self):
+        return {t: i for i, t in enumerate(self.cell_tuples)}
+
+    @cached_property
+    def cell_shapes(self):
+        """(shape id per cell id, first cell id per shape), shapes in first-cell order.
+
+        Each axis numbers its distinct slot widths in first-appearance
+        order; a cell's shape is its tuple of per-axis classes, so two cells
+        share a shape exactly when their widths are equal.
+        """
+        classes = []
+        for axis in self.grid:
+            seen = {}
+            classes.append([seen.setdefault(b - a, len(seen)) for a, b in zip(axis, axis[1:])])
+        codes = np.ravel_multi_index(np.ix_(*classes), [max(c) + 1 for c in classes]).ravel()
+        # classes in first-appearance order put the shapes' first cells in code order
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        return inverse.ravel(), first.tolist()
 
     # -- face lattice
 
     def faces(self, d):
         """All d-faces, lexicographic by (axes, position)."""
-        if not 0 <= d <= self.n:
-            raise ValueError(f"no {d}-faces in dimension {self.n}")
-        if d not in self._faces:
-            out = []
-            for axes in multi_indices(d, self.n):
-                tangential = set(axes)
-                ranges = [range(m) if (i + 1) in tangential else range(m + 1)
-                          for i, m in enumerate(self.divisions)]
-                out.extend(Face(axes, pos) for pos in product(*ranges))
-            self._faces[d] = out
-        return self._faces[d]
+        return face_dofs(d, self).faces
 
     def is_boundary(self, face):
         """True when the face lies in the boundary of the domain."""
-        for i, m in enumerate(self.divisions):
-            if (i + 1) not in face.axes and face.pos[i] in (0, m):
-                return True
-        return False
+        return any(i + 1 not in face.axes and p in (0, m)
+                   for i, (p, m) in enumerate(zip(face.pos, self.divisions)))
 
     def interior_faces(self, d):
         return [f for f in self.faces(d) if not self.is_boundary(f)]
 
     def cell_faces(self, cell_tuple, d):
         """The d-faces of one cell, lexicographic by (axes, corner offsets)."""
-        out = []
-        for axes in multi_indices(d, self.n):
-            normal = complement(axes, self.n)
-            for offsets in product((0, 1), repeat=len(normal)):
-                pos = list(cell_tuple)
-                for axis, off in zip(normal, offsets):
-                    pos[axis - 1] = cell_tuple[axis - 1] + off
-                out.append(Face(axes, tuple(pos)))
-        return out
+        return [Face(axes, tuple(map(sum, zip(cell_tuple, shift))))
+                for axes, shift in local_faces(self.n, d)]
 
     def cells_of_face(self, face):
         """Ids of the cells incident to a face."""
-        n = self.n
-        choices = []
-        for i in range(n):
-            if (i + 1) in face.axes:
-                choices.append((face.pos[i],))
-            else:
-                lo = face.pos[i] - 1
-                hi = face.pos[i]
-                choices.append(tuple(t for t in (lo, hi) if 0 <= t < self.divisions[i]))
+        choices = [(p,) if i + 1 in face.axes else [t for t in (p - 1, p) if 0 <= t < m]
+                   for i, (p, m) in enumerate(zip(face.pos, self.divisions))]
         return [self._cell_id[t] for t in product(*choices)]
 
     # -- geometry and integration on faces
@@ -134,11 +154,11 @@ class CubicalMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return prod(self.divisions)
 
     @property
     def h_max(self):
-        return max(max(c.widths) for c in self.cells)
+        return max(b - a for axis in self.grid for a, b in zip(axis, axis[1:]))
 
     @cached_property
     def float_centers(self):
@@ -155,30 +175,57 @@ def build_grid(domain, divisions):
     return CubicalMesh(domain, divisions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofTable:
-    """Face DOFs of degree k on a mesh: all k-faces, or the interior ones only."""
+    """Face DOFs of degree k on a mesh (all k-faces, or the interior ones only)."""
 
     k: int
-    faces: list       # the kept k-faces; DOF i is the integral over faces[i]
-    cell_dofs: list   # per cell: (local face number, DOF id) of its kept faces
+    divisions: tuple
+    keep: np.ndarray    # per k-face in face order: True where it carries a DOF
+    array: np.ndarray   # (cell, local face): the face's DOF id, -1 where it has none
 
     @property
     def n_dofs(self):
-        return len(self.faces)
+        return int(np.count_nonzero(self.keep))
+
+    @cached_property
+    def faces(self):
+        """The kept k-faces; DOF i is the integral over faces[i]."""
+        every = (Face(axes, pos) for axes in multi_indices(self.k, len(self.divisions))
+                 for pos in product(*map(range, _lattice_shape(self.divisions, axes))))
+        return list(compress(every, self.keep.tolist()))
+
+    @cached_property
+    def cell_dofs(self):
+        """Per cell: (local face number, DOF id) of its kept faces, as mutable lists."""
+        return [[(a, dof) for a, dof in enumerate(row) if dof >= 0]
+                for row in self.array.tolist()]
 
 
 def face_dofs(k, mesh, interior=False):
     """The mesh's table of k-face DOFs, built on first use and cached on the mesh.
 
     ``interior`` keeps only the faces off the domain boundary; DOFs are
-    numbered in face order either way.
+    numbered in face order either way: a face's id is its row-major offset
+    in its axes block of the lattice, its DOF id a cumulative sum of kept faces.
     """
     key = (k, interior)
     if key not in mesh.dof_tables:
-        faces = [f for f in mesh.faces(k) if not (interior and mesh.is_boundary(f))]
-        dof = {f: i for i, f in enumerate(faces)}
-        cell_dofs = [[(a, dof[f]) for a, f in enumerate(mesh.cell_faces(t, k)) if f in dof]
-                     for t in mesh.cell_tuples]
-        mesh.dof_tables[key] = DofTable(k, faces, cell_dofs)
+        n, divisions = mesh.n, mesh.divisions
+        if not 0 <= k <= n:
+            raise ValueError(f"no {k}-faces in dimension {n}")
+        slots = np.indices(divisions).reshape(n, -1, 1)
+        keep, ids = [], []
+        for axes in multi_indices(k, n):
+            mask = np.ones(_lattice_shape(divisions, axes), dtype=bool)
+            for i in range(n) if interior else ():
+                if i + 1 not in axes:
+                    mask[(slice(None),) * i + ([0, divisions[i]],)] = False
+            shifts = np.array([shift for a, shift in local_faces(n, k) if a == axes]).T
+            start = sum(map(len, keep))
+            ids.append(start + np.ravel_multi_index(slots + shifts[:, None], mask.shape))
+            keep.append(mask.ravel())
+        keep = np.concatenate(keep)
+        number = np.where(keep, np.cumsum(keep) - 1, -1)
+        mesh.dof_tables[key] = DofTable(k, divisions, keep, number[np.concatenate(ids, axis=1)])
     return mesh.dof_tables[key]

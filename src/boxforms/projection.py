@@ -1,4 +1,4 @@
-"""Cell-local adjoint projection onto Whitney forms, and its mesh version.
+"""Cell-local adjoint projection onto Whitney forms.
 
 The projector P maps a k-form w to the unique element of P1minus^k(K)
 that reproduces the boundary pairing ``<d., mu> - <., delta mu>`` against
@@ -94,20 +94,6 @@ def project_cell(omega, k, cell, order=5):
         return projector.project(omega)
     coeffs = projector.coefficients_from_field(omega, order=order)
     return coeffs, projector.trial
-
-
-def project_mesh(omega, k, mesh, order=5):
-    """Cell-wise projection over a mesh.
-
-    ``omega`` may be a single PolyForm (restricted to every cell), a list
-    with one PolyForm per cell, or a sampled field.  Returns the list of
-    per-cell results in mesh cell order.
-    """
-    per_cell = []
-    for i, cell in enumerate(mesh.cells):
-        local = omega[i] if isinstance(omega, (list, tuple)) else omega
-        per_cell.append(project_cell(local, k, cell, order=order))
-    return per_cell
 
 
 def commuting_gap(omega, proj, target, order=5, tol=1e-9):

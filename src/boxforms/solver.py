@@ -51,14 +51,24 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def basis_matrix(space):
     """Sparse float matrix with one column per space basis vector."""
-    data, rows, cols = [], [], []
-    for i, vec in enumerate(space.vectors):
-        for c, val in vec.items():
-            rows.append(c)
-            cols.append(i)
-            data.append(float(val))
-    return scipy.sparse.csc_matrix((data, (rows, cols)),
-                                   shape=(space.pw.ncols, space.dim))
+    starts = np.cumsum([0] + [len(vec) for vec in space.vectors])
+    rows = [c for vec in space.vectors for c in vec]
+    # the float of a Fraction, without its generic __float__
+    data = [v.numerator / v.denominator for vec in space.vectors for v in vec.values()]
+    return scipy.sparse.csc_matrix((data, rows, starts),
+                                   shape=(space.pw.ncols, space.dim)).sorted_indices()
+
+
+def broken_energy(pw):
+    """Block-diagonal float energy of the broken space: each cell's block is its shape's.
+
+    CSC with every block entry stored, zeros too: the layout of
+    ``scipy.sparse.block_diag``, so the Gram products round the same way.
+    """
+    blocks = np.stack([table.energy_float for _, table in local.shapes(pw.mesh, pw.k)])
+    cells = np.arange(pw.mesh.n_cells + 1)
+    return scipy.sparse.bsr_matrix((blocks[pw.mesh.cell_shapes[0]], cells[:-1], cells),
+                                   shape=(pw.ncols, pw.ncols)).tocsc()
 
 
 @dataclass
@@ -145,10 +155,9 @@ def _cell_members(space):
 
 def _gauss_grid(pw, quad_order):
     """Per cell shape: (cell ids, tabulation, Gauss points as (cell, point, axis))."""
-    shapes = {}
-    for ci in range(pw.mesh.n_cells):
-        shapes.setdefault(local.tables(pw.mesh, pw.k, ci), []).append(ci)
-    for table, ids in shapes.items():
+    shape_ids = pw.mesh.cell_shapes[0]
+    for shape, (_, table) in enumerate(local.shapes(pw.mesh, pw.k)):
+        ids = np.flatnonzero(shape_ids == shape)
         tab = table.tabulation(quad_order)
         yield ids, tab, pw.mesh.float_centers[ids][:, None, :] + tab.offsets
 
@@ -168,14 +177,14 @@ def _load_pw_float(pw, load, quad_order):
 
 
 def assemble(space, load, quad_order=5):
-    """Gram matrix and load vector over the given basis.
+    """Gram matrix ``V^T E V`` and load vector over the given basis.
 
-    ``load`` is a FormField (quadrature path) or a PolyForm, in which case
-    the load is also assembled exactly, in broken coordinates and over the
-    basis; the exact Gram matrix waits for ``G_exact``.  Raises when the
-    basis is dependent (prune generating sets before assembling);
-    independence is decided by exact elimination unless the space already
-    carries its proof.
+    V holds the basis vectors in broken coordinates and E is the broken
+    energy, each cell's block its shape's table, picked by shape id.
+    ``load`` is a FormField (quadrature path) or a PolyForm, then also
+    assembled exactly, in broken coordinates and over the basis; the exact
+    Gram waits for ``G_exact``.  Raises when the basis is dependent, as
+    decided by exact elimination unless the space carries its proof.
     """
     if not space.independent and len(independent_subset(space.vectors)) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
@@ -183,9 +192,7 @@ def assemble(space, load, quad_order=5):
     pw = space.pw
     mesh = pw.mesh
     v_mat = basis_matrix(space)
-    cell_tables = [local.tables(mesh, pw.k, ci) for ci in range(mesh.n_cells)]
-    big = scipy.sparse.block_diag([t.energy_float for t in cell_tables], format="csc")
-    gram = v_mat.T @ (big @ v_mat)
+    gram = v_mat.T @ (broken_energy(pw) @ v_mat)
     gram = ((gram + gram.T) / 2.0).tocsr()
 
     load_broken = f_exact = None

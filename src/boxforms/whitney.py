@@ -101,7 +101,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     """Assemble the constraint matrix; for k = n there are no constraints.
 
     Each test function is, on every cell, ``star(f_a)`` for a face function
-    f_a of Q1minus^(n-k-1) (see global_spaces.build_space), so a cell's
+    f_a of Q1minus^(n-k-1) (``local.LocalTables.face_functions``), so a cell's
     entries are its shape's ``local.gluing_pairings`` scattered
     through the face DOFs of degree n-k-1: interior faces only for
     interior-test, all faces for full-test.  Rows are dense lists of
@@ -172,13 +172,14 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     pw = pw or PiecewiseWhitney(k, mesh)
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
     vectors = [{} for _ in range(dofs.n_dofs)]
-    for ci, cell_dofs in enumerate(dofs.cell_dofs):
+    for ci, row in enumerate(dofs.array.tolist()):
         patterns = local.tables(mesh, k, ci).patterns
         base = pw.col(ci, 0)
-        for a, dof in cell_dofs:
-            for j, c in enumerate(patterns[a]):
-                if c:
-                    vectors[dof][base + j] = c
+        for a, dof in enumerate(row):
+            if dof >= 0:
+                for j, c in enumerate(patterns[a]):
+                    if c:
+                        vectors[dof][base + j] = c
     return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
 
 

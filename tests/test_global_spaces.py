@@ -7,11 +7,53 @@ from test_mesh import GRADED, graded_mesh
 from boxforms import spaces
 from boxforms.exactla import rank
 from boxforms.forms import PolyForm, Polynomial
-from boxforms.global_spaces import (VQ, VQ0, VQSTAR, VQSTAR0, build_space,
-                                    check_conforming_complex, check_unisolvence)
+from boxforms.global_spaces import (VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex,
+                                    check_unisolvence)
 from boxforms.local import face_dof_matrix, tables
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
+
+
+# -- the conforming spaces as global objects, with one local expansion per cell:
+# the references the per-shape checks are tested against
+
+
+class GlobalSpace:
+    """Global-DOF space with cell-local PolyForm expansions."""
+
+    def __init__(self, kind, k, mesh, dof_faces, cell_expansions):
+        self.kind = kind
+        self.k = k
+        self.mesh = mesh
+        self.dof_faces = dof_faces
+        self.ndof = len(dof_faces)
+        self.cell_expansions = cell_expansions  # per cell: {dof id: PolyForm}
+        self.supports = [[] for _ in range(self.ndof)]
+        for ci, expansion in enumerate(cell_expansions):
+            for dof in expansion:
+                self.supports[dof].append(ci)
+
+
+def build_space(kind, k, mesh):
+    """Assemble a global space; N counts k-faces (or (n-k)-faces for star kinds)."""
+    n = mesh.n
+    if kind in (VQSTAR, VQSTAR0):
+        primal = build_space(VQ if kind == VQSTAR else VQ0, n - k, mesh)
+        expansions = [{dof: form.hodge() for dof, form in expansion.items()}
+                      for expansion in primal.cell_expansions]
+        return GlobalSpace(kind, k, mesh, primal.dof_faces, expansions)
+    if kind not in (VQ, VQ0):
+        raise ValueError(f"unknown global space kind {kind!r}")
+    table = face_dofs(k, mesh, interior=kind == VQ0)
+    # per cell, the local basis dual to the face DOFs: congruent cells share
+    # the dual coefficients, only the centered basis differs
+    expansions = []
+    for ci, cell in enumerate(mesh.cells):
+        local = spaces.basis(spaces.Q1MINUS, k, cell)
+        shape = tables(mesh, k, ci)
+        expansions.append({dof: shape.face_function(local, a) for a, dof in table.cell_dofs[ci]})
+    return GlobalSpace(kind, k, mesh, table.faces, expansions)
+
 
 def expand_in_face_dofs(space, pw_forms):
     """Coefficients of a conforming piecewise form in the global basis.

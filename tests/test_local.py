@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_mesh import GRADED, graded_mesh
 
 from boxforms import spaces
 from boxforms.exactla import invert
 from boxforms.fields import manufactured
 from boxforms.indices import multi_indices
-from boxforms.local import local_energy_matrix, tables
+from boxforms.local import local_energy_matrix, shapes, tables
 from boxforms.mesh import build_grid
 from boxforms.projection import LocalProjector
 from boxforms.quadrature import box_rule, polyform_values
@@ -209,3 +210,39 @@ def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[0] == counts[1]
+
+
+# -- the shape map from the grid, against hashing every cell's widths
+
+
+def reference_shapes(mesh):
+    """First cell id of each distinct ``cell.widths``, in cell order."""
+    first = {}
+    for ci, cell in enumerate(mesh.cells):
+        first.setdefault(cell.widths, ci)
+    return list(first.values())
+
+
+#: GRADED, uniform, and widths that recur after others on each axis
+SHAPE_MESHES = {
+    **{f"graded-{name}": (lambda bp=bp: graded_mesh(bp)) for name, bp in GRADED.items()},
+    "uniform-2d": lambda: MESHES[0],
+    "uniform-3d": lambda: MESHES[1],
+    "graded-2d-recurring": lambda: graded_mesh(([0, 1, 2, "5/2", 3, 4], [0, 2, 3, 5])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_MESHES))
+def test_one_table_per_shape_of_the_grid(name):
+    mesh = SHAPE_MESHES[name]()
+    first = reference_shapes(mesh)
+    first_of = {mesh.cells[ci].widths: ci for ci in first}
+    for k in range(mesh.n + 1):
+        assert [ci for ci, _ in shapes(mesh, k)] == first
+        for ci, table in shapes(mesh, k):
+            assert table is tables(mesh, k, ci) and table.cell == mesh.cells[ci]
+        for ci, cell in enumerate(mesh.cells):
+            table = tables(mesh, k, ci)
+            assert table.cell == mesh.cells[first_of[cell.widths]]
+            for cj, other in enumerate(mesh.cells):
+                assert (tables(mesh, k, cj) is table) == (other.widths == cell.widths)

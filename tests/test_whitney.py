@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 from test_exactla import reference_independent_subset
-from test_global_spaces import CHECK_MESHES
+from test_global_spaces import CHECK_MESHES, build_space
 from test_mesh import GRADED, graded_mesh
 
 from boxforms import forms as forms_module
@@ -14,7 +14,7 @@ from boxforms import local, mesh as mesh_module, projection
 from boxforms import whitney as whitney_module
 from boxforms.exactla import nullspace, rank, spans_equal
 from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
-from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, build_space, check_conforming_complex
+from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
 from boxforms.solver import assemble
