@@ -20,7 +20,7 @@ from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
 from .verify import run_verify
-from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, build_constraints,
+from .whitney import (FLAVORS, FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, build_constraints,
                       interpolated_generating_set, kernel_space, summarize)
 
 _FLAVOR_NAMES = {"interior": INTERIOR_TEST, "full": FULL_TEST}
@@ -275,11 +275,12 @@ def cmd_basis(args):
     mesh = build_grid([[0, 1]] * args.dim, divisions)
     k = args.k if args.k is not None else 0
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else INTERIOR_TEST
-    constraints = build_constraints(k, mesh, flavor)
-    if constraints.ncols > args.dump_limit:
+    pw = PiecewiseWhitney(k, mesh)
+    if pw.ncols > args.dump_limit:
         raise SystemExit(_usage_error(
-            f"broken space has {constraints.ncols} coordinates > --dump-limit "
+            f"broken space has {pw.ncols} coordinates > --dump-limit "
             f"{args.dump_limit}; pick a smaller grid or raise the limit"))
+    constraints = build_constraints(k, mesh, flavor, pw=pw)
     kernel = kernel_space(constraints)
     generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
     summary = summarize(constraints, kernel, generators)

@@ -193,22 +193,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def substitute(self, i, value):
-        """Freeze x_i at an exact value (1-based); exponent folds into the coefficient."""
-        v = ratio(value)
-        out = {}
-        for e, c in self.coeffs.items():
-            p = e[i - 1]
-            c = c * v ** p if p else c
-            if c:
-                e = e[: i - 1] + (0,) + e[i:]
-                s = out.get(e, 0) + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.n, out)
-
     def translate(self, shift):
         """Substitute x_i -> x_i + shift_i for all axes."""
         out = self

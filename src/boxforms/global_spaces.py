@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactla import rank
 from .forms import PolyForm
-from .local import face_dof_matrix, shapes, tables
+from .local import shapes, tables
 from .mesh import face_dofs
 from .reports import CheckReport
 
@@ -37,7 +37,7 @@ def check_unisolvence(mesh, k):
     every cell; a failure names the shape's first cell.
     """
     for ci, shape in shapes(mesh, k):
-        if rank(face_dof_matrix(shape.cell, shape.q_basis)) != len(shape.q_basis):
+        if rank(shape.vandermonde) != len(shape.q_basis):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {mesh.cell_tuples[ci]}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)

@@ -4,13 +4,13 @@ Local bases are centered monomial forms ``prod (x_i - c_i)^tau_i dx^sigma``,
 so a cell's local matrices, its gluing pairings with the Hodge duals of
 the face functions, and its basis values at its own Gauss points depend
 only on its widths.  A :class:`LocalTables` is a function of a degree k
-and one cell box alone; it knows no mesh.  :func:`tables` builds one per
-shape, on its first cell, and caches them on the mesh in a list indexed
-by cell id and filled from the shape ids that ``CubicalMesh.cell_shapes``
-reads off the grid, so no other cell's box is built and none is hashed.
-Its exact matrices are tables of ``CellBox.pairing_table``, equal to every
-congruent cell's as Fractions; its float tabulations equal them up to
-rounding.
+and one cell box alone; it knows no mesh, and its face DOFs integrate over
+the faces of that box.  :func:`tables` builds one per shape, on its first
+cell, and caches them on the mesh in a list indexed by cell id and filled
+from the shape ids that ``CubicalMesh.cell_shapes`` reads off the grid, so
+no other cell's box is built and none is hashed.  Its exact matrices are
+tables of ``CellBox.pairing_table``, equal to every congruent cell's as
+Fractions; its float tabulations equal them up to rounding.
 """
 
 from collections import namedtuple
@@ -21,7 +21,7 @@ import numpy as np
 from . import spaces
 from .exactla import invert
 from .forms import PolyForm, adjoint_table
-from .mesh import CubicalMesh, Face, local_faces
+from .mesh import local_faces
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
 
@@ -32,12 +32,17 @@ def local_energy_matrix(basis, cell):
     return cell.pairing_table(entries, entries)
 
 
+def face_plane(cell, axes, shift):
+    """The frozen normal coordinates of a local face: lo at offset 0, hi at offset 1."""
+    return {i: (cell.hi if s else cell.lo)[i] for i, s in enumerate(shift) if i + 1 not in axes}
+
+
 def face_dof_matrix(cell, forms):
-    """Face DOFs of same-degree forms on one cell: rows in local face order."""
-    # the one-cell mesh of the box, whose cell is the box itself (and its moment tables)
-    box = CubicalMesh(cell, (1,) * cell.n)
-    box.cells = [cell]
-    return [[box.face_dof(Face(axes, shift), phi) for phi in forms]
+    """Face DOFs of same-degree forms on one cell, rows in local face order: on
+    face a, the integral of the trace, the pairing with dx^axes on the face plane."""
+    right = [(phi,) for phi in forms]
+    return [cell.pairing_table([(PolyForm.covector(cell.n, axes),)], right,
+                               face_plane(cell, axes, shift))[0]
             for axes, shift in local_faces(cell.n, forms[0].k)]
 
 
@@ -86,9 +91,14 @@ class LocalTables:
         return spaces.basis(spaces.Q1MINUS, self.k, self.cell)
 
     @cached_property
+    def vandermonde(self):
+        """Face-DOF Vandermonde of Q1minus^k: row a, the DOFs on local face a."""
+        return face_dof_matrix(self.cell, self.q_basis)
+
+    @cached_property
     def vandermonde_inverse(self):
         """Inverse face-DOF Vandermonde of Q1minus^k; column a gives face function a."""
-        return invert(face_dof_matrix(self.cell, self.q_basis))
+        return invert(self.vandermonde)
 
     def face_function(self, local, a):
         """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""

@@ -4,31 +4,25 @@ A d-face is identified by its tuple of tangential axes (ascending) and a
 lattice position: cell slots along tangential axes, grid planes along the
 others.  Faces are numbered lexicographically by (axes, position), cells
 row-major by slot tuple, so both numberings are index arithmetic on
-``divisions``.  Every face carries the ascending-axes orientation, so a
-cell and a face never disagree on it; the face functional used for the
-tensor-product spaces is the (unnormalized) integral of the trace over the
-face.  ``Face`` objects, ``cells`` and the cell-id lookup are built only
-for the exact callers that read them.  A cell's shape is its tuple of
-per-axis width classes, read off ``grid``.  Face-DOF tables hold no
-reference to the mesh.
+``divisions``, and a cell's faces are offsets in the lattice: the rows
+of a face-DOF table.  Every face carries the ascending-axes orientation,
+so a cell and a face never disagree on it; the face functional is the
+(unnormalized) integral of the trace over the face, taken on a cell's own
+box (``local.face_dof_matrix``).  ``cells`` is built only for the exact
+callers that read it.  A cell's shape is its tuple of per-axis width
+classes, read off ``grid``.  Face-DOF tables hold no reference to the mesh.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, product
+from itertools import product
 from math import prod
 
 import numpy as np
 
 from .forms import CellBox, ratio
 from .indices import complement, multi_indices
-
-
-@dataclass(frozen=True)
-class Face:
-    axes: tuple  # tangential axes, ascending, 1-based
-    pos: tuple   # length n lattice position
 
 
 @lru_cache(maxsize=None)
@@ -38,11 +32,6 @@ def local_faces(n, d):
     return [(axes, tuple(dict(zip(complement(axes, n), offsets)).get(i, 0)
                          for i in range(1, n + 1)))
             for axes in multi_indices(d, n) for offsets in product((0, 1), repeat=n - d)]
-
-
-def _lattice_shape(divisions, axes):
-    """Positions of the faces with these tangential axes: slots along them, planes across."""
-    return tuple(m if i + 1 in axes else m + 1 for i, m in enumerate(divisions))
 
 
 class CubicalMesh:
@@ -82,10 +71,6 @@ class CubicalMesh:
         return [self.cell(ci) for ci in range(self.n_cells)]
 
     @cached_property
-    def _cell_id(self):
-        return {t: i for i, t in enumerate(self.cell_tuples)}
-
-    @cached_property
     def cell_shapes(self):
         """(shape id per cell id, first cell id per shape), shapes in first-cell order.
 
@@ -101,54 +86,6 @@ class CubicalMesh:
         # classes in first-appearance order put the shapes' first cells in code order
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         return inverse.ravel(), first.tolist()
-
-    # -- face lattice
-
-    def faces(self, d):
-        """All d-faces, lexicographic by (axes, position)."""
-        return face_dofs(d, self).faces
-
-    def is_boundary(self, face):
-        """True when the face lies in the boundary of the domain."""
-        return any(i + 1 not in face.axes and p in (0, m)
-                   for i, (p, m) in enumerate(zip(face.pos, self.divisions)))
-
-    def interior_faces(self, d):
-        return [f for f in self.faces(d) if not self.is_boundary(f)]
-
-    def cell_faces(self, cell_tuple, d):
-        """The d-faces of one cell, lexicographic by (axes, corner offsets)."""
-        return [Face(axes, tuple(map(sum, zip(cell_tuple, shift))))
-                for axes, shift in local_faces(self.n, d)]
-
-    def cells_of_face(self, face):
-        """Ids of the cells incident to a face."""
-        choices = [(p,) if i + 1 in face.axes else [t for t in (p - 1, p) if 0 <= t < m]
-                   for i, (p, m) in enumerate(zip(face.pos, self.divisions))]
-        return [self._cell_id[t] for t in product(*choices)]
-
-    # -- geometry and integration on faces
-
-    def integrate_on_face(self, face, poly):
-        """Exact integral of a polynomial over the face (trace measure).
-
-        Normal coordinates are frozen at the face plane; a 0-face integral
-        is point evaluation.  The face is one of the faces of a cell, whose
-        moment tables serve the tangential axes.
-        """
-        cell = self.cells[self._cell_id[tuple(min(p, m - 1)
-                                              for p, m in zip(face.pos, self.divisions))]]
-        frozen = {i: self.grid[i][face.pos[i]] for i in range(self.n) if (i + 1) not in face.axes}
-        return cell.integrate(poly, frozen)
-
-    def face_dof(self, face, omega):
-        """Integral of the trace of a k-form over a k-face (ascending orientation)."""
-        if omega.k != len(face.axes):
-            raise ValueError("form degree must match face dimension")
-        poly = omega.parts.get(face.axes)
-        if poly is None:
-            return Fraction(0)
-        return self.integrate_on_face(face, poly)
 
     # -- size measures
 
@@ -179,21 +116,12 @@ def build_grid(domain, divisions):
 class DofTable:
     """Face DOFs of degree k on a mesh (all k-faces, or the interior ones only)."""
 
-    k: int
-    divisions: tuple
     keep: np.ndarray    # per k-face in face order: True where it carries a DOF
     array: np.ndarray   # (cell, local face): the face's DOF id, -1 where it has none
 
     @property
     def n_dofs(self):
         return int(np.count_nonzero(self.keep))
-
-    @cached_property
-    def faces(self):
-        """The kept k-faces; DOF i is the integral over faces[i]."""
-        every = (Face(axes, pos) for axes in multi_indices(self.k, len(self.divisions))
-                 for pos in product(*map(range, _lattice_shape(self.divisions, axes))))
-        return list(compress(every, self.keep.tolist()))
 
     @cached_property
     def cell_dofs(self):
@@ -217,7 +145,8 @@ def face_dofs(k, mesh, interior=False):
         slots = np.indices(divisions).reshape(n, -1, 1)
         keep, ids = [], []
         for axes in multi_indices(k, n):
-            mask = np.ones(_lattice_shape(divisions, axes), dtype=bool)
+            # face positions with these tangential axes: slots along them, planes across
+            mask = np.ones([m + (i + 1 not in axes) for i, m in enumerate(divisions)], dtype=bool)
             for i in range(n) if interior else ():
                 if i + 1 not in axes:
                     mask[(slice(None),) * i + ([0, divisions[i]],)] = False
@@ -227,5 +156,5 @@ def face_dofs(k, mesh, interior=False):
             keep.append(mask.ravel())
         keep = np.concatenate(keep)
         number = np.where(keep, np.cumsum(keep) - 1, -1)
-        mesh.dof_tables[key] = DofTable(k, divisions, keep, number[np.concatenate(ids, axis=1)])
+        mesh.dof_tables[key] = DofTable(keep, number[np.concatenate(ids, axis=1)])
     return mesh.dof_tables[key]

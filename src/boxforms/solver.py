@@ -120,10 +120,6 @@ class DiscreteProblem:
     def size(self):
         return len(self.F)
 
-    def energy_norm(self, coeffs):
-        v = np.asarray(coeffs, dtype=float)
-        return math.sqrt(max(float(v @ (self.G @ v)), 0.0))
-
     @cached_property
     def factor(self):
         """Sparse LU factorization of G, made on first use."""

@@ -31,7 +31,7 @@ from . import local, spaces
 from .exactla import independent_subset, kernel_vectors, nullspace, rank, spans_equal
 from .forms import PolyForm
 from .global_spaces import VQ, VQ0
-from .mesh import face_dofs
+from .mesh import face_dofs, local_faces
 from .reports import CheckReport
 
 INTERIOR_TEST = "interior-test"
@@ -291,20 +291,28 @@ def _square_gap(shape, shape_up, a):
 
 
 def mean_jump_rows(mesh, pw):
-    """Zero-mean-jump functionals across interior facets (0-forms only)."""
+    """Zero-mean-jump functionals across interior facets (0-forms only).
+
+    Per shape, the facet integrals of the basis: + where the facet is at
+    normal offset 1, - at offset 0; scattered through the facet DOFs.
+    """
     if pw.k != 0:
         raise ValueError("mean-jump description applies to 0-forms")
-    rows = []
-    for face in mesh.interior_faces(mesh.n - 1):
-        cells = sorted(mesh.cells_of_face(face))
-        lo, hi = cells
-        row = [Fraction(0)] * pw.ncols
-        for sign, ci in ((1, lo), (-1, hi)):
-            for j, phi in enumerate(pw.bases[ci]):
-                poly = phi.parts.get((), None)
-                if poly is not None:
-                    row[pw.col(ci, j)] = sign * mesh.integrate_on_face(face, poly)
-        rows.append(row)
+    n = mesh.n
+    one = [(PolyForm.covector(n, ()),)]
+    jumps = []
+    for _, shape in local.shapes(mesh, 0):
+        right = [(phi,) for phi in shape.basis]
+        jumps.append([[v if sum(shift) else -v for v in shape.cell.pairing_table(
+                           one, right, local.face_plane(shape.cell, axes, shift))[0]]
+                      for axes, shift in local_faces(n, n - 1)])
+    dofs = face_dofs(n - 1, mesh, interior=True)
+    rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
+    for ci, (s, row) in enumerate(zip(mesh.cell_shapes[0].tolist(), dofs.array.tolist())):
+        base = pw.col(ci, 0)
+        for a, dof in enumerate(row):
+            if dof >= 0:
+                rows[dof][base:base + pw.dim_local] = jumps[s][a]
     return rows
 
 

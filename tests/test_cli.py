@@ -183,6 +183,19 @@ def test_basis_dump_limit():
     assert "dump-limit" in err
 
 
+def test_basis_dump_limit_is_checked_before_the_constraints(monkeypatch):
+    # 14^3 cells: the dense constraint matrix alone would take hundreds of MB
+    from boxforms import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_constraints called")
+
+    monkeypatch.setattr(cli, "build_constraints", refuse)
+    code, out, err = run_cli(["basis", "--dim", "3", "--grid", "14,14,14"])
+    assert code == 2 and out == ""
+    assert "broken space has 10976 coordinates > --dump-limit" in err
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim = 1\nlevels = 2\nk = 0\n")

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from test_mesh import GRADED, graded_mesh
+from test_mesh import GRADED, cells_of_face, dof_faces, face_dof, graded_mesh, is_boundary
 
 from boxforms import spaces
 from boxforms.exactla import rank
@@ -52,7 +52,7 @@ def build_space(kind, k, mesh):
         local = spaces.basis(spaces.Q1MINUS, k, cell)
         shape = tables(mesh, k, ci)
         expansions.append({dof: shape.face_function(local, a) for a, dof in table.cell_dofs[ci]})
-    return GlobalSpace(kind, k, mesh, table.faces, expansions)
+    return GlobalSpace(kind, k, mesh, dof_faces(k, mesh, interior=kind == VQ0), expansions)
 
 
 def expand_in_face_dofs(space, pw_forms):
@@ -65,7 +65,7 @@ def expand_in_face_dofs(space, pw_forms):
     coeffs = [Fraction(0)] * space.ndof
     for dof, face in enumerate(space.dof_faces):
         if space.supports[dof]:
-            coeffs[dof] = mesh.face_dof(face, pw_forms[space.supports[dof][0]])
+            coeffs[dof] = face_dof(mesh, face, pw_forms[space.supports[dof][0]])
     return coeffs
 
 
@@ -104,9 +104,9 @@ def test_dof_duality():
     for ci, tup in enumerate(MESH2.cell_tuples):
         for dof, form in space.cell_expansions[ci].items():
             for gid_face, face in enumerate(space.dof_faces):
-                if ci not in MESH2.cells_of_face(face):
+                if ci not in cells_of_face(MESH2, face):
                     continue
-                value = MESH2.face_dof(face, form)
+                value = face_dof(MESH2, face, form)
                 assert value == (1 if gid_face == dof else 0)
 
 
@@ -114,7 +114,7 @@ def test_boundary_restriction():
     full = build_space(VQ, 1, MESH2)
     restricted = build_space(VQ0, 1, MESH2)
     assert restricted.ndof == 4
-    assert all(not MESH2.is_boundary(f) for f in restricted.dof_faces)
+    assert all(not is_boundary(MESH2, f) for f in restricted.dof_faces)
 
 
 def test_star_spaces_are_cellwise_hodge():
@@ -156,12 +156,12 @@ def test_star_chain_inclusion(mesh):
             # candidate coefficients via the primal face DOFs of the un-starred image
             coeffs = {}
             for low_dof, face in enumerate(lower.dof_faces):
-                cells = [c for c in mesh.cells_of_face(face) if c in image]
+                cells = [c for c in cells_of_face(mesh, face) if c in image]
                 if not cells:
                     continue
                 primal_form = image[cells[0]].hodge()
                 scale = (-1) ** ((n - (k - 1)) * (k - 1))  # undo double star
-                value = mesh.face_dof(face, scale * primal_form)
+                value = face_dof(mesh, face, scale * primal_form)
                 if value:
                     coeffs[low_dof] = value
             for ci in range(mesh.n_cells):
@@ -208,10 +208,10 @@ def _d_coefficients(space, space_up, dof):
     mesh = space.mesh
     coeffs = {}
     for up_dof, face in enumerate(space_up.dof_faces):
-        cells = [c for c in mesh.cells_of_face(face) if dof in space.cell_expansions[c]]
+        cells = [c for c in cells_of_face(mesh, face) if dof in space.cell_expansions[c]]
         if not cells:
             continue
-        value = mesh.face_dof(face, space.cell_expansions[cells[0]][dof].exterior_derivative())
+        value = face_dof(mesh, face, space.cell_expansions[cells[0]][dof].exterior_derivative())
         if value:
             coeffs[up_dof] = value
     return coeffs

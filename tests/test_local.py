@@ -2,22 +2,25 @@
 quadrature contractions against the per-cell loops they replaced."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_mesh import GRADED, graded_mesh
+from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
 
-from boxforms import spaces
+from boxforms import local, spaces
 from boxforms.exactla import invert
 from boxforms.fields import manufactured
+from boxforms.global_spaces import check_unisolvence
 from boxforms.indices import multi_indices
-from boxforms.local import local_energy_matrix, shapes, tables
-from boxforms.mesh import build_grid
+from boxforms.local import LocalTables, face_dof_matrix, local_energy_matrix, shapes, tables
+from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.projection import LocalProjector
 from boxforms.quadrature import box_rule, polyform_values
 from boxforms.solver import (assemble, broken_error, build_solver_space,
                              conjugate_gradient, consistency_residual, flavor_for, solve)
+from boxforms.verify import random_box
 
 MESHES = [
     build_grid([[0, 1], [0, 3]], (3, 2)),
@@ -36,8 +39,8 @@ def _cell_data(mesh, k, ci):
         d_matrix = [spaces.expand_in_span(target, phi.exterior_derivative())
                     for phi in whitney]
     q = spaces.basis(spaces.Q1MINUS, k, cell)
-    faces = mesh.cell_faces(mesh.cell_tuples[ci], k)
-    vinv = invert([[mesh.face_dof(f, phi) for phi in q] for f in faces])
+    faces = cell_faces(mesh, mesh.cell_tuples[ci], k)
+    vinv = invert([[face_dof(mesh, f, phi) for phi in q] for f in faces])
     projector = LocalProjector(k, cell)
     patterns = []
     for a in range(len(faces)):
@@ -246,3 +249,74 @@ def test_one_table_per_shape_of_the_grid(name):
             assert table.cell == mesh.cells[first_of[cell.widths]]
             for cj, other in enumerate(mesh.cells):
                 assert (tables(mesh, k, cj) is table) == (other.widths == cell.widths)
+
+
+# -- the face-DOF matrix of the one-cell mesh of the box, which the pairing
+# table on the box itself replaced
+
+
+def reference_face_dof_matrix(cell, forms):
+    """Face DOFs entry by entry, on the one-cell mesh whose cell is the box itself."""
+    box = CubicalMesh(cell, (1,) * cell.n)
+    box.cells = [cell]
+    return [[face_dof(box, face, phi) for phi in forms]
+            for face in cell_faces(box, (0,) * cell.n, forms[0].k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_dof_matrix_matches_the_one_cell_mesh_build(n):
+    rng = random.Random(300 + n)
+    for _ in range(3 if n < 4 else 2):
+        cell = random_box(n, rng)
+        for k in range(n + 1):
+            families = [list(spaces.basis(kind, k, cell))
+                        for kind in (spaces.Q1MINUS, spaces.P1MINUS)]
+            if k < n:
+                families.append([f.exterior_derivative()
+                                 for f in LocalTables(k, cell).face_functions])
+            for forms in families:
+                assert face_dof_matrix(cell, forms) == reference_face_dof_matrix(cell, forms), k
+
+
+def test_face_dofs_build_no_mesh(monkeypatch):
+    # unisolvence, the Vandermonde inverse and the incidence table integrate on
+    # the cell's own box: no one-cell mesh is made for them
+    meshes = [build_grid([[0, 1], [0, 3]], (3, 2)), graded_mesh(GRADED["3d"])]
+    made = []
+    real_init = CubicalMesh.__init__
+
+    def init(mesh, domain, divisions):
+        made.append(divisions)
+        real_init(mesh, domain, divisions)
+
+    monkeypatch.setattr(CubicalMesh, "__init__", init)
+    for mesh in meshes:
+        for k in range(mesh.n + 1):
+            assert check_unisolvence(mesh, k).passed
+            for _, shape in shapes(mesh, k):
+                assert LocalTables(k, shape.cell).vandermonde_inverse == \
+                    shape.vandermonde_inverse
+                if k < mesh.n:
+                    assert LocalTables(k, shape.cell).incidence
+    assert made == []
+    build_grid([[0, 1]], (2,))
+    assert made == [(2,)]
+
+
+def test_the_vandermonde_is_built_once_per_shape(monkeypatch):
+    # check_unisolvence takes its rank and the face functions invert it; its
+    # rows are counted by the freezing of each local face's normal coordinates
+    mesh = graded_mesh(GRADED["2d"])
+    rows = []
+    real = local.face_plane
+
+    def counting(cell, axes, shift):
+        rows.append(cell.widths)
+        return real(cell, axes, shift)
+
+    monkeypatch.setattr(local, "face_plane", counting)
+    assert check_unisolvence(mesh, 1).passed
+    for ci in range(mesh.n_cells):
+        tables(mesh, 1, ci).vandermonde_inverse
+    widths = [cell.widths for cell in mesh.cells]
+    assert rows == [w for i, w in enumerate(widths) if w not in widths[:i] for _ in range(4)]

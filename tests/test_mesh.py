@@ -1,14 +1,86 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import prod
 
 import pytest
 
 from boxforms.forms import CellBox, Polynomial
 from boxforms.indices import multi_indices
-from boxforms.mesh import Face, build_grid, face_dofs
+from boxforms.mesh import build_grid, face_dofs
 from boxforms.spaces import Q1MINUS, basis
+
+
+# -- the face object model: faces as (axes, position) objects with per-face
+# lookups, the reference the face lattice of face_dofs is tested against
+
+
+@dataclass(frozen=True)
+class Face:
+    axes: tuple  # tangential axes, ascending, 1-based
+    pos: tuple   # length n lattice position
+
+
+def faces(mesh, d):
+    """All d-faces, lexicographic by (axes, position)."""
+    return [Face(axes, pos) for axes in multi_indices(d, mesh.n)
+            for pos in product(*(range(m) if i + 1 in axes else range(m + 1)
+                                 for i, m in enumerate(mesh.divisions)))]
+
+
+def is_boundary(mesh, face):
+    """True when the face lies in the boundary of the domain."""
+    return any(i + 1 not in face.axes and p in (0, m)
+               for i, (p, m) in enumerate(zip(face.pos, mesh.divisions)))
+
+
+def interior_faces(mesh, d):
+    return [f for f in faces(mesh, d) if not is_boundary(mesh, f)]
+
+
+def cell_faces(mesh, cell_tuple, d):
+    """The d-faces of one cell, lexicographic by (axes, corner offsets)."""
+    local = []
+    for axes in multi_indices(d, mesh.n):
+        normal = [i for i in range(mesh.n) if i + 1 not in axes]
+        for offsets in product((0, 1), repeat=len(normal)):
+            pos = list(cell_tuple)
+            for i, off in zip(normal, offsets):
+                pos[i] += off
+            local.append(Face(axes, tuple(pos)))
+    return local
+
+
+def cells_of_face(mesh, face):
+    """Ids of the cells incident to a face."""
+    choices = [(p,) if i + 1 in face.axes else [t for t in (p - 1, p) if 0 <= t < m]
+               for i, (p, m) in enumerate(zip(face.pos, mesh.divisions))]
+    return [mesh.cell_tuples.index(t) for t in product(*choices)]
+
+
+def integrate_on_face(mesh, face, poly):
+    """Exact integral of a polynomial over the face (trace measure).
+
+    Normal coordinates are frozen at the face plane; a 0-face integral is
+    point evaluation.  An incident cell's box serves the tangential axes.
+    """
+    slots = tuple(min(p, m - 1) for p, m in zip(face.pos, mesh.divisions))
+    frozen = {i: mesh.grid[i][face.pos[i]] for i in range(mesh.n) if i + 1 not in face.axes}
+    return mesh.cells[mesh.cell_tuples.index(slots)].integrate(poly, frozen)
+
+
+def face_dof(mesh, face, omega):
+    """Integral of the trace of a k-form over a k-face (ascending orientation)."""
+    if omega.k != len(face.axes):
+        raise ValueError("form degree must match face dimension")
+    poly = omega.parts.get(face.axes)
+    return Fraction(0) if poly is None else integrate_on_face(mesh, face, poly)
+
+
+def dof_faces(k, mesh, interior=False):
+    """The faces of the mesh's face-DOF table in DOF order: DOF i integrates over face i."""
+    return list(compress(faces(mesh, k), face_dofs(k, mesh, interior).keep.tolist()))
 
 
 def aspect_ratio(mesh):
@@ -58,26 +130,26 @@ def expected_face_count(divisions, d):
 def test_spec_counts_2d():
     mesh = build_grid([[0, 1], [0, 1]], (2, 2))
     assert mesh.n_cells == 4
-    assert len(mesh.faces(1)) == 12
-    assert len(mesh.faces(0)) == 9
-    assert len(mesh.interior_faces(1)) == 4
-    assert len(mesh.interior_faces(0)) == 1
+    assert len(faces(mesh, 1)) == 12
+    assert len(faces(mesh, 0)) == 9
+    assert len(interior_faces(mesh, 1)) == 4
+    assert len(interior_faces(mesh, 0)) == 1
 
 
 def test_spec_counts_3d():
     mesh = build_grid([[0, 1]] * 3, (2, 2, 2))
     assert mesh.n_cells == 8
-    assert len(mesh.faces(2)) == 36
-    assert len(mesh.interior_faces(2)) == 12
-    assert len(mesh.faces(1)) == 54
-    assert len(mesh.faces(0)) == 27
+    assert len(faces(mesh, 2)) == 36
+    assert len(interior_faces(mesh, 2)) == 12
+    assert len(faces(mesh, 1)) == 54
+    assert len(faces(mesh, 0)) == 27
 
 
 def test_spec_counts_1d():
     mesh = build_grid([[0, 1]], (4,))
     assert mesh.n_cells == 4
-    assert len(mesh.faces(0)) == 5
-    assert len(mesh.interior_faces(0)) == 3
+    assert len(faces(mesh, 0)) == 5
+    assert len(interior_faces(mesh, 0)) == 3
 
 
 def test_bad_divisions():
@@ -94,20 +166,20 @@ def test_face_count_formula_random_divisions(seed):
     divisions = tuple(rng.randint(1, 4) for _ in range(n))
     mesh = build_grid([[0, rng.randint(1, 3)] for _ in range(n)], divisions)
     for d in range(n + 1):
-        assert len(mesh.faces(d)) == expected_face_count(divisions, d)
+        assert len(faces(mesh, d)) == expected_face_count(divisions, d)
     assert mesh.n_cells == prod(divisions)
 
 
 def test_facet_incidence():
     mesh = build_grid([[0, 1], [0, 2], [0, 1]], (2, 3, 2))
     n = mesh.n
-    for face in mesh.faces(n - 1):
-        owners = mesh.cells_of_face(face)
-        assert len(owners) == (1 if mesh.is_boundary(face) else 2)
+    for face in faces(mesh, n - 1):
+        owners = cells_of_face(mesh, face)
+        assert len(owners) == (1 if is_boundary(mesh, face) else 2)
     # every cell's facet list is consistent with cells_of_face
     for ci, tup in enumerate(mesh.cell_tuples):
-        for face in mesh.cell_faces(tup, n - 1):
-            assert ci in mesh.cells_of_face(face)
+        for face in cell_faces(mesh, tup, n - 1):
+            assert ci in cells_of_face(mesh, face)
 
 
 def test_cells_congruent_for_uniform_divisions():
@@ -120,15 +192,14 @@ def test_cells_congruent_for_uniform_divisions():
 def test_face_integration_and_dof():
     mesh = build_grid([[0, 2], [0, 2]], (2, 2))
     # vertical edge x=1, y in [1,2]
-    from boxforms.mesh import Face
     edge = Face((2,), (1, 1))
     assert face_measure(mesh, edge) == 1
     poly = Polynomial.variable(2, 1) * Polynomial.variable(2, 2)
     # trace at x=1: integral of y over [1,2] = 3/2
-    assert mesh.integrate_on_face(edge, poly) == Fraction(3, 2)
+    assert integrate_on_face(mesh, edge, poly) == Fraction(3, 2)
     # 0-face integral is point evaluation
     vertex = Face((), (1, 1))
-    assert mesh.integrate_on_face(vertex, poly) == 1
+    assert integrate_on_face(mesh, vertex, poly) == 1
 
 
 @pytest.mark.parametrize("n,k,divisions", [
@@ -138,8 +209,8 @@ def test_face_integration_and_dof():
 def test_face_dof_tables(n, k, divisions):
     mesh = build_grid([[0, 1]] * n, divisions)
     table = face_dofs(k, mesh)
-    assert table.n_dofs == len(mesh.faces(k))
-    per_cell = len(mesh.cell_faces(mesh.cell_tuples[0], k))
+    assert table.n_dofs == len(faces(mesh, k))
+    per_cell = len(cell_faces(mesh, mesh.cell_tuples[0], k))
     assert all(len(dofs) == per_cell for dofs in table.cell_dofs)
 
 
@@ -163,14 +234,15 @@ def test_spec_dof_counts():
 
 def test_conforming_traces_match_across_shared_faces():
     """Cell-local tensor forms sharing face DOFs have equal traces."""
+    from test_forms import substitute
     from test_global_spaces import build_space
 
     from boxforms.global_spaces import VQ
     for n, divisions, k in ((2, (2, 2), 0), (2, (2, 2), 1), (3, (2, 2, 2), 1)):
         mesh = build_grid([[0, 1]] * n, divisions)
         space = build_space(VQ, k, mesh)
-        for face in mesh.interior_faces(n - 1):
-            c1, c2 = mesh.cells_of_face(face)
+        for face in interior_faces(mesh, n - 1):
+            c1, c2 = cells_of_face(mesh, face)
             tangential = set(face.axes)
             for dof in range(space.ndof):
                 f1 = space.cell_expansions[c1].get(dof)
@@ -187,8 +259,8 @@ def test_conforming_traces_match_across_shared_faces():
                     for i in range(n):
                         if (i + 1) not in face.axes:
                             value = mesh.grid[i][face.pos[i]]
-                            p1 = p1.substitute(i + 1, value)
-                            p2 = p2.substitute(i + 1, value)
+                            p1 = substitute(p1, i + 1, value)
+                            p2 = substitute(p2, i + 1, value)
                     assert p1 == p2
 
 
@@ -208,9 +280,9 @@ def test_graded_mesh_tiles_its_domain_with_several_shapes(name):
     assert 1 < len({cell.widths for cell in mesh.cells}) < mesh.n_cells
     one = Polynomial.constant(mesh.n, 1)
     for d in range(mesh.n + 1):
-        for face in mesh.faces(d):
-            assert mesh.integrate_on_face(face, one) == face_measure(mesh, face)
-            for ci in mesh.cells_of_face(face):
+        for face in faces(mesh, d):
+            assert integrate_on_face(mesh, face, one) == face_measure(mesh, face)
+            for ci in cells_of_face(mesh, face):
                 cell = mesh.cells[ci]
                 assert all(cell.lo[i] <= mesh.grid[i][face.pos[i]] <= cell.hi[i]
                            for i in range(mesh.n))
@@ -220,28 +292,12 @@ def test_graded_mesh_tiles_its_domain_with_several_shapes(name):
 
 
 def reference_face_dofs(k, mesh, interior=False):
-    """(faces, cell_dofs, n_dofs) from the face lattice and each cell's faces as objects."""
-    n, divisions = mesh.n, mesh.divisions
-    faces = []
-    for axes in multi_indices(k, n):
-        ranges = [range(m) if i + 1 in axes else range(m + 1) for i, m in enumerate(divisions)]
-        faces += [Face(axes, pos) for pos in product(*ranges)]
-    if interior:
-        faces = [f for f in faces if all(i + 1 in f.axes or 0 < f.pos[i] < m
-                                         for i, m in enumerate(divisions))]
-    dof = {f: i for i, f in enumerate(faces)}
-    cell_dofs = []
-    for t in product(*map(range, divisions)):
-        local = []
-        for axes in multi_indices(k, n):
-            normal = [i for i in range(n) if i + 1 not in axes]
-            for offsets in product((0, 1), repeat=len(normal)):
-                pos = list(t)
-                for i, off in zip(normal, offsets):
-                    pos[i] += off
-                local.append(Face(axes, tuple(pos)))
-        cell_dofs.append([(a, dof[f]) for a, f in enumerate(local) if f in dof])
-    return faces, cell_dofs, len(faces)
+    """(faces, cell_dofs, n_dofs) from the face objects of the mesh and of each cell."""
+    kept = interior_faces(mesh, k) if interior else faces(mesh, k)
+    dof = {f: i for i, f in enumerate(kept)}
+    cell_dofs = [[(a, dof[f]) for a, f in enumerate(cell_faces(mesh, t, k)) if f in dof]
+                 for t in mesh.cell_tuples]
+    return kept, cell_dofs, len(kept)
 
 
 #: uniform grids in 1D to 4D, a rational box and a single cell; GRADED meshes besides
@@ -264,16 +320,16 @@ def test_face_dof_tables_match_the_face_object_build(name, interior):
         mesh = build_grid(*LATTICE_MESHES[name])
     for k in range(mesh.n + 1):
         table = face_dofs(k, mesh, interior)
-        faces, cell_dofs, n_dofs = reference_face_dofs(k, mesh, interior)
+        kept, cell_dofs, n_dofs = reference_face_dofs(k, mesh, interior)
         assert table.n_dofs == n_dofs, k
         assert table.cell_dofs == cell_dofs, k
-        assert table.faces == faces, k
-        assert table.array.shape == (mesh.n_cells, len(mesh.cell_faces(mesh.cell_tuples[0], k)))
+        assert dof_faces(k, mesh, interior) == kept, k
+        assert table.array.shape == (mesh.n_cells, len(cell_faces(mesh, mesh.cell_tuples[0], k)))
 
 
 def test_face_dof_table_builds_no_face_objects_until_read():
     mesh = build_grid([[0, 1]] * 2, (3, 2))
     table = face_dofs(1, mesh, interior=True)
-    assert "faces" not in table.__dict__ and "cell_dofs" not in table.__dict__
+    assert "cell_dofs" not in table.__dict__
     assert table.n_dofs == 7
-    assert table.cell_dofs is table.cell_dofs and table.faces is table.faces
+    assert table.cell_dofs is table.cell_dofs

@@ -27,6 +27,12 @@ from test_global_spaces import CHECK_MESHES
 from test_mesh import GRADED, graded_mesh
 
 
+def energy_norm(problem, coeffs):
+    """sqrt(x^T G x) of a coefficient vector in the problem's float Gram matrix."""
+    v = np.asarray(coeffs, dtype=float)
+    return math.sqrt(max(float(v @ (problem.G @ v)), 0.0))
+
+
 def test_local_energy_matrix_interval_oracle():
     """Single cell [0,1], scalar case: hand-integrated stiffness + mass."""
     cell = CellBox((0,), (1,))
@@ -119,7 +125,7 @@ def test_cg_matches_exact_solve():
     exact = solve(problem, method="exact")
     iterative = solve(problem, method="cg")
     diff = exact.x - iterative.x
-    rel = problem.energy_norm(diff) / problem.energy_norm(exact.x)
+    rel = energy_norm(problem, diff) / energy_norm(problem, exact.x)
     assert rel < 1e-9
     assert iterative.history[-1] <= 1e-12
 
@@ -135,8 +141,8 @@ def test_default_solve_is_cg_even_for_rational_data():
     exact = solve(problem, method="exact")
     assert default.x_exact is None
     assert len(default.history) > 1
-    gap = problem.energy_norm(default.x - exact.x)
-    assert gap <= 1e-10 * problem.energy_norm(exact.x)
+    gap = energy_norm(problem, default.x - exact.x)
+    assert gap <= 1e-10 * energy_norm(problem, exact.x)
 
 
 def test_cg_failure_reports_history():
@@ -477,9 +483,11 @@ def test_float_assembly_matches_the_per_entry_builds(name, representation):
 
 
 def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
-    # the float path numbers faces and shapes by arithmetic on the grid: no
-    # cell face lists, no cell boxes, and one local table per level and degree
+    # the float path numbers faces and shapes by arithmetic on the grid: face
+    # integrals on the one shape's box only, no cell boxes, and one local
+    # table per level and degree
     real_cells = CubicalMesh.cells.func
+    real_face_plane = local.face_plane
     faces, boxes, made = [], [], []
 
     def cells(mesh):
@@ -489,7 +497,12 @@ def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
     counting = functools.cached_property(cells)
     counting.__set_name__(CubicalMesh, "cells")
     monkeypatch.setattr(CubicalMesh, "cells", counting)
-    monkeypatch.setattr(CubicalMesh, "cell_faces", lambda *args: faces.append(args))
+
+    def face_plane(cell, axes, shift):
+        faces.append(cell.widths)
+        return real_face_plane(cell, axes, shift)
+
+    monkeypatch.setattr(local, "face_plane", face_plane)
     real_init = local.LocalTables.__init__
 
     def init(table, k, cell):
@@ -499,5 +512,7 @@ def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
     monkeypatch.setattr(local.LocalTables, "__init__", init)
     rows = convergence_sweep("sin2d_k1", [4, 8])
     assert [row["n_cells"] for row in rows] == [16, 64]
-    assert faces == [] and boxes == []
+    # every row of the one Vandermonde per level: four edges in 2D, however many cells
+    assert faces == [(Fraction(1, 4),) * 2] * 4 + [(Fraction(1, 8),) * 2] * 4
+    assert boxes == []
     assert made == [(1, (Fraction(1, 4),) * 2), (1, (Fraction(1, 8),) * 2)]

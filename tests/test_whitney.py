@@ -7,10 +7,11 @@ from math import comb
 import pytest
 from test_exactla import reference_independent_subset
 from test_global_spaces import CHECK_MESHES, build_space
-from test_mesh import GRADED, graded_mesh
+from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_faces, faces,
+                       graded_mesh, integrate_on_face, interior_faces, is_boundary)
 
 from boxforms import forms as forms_module
-from boxforms import local, mesh as mesh_module, projection
+from boxforms import local, projection
 from boxforms import whitney as whitney_module
 from boxforms.exactla import nullspace, rank, spans_equal
 from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
@@ -173,6 +174,35 @@ def test_mean_jump_equivalence_1d():
     assert spans_equal(kernel_a, kernel_b)
 
 
+def reference_mean_jump_rows(mesh, pw):
+    """The per-entry build the per-shape scatter replaced: per interior facet, the
+    facet integral of each cell's basis, + on the lower cell id and - on the higher."""
+    rows = []
+    for face in interior_faces(mesh, mesh.n - 1):
+        lo, hi = sorted(cells_of_face(mesh, face))
+        row = [Fraction(0)] * pw.ncols
+        for sign, ci in ((1, lo), (-1, hi)):
+            for j, phi in enumerate(pw.bases[ci]):
+                poly = phi.parts.get((), None)
+                if poly is not None:
+                    row[pw.col(ci, j)] = sign * integrate_on_face(mesh, face, poly)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_MESHES) + [f"graded-{g}" for g in sorted(GRADED)])
+def test_mean_jump_rows_match_the_per_entry_build(name):
+    if name.startswith("graded-"):
+        mesh = graded_mesh(GRADED[name[len("graded-"):]])
+    else:
+        mesh = build_grid(*LATTICE_MESHES[name])
+    pw = PiecewiseWhitney(0, mesh)
+    rows = mean_jump_rows(mesh, pw)
+    assert rows == reference_mean_jump_rows(mesh, pw)
+    assert len(rows) == len(interior_faces(mesh, mesh.n - 1))
+    assert all(any(row) for row in rows)
+
+
 def test_full_test_flavor_is_smaller():
     for k in (0, 1):
         interior = kernel_space(build_constraints(k, MESH2, INTERIOR_TEST))
@@ -240,15 +270,16 @@ def test_constraint_rows_match_the_per_entry_build(name, flavor):
 def test_face_dof_tables_filter_the_face_lattice(name):
     mesh = build_grid(*CONSTRAINT_MESHES[name])
     for k in range(mesh.n + 1):
-        everything = face_dofs(k, mesh)
-        interior = face_dofs(k, mesh, interior=True)
-        assert everything.faces == mesh.faces(k)
-        assert interior.faces == [f for f in mesh.faces(k) if not mesh.is_boundary(f)]
-        for table in (everything, interior):
+        everything = dof_faces(k, mesh)
+        interior = dof_faces(k, mesh, interior=True)
+        assert everything == faces(mesh, k)
+        assert interior == [f for f in faces(mesh, k) if not is_boundary(mesh, f)]
+        for table, kept in ((face_dofs(k, mesh), everything),
+                            (face_dofs(k, mesh, interior=True), interior)):
             for t, cell_dofs in zip(mesh.cell_tuples, table.cell_dofs):
-                local_faces = mesh.cell_faces(t, k)
-                assert [(local_faces[a], table.faces[dof]) for a, dof in cell_dofs] == \
-                    [(f, f) for f in local_faces if f in table.faces]
+                local_faces = cell_faces(mesh, t, k)
+                assert [(local_faces[a], kept[dof]) for a, dof in cell_dofs] == \
+                    [(f, f) for f in local_faces if f in kept]
 
 
 def test_a_mesh_is_freed_without_the_cycle_collector():
@@ -295,13 +326,12 @@ def test_generators_scatter_matches_the_face_lookup():
         mesh = build_grid(domain, divisions)
         for k in range(mesh.n + 1):
             for flavor in (INTERIOR_TEST, FULL_TEST):
-                dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
                 pw = PiecewiseWhitney(k, mesh)
                 expected = []
-                for face in dofs.faces:
+                for face in dof_faces(k, mesh, interior=flavor == FULL_TEST):
                     vec = {}
-                    for ci in mesh.cells_of_face(face):
-                        a = mesh.cell_faces(mesh.cell_tuples[ci], k).index(face)
+                    for ci in cells_of_face(mesh, face):
+                        a = cell_faces(mesh, mesh.cell_tuples[ci], k).index(face)
                         for j, c in enumerate(local.tables(mesh, k, ci).patterns[a]):
                             if c:
                                 vec[pw.col(ci, j)] = c
@@ -407,22 +437,26 @@ def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
 
 
 def count_work(monkeypatch, check, *args):
-    """Calls of the exact projector product and of the face functional during one check."""
+    """Calls of the exact projector product and of the face functional during one check.
+
+    The face functional is counted once per face-DOF row, by the freezing
+    of that local face's normal coordinates.
+    """
     counts = {"coefficients": 0, "face_dof": 0}
     real_coefficients = projection.LocalProjector.coefficients
-    real_face_dof = mesh_module.CubicalMesh.face_dof
+    real_face_plane = local.face_plane
 
     def coefficients(self, omega):
         counts["coefficients"] += 1
         return real_coefficients(self, omega)
 
-    def face_dof(self, face, omega):
+    def face_plane(cell, axes, shift):
         counts["face_dof"] += 1
-        return real_face_dof(self, face, omega)
+        return real_face_plane(cell, axes, shift)
 
     with monkeypatch.context() as patch:
         patch.setattr(projection.LocalProjector, "coefficients", coefficients)
-        patch.setattr(mesh_module.CubicalMesh, "face_dof", face_dof)
+        patch.setattr(local, "face_plane", face_plane)
         assert check(*args).passed
     return counts
 
