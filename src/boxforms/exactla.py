@@ -1,12 +1,14 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``kernel_vectors``, ``solve``, ``solve_consistent``, ``invert`` and
-``independent_subset``.  It is fraction-free (Bareiss, Math. Comp. 22,
-1968, with content division for his exact quotients): each input row is
-scaled by the lcm of its denominators and divided by the gcd of its
-entries, giving a primitive ``{column: int}`` row.  Rows enter one at a
-time, in the order given: each is reduced by the pivot rows kept so far,
+``kernel_vectors``, ``solve``, ``solve_consistent``, ``invert``,
+``independent_subset`` and ``independent_rows``.  It is fraction-free
+(Bareiss, Math. Comp. 22, 1968, with content division for his exact
+quotients): each input row is scaled by the lcm of its denominators and
+divided by the gcd of its entries, giving a primitive ``{column: int}``
+row (``independent_rows`` takes such rows as they are, from a caller
+that knows them, as through ``primitive_multipliers``).  Rows enter one
+at a time, in the order given: each is reduced by the pivot rows kept so far,
 leftmost column first, as ``b*row - a*pivot`` with a/b the ratio of the
 two pivot-column entries in lowest terms, then made primitive again; what
 remains becomes a new pivot row.  Back-substitution clears each pivot
@@ -36,6 +38,28 @@ def integer_scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def primitive_part(values):
+    """(s, row): the primitive integer row {index: int} of a list of values, and s >= 0
+    with ``values[i] == s * row.get(i, 0)``."""
+    ints, den = integer_scaled(values)
+    g = gcd(*ints)
+    return Fraction(g, den), {i: v // g for i, v in enumerate(ints) if v}
+
+
+def primitive_multipliers(scales):
+    """Integers proportional to the scales s >= 0, with gcd 1.
+
+    Multiplying primitive integer rows on disjoint columns by them gives
+    the primitive integer row of the sum of the ``s * row``: with L the lcm
+    of the scales' denominators, the integers L*s divided by their gcd,
+    which is the gcd of the sum's entries.
+    """
+    den = lcm(*(s.denominator for s in scales))
+    mults = [s.numerator * (den // s.denominator) for s in scales]
+    g = gcd(*mults)
+    return [m // g for m in mults]
+
+
 def _integer_row(row):
     """The primitive integer multiple of a dense or {column: value} row of ints and Fractions."""
     row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
@@ -63,18 +87,19 @@ def _cancel(row, pivot, c):
     return _primitive(row)
 
 
-def _eliminate(rows, reduce=True):
+def _eliminate(rows, reduce=True, primitive=False):
     """Sparse elimination of rows given as dense lists or {column: value} dicts.
 
     Returns (pivot rows keyed by leading column, indices of the rows that
     gained a pivot).  When ``reduce`` is set the pivot rows are those of the
     reduced row echelon form, as Fractions; otherwise they are primitive
-    integer rows of an echelon form.
+    integer rows of an echelon form.  With ``primitive`` the rows are
+    already primitive integer dicts and are eliminated in place.
     """
     pivots = {}
     kept = []
     for index, row in enumerate(rows):
-        work = _integer_row(row)
+        work = row if primitive else _integer_row(row)
         while work:
             c = min(work)
             if c not in pivots:
@@ -194,3 +219,9 @@ def independent_subset(vectors):
     Vectors may be dense lists or sparse dicts of column -> value.
     """
     return _eliminate(vectors, reduce=False)[1]
+
+
+def independent_rows(rows):
+    """``independent_subset`` of primitive integer rows {column: int}, which it modifies:
+    pass rows that nothing else holds."""
+    return _eliminate(rows, reduce=False, primitive=True)[1]

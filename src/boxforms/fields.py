@@ -2,7 +2,15 @@
 
 A :class:`FormField` evaluates components (and, when supplied, components
 of its exterior derivative) at arrays of points; it is what the solver
-and error norms consume for non-polynomial data.
+and error norms consume for non-polynomial data.  On a tensor grid of
+per-axis coordinates (``FormField.on_axes``: the Gauss points of a mesh,
+as ``CubicalMesh.gauss_axes`` gives them per slot) a catalog component is
+evaluated separably: every term is a product of per-axis factors, so
+each sin/cos is taken on one axis's (slot, node) coordinates only, and
+the term is one broadcast product over the grid, whose layout divisions
++ (order,)*n reshapes to (cell id, reference point).  The values are the
+doubles that pointwise evaluation gives.  Any other component callable is
+called once on the grid's points, flattened in the same order.
 
 ``CATALOG`` names each manufactured solution and gives its dimension,
 degree, boundary compatibility and the components of omega as text, each
@@ -52,6 +60,15 @@ class FormField:
         return {alpha: np.asarray(fn(points), dtype=float)
                 for alpha, fn in self.d_components.items()}
 
+    def on_axes(self, axes):
+        """Components on the tensor grid of per-axis (slot, node) coordinates, as (cell, point)."""
+        return _on_axes(self.components, axes)
+
+    def d_on_axes(self, axes):
+        if self.d_components is None:
+            raise ValueError("field carries no analytic exterior derivative")
+        return _on_axes(self.d_components, axes)
+
     def d_field(self):
         if self.d_components is None:
             raise ValueError("field carries no analytic exterior derivative")
@@ -100,16 +117,53 @@ def symbolic_codifferential(parts, n, k):
             for a, t in symbolic_hodge(inner, n).items()}
 
 
-def _evaluate(terms, points):
-    """Sum of the terms at points, each sin/cos(pi*x_i) column computed once."""
+def _sum_terms(terms, coords):
+    """Sum of the terms on per-axis coordinate arrays that broadcast together.
+
+    Each sin/cos(pi*x_i) factor is computed once, on axis i's array, and
+    the factors of a term multiply in axis order.
+    """
     columns = {}
-    out = np.zeros(len(points))
+    out = np.zeros(np.broadcast_shapes(*(x.shape for x in coords)))
     for (p, factors), c in terms.items():
+        trig = 1.0
         for i, f in enumerate(factors):
-            if f != "1" and (i, f) not in columns:
-                columns[i, f] = getattr(np, f)(np.pi * points[:, i])
-        trig = [columns[i, f] for i, f in enumerate(factors) if f != "1"]
-        out += float(c) * np.pi ** p * np.prod(trig, axis=0)
+            if f != "1":
+                if (i, f) not in columns:
+                    columns[i, f] = getattr(np, f)(np.pi * coords[i])
+                trig = trig * columns[i, f]
+        out += float(c) * np.pi ** p * trig
+    return out
+
+
+def _evaluate(terms, points):
+    """Sum of the terms at points, as (point, axis)."""
+    return _sum_terms(terms, list(points.T))
+
+
+def _on_axes(components, axes):
+    """Components on the tensor grid of per-axis (slot, node) coordinates, each as (cell, point).
+
+    The grid is laid out as divisions + (order,)*n, which reshapes to
+    (cell id, reference point): axis i's coordinates vary along dimensions
+    i and n + i.  Catalog components are summed on these per-axis views,
+    so each sin/cos is taken on one axis's coordinates only; any other
+    callable is called on the grid's points, flattened in the same order.
+    """
+    n = len(axes)
+    coords = []
+    for i, x in enumerate(axes):
+        shape = [1] * (2 * n)
+        shape[i], shape[n + i] = x.shape
+        coords.append(x.reshape(shape))
+    cells = np.prod([len(x) for x in axes], dtype=int)
+    out = {}
+    for alpha, fn in components.items():
+        if isinstance(fn, functools.partial) and fn.func is _evaluate:
+            values = _sum_terms(fn.args[0], coords)
+        else:
+            values = fn(np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, n))
+        out[alpha] = np.asarray(values, dtype=float).reshape(cells, -1)
     return out
 
 

@@ -324,8 +324,10 @@ class CellBox:
         """Exact ``rows[i][j] = sum_p <left[i][p], right[j][p]>`` over the box.
 
         Entries are tuples of forms; forms at one position share a degree.
-        Each list is scaled to integers over one denominator.  Axes in
-        ``frozen`` (0-based axis: value) are evaluated, not integrated.
+        Each list is scaled to integers over one denominator, once.  Axes in
+        ``frozen`` (0-based axis: value) are evaluated, not integrated; a
+        list of such dicts freezes each row by its own, so one call serves
+        every face of the box.
         """
         left, den_left = _scaled_terms(left)
         right, den_right = _scaled_terms(right)
@@ -333,27 +335,26 @@ class CellBox:
                        map(max, zip(*(e for t in right for p in t.values() for e in p)))))
         if not top:
             return [[Fraction(0)] * len(right) for _ in left]
-        moments, den = [], den_left * den_right
-        for axis, a in enumerate(top):
-            if frozen and axis in frozen:
-                ints, axis_den = _power_table(frozen[axis], a + 1)
-            else:
-                ints, axis_den = self.moments(axis, a + 1)
-            moments.append(ints)
-            den *= axis_den
-        return [[Fraction(sum(a * b * prod(map(getitem, moments, map(add, e, f)))
-                              for key, q in other.items() if key in terms
-                              for e, a in terms[key].items() for f, b in q.items()), den)
-                 for other in right] for terms in left]
-
-    def integrate(self, poly, frozen=None):
-        """Exact integral of a polynomial over the box: its pairing with 1.
-
-        With ``frozen``, the coordinates on those axes are fixed at the given
-        values: on a face of the box, that is the integral of the trace.
-        """
-        one = PolyForm.from_scalar(Polynomial._of(self.n, {(0,) * self.n: Fraction(1)}))
-        return self.pairing_table([(PolyForm.from_scalar(poly),)], [(one,)], frozen)[0][0]
+        planes = frozen if isinstance(frozen, list) else [frozen] * len(left)
+        per_plane = {}  # by id: the planes are alive in ``planes``
+        rows = []
+        for terms, plane in zip(left, planes):
+            if id(plane) not in per_plane:
+                moments, den = [], den_left * den_right
+                for axis, a in enumerate(top):
+                    if plane and axis in plane:
+                        ints, axis_den = _power_table(plane[axis], a + 1)
+                    else:
+                        ints, axis_den = self.moments(axis, a + 1)
+                    moments.append(ints)
+                    den *= axis_den
+                per_plane[id(plane)] = moments, den
+            moments, den = per_plane[id(plane)]
+            rows.append([Fraction(sum(a * b * prod(map(getitem, moments, map(add, e, f)))
+                                      for key, q in other.items() if key in terms
+                                      for e, a in terms[key].items() for f, b in q.items()), den)
+                         for other in right])
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spaces
-from .exactla import invert
+from .exactla import invert, primitive_part
 from .forms import PolyForm, adjoint_table
 from .mesh import local_faces
 from .projection import LocalProjector
@@ -40,10 +40,10 @@ def face_plane(cell, axes, shift):
 def face_dof_matrix(cell, forms):
     """Face DOFs of same-degree forms on one cell, rows in local face order: on
     face a, the integral of the trace, the pairing with dx^axes on the face plane."""
-    right = [(phi,) for phi in forms]
-    return [cell.pairing_table([(PolyForm.covector(cell.n, axes),)], right,
-                               face_plane(cell, axes, shift))[0]
-            for axes, shift in local_faces(cell.n, forms[0].k)]
+    faces = local_faces(cell.n, forms[0].k)
+    return cell.pairing_table([(PolyForm.covector(cell.n, axes),) for axes, _ in faces],
+                              [(phi,) for phi in forms],
+                              [face_plane(cell, axes, shift) for axes, shift in faces])
 
 
 #: Gauss offsets from the cell center (point, axis), weights (point,), and the
@@ -129,6 +129,16 @@ class LocalTables:
     def patterns(self):
         """P1minus coefficients of the adjoint projection of each face function."""
         return [self.projector.coefficients(f) for f in self.face_functions]
+
+    @cached_property
+    def integer_patterns(self):
+        """Per local face: (s, primitive integer pattern {j: int}), the pattern s times it."""
+        return [primitive_part(p) for p in self.patterns]
+
+    @cached_property
+    def float_patterns(self):
+        """The patterns as a (local face, j) float array, each the float of its Fraction."""
+        return np.array([[c.numerator / c.denominator for c in p] for p in self.patterns])
 
     def tabulation(self, order):
         """Basis values and d-values at the Gauss points of the given order."""

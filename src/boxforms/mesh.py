@@ -23,6 +23,7 @@ import numpy as np
 
 from .forms import CellBox, ratio
 from .indices import complement, multi_indices
+from .quadrature import gauss_nodes
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +99,21 @@ class CubicalMesh:
         return max(b - a for axis in self.grid for a, b in zip(axis, axis[1:]))
 
     @cached_property
-    def float_centers(self):
-        """Cell centers as a (cells, n) float array, indexed by cell id."""
-        mids = [[float((a + b) / 2) for a, b in zip(axis, axis[1:])] for axis in self.grid]
-        return np.array(list(product(*mids)))
+    def float_slots(self):
+        """Per axis: (slot centers, slot half widths) as float arrays, rounded from the grid."""
+        return [(np.array([float((a + b) / 2) for a, b in zip(axis, axis[1:])]),
+                 np.array([float(b - a) / 2.0 for a, b in zip(axis, axis[1:])]))
+                for axis in self.grid]
+
+    def gauss_axes(self, order):
+        """Per axis, the order-``order`` Gauss coordinates of every slot as a (slot, node) array.
+
+        A coordinate is the slot's center plus the node times its half
+        width: a cell's Gauss point is its center plus the offset that
+        ``quadrature.centered_rule`` gives its widths, bit for bit.
+        """
+        nodes = gauss_nodes(order)
+        return [mids[:, None] + nodes * halves[:, None] for mids, halves in self.float_slots]
 
 
 def build_grid(domain, divisions):

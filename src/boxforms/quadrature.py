@@ -16,6 +16,13 @@ def _reference_rule(n, order):
     return pts, wts
 
 
+def gauss_nodes(order):
+    """The Gauss-Legendre nodes of the given order on [-1, 1], each axis's nodes in every rule."""
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    return _reference_rule(1, order)[0][:, 0]
+
+
 def centered_rule(widths, order):
     """Offsets from the center (m, n) and weights (m,) on a box of these widths."""
     if order < 1:
@@ -29,12 +36,6 @@ def box_rule(box, order):
     """Points (m, n) and weights (m,) integrating degree <= 2*order-1 per axis."""
     offsets, weights = centered_rule(box.widths, order)
     return np.array([float(c) for c in box.center]) + offsets, weights
-
-
-def integrate(func, box, order):
-    """Quadrature integral of a vectorized scalar function over the box."""
-    points, weights = box_rule(box, order)
-    return float(np.dot(weights, func(points)))
 
 
 def polyform_values(form, points):

@@ -3,9 +3,14 @@
 The bilinear form is ``<d_h w, d_h m> + <w, m>`` summed over cells; its
 Gram matrix doubles as the square of the broken energy norm.  Stiffness
 and mass entries are assembled exactly (rational local matrices, cast to
-float only at the end) into a sparse Gram matrix; only load vectors,
-error norms and consistency functionals of non-polynomial data use
-quadrature.
+float only at the end) into a sparse Gram matrix ``V^T E V``; only load
+vectors, error norms and consistency functionals of non-polynomial data
+use quadrature.  A generating set's V is scattered from its shapes' float
+projection patterns, and its pruning eliminates integer rows built from
+their primitive integer forms (``whitney.GeneratorSpace``), so the float
+path makes no Fraction per entry.  Each quadrature pass evaluates its
+fields once on the whole mesh, on the per-axis Gauss coordinates
+(``FormField.on_axes``), and slices the values by cell id per shape.
 
 Solver paths: conjugate gradients on the sparse Gram matrix (relative
 residual 1e-12, at most 50*N iterations) by default; an exact solve when
@@ -32,7 +37,7 @@ import numpy as np
 import scipy.sparse
 
 from . import local
-from .exactla import independent_subset, integer_scaled, solve_consistent
+from .exactla import integer_scaled, solve_consistent
 from .fields import manufactured
 from .forms import PolyForm
 from .mesh import build_grid, face_dofs
@@ -51,11 +56,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 def basis_matrix(space):
     """Sparse float matrix with one column per space basis vector."""
-    starts = np.cumsum([0] + [len(vec) for vec in space.vectors])
-    rows = [c for vec in space.vectors for c in vec]
-    # the float of a Fraction, without its generic __float__
-    data = [v.numerator / v.denominator for vec in space.vectors for v in vec.values()]
-    return scipy.sparse.csc_matrix((data, rows, starts),
+    return scipy.sparse.csc_matrix(space.float_columns(),
                                    shape=(space.pw.ncols, space.dim)).sorted_indices()
 
 
@@ -149,26 +150,29 @@ def _cell_members(space):
     return out
 
 
-def _gauss_grid(pw, quad_order):
-    """Per cell shape: (cell ids, tabulation, Gauss points as (cell, point, axis))."""
-    shape_ids = pw.mesh.cell_shapes[0]
-    for shape, (_, table) in enumerate(local.shapes(pw.mesh, pw.k)):
+def _gauss_grid(pw, quad_order, *fields):
+    """Per cell shape: (cell ids, tabulation, each field's components as (component, cell, point)).
+
+    ``fields`` are (degree, evaluator) pairs, an evaluator being a
+    ``FormField.on_axes`` or ``d_on_axes``.  Each is evaluated once, on the
+    mesh's per-axis Gauss coordinates, and sliced by cell id per shape.
+    """
+    mesh = pw.mesh
+    axes = mesh.gauss_axes(quad_order)
+    size = (mesh.n_cells, quad_order ** mesh.n)
+    arrays = [component_array(on_axes(axes), degree, mesh.n, size) for degree, on_axes in fields]
+    shape_ids = mesh.cell_shapes[0]
+    for shape, (_, table) in enumerate(local.shapes(mesh, pw.k)):
         ids = np.flatnonzero(shape_ids == shape)
-        tab = table.tabulation(quad_order)
-        yield ids, tab, pw.mesh.float_centers[ids][:, None, :] + tab.offsets
-
-
-def _field_array(values_at, k, points):
-    """A field's degree-k components on a Gauss grid, as (component, cell, point)."""
-    n = points.shape[-1]
-    return component_array(values_at(points.reshape(-1, n)), k, n, points.shape[:-1])
+        # contiguous slices: einsum then sums in the same order as on a fresh array
+        yield (ids, table.tabulation(quad_order),
+               *(np.ascontiguousarray(values[:, ids]) for values in arrays))
 
 
 def _load_pw_float(pw, load, quad_order):
     out = np.zeros((pw.mesh.n_cells, pw.dim_local))
-    for ids, tab, points in _gauss_grid(pw, quad_order):
-        f = _field_array(load.at, pw.k, points) * tab.weights
-        out[ids] = np.einsum("acp,jap->cj", f, tab.values)
+    for ids, tab, f in _gauss_grid(pw, quad_order, (pw.k, load.on_axes)):
+        out[ids] = np.einsum("acp,jap->cj", f * tab.weights, tab.values)
     return out.ravel()
 
 
@@ -182,7 +186,7 @@ def assemble(space, load, quad_order=5):
     Gram waits for ``G_exact``.  Raises when the basis is dependent, as
     decided by exact elimination unless the space carries its proof.
     """
-    if not space.independent and len(independent_subset(space.vectors)) < space.dim:
+    if not space.independent and len(space.independent_indices()) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
                          "prune the generating set before assembling")
     pw = space.pw
@@ -389,11 +393,11 @@ def broken_error(exact_field, solution, quad_order=5):
     pw = solution.space.pw
     coeffs = solution.pw_coefficients().reshape(pw.mesh.n_cells, pw.dim_local)
     err0 = err1 = 0.0
-    for ids, tab, points in _gauss_grid(pw, quad_order):
+    for ids, tab, w, dw in _gauss_grid(pw, quad_order, (pw.k, exact_field.on_axes),
+                                        (pw.k + 1, exact_field.d_on_axes)):
         u = coeffs[ids]
-        e0 = np.einsum("cj,jap->acp", u, tab.values) - _field_array(exact_field.at, pw.k, points)
-        e1 = (np.einsum("cj,jap->acp", u, tab.d_values)
-              - _field_array(exact_field.d_at, pw.k + 1, points))
+        e0 = np.einsum("cj,jap->acp", u, tab.values) - w
+        e1 = np.einsum("cj,jap->acp", u, tab.d_values) - dw
         err0 += float(np.einsum("acp,p->", e0 * e0, tab.weights))
         err1 += float(np.einsum("acp,p->", e1 * e1, tab.weights))
     return math.sqrt(err0), math.sqrt(err0 + err1)
@@ -416,9 +420,10 @@ def consistency_with_floor(entry, problem, quad_order=5):
     ell_pw = np.zeros((pw.mesh.n_cells, pw.dim_local))
     abs_pw = np.zeros_like(ell_pw)
     terms = 0
-    for ids, tab, points in _gauss_grid(pw, quad_order):
-        dw = _field_array(entry.omega.d_at, pw.k + 1, points) * tab.weights
-        dd = _field_array(entry.delta_d.at, pw.k, points) * tab.weights
+    for ids, tab, dw, dd in _gauss_grid(pw, quad_order, (pw.k + 1, entry.omega.d_on_axes),
+                                         (pw.k, entry.delta_d.on_axes)):
+        dw = dw * tab.weights
+        dd = dd * tab.weights
         ell_pw[ids] = (np.einsum("acp,jap->cj", dw, tab.d_values)
                        - np.einsum("acp,jap->cj", dd, tab.values))
         abs_pw[ids] = (np.einsum("acp,jap->cj", np.abs(dw), np.abs(tab.d_values))

@@ -17,7 +17,11 @@ Two representations are built:
 
 * the exact kernel of the constraint matrix (exact rational elimination),
 * the generating set obtained by projecting every conforming
-  tensor-product basis function cell by cell (possibly dependent).
+  tensor-product basis function cell by cell (possibly dependent).  It
+  stores no vector: each is a scatter of per-shape projection patterns
+  through the face-DOF table, and pruning eliminates primitive integer
+  rows made from the patterns' primitive integer forms and per-cell
+  multipliers.
 
 The second is contained in the first; the test-suite checks containment,
 and equality of dimensions on small meshes, exactly.
@@ -27,8 +31,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import local, spaces
-from .exactla import independent_subset, kernel_vectors, nullspace, rank, spans_equal
+from .exactla import (independent_rows, independent_subset, kernel_vectors, nullspace, rank,
+                      primitive_multipliers, spans_equal)
 from .forms import PolyForm
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
@@ -152,6 +159,113 @@ class WhitneySpace:
     def form_on_cell(self, index, cell_id):
         return self.pw.form_on_cell(self.vectors[index], cell_id)
 
+    def independent_indices(self):
+        """Indices of a maximal independent subset of the vectors, scanning in order (exact)."""
+        return independent_subset(self.vectors)
+
+    def subset(self, kept):
+        """The space of the vectors at the indices ``kept``, proved independent."""
+        return WhitneySpace(self.k, self.mesh, self.flavor, self.representation,
+                            [self.vectors[i] for i in kept], self.pw, independent=True)
+
+    def float_columns(self):
+        """(data, rows, column starts) of the vectors in broken coordinates, in vector order."""
+        starts = np.cumsum([0] + [len(vec) for vec in self.vectors])
+        rows = [c for vec in self.vectors for c in vec]
+        # the float of a Fraction, without its generic __float__
+        data = [v.numerator / v.denominator for vec in self.vectors for v in vec.values()]
+        return data, rows, starts
+
+
+class GeneratorSpace(WhitneySpace):
+    """Projected conforming basis functions, one per face DOF in ``members``.
+
+    The function of a degree-k face DOF is, on every cell that has the face
+    as its local face a, pattern a of the cell's shape
+    (``local.LocalTables.patterns``).  No vector is stored: ``vectors``
+    (Fraction dicts, for exact callers) is scattered on first read, and
+    pruning and the float basis matrix read the per-shape integer and
+    float patterns instead.
+    """
+
+    def __init__(self, k, mesh, flavor, pw, dofs, members, independent=False):
+        self.k = k
+        self.mesh = mesh
+        self.flavor = flavor
+        self.representation = "generators"
+        self.pw = pw
+        self.independent = independent
+        self.free_columns = None
+        self.dofs = dofs         # mesh.DofTable of the degree-k face DOFs
+        self.members = members   # the DOF id of each vector
+
+    @property
+    def dim(self):
+        return len(self.members)
+
+    def _tables(self):
+        return [table for _, table in local.shapes(self.mesh, self.k)]
+
+    @cached_property
+    def _supports(self):
+        """Per face DOF: ((shape, local face) pairs, first columns) of the cells that have it."""
+        shape_ids = self.mesh.cell_shapes[0].tolist()
+        supports = [([], []) for _ in range(self.dofs.n_dofs)]
+        for ci, row in enumerate(self.dofs.array.tolist()):
+            for a, dof in enumerate(row):
+                if dof >= 0:
+                    supports[dof][0].append((shape_ids[ci], a))
+                    supports[dof][1].append(self.pw.col(ci, 0))
+        return [(tuple(pairs), bases) for pairs, bases in supports]
+
+    @cached_property
+    def vectors(self):
+        patterns = [table.patterns for table in self._tables()]
+        return [{base + j: c for (s, a), base in zip(*self._supports[m])
+                 for j, c in enumerate(patterns[s][a]) if c} for m in self.members]
+
+    def integer_rows(self):
+        """Each vector's primitive integer row {column: int}, in order, each a new dict.
+
+        A vector is s * p on each cell of its support, (s, p) the
+        ``integer_patterns`` entry of the cell's (shape, local face); its
+        row is p times the scales' ``primitive_multipliers`` on each cell.
+        These depend only on the support's (shape, local face) pairs, so
+        they are found once per tuple of them.
+        """
+        scaled = [table.integer_patterns for table in self._tables()]
+        entries = [[list(p.items()) for _, p in per_shape] for per_shape in scaled]
+        multipliers = {}
+        for m in self.members:
+            pairs, bases = self._supports[m]
+            if pairs not in multipliers:
+                multipliers[pairs] = primitive_multipliers([scaled[s][a][0] for s, a in pairs])
+            yield {base + j: mult * v
+                   for (s, a), base, mult in zip(pairs, bases, multipliers[pairs])
+                   for j, v in entries[s][a]}
+
+    def independent_indices(self):
+        return independent_rows(self.integer_rows())
+
+    def subset(self, kept):
+        return GeneratorSpace(self.k, self.mesh, self.flavor, self.pw, self.dofs,
+                              [self.members[i] for i in kept], independent=True)
+
+    def float_columns(self):
+        """(data, rows, column starts) as arrays, scattered from the per-shape float patterns."""
+        patterns = np.stack([table.float_patterns for table in self._tables()])
+        patterns = patterns[self.mesh.cell_shapes[0]]             # (cell, local face, j)
+        column = np.full(self.dofs.n_dofs + 1, -1)
+        column[self.members] = np.arange(self.dim)
+        columns = column[self.dofs.array]                         # -1 where no member
+        cells, faces, js = np.nonzero((columns >= 0)[:, :, None] & (patterns != 0))
+        keys = columns[cells, faces]
+        # a stable sort keeps each vector's entries in (cell, j) order: rows ascending
+        order = np.argsort(keys, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=self.dim))))
+        return (patterns[cells, faces, js][order],
+                (cells * self.pw.dim_local + js)[order], starts)
+
 
 def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
@@ -165,22 +279,16 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     """Cell-wise adjoint projection of every conforming basis function.
 
     The result generates the projected conforming space; it may be
-    linearly dependent and is NOT pruned here.
+    linearly dependent and is NOT pruned here.  Each shape's projection
+    patterns are built here; the vectors are scattered from them on demand.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     pw = pw or PiecewiseWhitney(k, mesh)
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
-    vectors = [{} for _ in range(dofs.n_dofs)]
-    for ci, row in enumerate(dofs.array.tolist()):
-        patterns = local.tables(mesh, k, ci).patterns
-        base = pw.col(ci, 0)
-        for a, dof in enumerate(row):
-            if dof >= 0:
-                for j, c in enumerate(patterns[a]):
-                    if c:
-                        vectors[dof][base + j] = c
-    return WhitneySpace(k, mesh, flavor, "generators", vectors, pw)
+    for _, table in local.shapes(mesh, k):
+        table.patterns  # the exact projections, built once per shape
+    return GeneratorSpace(k, mesh, flavor, pw, dofs, list(range(dofs.n_dofs)))
 
 
 def prune_vectors(space):
@@ -189,10 +297,8 @@ def prune_vectors(space):
     Vectors are kept in the order given, each one unless it lies in the
     span of those kept before it.  Returns (pruned space, kept indices).
     """
-    kept = independent_subset(space.vectors)
-    pruned = WhitneySpace(space.k, space.mesh, space.flavor, space.representation,
-                          [space.vectors[i] for i in kept], space.pw, independent=True)
-    return pruned, kept
+    kept = space.independent_indices()
+    return space.subset(kept), kept
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +405,14 @@ def mean_jump_rows(mesh, pw):
     if pw.k != 0:
         raise ValueError("mean-jump description applies to 0-forms")
     n = mesh.n
-    one = [(PolyForm.covector(n, ()),)]
+    facets = local_faces(n, n - 1)
     jumps = []
     for _, shape in local.shapes(mesh, 0):
-        right = [(phi,) for phi in shape.basis]
-        jumps.append([[v if sum(shift) else -v for v in shape.cell.pairing_table(
-                           one, right, local.face_plane(shape.cell, axes, shift))[0]]
-                      for axes, shift in local_faces(n, n - 1)])
+        table = shape.cell.pairing_table(
+            [(PolyForm.covector(n, ()),)] * len(facets), [(phi,) for phi in shape.basis],
+            [local.face_plane(shape.cell, axes, shift) for axes, shift in facets])
+        jumps.append([[v if sum(shift) else -v for v in row]
+                      for row, (_, shift) in zip(table, facets)])
     dofs = face_dofs(n - 1, mesh, interior=True)
     rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
     for ci, (s, row) in enumerate(zip(mesh.cell_shapes[0].tolist(), dofs.array.tolist())):
@@ -340,7 +447,7 @@ def summarize(constraints, kernel, generators):
         "dim_piecewise": constraints.ncols,
         "rank_B": rank(constraints.rows),
         "dim_kernel": kernel.dim,
-        "dim_generators_span": len(independent_subset(generators.vectors)),
+        "dim_generators_span": len(generators.independent_indices()),
     }
 
 

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from test_mesh import GRADED, graded_mesh
 
 from boxforms import fields
 from boxforms.fields import CATALOG, constant_solution, manufactured
 from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
+from boxforms.mesh import build_grid
+from boxforms.quadrature import centered_rule
 
 
 def fd_partial(component, point, axis, h=1e-6):
@@ -350,3 +353,69 @@ def test_catalog_text_outside_the_grammar_is_rejected(monkeypatch, text, n):
     with pytest.raises(ValueError, match=re.escape(repr(name))) as excinfo:
         manufactured(name)
     assert repr(text) in str(excinfo.value)
+
+
+# -- evaluation on per-axis Gauss coordinates, against the pointwise evaluators
+
+
+def axis_meshes(n):
+    """Uniform, anisotropic and graded meshes of dimension n."""
+    anisotropic = {1: [[0, 3]], 2: [[0, 1], [0, 3]], 3: [[0, 2], [0, 1], [0, 1]]}[n]
+    return [build_grid([[0, 1]] * n, (3,) * n), build_grid(anisotropic, (4, 2, 3)[:n]),
+            graded_mesh(GRADED[f"{n}d"])]
+
+
+def gauss_points(mesh, order):
+    """Every cell's Gauss points, center plus its centered rule, as (cell, point, axis)."""
+    return np.stack([np.array([float(c) for c in cell.center])
+                     + centered_rule(cell.widths, order)[0] for cell in mesh.cells])
+
+
+def reference_evaluate(terms, points):
+    """Pointwise, one column per (axis, factor), each term's factors multiplied by np.prod."""
+    columns = {}
+    out = np.zeros(len(points))
+    for (p, factors), c in terms.items():
+        for i, f in enumerate(factors):
+            if f != "1" and (i, f) not in columns:
+                columns[i, f] = getattr(np, f)(np.pi * points[:, i])
+        trig = [columns[i, f] for i, f in enumerate(factors) if f != "1"]
+        out += float(c) * np.pi ** p * np.prod(trig, axis=0)
+    return out
+
+
+def assert_on_axes_match_at(field, mesh, order, derivative=False):
+    axes = mesh.gauss_axes(order)
+    points = gauss_points(mesh, order).reshape(-1, mesh.n)
+    components = field.d_components if derivative else field.components
+    got = field.d_on_axes(axes) if derivative else field.on_axes(axes)
+    expected = field.d_at(points) if derivative else field.at(points)
+    assert set(got) == set(expected) == set(components)
+    for alpha, values in got.items():
+        assert values.shape == (mesh.n_cells, order ** mesh.n)
+        assert np.array_equal(values.ravel(), expected[alpha]), alpha
+        fn = components[alpha]
+        if isinstance(fn, functools.partial):
+            assert np.array_equal(expected[alpha], reference_evaluate(fn.args[0], points)), alpha
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_per_axis_evaluation_equals_the_pointwise_evaluators(name):
+    entry = manufactured(name)
+    for mesh in axis_meshes(entry.n):
+        for order in (2, 5):
+            assert_on_axes_match_at(entry.omega, mesh, order)
+            assert_on_axes_match_at(entry.omega, mesh, order, derivative=True)
+            assert_on_axes_match_at(entry.delta_d, mesh, order)
+            assert_on_axes_match_at(entry.load, mesh, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_other_callables_are_called_on_the_grid_points(n):
+    entry = constant_solution(n, 1, (1,), scale=3.5)
+    field = fields.FormField(n, 0, {(): lambda pts: pts[:, 0] * np.exp(pts[:, -1]) - pts[:, 0]})
+    for mesh in axis_meshes(n):
+        assert_on_axes_match_at(entry.omega, mesh, 5)
+        assert_on_axes_match_at(entry.omega, mesh, 5, derivative=True)
+        assert_on_axes_match_at(entry.load, mesh, 5)
+        assert_on_axes_match_at(field, mesh, 3)

@@ -4,11 +4,13 @@ from fractions import Fraction
 from itertools import compress, product
 from math import prod
 
+import numpy as np
 import pytest
 
-from boxforms.forms import CellBox, Polynomial
+from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.indices import multi_indices
 from boxforms.mesh import build_grid, face_dofs
+from boxforms.quadrature import centered_rule
 from boxforms.spaces import Q1MINUS, basis
 
 
@@ -59,6 +61,16 @@ def cells_of_face(mesh, face):
     return [mesh.cell_tuples.index(t) for t in product(*choices)]
 
 
+def integrate(box, poly, frozen=None):
+    """Exact integral of a polynomial over the box: its pairing with 1.
+
+    With ``frozen``, the coordinates on those axes are fixed at the given
+    values: on a face of the box, that is the integral of the trace.
+    """
+    one = PolyForm.from_scalar(Polynomial.constant(box.n, 1))
+    return box.pairing_table([(PolyForm.from_scalar(poly),)], [(one,)], frozen)[0][0]
+
+
 def integrate_on_face(mesh, face, poly):
     """Exact integral of a polynomial over the face (trace measure).
 
@@ -67,7 +79,7 @@ def integrate_on_face(mesh, face, poly):
     """
     slots = tuple(min(p, m - 1) for p, m in zip(face.pos, mesh.divisions))
     frozen = {i: mesh.grid[i][face.pos[i]] for i in range(mesh.n) if i + 1 not in face.axes}
-    return mesh.cells[mesh.cell_tuples.index(slots)].integrate(poly, frozen)
+    return integrate(mesh.cells[mesh.cell_tuples.index(slots)], poly, frozen)
 
 
 def face_dof(mesh, face, omega):
@@ -264,13 +276,23 @@ def test_conforming_traces_match_across_shared_faces():
                     assert p1 == p2
 
 
-def test_float_centers_are_the_cell_centers():
+def test_gauss_axes_are_the_cells_gauss_points():
+    # per axis and slot, the coordinates of the cells' Gauss points: bit for
+    # bit the cell's center plus the offsets of its own centered rule
     meshes = [build_grid([[0, 1], [Fraction(1, 3), 3]], (3, 2))]
     meshes += [graded_mesh(GRADED[name]) for name in sorted(GRADED)]
     for mesh in meshes:
-        assert mesh.float_centers.tolist() == [[float(c) for c in cell.center]
-                                               for cell in mesh.cells]
-        assert mesh.float_centers is mesh.float_centers
+        centers = [[float(c) for c in cell.center] for cell in mesh.cells]
+        assert [list(c) for c in product(*(mids for mids, _ in mesh.float_slots))] == centers
+        assert mesh.float_slots is mesh.float_slots
+        for order in (1, 2, 5):
+            axes = mesh.gauss_axes(order)
+            assert [a.shape for a in axes] == [(m, order) for m in mesh.divisions]
+            for slots, center, cell in zip(mesh.cell_tuples, centers, mesh.cells):
+                got = [[axes[i][s, q] for i, (s, q) in enumerate(zip(slots, nodes))]
+                       for nodes in product(range(order), repeat=mesh.n)]
+                expected = np.array(center) + centered_rule(cell.widths, order)[0]
+                assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse
 
 import boxforms
-from boxforms import exactla, local
+from boxforms import exactla, fields, local
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import CubicalMesh, build_grid
@@ -516,3 +516,38 @@ def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
     assert faces == [(Fraction(1, 4),) * 2] * 4 + [(Fraction(1, 8),) * 2] * 4
     assert boxes == []
     assert made == [(1, (Fraction(1, 4),) * 2), (1, (Fraction(1, 8),) * 2)]
+
+
+class CountingTrig:
+    """numpy for ``fields``, recording the argument size of every sin and cos call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x):
+        self.sizes.append(np.size(x))
+        return np.sin(x)
+
+    def cos(self, x):
+        self.sizes.append(np.size(x))
+        return np.cos(x)
+
+
+@pytest.mark.parametrize("name, levels", [("sin2d_k1", (2, 4, 8)), ("cos2d_k0", (2, 4, 8)),
+                                          ("sin3d_k1", (2, 4))])
+def test_a_sweep_evaluates_its_fields_per_axis(monkeypatch, name, levels):
+    # pointwise evaluation takes sin/cos of n_cells * 5^n coordinates per
+    # factor; per axis it takes them of the m * 5 Gauss coordinates of one axis
+    trig = CountingTrig()
+    monkeypatch.setattr(fields, "np", trig)
+    calls = []
+    for m in levels:
+        trig.sizes.clear()
+        convergence_sweep(name, [m])
+        assert trig.sizes and set(trig.sizes) == {m * 5}, trig.sizes
+        calls.append(len(trig.sizes))
+    # the same calls at every level: trig work in proportion to sum(divisions)
+    assert len(set(calls)) == 1

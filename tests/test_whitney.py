@@ -4,7 +4,9 @@ import weakref
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
+import scipy.sparse
 from test_exactla import reference_independent_subset
 from test_global_spaces import CHECK_MESHES, build_space
 from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_faces, faces,
@@ -13,12 +15,13 @@ from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_fa
 from boxforms import forms as forms_module
 from boxforms import local, projection
 from boxforms import whitney as whitney_module
-from boxforms.exactla import nullspace, rank, spans_equal
+from boxforms import exactla
+from boxforms.exactla import independent_subset, nullspace, rank, spans_equal
 from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
 from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
-from boxforms.solver import assemble
+from boxforms.solver import assemble, basis_matrix
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney,
                               apply_broken_d, build_constraints,
                               check_commuting_squares, check_crossing_equivalence,
@@ -119,6 +122,53 @@ def test_pruning_is_exact_above_the_old_float_switch():
     assert kept == reference_independent_subset(dense_matrix(gens))
     assert pruned.dim == 288
     assert pruned.vectors == [gens.vectors[i] for i in kept]
+
+
+# -- pruning on integer rows built per shape, against the Fraction vectors
+
+
+def per_vector_basis_matrix(space):
+    """The float basis matrix built from the Fraction vectors, entry by entry."""
+    starts = np.cumsum([0] + [len(vec) for vec in space.vectors])
+    rows = [c for vec in space.vectors for c in vec]
+    data = [v.numerator / v.denominator for vec in space.vectors for v in vec.values()]
+    return scipy.sparse.csc_matrix((data, rows, starts),
+                                   shape=(space.pw.ncols, space.dim)).sorted_indices()
+
+
+PRUNE_MESHES = {
+    "uniform-2d-4x3": lambda: build_grid([[0, 1], [0, 3]], (4, 3)),
+    "uniform-3d-3x2x2": lambda: build_grid([[0, 1]] * 3, (3, 2, 2)),
+    "graded-2d": lambda: graded_mesh(GRADED["2d"]),
+    "graded-3d": lambda: graded_mesh(GRADED["3d"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNE_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_integer_row_pruning_matches_the_fraction_vectors(name, flavor):
+    mesh = PRUNE_MESHES[name]()
+    for k in range(mesh.n + 1):
+        gens = interpolated_generating_set(k, mesh, flavor)
+        rows = [exactla._integer_row(v) for v in gens.vectors]
+        assert list(gens.integer_rows()) == rows
+        pruned, kept = prune_vectors(gens)
+        assert kept == independent_subset(gens.vectors), k
+        assert pruned.vectors == [gens.vectors[i] for i in kept]
+        # elimination works on rows of its own and leaves the per-shape
+        # patterns alone: pruning again, or a new generating set on the same
+        # mesh, finds the same subset from the same rows
+        assert prune_vectors(gens)[1] == kept
+        assert list(gens.integer_rows()) == rows
+        again = interpolated_generating_set(k, mesh, flavor)
+        assert list(again.integer_rows()) == rows
+        assert prune_vectors(again)[1] == kept
+        for space in (gens, pruned):
+            got, expected = basis_matrix(space), per_vector_basis_matrix(space)
+            assert got.shape == expected.shape
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(expected, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, part)
 
 
 def test_summary_fields():
