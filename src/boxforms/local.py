@@ -1,35 +1,35 @@
 """Per-shape local data: what every cell of the same widths shares.
 
-Local bases are centered monomial forms ``prod (x_i - c_i)^tau_i dx^sigma``,
-so a cell's local matrices, its gluing pairings with the Hodge duals of
-the face functions, and its basis values at its own Gauss points depend
-only on its widths.  A :class:`LocalTables` is a function of a degree k
-and one cell box alone; it knows no mesh, and its face DOFs integrate over
-the faces of that box.  :func:`tables` builds one per shape, on its first
-cell, and caches them on the mesh in a list indexed by cell id and filled
-from the shape ids that ``CubicalMesh.cell_shapes`` reads off the grid, so
-no other cell's box is built and none is hashed.  Its exact matrices are
-tables of ``CellBox.pairing_table``, equal to every congruent cell's as
-Fractions; its float tabulations equal them up to rounding.
+A :class:`LocalTables` is a function of a degree k and one cell box; it
+knows no mesh.  :func:`tables` builds one per shape, on its first cell,
+and caches them on the mesh by cell id, from ``CubicalMesh.cell_shapes``.
+One reference per (n, k), shapes by scaling: :func:`reference` builds the
+tables of [-1, 1]^n once per process, on first use.  P1minus basis
+function j, labelled by an index tuple e_j (sigma of dx^sigma, gamma of the
+Koszul lift of dx^gamma), pulls back to h^e_j times the reference's, h the
+half-widths, and face functions and the projector commute with the
+pullback.  So ``patterns[a][j] = ref.patterns[a][j] / h^e_j``, and
+``energy[i][j] = h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I) T_I[i][j]`` with T_I
+the reference's mass (I a k-index) or stiffness ((k+1)-index) table on
+component I, summed in integers: both equal as Fractions the tables built
+on the cell.  Face DOFs and functions, the projector, d-matrix, gluing
+pairings and Gauss tabulations are built on the shape's own box.
 """
 
 from collections import namedtuple
-from functools import cached_property
+from fractions import Fraction
+from functools import cache, cached_property
+from math import prod
+from operator import getitem
 
 import numpy as np
 
 from . import spaces
-from .exactla import invert, primitive_part
-from .forms import PolyForm, adjoint_table
+from .exactla import integer_scaled, invert, primitive_part
+from .forms import CellBox, PolyForm, adjoint_table
 from .mesh import local_faces
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
-
-
-def local_energy_matrix(basis, cell):
-    """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact."""
-    entries = [(phi.exterior_derivative(), phi) for phi in basis]
-    return cell.pairing_table(entries, entries)
 
 
 def face_plane(cell, axes, shift):
@@ -66,7 +66,35 @@ class LocalTables:
 
     @cached_property
     def energy(self):
-        return local_energy_matrix(self.basis, self.cell)
+        """<d phi_i, d phi_j> + <phi_i, phi_j>: the reference's ``energy_terms``, scaled."""
+        terms, den = reference(self.cell.n, self.k).energy_terms
+        h = [w / 2 for w in self.cell.widths]
+        # h_a^m as an integer over the cube of h_a's denominator
+        powers = [[x.numerator ** m * x.denominator ** (3 - m) for m in range(4)] for x in h]
+        den *= prod(x.denominator for x in h) ** 3
+        return [[Fraction(sum(c * prod(map(getitem, powers, m)) for m, c in entry), den)
+                 for entry in row] for row in terms]
+
+    @cached_property
+    def energy_terms(self):
+        """(terms, den), read on the reference: per energy entry (i, j), the pairs (m, c)
+        of its integrals c/den on one component I each, to scale by h^m, m = e_i + e_j
+        + 1 - 2I (from 1 to 3)."""
+        e, n = [label[1] for label in self.basis.labels], self.cell.n
+        terms = [[[] for _ in e] for _ in e]
+        for forms in (list(self.basis), [phi.exterior_derivative() for phi in self.basis]):
+            for alpha in {alpha for f in forms for alpha in f.parts}:
+                part = [(PolyForm._of(n, f.k, {alpha: f.parts[alpha]}
+                                      if alpha in f.parts else {}),) for f in forms]
+                for i, row in enumerate(self.cell.pairing_table(part, part)):
+                    for j, c in enumerate(row):
+                        if c:
+                            m = tuple((a in e[i]) + (a in e[j]) + 1 - 2 * (a in alpha)
+                                      for a in range(1, n + 1))
+                            terms[i][j].append((m, c))
+        ints, den = integer_scaled([c for row in terms for entry in row for _, c in entry])
+        ints = iter(ints)
+        return [[[(m, next(ints)) for m, _ in entry] for entry in row] for row in terms], den
 
     @cached_property
     def energy_inverse(self):
@@ -127,8 +155,16 @@ class LocalTables:
 
     @cached_property
     def patterns(self):
-        """P1minus coefficients of the adjoint projection of each face function."""
-        return [self.projector.coefficients(f) for f in self.face_functions]
+        """P1minus coefficients of the adjoint projection of each face function; off
+        the reference, its patterns with entry j divided by h^e_j."""
+        ref = reference(self.cell.n, self.k)
+        if ref is self:
+            return [self.projector.coefficients(f) for f in self.face_functions]
+        h = [w / 2 for w in self.cell.widths]
+        scales = [(prod(h[i - 1].numerator for i in e), prod(h[i - 1].denominator for i in e))
+                  for _, e in ref.basis.labels]
+        return [[Fraction(c.numerator * q, c.denominator * p) for c, (p, q) in zip(row, scales)]
+                for row in ref.patterns]
 
     @cached_property
     def integer_patterns(self):
@@ -151,6 +187,12 @@ class LocalTables:
         return self._tabulations[order]
 
 
+@cache
+def reference(n, k):
+    """The degree-k LocalTables of the reference cell [-1, 1]^n, built on first use."""
+    return LocalTables(k, CellBox.reference(n))
+
+
 def tables(mesh, k, cell_id):
     """The degree-k LocalTables shared by every cell congruent to ``cell_id``."""
     per_cell = mesh.local_tables.get(k)
@@ -167,14 +209,9 @@ def shapes(mesh, k):
 
 
 def gluing_pairings(mesh, k, cell_id):
-    """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the cell's shape.
-
-    f_a is face function a of Q1minus^(n-k-1) and phi_j the P1minus^k
-    basis: the gluing constraint entries of one cell, before the scatter
-    through the face DOFs.  Built once per shape and kept on its degree-k
-    table; the face functions come from the mesh's degree-(n-k-1) table,
-    so that shape's Vandermonde inverse is computed once.
-    """
+    """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the cell's shape, f_a
+    face function a of Q1minus^(n-k-1): one cell's gluing constraint entries.  Built once
+    per shape, from the mesh's degree-(n-k-1) table, so its Vandermonde is inverted once."""
     table = tables(mesh, k, cell_id)
     if table._gluing_pairings is None:
         dual = tables(mesh, mesh.n - k - 1, cell_id)

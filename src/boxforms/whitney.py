@@ -209,14 +209,14 @@ class GeneratorSpace(WhitneySpace):
     @cached_property
     def _supports(self):
         """Per face DOF: ((shape, local face) pairs, first columns) of the cells that have it."""
-        shape_ids = self.mesh.cell_shapes[0].tolist()
-        supports = [([], []) for _ in range(self.dofs.n_dofs)]
-        for ci, row in enumerate(self.dofs.array.tolist()):
-            for a, dof in enumerate(row):
-                if dof >= 0:
-                    supports[dof][0].append((shape_ids[ci], a))
-                    supports[dof][1].append(self.pw.col(ci, 0))
-        return [(tuple(pairs), bases) for pairs, bases in supports]
+        cells, faces = np.nonzero(self.dofs.array >= 0)  # in (cell, local face) order
+        dofs = self.dofs.array[cells, faces]
+        order = np.argsort(dofs, kind="stable")  # keeps each DOF's cells in cell order
+        cells, faces = cells[order], faces[order]
+        pairs = list(zip(self.mesh.cell_shapes[0][cells].tolist(), faces.tolist()))
+        bases = (cells * self.pw.dim_local).tolist()
+        ends = np.cumsum(np.bincount(dofs, minlength=self.dofs.n_dofs)).tolist()
+        return [(tuple(pairs[a:b]), bases[a:b]) for a, b in zip([0] + ends, ends)]
 
     @cached_property
     def vectors(self):

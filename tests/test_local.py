@@ -4,17 +4,19 @@ quadrature contractions against the per-cell loops they replaced."""
 import math
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
 
 from boxforms import local, spaces
-from boxforms.exactla import invert
+from boxforms.exactla import invert, primitive_part
 from boxforms.fields import manufactured
+from boxforms.forms import CellBox, PolyForm
 from boxforms.global_spaces import check_unisolvence
 from boxforms.indices import multi_indices
-from boxforms.local import LocalTables, face_dof_matrix, local_energy_matrix, shapes, tables
+from boxforms.local import LocalTables, face_dof_matrix, shapes, tables
 from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.projection import LocalProjector
 from boxforms.quadrature import box_rule, polyform_values
@@ -26,6 +28,12 @@ MESHES = [
     build_grid([[0, 1], [0, 3]], (3, 2)),
     build_grid([["-1/2", "1/3"], ["1/4", "2"], ["0", "5/3"]], (2, 1, 2)),
 ]
+
+
+def local_energy_matrix(basis, cell):
+    """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact: one pairing table."""
+    entries = [(phi.exterior_derivative(), phi) for phi in basis]
+    return cell.pairing_table(entries, entries)
 
 
 def _cell_data(mesh, k, ci):
@@ -90,6 +98,82 @@ def test_one_table_per_shape():
     assert len({id(tables(mesh, 1, ci)) for ci in range(mesh.n_cells)}) == 1
     assert tables(mesh, 1, 4).cell == mesh.cells[0]
     assert tables(mesh, 0, 0) is not tables(mesh, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the width-scaling law: every shape's patterns and energy from the reference cell's
+
+
+def component_tables(table):
+    """{(d applied or not, I): the pairing table of component I of the basis}, on the
+    table's own cell: its mass (I a k-index) and stiffness (I a (k+1)-index) by component."""
+    out = {}
+    n = table.cell.n
+    for derived, forms in ((False, list(table.basis)),
+                           (True, [phi.exterior_derivative() for phi in table.basis])):
+        for alpha in multi_indices(forms[0].k, n) if forms[0].k <= n else []:
+            entries = [(PolyForm(n, f.k, {alpha: f.parts[alpha]} if alpha in f.parts else {}),)
+                       for f in forms]
+            out[derived, alpha] = table.cell.pairing_table(entries, entries)
+    return out
+
+
+def law_exponents(e_i, e_j, alpha, n):
+    """The half-width exponents of one component's term: e_i + e_j + (1, ..., 1) - 2I."""
+    return [(a in e_i) + (a in e_j) + 1 - 2 * (a in alpha) for a in range(1, n + 1)]
+
+
+def as_floats(rows):
+    return np.array([[c.numerator / c.denominator for c in row] for row in rows])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shape_tables_scale_from_the_reference(n):
+    rng = random.Random(1700 + n)
+    for _ in range(3 if n < 4 else 2):
+        box = random_box(n, rng)
+        h = [w / 2 for w in box.widths]
+        for k in range(n + 1):
+            table, ref = LocalTables(k, box), local.reference(n, k)
+            assert ref.cell == CellBox.reference(n) and ref.basis.labels == table.basis.labels
+            assert ref.energy == local_energy_matrix(ref.basis, ref.cell)
+            # the direct builds on the box itself
+            patterns = [table.projector.coefficients(f) for f in table.face_functions]
+            energy = local_energy_matrix(table.basis, box)
+            assert table.patterns == patterns
+            assert table.integer_patterns == [primitive_part(p) for p in patterns]
+            assert table.energy == energy
+            assert table.energy_inverse == invert(energy)
+            for got, expect in ((table.float_patterns, as_floats(patterns)),
+                                (table.energy_float, np.array(energy, dtype=float))):
+                assert got.dtype == expect.dtype and got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes()
+            # term by term: each component's table is the reference's times its monomial
+            e, ref_tables = [label[1] for label in ref.basis.labels], component_tables(ref)
+            for key, rows in component_tables(table).items():
+                for i, row in enumerate(rows):
+                    for j, c in enumerate(row):
+                        m = law_exponents(e[i], e[j], key[1], n)
+                        assert c == prod(x ** p for x, p in zip(h, m)) * ref_tables[key][i][j]
+            # and those reference terms are the ones the energy is scaled from
+            terms, den = ref.energy_terms
+            expected = [[{} for _ in e] for _ in e]
+            for (_, alpha), rows in ref_tables.items():
+                for i, row in enumerate(rows):
+                    for j, c in enumerate(row):
+                        if c:
+                            expected[i][j][tuple(law_exponents(e[i], e[j], alpha, n))] = c
+            assert [[{m: Fraction(c, den) for m, c in entry} for entry in row]
+                    for row in terms] == expected
+
+
+def test_the_reference_is_built_once_per_dimension_and_degree():
+    local.reference.cache_clear()
+    mesh = graded_mesh(GRADED["2d"])
+    for _, table in shapes(mesh, 1):
+        table.patterns, table.energy
+    assert len(shapes(mesh, 1)) > 1 and local.reference.cache_info().misses == 1
+    assert local.reference(2, 0) is not local.reference(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,26 +277,31 @@ def test_back_solve_consistency_matches_cg(name, m):
 
 
 def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
+    # on each level's one shape only the P1minus basis of the Gauss tabulation;
+    # the bases of the projection and the energy are the reference cell's,
+    # built on the first level alone
+    local.reference.cache_clear()
     calls = []
     original = spaces.basis
 
     def counting(*args, **kwargs):
-        calls.append(args[:2])
+        calls.append((*args[:2], args[2].widths))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spaces, "basis", counting)
     entry = manufactured("sin2d_k1")
-    counts = []
-    for m in (4, 8):
+    per_level = []
+    for m in (4, 8, 16):
         calls.clear()
         mesh = build_grid(entry.domain, (m, m))
         space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
         problem = assemble(space, entry.load, 5)
         broken_error(entry.omega, solve(problem), 5)
         consistency_residual(entry, problem, 5)
-        counts.append(len(calls))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
+        per_level.append(list(calls))
+    on_shape = [[(spaces.P1MINUS, 1, (Fraction(1, m),) * 2)] for m in (4, 8, 16)]
+    assert [[c for c in level if c[2] != (2, 2)] for level in per_level] == on_shape
+    assert len(per_level[0]) > 1 and per_level[1:] == on_shape[1:]
 
 
 # -- the shape map from the grid, against hashing every cell's widths

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxforms import cli, exactla, projection
+from boxforms import cli, exactla, local, projection
 from boxforms.fields import manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import build_grid
@@ -272,13 +272,17 @@ def test_quasi_optimality_ratio_bounded():
 
 
 def test_verify_builds_projectors_and_inverses_once(monkeypatch):
-    # verify --dim 3 --grid 2,2,2 --flavor interior builds 39 projectors:
-    # 6 in the local-space suite (ap identity, 2 boxes, k = 0..2), 29 in the
-    # projection suite (16 well-posedness, 1 bubble, and one degree-k and
-    # degree-(k+1) pair per (k, box) for the commuting check, 12) and 4 in
-    # the mesh suite (one per degree for the mesh's one cell shape).  Each
-    # inverts one system; the 4 further inverses are the face-DOF
-    # Vandermonde inverses of the mesh's shape, one per degree.
+    # verify --dim 3 --grid 2,2,2 --flavor interior builds 38 projectors on
+    # the boxes it checks: 6 in the local-space suite (ap identity, 2 boxes,
+    # k = 0..2), 29 in the projection suite (16 well-posedness, 1 bubble, and
+    # one degree-k and degree-(k+1) pair per (k, box) for the commuting
+    # check, 12) and 3 in the mesh suite (P^(k+1) of the commuting squares on
+    # the mesh's one cell shape, k = 0..2).  Each inverts one system; the 4
+    # further inverses are the face-DOF Vandermonde inverses of the mesh's
+    # shape, one per degree.  The shape's projection patterns are scaled from
+    # the reference cell's, whose tables are built once per process: on a
+    # first run one projector and one Vandermonde inverse per degree more.
+    local.reference.cache_clear()
     counts = {"projectors": 0, "invert": 0}
     real_invert, real_init = exactla.invert, projection.LocalProjector.__init__
 
@@ -294,7 +298,11 @@ def test_verify_builds_projectors_and_inverses_once(monkeypatch):
         if name.startswith("boxforms") and getattr(module, "invert", None) is real_invert:
             monkeypatch.setattr(module, "invert", counting_invert)
     monkeypatch.setattr(projection.LocalProjector, "__init__", counting_init)
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "--dim", "3", "--grid", "2,2,2", "--flavor", "interior"]) == 0
-    assert counts == {"projectors": 39, "invert": 43}
+    argv = ["verify", "--dim", "3", "--grid", "2,2,2", "--flavor", "interior"]
+    for expected in ({"projectors": 38 + 4, "invert": 42 + 8}, {"projectors": 38, "invert": 42}):
+        counts.update(projectors=0, invert=0)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert counts == expected
+        assert local.reference.cache_info().currsize == 4
 

@@ -12,18 +12,18 @@ import pytest
 import scipy.sparse
 
 import boxforms
-from boxforms import exactla, fields, local
+from boxforms import exactla, fields, local, projection
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import CubicalMesh, build_grid
-from boxforms.local import local_energy_matrix
 from boxforms.solver import (Solution, assemble, broken_energy, broken_error,
                              build_solver_space, conjugate_gradient, consistency_residual,
-                             consistency_with_floor, convergence_sweep, solve)
+                             consistency_with_floor, convergence_sweep, flavor_for, solve)
 from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
 from boxforms.whitney import WhitneySpace, build_constraints, kernel_space
 from test_global_spaces import CHECK_MESHES
+from test_local import local_energy_matrix
 from test_mesh import GRADED, graded_mesh
 
 
@@ -278,7 +278,8 @@ _LAZY_SPLU = """
 import sys
 import boxforms
 assert "scipy" not in sys.modules, "import boxforms loaded scipy"
-from boxforms import cli
+from boxforms import cli, local
+assert local.reference.cache_info().currsize == 0, "import boxforms built a reference table"
 assert "scipy.sparse.linalg" not in sys.modules, "import boxforms loaded scipy.sparse.linalg"
 assert cli.main(["verify", "--dim", "1"]) == 0
 assert "scipy.sparse.linalg" not in sys.modules, "verify loaded scipy.sparse.linalg"
@@ -465,6 +466,48 @@ def assert_same_sparse(a, b):
         assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
 
+def geometric_breakpoints(m, ratio=Fraction(11, 10)):
+    """0 and the partial sums of ratio^j for j < m: m slots of geometrically growing width."""
+    points = [Fraction(0)]
+    for j in range(m):
+        points.append(points[-1] + ratio ** j)
+    return points
+
+
+SCALED_MESHES = {**{f"graded-{name}": bp for name, bp in GRADED.items()},
+                 "geometric-2d": (geometric_breakpoints(8),) * 2}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_MESHES))
+def test_float_path_from_scaled_tables_matches_direct_tables(monkeypatch, name):
+    # V and G with every shape's patterns and energy scaled from the reference
+    # cell, against the same with each shape's built on its own cell
+    def operators():
+        mesh = graded_mesh(SCALED_MESHES[name])
+        out = []
+        for k in range(mesh.n + 1):
+            for flavor in (INTERIOR_TEST, FULL_TEST):
+                space = build_solver_space(k, mesh, flavor, "generators")
+                if space.dim:
+                    problem = assemble(space, constant_solution(mesh.n, k, range(1, k + 1)).load)
+                    out += [problem.V, problem.G]
+        return out
+
+    scaled = operators()
+    # patterns projected and energy paired on each shape's own cell
+    monkeypatch.setattr(local.LocalTables, "patterns", property(
+        lambda table: [table.projector.coefficients(f) for f in table.face_functions]))
+    monkeypatch.setattr(local.LocalTables, "energy",
+                        property(lambda table: local_energy_matrix(table.basis, table.cell)))
+    direct = operators()
+    assert len(scaled) == len(direct) > 0
+    for a, b in zip(scaled, direct):
+        assert_same_sparse(a, b)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(a, part).dtype == getattr(b, part).dtype
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(CHECK_MESHES))
 @pytest.mark.parametrize("representation", ["kernel", "generators"])
 def test_float_assembly_matches_the_per_entry_builds(name, representation):
@@ -483,9 +526,10 @@ def test_float_assembly_matches_the_per_entry_builds(name, representation):
 
 
 def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
-    # the float path numbers faces and shapes by arithmetic on the grid: face
-    # integrals on the one shape's box only, no cell boxes, and one local
-    # table per level and degree
+    # the float path numbers faces and shapes by arithmetic on the grid: no
+    # cell boxes, one local table per level and degree, and face integrals
+    # only on the reference cell, whose tables every level's are scaled from
+    local.reference.cache_clear()
     real_cells = CubicalMesh.cells.func
     real_face_plane = local.face_plane
     faces, boxes, made = [], [], []
@@ -512,10 +556,32 @@ def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
     monkeypatch.setattr(local.LocalTables, "__init__", init)
     rows = convergence_sweep("sin2d_k1", [4, 8])
     assert [row["n_cells"] for row in rows] == [16, 64]
-    # every row of the one Vandermonde per level: four edges in 2D, however many cells
-    assert faces == [(Fraction(1, 4),) * 2] * 4 + [(Fraction(1, 8),) * 2] * 4
+    # every row of the reference's one Vandermonde: four edges in 2D
+    assert faces == [(2, 2)] * 4
     assert boxes == []
-    assert made == [(1, (Fraction(1, 4),) * 2), (1, (Fraction(1, 8),) * 2)]
+    assert made == [(1, (Fraction(1, 4),) * 2), (1, (2, 2)), (1, (Fraction(1, 8),) * 2)]
+
+
+@pytest.mark.parametrize("name, levels", [("sin2d_k1", [2, 4, 8]), ("cos2d_k0", [2, 4, 8]),
+                                          ("sin3d_k1", [1, 2, 3])])
+def test_a_sweep_builds_its_reference_once(monkeypatch, name, levels):
+    # one reference table and one exact projector for the whole sweep: no
+    # level projects on its own cell
+    local.reference.cache_clear()
+    projectors = []
+    real_init = projection.LocalProjector.__init__
+
+    def init(projector, k, cell):
+        projectors.append((k, cell))
+        real_init(projector, k, cell)
+
+    monkeypatch.setattr(projection.LocalProjector, "__init__", init)
+    entry = manufactured(name)
+    convergence_sweep(entry, levels)
+    assert local.reference.cache_info().currsize == 1
+    assert projectors == [(entry.k, CellBox.reference(entry.n))]
+    convergence_sweep(entry, levels)
+    assert len(projectors) == 1
 
 
 class CountingTrig:
@@ -534,6 +600,30 @@ class CountingTrig:
     def cos(self, x):
         self.sizes.append(np.size(x))
         return np.cos(x)
+
+
+@pytest.mark.parametrize("name", ["sin2d_k1", "cos2d_k0", "sin3d_k1"])
+def test_a_sweep_evaluates_d_omega_once_per_level(monkeypatch, name):
+    # the energy error and the consistency residual read one evaluation, and
+    # give what each gives on its own
+    entry, levels = manufactured(name), [2, 3]
+    calls = []
+    real = FormField.d_on_axes
+
+    def d_on_axes(field, axes):
+        calls.append(field)
+        return real(field, axes)
+
+    monkeypatch.setattr(FormField, "d_on_axes", d_on_axes)
+    rows = convergence_sweep(entry, levels)
+    assert calls == [entry.omega] * len(levels)
+    for row, m in zip(rows, levels):
+        space = build_solver_space(entry.k, build_grid(entry.domain, (m,) * entry.n),
+                                   flavor_for(entry), "generators")
+        problem = assemble(space, entry.load)
+        assert (row["err_L2"], row["err_Hd"]) == broken_error(entry.omega, solve(problem))
+        cons, floor = consistency_with_floor(entry, problem)
+        assert (row["consistency"], row["consistency_at_floor"]) == (cons, cons <= floor)
 
 
 @pytest.mark.parametrize("name, levels", [("sin2d_k1", (2, 4, 8)), ("cos2d_k0", (2, 4, 8)),

@@ -389,6 +389,37 @@ def test_generators_scatter_matches_the_face_lookup():
                 assert interpolated_generating_set(k, mesh, flavor).vectors == expected
 
 
+def reference_supports(space):
+    """The loop over (cell, local face) that the sort of the DOF table replaced."""
+    shape_ids = space.mesh.cell_shapes[0].tolist()
+    supports = [([], []) for _ in range(space.dofs.n_dofs)]
+    for ci, row in enumerate(space.dofs.array.tolist()):
+        for a, dof in enumerate(row):
+            if dof >= 0:
+                supports[dof][0].append((shape_ids[ci], a))
+                supports[dof][1].append(space.pw.col(ci, 0))
+    return [(tuple(pairs), bases) for pairs, bases in supports]
+
+
+SUPPORT_MESHES = {**{f"graded-{name}": (lambda bp=bp: graded_mesh(bp))
+                     for name, bp in GRADED.items()},
+                  "uniform-1d": lambda: build_grid([[0, 1]], (4,)),
+                  "uniform-2d": lambda: build_grid([[0, 1], [0, 3]], (3, 2)),
+                  "uniform-3d": lambda: build_grid([[0, 1]] * 3, (2, 3, 2))}
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
+def test_generator_supports_match_the_cell_loop(name):
+    mesh = SUPPORT_MESHES[name]()
+    for k in range(mesh.n + 1):
+        for flavor in (INTERIOR_TEST, FULL_TEST):
+            space = interpolated_generating_set(k, mesh, flavor)
+            got = space._supports
+            assert got == reference_supports(space)
+            assert all(type(v) is int for pairs, bases in got for pair in pairs
+                       for v in (*pair, *bases))
+
+
 def test_summary_from_built_objects_matches_space_summary():
     for flavor in (INTERIOR_TEST, FULL_TEST):
         cs = build_constraints(1, MESH3, flavor)
@@ -490,8 +521,10 @@ def count_work(monkeypatch, check, *args):
     """Calls of the exact projector product and of the face functional during one check.
 
     The face functional is counted once per face-DOF row, by the freezing
-    of that local face's normal coordinates.
+    of that local face's normal coordinates.  The reference cell's tables
+    are cleared first, so every count holds their one build.
     """
+    local.reference.cache_clear()
     counts = {"coefficients": 0, "face_dof": 0}
     real_coefficients = projection.LocalProjector.coefficients
     real_face_plane = local.face_plane
