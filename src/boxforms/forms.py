@@ -17,12 +17,12 @@ All coefficients are ``fractions.Fraction``; every identity checked in the
 test-suite holds exactly.  Scalars passed to constructors may be ints,
 Fractions or strings like ``"3/4"``.
 
-Every exact integral is an entry of one kernel, ``CellBox.pairing_table``:
+Every exact integral is an entry of one kernel, ``CellBox.pairing_integers``:
 L2 pairings of two lists of form tuples, paired position by position and
 summed, so ``(d w, w)`` against ``(mu, -delta mu)`` is an adjoint pairing.
 Each box caches per-axis moments ``int t^p dt`` as integers over one
-denominator; the kernel sums term pairs in integers against them and
-builds one Fraction per entry, with no product polynomial.
+denominator; the kernel sums term pairs in integers against them, with no
+product polynomial.  Linear combinations of forms go through ``Combination``.
 
 The public constructors check every exponent vector and multi-index;
 results of arithmetic, ``partial``, ``d`` and ``hodge`` are built from
@@ -33,8 +33,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
-from operator import add, getitem
+from itertools import product
+from math import comb, lcm, prod
+from operator import add, getitem, sub
 
 from .indices import complement, hodge_sign, is_multi_index, wedge_sign
 
@@ -195,20 +196,7 @@ class Polynomial:
 
     def translate(self, shift):
         """Substitute x_i -> x_i + shift_i for all axes."""
-        out = self
-        for i, t in enumerate(shift, start=1):
-            t = ratio(t)
-            if t:
-                xi = Polynomial.variable(self.n, i, shift=-t)
-                new = Polynomial.zero(self.n)
-                for e, c in out.coeffs.items():
-                    term = Polynomial.monomial(self.n, e[: i - 1] + (0,) + e[i:], c)
-                    p = e[i - 1]
-                    for _ in range(p):
-                        term = term * xi
-                    new = new + term
-                out = new
-        return out
+        return PolyForm.from_scalar(self).translate(shift).parts.get((), Polynomial.zero(self.n))
 
     def homogeneous_parts(self):
         """Split into {degree: homogeneous polynomial}."""
@@ -320,8 +308,8 @@ class CellBox:
             table = self._moments[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
         return table
 
-    def pairing_table(self, left, right, frozen=None):
-        """Exact ``rows[i][j] = sum_p <left[i][p], right[j][p]>`` over the box.
+    def pairing_integers(self, left, right, frozen=None):
+        """(rows, den): ``pairing_table`` as integers over one denominator.
 
         Entries are tuples of forms; forms at one position share a degree.
         Each list is scaled to integers over one denominator, once.  Axes in
@@ -334,11 +322,10 @@ class CellBox:
         top = list(map(add, map(max, zip(*(e for t in left for p in t.values() for e in p))),
                        map(max, zip(*(e for t in right for p in t.values() for e in p)))))
         if not top:
-            return [[Fraction(0)] * len(right) for _ in left]
+            return [[0] * len(right) for _ in left], 1
         planes = frozen if isinstance(frozen, list) else [frozen] * len(left)
         per_plane = {}  # by id: the planes are alive in ``planes``
-        rows = []
-        for terms, plane in zip(left, planes):
+        for plane in planes:
             if id(plane) not in per_plane:
                 moments, den = [], den_left * den_right
                 for axis, a in enumerate(top):
@@ -349,12 +336,17 @@ class CellBox:
                     moments.append(ints)
                     den *= axis_den
                 per_plane[id(plane)] = moments, den
-            moments, den = per_plane[id(plane)]
-            rows.append([Fraction(sum(a * b * prod(map(getitem, moments, map(add, e, f)))
-                                      for key, q in other.items() if key in terms
-                                      for e, a in terms[key].items() for f, b in q.items()), den)
-                         for other in right])
-        return rows
+        den = lcm(*[d for _, d in per_plane.values()])
+        return [[sum(a * b * prod(map(getitem, moments, map(add, e, f)))
+                     for key, q in other.items() if key in terms
+                     for e, a in terms[key].items() for f, b in q.items()) * (den // d)
+                 for other in right]
+                for terms, (moments, d) in zip(left, map(per_plane.get, map(id, planes)))], den
+
+    def pairing_table(self, left, right, frozen=None):
+        """Exact ``rows[i][j] = sum_p <left[i][p], right[j][p]>`` over the box, as Fractions."""
+        rows, den = self.pairing_integers(left, right, frozen)
+        return [[Fraction(v, den) for v in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +562,7 @@ class PolyForm:
 
     def translate(self, shift):
         """Shift every coefficient polynomial by x -> x + shift."""
-        return PolyForm(self.n, self.k, {a: p.translate(shift) for a, p in self.parts.items()})
+        return Combination(self.n, self.k, [self])([1], [-ratio(t) for t in shift])
 
     def homogeneous_parts(self):
         """Split by coefficient degree: {r: k-form with degree-r coefficients}."""
@@ -601,6 +593,41 @@ def _add_component(out, key, coeffs, negate):
             out[key] = coeffs
     elif not _sum_into(acc, coeffs.items()):
         del out[key]
+
+
+class Combination:
+    """Exact linear combinations of one list of k-forms in dimension n: ``self(coeffs)`` is
+    ``sum_j coeffs[j] * forms[j]``, ``self(coeffs, shift)`` that of ``forms[j](x - shift)``.
+    Forms, coefficients and shift are integers over one denominator each, the forms scaled
+    once; each result coefficient is one Fraction, and zeros are dropped as ``+`` drops them."""
+
+    def __init__(self, n, k, forms):
+        self.n, self.k, self.moves = n, k, {}  # moves: x^e to [(x^f, C(e, f), e - f), f <= e]
+        self.terms, self.den = _scaled_terms([(form,) for form in forms])
+        self.top = max([sum(e) for t in self.terms for c in t.values() for e in c], default=0)
+
+    def __call__(self, coeffs, shift=None):
+        # x - s = (q x + t) / q with t = -q s: q^top (x - s)^e is the sum over
+        # f <= e of C(e, f) t^(e - f) q^(top - |e - f|) x^f
+        shift = shift or (0,) * self.n
+        c_den, q = lcm(*[c.denominator for c in coeffs if c]), lcm(*[s.denominator for s in shift])
+        steps, scale, acc = [-s.numerator * (q // s.denominator) for s in shift], {}, {}
+        for c, terms in ((c, terms) for c, terms in zip(coeffs, self.terms) if c):
+            c = c.numerator * (c_den // c.denominator)
+            for (_, alpha), part in terms.items():
+                out = acc.setdefault(alpha, {})
+                for e, v in part.items():
+                    if e not in self.moves:
+                        self.moves[e] = [(f, prod(map(comb, e, f)), tuple(map(sub, e, f)))
+                                         for f in product(*(range(p + 1) for p in e))]
+                    for f, m, drop in self.moves[e]:
+                        if drop not in scale:
+                            scale[drop] = prod(map(pow, steps, drop)) * q ** (self.top - sum(drop))
+                        if scale[drop]:
+                            out[f] = out.get(f, 0) + c * v * m * scale[drop]
+        den = c_den * self.den * q ** self.top
+        parts = ((a, {e: Fraction(v, den) for e, v in out.items() if v}) for a, out in acc.items())
+        return PolyForm._of(self.n, self.k, {a: Polynomial._of(self.n, p) for a, p in parts if p})
 
 
 @lru_cache(maxsize=None)
@@ -660,16 +687,10 @@ def format_polynomial(poly):
     for e, c in sorted(poly.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
         factors = [f"x{i}" + (f"^{p}" if p > 1 else "")
                    for i, p in enumerate(e, start=1) if p]
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(abs(c))] + factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        num, den = c.numerator, c.denominator
+        body = "*".join(factors if factors and abs(num) == den == 1
+                        else [str(abs(num)) + (f"/{den}" if den > 1 else "")] + factors)
+        pieces.append((("- " if num < 0 else "+ ") if pieces else ("-" if num < 0 else "")) + body)
     return " ".join(pieces)
 
 

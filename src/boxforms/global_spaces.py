@@ -16,7 +16,7 @@ unisolvence check below guarantees to exist.  No global space is built.
 from fractions import Fraction
 
 from .exactla import rank
-from .forms import PolyForm
+from .forms import Combination
 from .local import shapes, tables
 from .mesh import face_dofs
 from .reports import CheckReport
@@ -65,8 +65,7 @@ def _d_rows(mesh, k, interior):
         for a, dof in cell_dofs:
             if (shape, a) not in members:
                 face_functions = tables(mesh, k + 1, ci).face_functions
-                combo = sum((row[a] * f for row, f in zip(incidence, face_functions) if row[a]),
-                            PolyForm.zero(mesh.n, k + 1))
+                combo = Combination(mesh.n, k + 1, face_functions)([row[a] for row in incidence])
                 members[shape, a] = combo == shape.face_functions[a].exterior_derivative()
             support[dof].add(ci)
             ok = members[shape, a]

@@ -130,8 +130,7 @@ class LocalTables:
 
     def face_function(self, local, a):
         """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""
-        return sum((row[a] * phi for row, phi in zip(self.vandermonde_inverse, local) if row[a]),
-                   PolyForm.zero(self.cell.n, self.k))
+        return local.combination([row[a] for row in self.vandermonde_inverse])
 
     @cached_property
     def face_functions(self):

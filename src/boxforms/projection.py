@@ -58,20 +58,20 @@ class LocalProjector:
         return (omega,) if self.k == self.cell.n else (omega.exterior_derivative(), omega)
 
     def _rhs(self, omega):
-        """The adjoint pairings of omega with every test form."""
-        return self.cell.pairing_table([self._left(omega)], self._test_side)[0]
+        """(ints, den): the adjoint pairings of omega with every test form."""
+        (ints,), den = self.cell.pairing_integers([self._left(omega)], self._test_side)
+        return ints, den
 
     def coefficients(self, omega):
         """Exact coefficients of the projection in the trial basis."""
         if omega.k != self.k or omega.n != self.cell.n:
             raise ValueError("form degree/dimension does not match the projector")
-        rhs, den = integer_scaled(self._rhs(omega))
+        rhs, den = self._rhs(omega)
         den *= self._inverse_den
         return [Fraction(sum(map(mul, row, rhs)), den) for row in self._inverse_ints]
 
     def project(self, omega):
-        return sum((c * phi for c, phi in zip(self.coefficients(omega), self.trial) if c),
-                   PolyForm.zero(self.cell.n, self.k))
+        return self.trial.combination(self.coefficients(omega))
 
     def coefficients_from_field(self, field, order=5):
         """Float trial coefficients for a sampled (non-polynomial) k-form."""

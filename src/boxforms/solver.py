@@ -40,7 +40,7 @@ import scipy.sparse
 from . import local
 from .exactla import integer_scaled, solve_consistent
 from .fields import manufactured
-from .forms import PolyForm
+from .forms import Combination, PolyForm
 from .mesh import build_grid, face_dofs
 from .quadrature import component_array
 from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
@@ -198,9 +198,16 @@ def assemble(space, load, quad_order=5):
 
     load_broken = f_exact = None
     if isinstance(load, PolyForm):
-        load_broken = [q for cell, basis in zip(mesh.cells, pw.bases)
-                       for q in cell.pairing_table([(load,)], [(phi,) for phi in basis])[0]]
-        f_exact = [sum((val * load_broken[c] for c, val in vec.items()), Fraction(0))
+        # a cell's pairings are those of its shape's first cell with the load moved there
+        load_at, load_broken = Combination(mesh.n, pw.k, [load]), []
+        for ci, cell in enumerate(mesh.cells):
+            table = local.tables(mesh, pw.k, ci)
+            moved = load_at([1], [a - b for a, b in zip(table.cell.center, cell.center)])
+            load_broken += table.cell.pairing_table([(moved,)], [(phi,) for phi in table.basis])[0]
+        ints, den = integer_scaled(load_broken)  # V^T load_broken in integers
+        values, v_den = integer_scaled([v for vec in space.vectors for v in vec.values()])
+        values = iter(values)
+        f_exact = [Fraction(sum(ints[c] * next(values) for c in vec), den * v_den)
                    for vec in space.vectors]
         f_float = np.array([float(x) for x in f_exact])
     else:

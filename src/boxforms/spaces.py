@@ -19,12 +19,13 @@ these families satisfy, by exact elimination.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import mul
 
 from .exactla import independent_subset, integer_scaled, nullspace, rank, rref, spans_equal
-from .forms import CellBox, PolyForm, Polynomial, adjoint_table
+from .forms import CellBox, Combination, PolyForm, Polynomial, adjoint_table
 from .indices import complement, multi_indices
 from .reports import CheckReport
 
@@ -57,6 +58,11 @@ class SpaceBasis:
     @property
     def n(self):
         return self.cell.n
+
+    @cached_property
+    def combination(self):
+        """Linear combinations of the elements, built on first use."""
+        return Combination(self.n, self.k, self.elements)
 
 
 def dimension(kind, k, n):
@@ -96,21 +102,12 @@ def basis(kind, k, cell):
     n = cell.n
     dim = dimension(kind, k, n)  # validates (kind, k)
     center = cell.center
-    if kind == P0:
-        elements = [PolyForm.covector(n, sigma) for sigma in multi_indices(k, n)]
-        labels = [(sigma, ()) for sigma in multi_indices(k, n)]
-    elif kind == Q1MINUS:
-        elements, labels = [], []
-        for sigma in multi_indices(k, n):
-            for tau in _subsets(complement(sigma, n)):
-                elements.append(PolyForm.covector(n, sigma, _centered_monomial(n, tau, center)))
-                labels.append((sigma, tau))
-    elif kind == Q1MINUS_STAR:
-        elements, labels = [], []
-        for sigma in multi_indices(k, n):
-            for tau in _subsets(sigma):
-                elements.append(PolyForm.covector(n, sigma, _centered_monomial(n, tau, center)))
-                labels.append((sigma, tau))
+    if kind in (P0, Q1MINUS, Q1MINUS_STAR):
+        # t_tau dx^sigma: tau empty, off sigma or inside sigma
+        labels = [(sigma, tau) for sigma in multi_indices(k, n) for tau in (
+            [()] if kind == P0 else _subsets(complement(sigma, n) if kind == Q1MINUS else sigma))]
+        elements = [PolyForm.covector(n, sigma, _centered_monomial(n, tau, center))
+                    for sigma, tau in labels]
     elif kind == P1MINUS:
         # constants first (in index order), then Koszul lifts; by the Pascal
         # identity C(n,k) + C(n,k+1) = C(n+1,k+1) nothing is ever pruned,
@@ -202,20 +199,11 @@ def expand_in_span(basis_forms, target):
 def operator_kernel(space, op):
     """Forms spanning the kernel of a linear operator restricted to a span."""
     images = [op(f) for f in space]
-    nonzero = [f for f in images if not f.is_zero()]
-    if not nonzero:
+    if not any(images):
         return list(space)
-    columns = coefficient_vectors(images)
     # rows of the elimination system = frame entries, columns = basis elements
-    system = [[columns[j][i] for j in range(len(images))] for i in range(len(columns[0]))]
-    kernel = []
-    for coeffs in nullspace(system):
-        form = PolyForm.zero(space[0].n, space[0].k)
-        for c, f in zip(coeffs, space):
-            if c:
-                form = form + c * f
-        kernel.append(form)
-    return kernel
+    system = [list(row) for row in zip(*coefficient_vectors(images))]
+    return [space.combination(coeffs) for coeffs in nullspace(system)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +322,13 @@ def check_ap_identity(k, n, cell=None):
     projector = LocalProjector(k, cell)
     trial = basis(Q1MINUS, k, cell)
     tests = basis(Q1MINUS_STAR, k + 1, cell)
-    a_ints, a_den = integer_scaled([v for row in adjoint_table(projector.trial, tests, cell)
-                                    for v in row])
-    a_cols = [a_ints[t::len(tests)] for t in range(len(tests))]
+    a_rows, a_den = cell.pairing_integers(
+        [(phi.exterior_derivative(), phi) for phi in projector.trial],
+        [(mu, -mu.codifferential()) for mu in tests])
     b_rows = adjoint_table(trial, tests, cell)
     for (sig, tau), omega, b_row in zip(trial.labels, trial.elements, b_rows):
         c_ints, c_den = integer_scaled(projector.coefficients(omega))
-        for (sig2, tau2), a_col, rhs in zip(tests.labels, a_cols, b_row):
+        for (sig2, tau2), a_col, rhs in zip(tests.labels, zip(*a_rows), b_row):
             lhs = Fraction(sum(map(mul, c_ints, a_col)), c_den * a_den)
             if lhs != rhs:
                 return CheckReport(

@@ -7,6 +7,7 @@ reports; the test-suite runs the same functions.
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -185,37 +186,35 @@ def local_space_suite(n, ks=None):
 def projection_suite(n, seed=0, ks=None):
     rng = random.Random(seed)
     reports = []
+    projector = cache(LocalProjector)  # one per (k, box) for this call
     boxes = [CellBox.reference(n), stretched_box(n)] + [random_box(n, rng) for _ in range(2)]
     ks = range(n + 1) if ks is None else ks
     for k in ks:
         ok, witness = True, None
         for cell in boxes:
             try:
-                projector = LocalProjector(k, cell)
+                proj = projector(k, cell)
             except RuntimeError:
                 ok, witness = False, f"singular system on {cell.lo}..{cell.hi}"
                 continue
-            for phi in projector.trial:
-                if projector.project(phi) != phi:
+            for phi in proj.trial:
+                if proj.project(phi) != phi:
                     ok, witness = False, f"not identity on Whitney basis, k={k}"
             for _ in range(2):
                 omega = random_form(n, k, rng, degree=2)
-                once = projector.project(omega)
-                if projector.project(once) != once:
+                once = proj.project(omega)
+                if proj.project(once) != once:
                     ok, witness = False, f"not idempotent on {omega}"
         reports.append(CheckReport("projection_wellposed_idempotent", n, k, ok,
                                    counterexample=witness))
     if 0 in ks and n >= 2:
-        cell = CellBox.reference(n)
-        cross = PolyForm.from_scalar(
-            Polynomial.variable(n, 1) * Polynomial.variable(n, 2))
-        reports.append(CheckReport(
-            "projection_kills_bilinear_bubble", n, 0,
-            LocalProjector(0, cell).project(cross).is_zero()))
+        cross = PolyForm.from_scalar(Polynomial.variable(n, 1) * Polynomial.variable(n, 2))
+        reports.append(CheckReport("projection_kills_bilinear_bubble", n, 0,
+                                   projector(0, boxes[0]).project(cross).is_zero()))
     for k in sorted(set(ks) & set(range(n))):
         ok = True
         for cell in (CellBox.reference(n), stretched_box(n)):
-            pair = LocalProjector(k, cell), LocalProjector(k + 1, cell)
+            pair = projector(k, cell), projector(k + 1, cell)
             for omega in basis(Q1MINUS, k, cell):
                 if commuting_gap(omega, *pair) is not None:
                     ok = False

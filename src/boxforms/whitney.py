@@ -1,8 +1,8 @@
 """Piecewise Whitney-form spaces glued by adjoint constraints.
 
 The space of interest lives inside the broken Whitney space (one P1minus
-basis per cell, no continuity).  Gluing is imposed weakly: a piecewise
-form w belongs to the space iff
+basis per cell, the reference cell's moved to it; no continuity).  Gluing
+is imposed weakly: a piecewise form w belongs to the space iff
 
     sum_K  <d w, mu>_K - <w, delta mu>_K  =  0
 
@@ -55,23 +55,14 @@ class PiecewiseWhitney:
         self.dim_local = spaces.dimension(spaces.P1MINUS, k, mesh.n)
         self.ncols = mesh.n_cells * self.dim_local
 
-    @cached_property
-    def bases(self):
-        """The P1minus basis of every cell, built for exact callers on first use."""
-        return [spaces.basis(spaces.P1MINUS, self.k, cell) for cell in self.mesh.cells]
-
     def col(self, cell_id, j):
         return cell_id * self.dim_local + j
 
     def form_on_cell(self, vector, cell_id):
-        """Reconstruct the local PolyForm of a sparse coefficient vector."""
-        out = PolyForm.zero(self.mesh.n, self.k)
-        base = cell_id * self.dim_local
-        for j in range(self.dim_local):
-            c = vector.get(base + j)
-            if c:
-                out = out + c * self.bases[cell_id][j]
-        return out
+        """The local PolyForm of a sparse coefficient vector, on the reference's basis moved."""
+        cols = range(self.col(cell_id, 0), self.col(cell_id + 1, 0))
+        return local.reference(self.mesh.n, self.k).basis.combination(
+            [vector.get(c, 0) for c in cols], self.mesh.cells[cell_id].center)
 
     def constant_form_vector(self, sigma, scale=1):
         """Coefficients of the global constant form scale*dx^sigma."""
@@ -111,8 +102,8 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     f_a of Q1minus^(n-k-1) (``local.LocalTables.face_functions``), so a cell's
     entries are its shape's ``local.gluing_pairings`` scattered
     through the face DOFs of degree n-k-1: interior faces only for
-    interior-test, all faces for full-test.  Rows are dense lists of
-    Fractions, one per test DOF in face order.
+    interior-test, all faces for full-test.  Rows are dense lists, 0 off the
+    cells' blocks, one per test DOF in face order.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -123,7 +114,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     if k == n:
         return ConstraintSystem(k, flavor, pw, [])
     dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
-    rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
+    rows = [[0] * pw.ncols for _ in range(dofs.n_dofs)]
     for ci, cell_dofs in enumerate(dofs.cell_dofs):
         pairings = local.gluing_pairings(mesh, k, ci)
         base = pw.col(ci, 0)
@@ -311,13 +302,8 @@ def apply_broken_d(vector, pw_k, pw_k1):
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
         for i, c in enumerate(local.tables(pw_k.mesh, pw_k.k, ci).d_matrix[j]):
-            if c:
-                acc = out.get(pw_k1.col(ci, i), Fraction(0)) + val * c
-                if acc:
-                    out[pw_k1.col(ci, i)] = acc
-                else:
-                    out.pop(pw_k1.col(ci, i), None)
-    return out
+            out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c
+    return {col: v for col, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +400,7 @@ def mean_jump_rows(mesh, pw):
         jumps.append([[v if sum(shift) else -v for v in row]
                       for row, (_, shift) in zip(table, facets)])
     dofs = face_dofs(n - 1, mesh, interior=True)
-    rows = [[Fraction(0)] * pw.ncols for _ in range(dofs.n_dofs)]
+    rows = [[0] * pw.ncols for _ in range(dofs.n_dofs)]
     for ci, (s, row) in enumerate(zip(mesh.cell_shapes[0].tolist(), dofs.array.tolist())):
         base = pw.col(ci, 0)
         for a, dof in enumerate(row):

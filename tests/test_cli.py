@@ -8,10 +8,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from test_mesh import GRADED, graded_mesh
 
 import boxforms
+from boxforms import cli, spaces
 from boxforms.cli import CSV_COLUMNS, main
-from boxforms.forms import parse_form
+from boxforms.forms import PolyForm, parse_form
+from boxforms.mesh import build_grid
+from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, build_constraints,
+                              interpolated_generating_set, kernel_space, summarize)
 
 
 def run_cli(args):
@@ -244,3 +249,79 @@ def test_basis_dump_reconstructs_only_the_cells_a_vector_names(monkeypatch):
     dumped = [int(line.split("| cell ")[1].split(":")[0])
               for line in out.splitlines() if "| cell" in line]
     assert cells == dumped
+
+
+# -- the basis dump as it was built cell by cell, kept as the oracle
+
+
+def reference_format_polynomial(poly):
+    """The text of a polynomial, with signs and magnitudes from Fraction comparisons."""
+    if not poly.coeffs:
+        return "0"
+    pieces = []
+    for e, c in sorted(poly.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
+        factors = [f"x{i}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e, start=1) if p]
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces)
+
+
+def reference_dump_lines(tag, space):
+    """Each (vector, cell) pair summed with ``+`` over the cell's own P1minus basis."""
+    pw = space.pw
+    bases = [spaces.basis(spaces.P1MINUS, pw.k, cell) for cell in pw.mesh.cells]
+    lines = []
+    for i, vector in enumerate(space.vectors):
+        for ci in sorted({col // pw.dim_local for col in vector}):
+            form = PolyForm.zero(pw.mesh.n, pw.k)
+            for j, phi in enumerate(bases[ci]):
+                if vector.get(pw.col(ci, j)):
+                    form = form + vector[pw.col(ci, j)] * phi
+            text = " + ".join(f"({reference_format_polynomial(poly)}) * dx[{','.join(map(str, a))}]"
+                              for a, poly in form.components()) or "0"
+            lines.append(f"  {tag}{i} | cell {ci}: {text}")
+    return lines
+
+
+def basis_dump(mesh, k, flavor, dump_lines):
+    """The text of ``boxforms basis`` on the mesh, with the given per-space line builder."""
+    constraints = build_constraints(k, mesh, flavor)
+    kernel = kernel_space(constraints)
+    generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+    summary = summarize(constraints, kernel, generators)
+    lines = [f"summary: {json.dumps(summary, sort_keys=True)}", "",
+             f"kernel basis ({kernel.dim} elements):", *dump_lines("v", kernel), "",
+             f"projected conforming generators ({generators.dim}):", *dump_lines("g", generators)]
+    return "\n".join(lines) + "\n"
+
+
+BASIS_CASES = [(n, k, flavor) for n in (1, 2, 3) for k in range(n)
+               for flavor in ("interior", "full")]
+BASIS_GRIDS = {1: (3,), 2: (3, 2), 3: (3, 2, 2)}
+
+
+@pytest.mark.parametrize("n, k, flavor", BASIS_CASES)
+def test_basis_dump_matches_the_per_cell_bases(n, k, flavor):
+    grid = BASIS_GRIDS[n]
+    code, out, _ = run_cli(["basis", "--dim", str(n), "--k", str(k), "--flavor", flavor,
+                            "--grid", ",".join(map(str, grid))])
+    assert code == 0
+    expected = basis_dump(build_grid([[0, 1]] * n, grid), k,
+                          {"interior": INTERIOR_TEST, "full": FULL_TEST}[flavor],
+                          reference_dump_lines)
+    assert out == expected
+
+
+@pytest.mark.parametrize("n, k, flavor", BASIS_CASES)
+def test_basis_dump_matches_the_per_cell_bases_on_a_graded_mesh(n, k, flavor):
+    # cells of several shapes, centers that are not dyadic
+    flavor = {"interior": INTERIOR_TEST, "full": FULL_TEST}[flavor]
+    mesh = graded_mesh(GRADED[f"{n}d"])
+    expected = basis_dump(graded_mesh(GRADED[f"{n}d"]), k, flavor, reference_dump_lines)
+    assert basis_dump(mesh, k, flavor, cli._dump_lines) == expected

@@ -5,7 +5,7 @@ import pytest
 from test_mesh import faces, integrate, integrate_on_face
 
 from boxforms.forms import (CellBox, PolyForm, Polynomial, adjoint_pairing, adjoint_table,
-                            boundary_bump, format_form, parse_form, ratio)
+                            Combination, boundary_bump, format_form, parse_form, ratio)
 from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
 from boxforms.mesh import build_grid
 from boxforms.verify import random_box, stretched_box
@@ -604,6 +604,84 @@ def test_koszul_term_sums_that_cancel():
     one = PolyForm(n, 1, {(1,): x(n, 2), (2,): x(n, 1)})
     assert_same_order(one.wedge(one), ref_wedge(one, one))
     assert one.wedge(one).is_zero()
+
+
+def linear_combination(n, k, coeffs, forms, shift=None):
+    return Combination(n, k, forms)(coeffs, shift)
+
+
+def ref_combination(n, k, coeffs, forms):
+    return sum((c * f for c, f in zip(coeffs, forms)), PolyForm.zero(n, k))
+
+
+def ref_moved(form, shift):
+    """form(x - shift), expanded with Polynomial products of the factors x_i - shift_i."""
+    parts = {}
+    for alpha, poly in form.parts.items():
+        out = Polynomial.zero(form.n)
+        for e, c in poly.coeffs.items():
+            term = Polynomial.constant(form.n, c)
+            for i, p in enumerate(e, start=1):
+                for _ in range(p):
+                    term = term * Polynomial.variable(form.n, i, shift=shift[i - 1])
+            out = out + term
+        parts[alpha] = out
+    return PolyForm(form.n, form.k, parts)
+
+
+def random_coefficient(rng):
+    return rng.choice([0, 1, -2, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_combination_matches_the_term_by_term_sum(n):
+    rng = random.Random(700 + n)
+    for k in range(n + 1):
+        for size in range(6):
+            forms = [wide_form(n, k, rng, 3) for _ in range(size)]
+            coeffs = [random_coefficient(rng) for _ in forms]
+            expected = ref_combination(n, k, coeffs, forms)
+            got = linear_combination(n, k, coeffs, forms)
+            assert_clean(got)
+            assert got == expected
+            shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            moved = linear_combination(n, k, coeffs, forms, shift)
+            assert_clean(moved)
+            assert moved == ref_moved(expected, shift)
+            assert moved == ref_combination(n, k, coeffs, [ref_moved(f, shift) for f in forms])
+    assert linear_combination(n, 1, [], []) == PolyForm.zero(n, 1)
+    assert linear_combination(n, 0, [0, 0], [wide_form(n, 0, rng, 2)] * 2).is_zero()
+
+
+def test_linear_combination_drops_what_cancels():
+    n = 3
+    f = PolyForm(n, 1, {(1,): x(n, 2) + Polynomial.constant(n, Fraction(1, 3)),
+                        (2,): x(n, 1) * x(n, 3), (3,): Polynomial.constant(n, 5)})
+    g = f - PolyForm(n, 1, {(2,): x(n, 1) * x(n, 3)}) + PolyForm(n, 1, {(1,): x(n, 3)})
+    coeffs = [Fraction(2, 7), Fraction(-2, 7)]
+    for shift in (None, (1, Fraction(-1, 2), Fraction(3, 5))):
+        got = linear_combination(n, 1, coeffs, [f, g], shift)
+        assert_clean(got)
+        # dx3 cancels, dx1 keeps only x3, dx2 only x1 x3
+        assert set(got.parts) == {(1,), (2,)}
+        expected = ref_combination(n, 1, coeffs, [f, g])
+        assert got == (expected if shift is None else ref_moved(expected, shift))
+    assert linear_combination(n, 1, [1, -1], [f, f], (1, 2, 3)).is_zero()
+
+
+def test_a_combination_is_reused_across_calls_and_shifts():
+    # one prepared list serves many coefficient vectors and shifts, as it does
+    # for the reference cell's basis moved to every cell of a mesh
+    rng = random.Random(77)
+    n, k = 3, 1
+    forms = [wide_form(n, k, rng, 2) for _ in range(4)]
+    combination = Combination(n, k, forms)
+    for _ in range(6):
+        coeffs = [random_coefficient(rng) for _ in forms]
+        shift = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        expected = ref_combination(n, k, coeffs, forms)
+        assert combination(coeffs) == expected
+        assert combination(coeffs, shift) == ref_moved(expected, shift)
 
 
 def test_box_geometry_is_computed_once():

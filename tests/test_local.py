@@ -36,6 +36,11 @@ def local_energy_matrix(basis, cell):
     return cell.pairing_table(entries, entries)
 
 
+def cell_bases(pw):
+    """The P1minus basis built on each cell of the broken space's mesh, one cell at a time."""
+    return [spaces.basis(spaces.P1MINUS, pw.k, cell) for cell in pw.mesh.cells]
+
+
 def _cell_data(mesh, k, ci):
     """Energy, d-matrix, Vandermonde inverse and patterns from the cell's own basis."""
     cell = mesh.cells[ci]
@@ -182,10 +187,11 @@ def test_the_reference_is_built_once_per_dimension_and_degree():
 
 def reference_load(pw, load, quad_order):
     out = np.zeros(pw.ncols)
+    bases = cell_bases(pw)
     for ci, cell in enumerate(pw.mesh.cells):
         points, weights = box_rule(cell, quad_order)
         f_vals = load.at(points)
-        for j, phi in enumerate(pw.bases[ci]):
+        for j, phi in enumerate(bases[ci]):
             acc = 0.0
             for alpha, pv in polyform_values(phi, points).items():
                 fv = f_vals.get(alpha)
@@ -197,6 +203,7 @@ def reference_load(pw, load, quad_order):
 
 def reference_broken_error(exact_field, solution, quad_order):
     pw = solution.space.pw
+    bases = cell_bases(pw)
     coeffs = solution.pw_coefficients()
     err0 = 0.0
     err1 = 0.0
@@ -204,13 +211,13 @@ def reference_broken_error(exact_field, solution, quad_order):
         points, weights = box_rule(cell, quad_order)
         local = coeffs[ci * pw.dim_local:(ci + 1) * pw.dim_local]
         acc = {a: -v for a, v in exact_field.at(points).items()}
-        for j, phi in enumerate(pw.bases[ci]):
+        for j, phi in enumerate(bases[ci]):
             if local[j]:
                 for alpha, pv in polyform_values(phi, points).items():
                     acc[alpha] = acc.get(alpha, 0.0) + local[j] * pv
         err0 += sum(float(np.dot(weights, v * v)) for v in acc.values())
         acc = {a: -v for a, v in exact_field.d_at(points).items()}
-        for j, phi in enumerate(pw.bases[ci]):
+        for j, phi in enumerate(bases[ci]):
             if local[j]:
                 df = phi.exterior_derivative()
                 for alpha, pv in polyform_values(df, points).items():
@@ -221,12 +228,13 @@ def reference_broken_error(exact_field, solution, quad_order):
 
 def reference_consistency(entry, problem, quad_order, rtol=1e-12):
     pw = problem.space.pw
+    bases = cell_bases(pw)
     ell_pw = np.zeros(pw.ncols)
     for ci, cell in enumerate(pw.mesh.cells):
         points, weights = box_rule(cell, quad_order)
         dw_vals = entry.omega.d_at(points)
         dd_vals = entry.delta_d.at(points)
-        for j, phi in enumerate(pw.bases[ci]):
+        for j, phi in enumerate(bases[ci]):
             acc = 0.0
             df = phi.exterior_derivative()
             for alpha, pv in polyform_values(df, points).items():

@@ -153,7 +153,8 @@ def test_integer_product_matches_the_fraction_product(n):
             projector = LocalProjector(k, cell)
             forms = [PolyForm.zero(n, k)] + [random_form(n, k, rng) for _ in range(3)]
             for omega in forms + list(projector.trial):
-                rhs = projector._rhs(omega)
+                ints, den = projector._rhs(omega)
+                rhs = [Fraction(v, den) for v in ints]
                 expected = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
                             for row in projector.inverse]
                 got = projector.coefficients(omega)
@@ -272,12 +273,12 @@ def test_quasi_optimality_ratio_bounded():
 
 
 def test_verify_builds_projectors_and_inverses_once(monkeypatch):
-    # verify --dim 3 --grid 2,2,2 --flavor interior builds 38 projectors on
+    # verify --dim 3 --grid 2,2,2 --flavor interior builds 25 projectors on
     # the boxes it checks: 6 in the local-space suite (ap identity, 2 boxes,
-    # k = 0..2), 29 in the projection suite (16 well-posedness, 1 bubble, and
-    # one degree-k and degree-(k+1) pair per (k, box) for the commuting
-    # check, 12) and 3 in the mesh suite (P^(k+1) of the commuting squares on
-    # the mesh's one cell shape, k = 0..2).  Each inverts one system; the 4
+    # k = 0..2), 16 in the projection suite (one per k = 0..3 and box, 4
+    # boxes; the bubble and the commuting check reuse them) and 3 in the
+    # mesh suite (P^(k+1) of the commuting squares on the mesh's one cell
+    # shape, k = 0..2).  Each inverts one system; the 4
     # further inverses are the face-DOF Vandermonde inverses of the mesh's
     # shape, one per degree.  The shape's projection patterns are scaled from
     # the reference cell's, whose tables are built once per process: on a
@@ -299,7 +300,7 @@ def test_verify_builds_projectors_and_inverses_once(monkeypatch):
             monkeypatch.setattr(module, "invert", counting_invert)
     monkeypatch.setattr(projection.LocalProjector, "__init__", counting_init)
     argv = ["verify", "--dim", "3", "--grid", "2,2,2", "--flavor", "interior"]
-    for expected in ({"projectors": 38 + 4, "invert": 42 + 8}, {"projectors": 38, "invert": 42}):
+    for expected in ({"projectors": 25 + 4, "invert": 29 + 8}, {"projectors": 25, "invert": 29}):
         counts.update(projectors=0, invert=0)
         with redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0

@@ -23,7 +23,7 @@ from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
 from boxforms.whitney import WhitneySpace, build_constraints, kernel_space
 from test_global_spaces import CHECK_MESHES
-from test_local import local_energy_matrix
+from test_local import cell_bases, local_energy_matrix
 from test_mesh import GRADED, graded_mesh
 
 
@@ -316,8 +316,9 @@ def reference_exact_assembly(space, load):
             ci, j = divmod(col, pw.dim_local)
             per_cell.setdefault(ci, [0] * pw.dim_local)[j] = val
         slices.append(per_cell)
-    lmats = [local_energy_matrix(pw.bases[ci], cell) for ci, cell in enumerate(mesh.cells)]
-    pairs = [[load.inner_product(phi, cell) for phi in pw.bases[ci]]
+    bases = cell_bases(pw)
+    lmats = [local_energy_matrix(bases[ci], cell) for ci, cell in enumerate(mesh.cells)]
+    pairs = [[load.inner_product(phi, cell) for phi in bases[ci]]
              for ci, cell in enumerate(mesh.cells)]
     size = space.dim
     g = [[0] * size for _ in range(size)]

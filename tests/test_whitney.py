@@ -1,6 +1,8 @@
 import gc
+import io
 import re
 import weakref
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
@@ -9,11 +11,12 @@ import pytest
 import scipy.sparse
 from test_exactla import reference_independent_subset
 from test_global_spaces import CHECK_MESHES, build_space
+from test_local import cell_bases
 from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_faces, faces,
                        graded_mesh, integrate_on_face, interior_faces, is_boundary)
 
 from boxforms import forms as forms_module
-from boxforms import local, projection
+from boxforms import cli, local, projection, spaces
 from boxforms import whitney as whitney_module
 from boxforms import exactla
 from boxforms.exactla import independent_subset, nullspace, rank, spans_equal
@@ -227,12 +230,12 @@ def test_mean_jump_equivalence_1d():
 def reference_mean_jump_rows(mesh, pw):
     """The per-entry build the per-shape scatter replaced: per interior facet, the
     facet integral of each cell's basis, + on the lower cell id and - on the higher."""
-    rows = []
+    bases, rows = cell_bases(pw), []
     for face in interior_faces(mesh, mesh.n - 1):
         lo, hi = sorted(cells_of_face(mesh, face))
         row = [Fraction(0)] * pw.ncols
         for sign, ci in ((1, lo), (-1, hi)):
-            for j, phi in enumerate(pw.bases[ci]):
+            for j, phi in enumerate(bases[ci]):
                 poly = phi.parts.get((), None)
                 if poly is not None:
                     row[pw.col(ci, j)] = sign * integrate_on_face(mesh, face, poly)
@@ -286,12 +289,12 @@ def reference_constraints(k, mesh, flavor):
     if k == mesh.n:
         return []
     test_space = build_space(VQSTAR0 if flavor == INTERIOR_TEST else VQSTAR, k + 1, mesh)
-    rows = []
+    bases, rows = cell_bases(pw), []
     for dof in range(test_space.ndof):
         row = [Fraction(0)] * pw.ncols
         for ci in test_space.supports[dof]:
             mu = test_space.cell_expansions[ci][dof]
-            for j, phi in enumerate(pw.bases[ci]):
+            for j, phi in enumerate(bases[ci]):
                 row[pw.col(ci, j)] = adjoint_pairing(phi, mu, mesh.cells[ci])
         rows.append(row)
     return rows
@@ -554,6 +557,42 @@ def test_mesh_checks_do_per_shape_work(monkeypatch, small, large):
                   for d in (small, large)]
         assert counts[0] == counts[1], (check.__name__, option, counts)
         assert counts[0]["coefficients" if check is check_commuting_squares else "face_dof"]
+
+
+def count_bases(monkeypatch, run, *args):
+    """Calls of ``spaces.basis`` during one run, the reference cell's tables cleared first."""
+    local.reference.cache_clear()
+    calls = []
+    real_basis = spaces.basis
+
+    def basis(*basis_args):
+        calls.append(basis_args[:2])
+        return real_basis(*basis_args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces, "basis", basis)
+        run(*args)
+    return len(calls)
+
+
+def dump_basis(k, m):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["basis", "--dim", "2", "--k", str(k), "--grid", f"{m},{m}"]) == 0
+
+
+def solve_exactly(k, m):
+    load = PolyForm(2, k, {alpha: Polynomial(2, {(0, 0): Fraction(2, 3), (1, 0): -1, (0, 1): 3})
+                           for alpha in ([()] if k == 0 else [(1,), (2,)])})
+    space = kernel_space(build_constraints(k, build_grid([[0, 1]] * 2, (m, m))))
+    assert assemble(space, load).F_exact is not None
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_basis_dump_and_exact_assembly_build_bases_per_shape(monkeypatch, k):
+    # one cell shape on both meshes: the local bases must not grow with the cell count
+    for run in (dump_basis, solve_exactly):
+        counts = [count_bases(monkeypatch, run, k, m) for m in (3, 6)]
+        assert counts[0] == counts[1] > 0, (run.__name__, counts)
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_MESHES))
