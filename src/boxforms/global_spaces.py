@@ -63,10 +63,10 @@ def _d_rows(mesh, k, interior):
         incidence = shape.incidence
         kept = dict(up.cell_dofs[ci])
         for a, dof in cell_dofs:
-            if (shape, a) not in members:
-                face_functions = tables(mesh, k + 1, ci).face_functions
-                combo = Combination(mesh.n, k + 1, face_functions)([row[a] for row in incidence])
-                members[shape, a] = combo == shape.face_functions[a].exterior_derivative()
+            if (shape, a) not in members:  # every local face of the shape at once
+                combo = Combination(mesh.n, k + 1, tables(mesh, k + 1, ci).face_functions)
+                for b, f in enumerate(shape.face_functions):
+                    members[shape, b] = combo([r[b] for r in incidence]) == f.exterior_derivative()
             support[dof].add(ci)
             ok = members[shape, a]
             for b, r in enumerate(incidence):

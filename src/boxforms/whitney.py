@@ -302,7 +302,8 @@ def apply_broken_d(vector, pw_k, pw_k1):
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
         for i, c in enumerate(local.tables(pw_k.mesh, pw_k.k, ci).d_matrix[j]):
-            out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c
+            if c:
+                out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c
     return {col: v for col, v in out.items() if v}
 
 
