@@ -132,7 +132,7 @@ def _validate_dim(args):
     grid = getattr(args, "grid", None)
     if grid is not None and len(grid) != args.dim:
         raise SystemExit(_usage_error("--grid must list one division count per axis"))
-    for flag in ("levels", "base"):
+    for flag in ("levels", "base", "quad"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise SystemExit(_usage_error(f"--{flag} must be >= 1, got {value}"))
@@ -233,29 +233,18 @@ def cmd_convergence(args):
 
 
 def cmd_solve(args):
-    from .solver import (assemble, broken_error, build_solver_space, consistency_with_floor,
-                         flavor_for, solve)
+    from .solver import flavor_for, solve_level
     entry = _pick_solution(args, allow_constant=True)
     divisions = args.grid or (4,) * args.dim
-    mesh = build_grid(entry.domain, divisions)
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else flavor_for(entry)
-    space = build_solver_space(entry.k, mesh, flavor)
-    problem = assemble(space, entry.load, args.quad)
-    solution = solve(problem)
-    err_l2, err_hd = broken_error(entry.omega, solution, args.quad)
-    consistency, floor = consistency_with_floor(entry, problem, args.quad)
+    space, results = solve_level(entry, build_grid(entry.domain, divisions), flavor,
+                                 args.quad, "auto")
     payload = {
         "command": "solve",
         "solution": entry.name,
         "n": args.dim, "k": entry.k, "grid": list(divisions), "flavor": flavor,
         "representation": space.representation,
-        "dim_space": space.dim,
-        "err_L2": err_l2,
-        "err_Hd": err_hd,
-        "consistency": consistency,
-        "consistency_at_floor": consistency <= floor,
-        "cg_iterations": solution.cg_iterations,
-        "cg_residual": solution.cg_residual,
+        **results,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
     return 0

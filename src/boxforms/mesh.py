@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .forms import CellBox, ratio
+from .forms import CellBox
 from .indices import complement, multi_indices
 from .quadrature import gauss_nodes
 
@@ -118,9 +118,6 @@ class CubicalMesh:
 
 def build_grid(domain, divisions):
     """Mesh of ``domain`` (a CellBox or [[lo, hi], ...] spec) with the given divisions."""
-    if not isinstance(domain, CellBox):
-        pairs = [(ratio(p[0]), ratio(p[1])) for p in domain]
-        domain = CellBox(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
     return CubicalMesh(domain, divisions)
 
 

@@ -122,18 +122,13 @@ def commuting_gap(omega, proj, target, order=5, tol=1e-9):
     return None
 
 
-def check_commuting(omega, k, cell_or_mesh, order=5, tol=1e-9):
-    """Projection commutes with d: P^(k+1)(d w) = d(P^k w).
+def check_commuting(omega, k, cell, order=5, tol=1e-9):
+    """Projection commutes with d on ``cell``: P^(k+1)(d w) = d(P^k w).
 
     Exact for polynomial input; quadrature-consistent (within ``tol`` in
     the max coefficient norm) for sampled fields.
     """
-    cells = getattr(cell_or_mesh, "cells", [cell_or_mesh])
-    for cell in cells:
-        witness = commuting_gap(omega, LocalProjector(k, cell), LocalProjector(k + 1, cell),
-                                order=order, tol=tol)
-        if witness is not None:
-            return CheckReport("projection_commutes_with_d", cell.n, k, False,
-                               counterexample=witness)
-    n = cells[0].n
-    return CheckReport("projection_commutes_with_d", n, k, True)
+    witness = commuting_gap(omega, LocalProjector(k, cell), LocalProjector(k + 1, cell),
+                            order=order, tol=tol)
+    return CheckReport("projection_commutes_with_d", cell.n, k, witness is None,
+                       counterexample=witness)

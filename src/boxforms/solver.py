@@ -24,8 +24,13 @@ the basis coefficients off the broken solution.  The exact path doubles
 as the oracle for the iterative one; the exact Gram over the basis is
 built only when something reads ``DiscreteProblem.G_exact``.  The
 consistency residual takes back-solves with a sparse LU factorization of
-the Gram matrix, made once per problem on first demand, and comes with a
-roundoff floor: a residual at or below it may be all rounding.
+the Gram matrix, made once per problem on first demand, integrates at
+the problem's quadrature order, and comes with a roundoff floor: a
+residual at or below it may be all rounding.
+
+``solve_level`` is the one per-level pipeline, from space to consistency
+residual: the ``solve`` command reports one level, ``convergence_sweep`` a
+sequence of them.
 """
 
 import math
@@ -373,7 +378,7 @@ def _coordinates(space, w):
                      "they span less than the glued space")
 
 
-def solve(problem, method="cg", rtol=1e-12):
+def solve(problem, method="cg"):
     """Solve the Galerkin system by CG, or exactly (see condensed_solution) on request."""
     if method == "exact":
         if not problem.exact:
@@ -384,7 +389,7 @@ def solve(problem, method="cg", rtol=1e-12):
         return Solution(problem.space, problem, x, x_exact=x_exact, w_exact=w)
     if method != "cg":
         raise ValueError(f"unknown solve method {method!r}")
-    x, history = conjugate_gradient(problem.G, problem.F, rtol=rtol)
+    x, history = conjugate_gradient(problem.G, problem.F)
     return Solution(problem.space, problem, x, history=history)
 
 
@@ -411,7 +416,7 @@ def broken_error(exact_field, solution, quad_order=5):
     return math.sqrt(err0), math.sqrt(err0 + err1)
 
 
-def consistency_with_floor(entry, problem, quad_order=5):
+def consistency_with_floor(entry, problem):
     """(consistency residual, its roundoff floor), from one quadrature pass.
 
     The residual is the sup over the discrete space, at unit broken norm,
@@ -422,14 +427,15 @@ def consistency_with_floor(entry, problem, quad_order=5):
     sum over absolute values (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, section 3.1).  The floor is gamma_m times
     the G^-1 norm of that absolute-value sum; a residual at or below it
-    may be all rounding.
+    may be all rounding.  The pass uses the order the load was assembled at.
     """
     pw = problem.space.pw
     ell_pw = np.zeros((pw.mesh.n_cells, pw.dim_local))
     abs_pw = np.zeros_like(ell_pw)
     terms = 0
-    for ids, tab, dw, dd in _gauss_grid(pw, quad_order, (pw.k + 1, entry.omega.d_on_axes),
-                                         (pw.k, entry.delta_d.on_axes)):
+    for ids, tab, dw, dd in _gauss_grid(pw, problem.quad_order,
+                                        (pw.k + 1, entry.omega.d_on_axes),
+                                        (pw.k, entry.delta_d.on_axes)):
         dw = dw * tab.weights
         dd = dd * tab.weights
         ell_pw[ids] = (np.einsum("acp,jap->cj", dw, tab.d_values)
@@ -448,9 +454,9 @@ def consistency_with_floor(entry, problem, quad_order=5):
     return problem.dual_norm(ell), gamma * problem.dual_norm(bound)
 
 
-def consistency_residual(entry, problem, quad_order=5):
+def consistency_residual(entry, problem):
     """sup over the discrete space of the nonconformity functional (see consistency_with_floor)."""
-    return consistency_with_floor(entry, problem, quad_order)[0]
+    return consistency_with_floor(entry, problem)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,52 +485,57 @@ def flavor_for(entry):
     return FULL_TEST if entry.compatibility == "essential" else INTERIOR_TEST
 
 
-def convergence_sweep(solution, levels, flavor=None, quad_order=5,
-                      representation="generators", rtol=1e-12):
+def solve_level(entry, mesh, flavor, quad_order, representation):
+    """(space, results) of the discrete problem of ``entry`` on ``mesh``, solved by CG.
+
+    The results are the space dimension, the L2 and broken energy errors,
+    the consistency residual and whether it is at its roundoff floor, and
+    the CG iteration count and final residual.  d(omega) is evaluated once
+    and read by both the energy error and the consistency residual.
+    """
+    space = build_solver_space(entry.k, mesh, flavor, representation)
+    problem = assemble(space, entry.load, quad_order)
+    sol = solve(problem)
+    d_omega = entry.omega.d_on_axes(mesh.gauss_axes(quad_order))
+    omega = SimpleNamespace(on_axes=entry.omega.on_axes, d_on_axes=lambda axes: d_omega)
+    err_l2, err_hd = broken_error(omega, sol, quad_order)
+    cons, floor = consistency_with_floor(replace(entry, omega=omega), problem)
+    return space, {
+        "dim_space": space.dim,
+        "err_L2": err_l2,
+        "err_Hd": err_hd,
+        "consistency": cons,
+        "consistency_at_floor": cons <= floor,
+        "cg_iterations": sol.cg_iterations,
+        "cg_residual": sol.cg_residual,
+    }
+
+
+def convergence_sweep(solution, levels, flavor=None, quad_order=5):
     """Solve on a sequence of uniform refinements and report errors/orders.
 
     ``solution`` is a catalog name or a ManufacturedSolution; ``levels``
-    is a list of per-axis division counts.  Returns one row per level with
-    errors, the consistency residual and whether it is at its roundoff
-    floor, the CG iteration count and final residual, and observed orders
-    between consecutive levels (no consistency order where either level
-    is at the floor).
+    is a list of per-axis division counts.  Returns one row per level:
+    its mesh size, the results of ``solve_level`` on the generator basis,
+    and observed orders between consecutive levels (no consistency order
+    where either level is at the floor).
     """
     entry = manufactured(solution) if isinstance(solution, str) else solution
     flavor = flavor or flavor_for(entry)
     rows = []
-    prev = None
     for level, m in enumerate(levels):
         mesh = build_grid(entry.domain, (m,) * entry.n)
-        space = build_solver_space(entry.k, mesh, flavor, representation)
-        problem = assemble(space, entry.load, quad_order)
-        sol = solve(problem, method="cg", rtol=rtol)
-        d_omega = entry.omega.d_on_axes(mesh.gauss_axes(quad_order))  # once for both passes
-        omega = SimpleNamespace(on_axes=entry.omega.on_axes, d_on_axes=lambda axes: d_omega)
-        err_l2, err_hd = broken_error(omega, sol, quad_order)
-        cons, floor = consistency_with_floor(replace(entry, omega=omega), problem, quad_order)
-        row = {
-            "level": level,
-            "h": float(mesh.h_max),
-            "n_cells": mesh.n_cells,
-            "dim_space": space.dim,
-            "err_L2": err_l2,
-            "err_Hd": err_hd,
-            "consistency": cons,
-            "consistency_at_floor": cons <= floor,
-            "cg_iterations": sol.cg_iterations,
-            "cg_residual": sol.cg_residual,
-            "order_L2": None,
-            "order_Hd": None,
-            "order_consistency": None,
-        }
-        if prev is not None:
+        row = {"level": level, "h": float(mesh.h_max), "n_cells": mesh.n_cells,
+               **solve_level(entry, mesh, flavor, quad_order, "generators")[1],
+               "order_L2": None, "order_Hd": None, "order_consistency": None}
+        if rows:
+            prev = rows[-1]
             ratio = math.log(prev["h"] / row["h"])
             for key in ("L2", "Hd"):
                 a, b = prev[f"err_{key}"], row[f"err_{key}"]
                 row[f"order_{key}"] = math.log(a / b) / ratio if a > 0 and b > 0 else None
             if not (prev["consistency_at_floor"] or row["consistency_at_floor"]):
-                row["order_consistency"] = math.log(prev["consistency"] / cons) / ratio
+                row["order_consistency"] = math.log(
+                    prev["consistency"] / row["consistency"]) / ratio
         rows.append(row)
-        prev = row
     return rows

@@ -226,8 +226,8 @@ def projection_suite(n, seed=0, ks=None):
 # mesh-level structure
 
 
-def mesh_suite(n, divisions, flavors=FLAVORS, domain=None):
-    mesh = build_grid(domain or [[0, 1]] * n, divisions)
+def mesh_suite(n, divisions, flavors=FLAVORS):
+    mesh = build_grid([[0, 1]] * n, divisions)
     reports = []
 
     ok = True

@@ -11,8 +11,9 @@ import pytest
 from test_mesh import GRADED, graded_mesh
 
 import boxforms
-from boxforms import cli, spaces
+from boxforms import cli, solver, spaces
 from boxforms.cli import CSV_COLUMNS, main
+from boxforms.fields import FormField, manufactured
 from boxforms.forms import PolyForm, parse_form
 from boxforms.mesh import build_grid
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, build_constraints,
@@ -76,15 +77,67 @@ def test_convergence_csv_columns():
     assert float(rows[1]["order_Hd"]) > 0.5
 
 
-@pytest.mark.parametrize("flag", ["--levels", "--base"])
-def test_nonpositive_sweep_size_rejected(flag):
-    sizes = {"--levels": "1", "--base": "4", flag: "0"}
-    argv = ["convergence", "--dim", "1", "--k", "0"]
-    for name, value in sizes.items():
+@pytest.mark.parametrize("command, flag", [("convergence", "--levels"),
+                                           ("convergence", "--base"),
+                                           ("convergence", "--quad"), ("solve", "--quad")])
+def test_nonpositive_sweep_size_rejected(command, flag):
+    sizes = {"--levels": "1", "--base": "4"} if command == "convergence" else {}
+    argv = [command, "--dim", "1", "--k", "0"]
+    for name, value in {**sizes, flag: "0"}.items():
         argv += [name, value]
     code, _, err = run_cli(argv)
     assert code == 2
     assert flag in err
+
+
+@pytest.mark.parametrize("grid, representation", [((4, 4), "kernel"),
+                                                   ((12, 12), "generators")])
+def test_solve_reports_the_shared_level_row(monkeypatch, grid, representation):
+    # `solve` reports what solver.solve_level gives for its mesh, flavor and
+    # order, on a kernel-size and on a generator-size grid
+    levels = []
+    real = solver.solve_level
+
+    def solve_level(entry, mesh, flavor, quad_order, rep):
+        levels.append((mesh.divisions, flavor, quad_order, rep))
+        return real(entry, mesh, flavor, quad_order, rep)
+
+    monkeypatch.setattr(solver, "solve_level", solve_level)
+    code, out, _ = run_cli(["solve", "--dim", "2", "--k", "1", "--solution", "sin2d_k1",
+                            "--grid", ",".join(map(str, grid))])
+    assert code == 0
+    assert levels == [(grid, FULL_TEST, 5, "auto")]
+    entry = manufactured("sin2d_k1")
+    space, row = real(entry, build_grid(entry.domain, grid), FULL_TEST, 5, "auto")
+    payload = json.loads(out)
+    assert space.representation == payload["representation"] == representation
+    assert {key: payload[key] for key in row} == row
+
+
+def test_solve_evaluates_d_omega_once(monkeypatch):
+    calls = []
+    real = FormField.d_on_axes
+
+    def d_on_axes(field, axes):
+        calls.append(field)
+        return real(field, axes)
+
+    monkeypatch.setattr(FormField, "d_on_axes", d_on_axes)
+    code, _, _ = run_cli(["solve", "--dim", "2", "--k", "0", "--solution", "cos2d_k0"])
+    assert code == 0
+    assert calls == [manufactured("cos2d_k0").omega]
+
+
+def test_solve_consistency_is_the_problem_order():
+    # the consistency residual integrates at the order the load was assembled at
+    entry = manufactured("cos2d_k0")
+    space = solver.build_solver_space(entry.k, build_grid(entry.domain, (4, 4)),
+                                      solver.flavor_for(entry))
+    consistency, _ = solver.consistency_with_floor(entry, solver.assemble(space, entry.load, 3))
+    code, out, _ = run_cli(["solve", "--dim", "2", "--k", "0", "--solution", "cos2d_k0",
+                            "--grid", "4,4", "--quad", "3"])
+    assert code == 0
+    assert json.loads(out)["consistency"] == consistency
 
 
 def test_convergence_single_level():

@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module, and
-every third-party module it imports is a declared dependency."""
+"""Every name a module of the package imports is used in that module,
+every third-party module it imports is a declared dependency, and every
+name the package re-exports resolves."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -82,3 +84,44 @@ def test_dependency_scan_flags_an_undeclared_import():
     assert sorted(third_party) == ["scipy", "sympy"]
     declared = declared_dependencies(PYPROJECT.read_text())
     assert {"numpy", "scipy"} <= declared and "sympy" not in declared
+
+
+def exported_names(tree):
+    """(eager, lazy) names of a package ``__init__``: its imports, and the
+    names its module ``__getattr__`` loads."""
+    eager, lazy = [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            eager += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            for test in ast.walk(node):
+                if isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.In):
+                    lazy += [elt.value for elt in test.comparators[0].elts]
+    return eager, lazy
+
+
+def stale_exports(source):
+    """Exports of ``source`` (a package ``__init__``) that do not resolve on
+    ``boxforms``, and lazy ones that are not ``boxforms.solver`` functions."""
+    import boxforms
+    from boxforms import solver
+    eager, lazy = exported_names(ast.parse(source))
+    stale = [name for name in eager + lazy if not hasattr(boxforms, name)]
+    for name in lazy:
+        target = getattr(solver, name, None)
+        if not (inspect.isfunction(target) and target.__module__ == solver.__name__):
+            stale.append(name)
+    return stale
+
+
+def test_every_export_resolves():
+    source = (SRC / "__init__.py").read_text()
+    eager, lazy = exported_names(ast.parse(source))
+    assert len(eager) > 40 and "solve" in lazy
+    assert stale_exports(source) == []
+
+
+def test_export_scan_flags_a_misspelled_lazy_name():
+    source = (SRC / "__init__.py").read_text().replace('"convergence_sweep"',
+                                                       '"convergence_sweeps"')
+    assert stale_exports(source) == ["convergence_sweeps", "convergence_sweeps"]

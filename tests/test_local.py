@@ -268,7 +268,7 @@ def test_contraction_matches_per_cell_loops(name, divisions):
     for g, r in zip(got, ref):
         assert abs(g - r) <= 1e-12 * r
 
-    got_c = consistency_residual(entry, problem, 5)
+    got_c = consistency_residual(entry, problem)
     ref_c = reference_consistency(entry, problem, 5)
     assert abs(got_c - ref_c) <= max(1e-12 * ref_c, 1e-14)
 
@@ -279,7 +279,7 @@ def test_back_solve_consistency_matches_cg(name, m):
     mesh = build_grid(entry.domain, (m, m))
     space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
     problem = assemble(space, entry.load, 5)
-    got = consistency_residual(entry, problem, 5)
+    got = consistency_residual(entry, problem)
     ref = reference_consistency(entry, problem, 5)
     assert abs(got - ref) <= max(1e-12 * ref, 1e-14)
 
@@ -305,7 +305,7 @@ def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
         space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
         problem = assemble(space, entry.load, 5)
         broken_error(entry.omega, solve(problem), 5)
-        consistency_residual(entry, problem, 5)
+        consistency_residual(entry, problem)
         per_level.append(list(calls))
     on_shape = [[(spaces.P1MINUS, 1, (Fraction(1, m),) * 2)] for m in (4, 8, 16)]
     assert [[c for c in level if c[2] != (2, 2)] for level in per_level] == on_shape
