@@ -77,9 +77,11 @@ def test_convergence_csv_columns():
     assert float(rows[1]["order_Hd"]) > 0.5
 
 
-@pytest.mark.parametrize("command, flag", [("convergence", "--levels"),
-                                           ("convergence", "--base"),
-                                           ("convergence", "--quad"), ("solve", "--quad")])
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("convergence", "--levels", id="--levels"),
+    pytest.param("convergence", "--base", id="--base"),
+    pytest.param("convergence", "--quad", id="--quad"),
+    pytest.param("solve", "--quad", id="solve--quad")])
 def test_nonpositive_sweep_size_rejected(command, flag):
     sizes = {"--levels": "1", "--base": "4"} if command == "convergence" else {}
     argv = [command, "--dim", "1", "--k", "0"]
