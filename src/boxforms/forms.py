@@ -125,10 +125,6 @@ class Polynomial:
     def is_zero(self):
         return not self.coeffs
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.coeffs), default=-1)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n and self.coeffs == other.coeffs
 
@@ -483,8 +479,6 @@ class PolyForm:
                 parts[gamma] = Polynomial._of(self.n, coeffs)
         return PolyForm._of(self.n, self.k + 1, parts)
 
-    d = exterior_derivative
-
     def hodge(self):
         """star: component-wise sign flip onto the complementary index."""
         if self.k > self.n:
@@ -495,16 +489,12 @@ class PolyForm:
             out[beta] = poly if sign > 0 else -poly
         return PolyForm._of(self.n, self.n - self.k, out)
 
-    star = hodge
-
     def codifferential(self):
         """delta = (-1)^(n(k+1)+1) star d star, the formal L2 adjoint of d."""
         if self.k == 0:
             raise ValueError("codifferential undefined on 0-forms")
         out = self.hodge().exterior_derivative().hodge()
         return out if self.n * (self.k + 1) % 2 else -out
-
-    delta = codifferential
 
     def koszul(self, center=None):
         """Contraction with the position field relative to ``center``."""

@@ -11,9 +11,10 @@ half-widths, and face functions and the projector commute with the
 pullback.  So ``patterns[a][j] = ref.patterns[a][j] / h^e_j``, and
 ``energy[i][j] = h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I) T_I[i][j]`` with T_I
 the reference's mass (I a k-index) or stiffness ((k+1)-index) table on
-component I, summed in integers: both equal as Fractions the tables built
-on the cell.  Face DOFs and functions, the projector, d-matrix, gluing
-pairings and Gauss tabulations are built on the shape's own box.
+component I, summed in integers (``energy_integers``): both equal the tables
+built on the cell.  Face DOFs and functions, the projector, d-matrix, gluing
+pairings and Gauss tabulations are built on the shape's own box, from the
+families ``spaces.basis`` builds once at the origin and moves there.
 """
 
 from collections import namedtuple
@@ -65,15 +66,22 @@ class LocalTables:
         return spaces.basis(spaces.P1MINUS, self.k, self.cell)
 
     @cached_property
-    def energy(self):
-        """<d phi_i, d phi_j> + <phi_i, phi_j>: the reference's ``energy_terms``, scaled."""
+    def energy_integers(self):
+        """(rows, den): <d phi_i, d phi_j> + <phi_i, phi_j> as integer rows over one
+        denominator, the reference's ``energy_terms`` scaled."""
         terms, den = reference(self.cell.n, self.k).energy_terms
         h = [w / 2 for w in self.cell.widths]
         # h_a^m as an integer over the cube of h_a's denominator
         powers = [[x.numerator ** m * x.denominator ** (3 - m) for m in range(4)] for x in h]
         den *= prod(x.denominator for x in h) ** 3
-        return [[Fraction(sum(c * prod(map(getitem, powers, m)) for m, c in entry), den)
-                 for entry in row] for row in terms]
+        return [[sum(c * prod(map(getitem, powers, m)) for m, c in entry) for entry in row]
+                for row in terms], den
+
+    @cached_property
+    def energy(self):
+        """The energy matrix as Fractions: ``energy_integers`` over its denominator."""
+        rows, den = self.energy_integers
+        return [[Fraction(v, den) for v in row] for row in rows]
 
     @cached_property
     def energy_terms(self):

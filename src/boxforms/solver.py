@@ -108,9 +108,7 @@ class DiscreteProblem:
         for ci, members in enumerate(_cell_members(self.space)):
             if not members:
                 continue
-            energy, e_den = integer_scaled(
-                [e for row in local.tables(pw.mesh, pw.k, ci).energy for e in row])
-            energy = [energy[a:a + pw.dim_local] for a in range(0, len(energy), pw.dim_local)]
+            energy, e_den = local.tables(pw.mesh, pw.k, ci).energy_integers
             scaled = [(i, *integer_scaled(li)) for i, li in members]
             for p, (i, li, di) in enumerate(scaled):
                 applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]

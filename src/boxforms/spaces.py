@@ -11,6 +11,11 @@ squarefree multi-index:
 * ``Q1minus``     tensor-product family: tau inside the complement of sigma;
 * ``Q1minusStar`` its Hodge dual: tau inside sigma.
 
+A family depends on its cell only through the center: each (kind, k, n)
+family is built once per process on the origin-centered [-1, 1]^n (t = x),
+P1minus independence elimination included, and :func:`basis` moves it to a
+cell's center by its own ``Combination``, the one way a form reaches a box.
+
 Basis order is lexicographic in sigma, then in (|tau|, tau); all matrix
 layouts downstream inherit that numbering.  The structural checks at the
 bottom verify the kernel/range, orthogonality and projection identities
@@ -19,7 +24,7 @@ these families satisfy, by exact elimination.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 from operator import mul
@@ -90,24 +95,16 @@ def _subsets(axes):
     return out
 
 
-def _centered_monomial(n, tau, center):
-    poly = Polynomial.constant(n, 1)
-    for i in tau:
-        poly = poly * Polynomial.variable(n, i, shift=center[i - 1])
-    return poly
-
-
-def basis(kind, k, cell):
-    """Canonical basis of the requested space on the given cell."""
-    n = cell.n
+@cache
+def _family(kind, k, n):
+    """The (kind, k) family on the origin-centered box [-1, 1]^n, built once per process."""
     dim = dimension(kind, k, n)  # validates (kind, k)
-    center = cell.center
     if kind in (P0, Q1MINUS, Q1MINUS_STAR):
-        # t_tau dx^sigma: tau empty, off sigma or inside sigma
+        # x_tau dx^sigma: tau empty, off sigma or inside sigma
         labels = [(sigma, tau) for sigma in multi_indices(k, n) for tau in (
             [()] if kind == P0 else _subsets(complement(sigma, n) if kind == Q1MINUS else sigma))]
-        elements = [PolyForm.covector(n, sigma, _centered_monomial(n, tau, center))
-                    for sigma, tau in labels]
+        elements = [PolyForm.covector(n, sigma, Polynomial.monomial(
+            n, [int(i in tau) for i in range(1, n + 1)])) for sigma, tau in labels]
     elif kind == P1MINUS:
         # constants first (in index order), then Koszul lifts; by the Pascal
         # identity C(n,k) + C(n,k+1) = C(n+1,k+1) nothing is ever pruned,
@@ -115,23 +112,28 @@ def basis(kind, k, cell):
         generators = [PolyForm.covector(n, sigma) for sigma in multi_indices(k, n)]
         gen_labels = [("const", sigma) for sigma in multi_indices(k, n)]
         if k < n:
-            generators += [PolyForm.covector(n, gamma).koszul(center)
+            generators += [PolyForm.covector(n, gamma).koszul()
                            for gamma in multi_indices(k + 1, n)]
             gen_labels += [("koszul", gamma) for gamma in multi_indices(k + 1, n)]
-        vectors = coefficient_vectors(generators)
-        keep = independent_subset(vectors)
+        keep = independent_subset(coefficient_vectors(generators))
         elements = [generators[i] for i in keep]
         labels = [gen_labels[i] for i in keep]
-    elif kind == P1MINUS_STAR:
-        dual = basis(P1MINUS, n - k, cell)
-        elements = [f.hodge() for f in dual.elements]
-        labels = [None] * len(elements)
     else:
-        raise ValueError(f"unknown space kind {kind!r}")
+        elements = [f.hodge() for f in _family(P1MINUS, n - k, n).elements]
+        labels = [None] * len(elements)
     if len(elements) != dim:
         raise AssertionError(
             f"{kind} Lambda^{k} in dim {n}: built {len(elements)} elements, expected {dim}")
-    return SpaceBasis(kind, k, cell, elements, labels)
+    return SpaceBasis(kind, k, CellBox.reference(n), elements, labels)
+
+
+def basis(kind, k, cell):
+    """Canonical basis of the requested space on the given cell: its family, moved
+    from the origin to the cell's center."""
+    family = _family(kind, k, cell.n)
+    elements = [family.combination([int(i == j) for i in range(len(family))], cell.center)
+                for j in range(len(family))] if any(cell.center) else list(family)
+    return SpaceBasis(kind, k, cell, elements, list(family.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every third-party module it imports is a declared dependency, and every
-name the package re-exports resolves."""
+every third-party module it imports is a declared dependency, every
+name the package re-exports resolves, and every name the package defines
+is referenced somewhere."""
 
 import ast
 import inspect
@@ -13,6 +14,9 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxforms"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PYPROJECT = SRC.parents[1] / "pyproject.toml"
+#: the trees whose code may reference a definition of the package
+SCANNED = ("src", "tests", "demos", "perfbench")
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 #: (module file, name) pairs imported only to be re-exported
 RE_EXPORTS = set()
@@ -125,3 +129,118 @@ def test_export_scan_flags_a_misspelled_lazy_name():
     source = (SRC / "__init__.py").read_text().replace('"convergence_sweep"',
                                                        '"convergence_sweeps"')
     assert stale_exports(source) == ["convergence_sweeps", "convergence_sweeps"]
+
+
+def definitions(tree):
+    """(name, node, class or None) of a module's functions and classes, and of its
+    classes' methods, properties and aliases such as ``d = exterior_derivative``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item, node
+                elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    yield from ((t.id, item, node) for t in item.targets
+                                if isinstance(t, ast.Name))
+
+
+def references(tree):
+    """(name, node, scope) of what may name a definition: attribute accesses,
+    loaded names (scope: the class whose body holds the name, else None),
+    imports, and string literals that are a dotted name.  Strings that are
+    subscripts, dict keys or f-string pieces are data, not names."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Attribute):
+            out.append((node.attr, node, None))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node, scope))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.split(".")[-1], node, None))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.append((node.value.split(".")[-1], node, None))
+        data = []
+        if isinstance(node, ast.Dict):
+            data = node.keys
+        elif isinstance(node, ast.JoinedStr):
+            data = node.values
+        elif isinstance(node, ast.Subscript):
+            data = [node.slice]
+        if isinstance(node, ast.ClassDef):
+            scope = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = None
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(child, ast.Constant) and any(child is d for d in data)):
+                visit(child, scope)
+
+    visit(tree, None)
+    return out
+
+
+def dead_definitions(trees, package):
+    """Definitions in the ``package`` paths of ``trees`` ({path: module tree}) that
+    no reference outside themselves names: a module's function or class by any
+    reference, a class member by any but a loaded name outside its class's body.
+    Names match by name alone; dunder names are exempt."""
+    found = {}
+    for tree in trees.values():
+        for name, node, scope in references(tree):
+            found.setdefault(name, []).append((node, scope))
+    dead = []
+    for path in package:
+        for name, node, owner in definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(id(ref) not in inside and (owner is None or scope is owner
+                                                   or not isinstance(ref, ast.Name))
+                       for ref, scope in found.get(name, [])):
+                dead.append(f"{path.stem}.{owner.name + '.' if owner else ''}{name}")
+    return dead
+
+
+def test_every_definition_is_referenced():
+    paths = [p for top in SCANNED for p in sorted((SRC.parents[1] / top).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    assert len(trees) > 40
+    assert dead_definitions(trees, sorted(SRC.glob("*.py"))) == []
+
+
+SAMPLE = """
+class Form:
+    def derivative(self):
+        return self
+
+    der = derivative
+
+    def twice(self):
+        return self.derivative().derivative()
+
+    def unread(self):
+        return 0
+
+
+def used(der):
+    table = {"unread": der}
+    return table["unread"], f"{der}der"
+
+
+def helper():
+    return used
+
+
+EXPORTS = ["Form"]
+"""
+
+
+def test_definition_scan_flags_unreferenced_members_and_aliases():
+    # a local variable, a dict key, a subscript and an f-string piece share
+    # the member names without naming them
+    path = Path("sample.py")
+    dead = dead_definitions({path: ast.parse(SAMPLE)}, [path])
+    assert dead == ["sample.Form.der", "sample.Form.twice", "sample.Form.unread", "sample.helper"]

@@ -9,6 +9,7 @@ from math import prod
 import numpy as np
 import pytest
 from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
+from test_spaces import per_box_basis
 
 from boxforms import local, spaces
 from boxforms.exactla import invert, primitive_part
@@ -19,7 +20,7 @@ from boxforms.indices import multi_indices
 from boxforms.local import LocalTables, face_dof_matrix, shapes, tables
 from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.projection import LocalProjector
-from boxforms.quadrature import box_rule, polyform_values
+from boxforms.quadrature import box_rule, form_array, polyform_values
 from boxforms.solver import (assemble, broken_error, build_solver_space,
                              conjugate_gradient, consistency_residual, flavor_for, solve)
 from boxforms.verify import random_box
@@ -96,6 +97,22 @@ def test_tabulation_matches_cell_evaluation(mesh, order):
                     for a, alpha in enumerate(alphas):
                         expect = vals.get(alpha, np.zeros(len(points)))
                         assert np.max(np.abs(arr[j, a] - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_tabulation_equals_the_per_box_basis_bit_for_bit(name):
+    # the basis moved from the origin evaluates to the same floats, bit for bit,
+    # as the basis built at each shape's center
+    mesh = graded_mesh(GRADED[name])
+    for k in range(mesh.n + 1):
+        for ci, table in shapes(mesh, k):
+            elements, _ = per_box_basis(spaces.P1MINUS, k, table.cell)
+            for order in (2, 5):
+                tab = table.tabulation(order)
+                points = np.array([float(c) for c in table.cell.center]) + tab.offsets
+                assert np.array_equal(tab.values, form_array(elements, points)), (k, ci)
+                assert np.array_equal(tab.d_values, form_array(
+                    [phi.exterior_derivative() for phi in elements], points)), (k, ci)
 
 
 def test_one_table_per_shape():

@@ -1,15 +1,18 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from test_mesh import integrate
 
-from boxforms import spaces
+from boxforms import cli, spaces
+from boxforms.exactla import independent_subset
 from boxforms.forms import CellBox, PolyForm, Polynomial, adjoint_pairing, format_form
 from boxforms.indices import complement, multi_indices
-from boxforms.spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
+from boxforms.spaces import (KINDS, P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
                              basis, check_Q_exactness, check_ap_identity,
                              check_local_couple, check_orthogonality,
                              coefficient_vectors, dimension, expand_in_span,
@@ -70,6 +73,90 @@ def test_bases_independent_and_centered(n):
                                           basis(Q1MINUS, k, cell).elements):
                 if tau:
                     assert integrate(cell, form.parts[sigma]) == 0
+
+
+# -- the families moved from the origin, against building them on each box
+
+
+def per_box_basis(kind, k, cell):
+    """(elements, labels) of a family built at the cell's center: products of
+    shifted variables, Koszul lifts about the center, and the P1minus
+    independence elimination on every box."""
+    n, center = cell.n, cell.center
+
+    def centered_monomial(tau):
+        poly = Polynomial.constant(n, 1)
+        for i in tau:
+            poly = poly * Polynomial.variable(n, i, shift=center[i - 1])
+        return poly
+
+    def subsets(axes):
+        return [c for r in range(len(axes) + 1) for c in combinations(axes, r)]
+
+    if kind in (P0, Q1MINUS, Q1MINUS_STAR):
+        labels = [(sigma, tau) for sigma in multi_indices(k, n) for tau in (
+            [()] if kind == P0 else subsets(complement(sigma, n) if kind == Q1MINUS else sigma))]
+        return [PolyForm.covector(n, s, centered_monomial(tau)) for s, tau in labels], labels
+    if kind == P1MINUS:
+        generators = [PolyForm.covector(n, sigma) for sigma in multi_indices(k, n)]
+        gen_labels = [("const", sigma) for sigma in multi_indices(k, n)]
+        if k < n:
+            generators += [PolyForm.covector(n, gamma).koszul(center)
+                           for gamma in multi_indices(k + 1, n)]
+            gen_labels += [("koszul", gamma) for gamma in multi_indices(k + 1, n)]
+        keep = independent_subset(coefficient_vectors(generators))
+        return [generators[i] for i in keep], [gen_labels[i] for i in keep]
+    dual, _ = per_box_basis(P1MINUS, n - k, cell)
+    return [f.hodge() for f in dual], [None] * len(dual)
+
+
+def moved_family_boxes(n):
+    rng = random.Random(20 + n)
+    return [CellBox.reference(n), stretched_box(n), *(random_box(n, rng) for _ in range(3))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moved_families_equal_the_per_box_builds(n):
+    for cell in moved_family_boxes(n):
+        for kind in KINDS:
+            for k in range(n + 1):
+                got = basis(kind, k, cell)
+                elements, labels = per_box_basis(kind, k, cell)
+                assert got.cell == cell and got.labels == labels, (kind, k, cell)
+                assert len(got) == len(elements)
+                for i, (a, b) in enumerate(zip(got.elements, elements)):
+                    assert a == b, (kind, k, cell, i)
+
+
+def test_each_call_gets_its_own_list_of_shared_forms():
+    spaces._family.cache_clear()
+    cell = CellBox.reference(3)
+    first, second = basis(P1MINUS, 1, cell), basis(P1MINUS, 1, cell)
+    assert first.elements is not second.elements and first.labels is not second.labels
+    # centered at the origin: the family itself, unmoved
+    assert all(a is b for a, b in zip(first.elements, second.elements))
+    first.elements.pop()
+    assert len(basis(P1MINUS, 1, cell)) == dimension(P1MINUS, 1, 3)
+    moved = [basis(kind, k, box) for box in moved_family_boxes(3)
+             for kind in KINDS for k in range(4)]
+    assert len(moved) == 5 * 5 * 4
+    # one family per (kind, k, n), whatever the boxes
+    assert spaces._family.cache_info().currsize == 5 * 4
+
+
+def test_one_verify_runs_each_p1minus_elimination_once(monkeypatch):
+    spaces._family.cache_clear()
+    calls = []
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return independent_subset(vectors)
+
+    monkeypatch.setattr(spaces, "independent_subset", counting)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--dim", "3", "--grid", "2,2,2"]) == 0
+    # one P1minus family per degree 0..3; building each on its box ran 95
+    assert len(calls) == 4
 
 
 def tensor_product_presentation(k, cell):
