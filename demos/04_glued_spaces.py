@@ -27,7 +27,7 @@ for k in (0, 1, 2):
 
 cs = build_constraints(0, mesh, INTERIOR_TEST)
 kernel = kernel_space(cs)
-gens = interpolated_generating_set(0, mesh, INTERIOR_TEST, pw=cs.pw)
+gens = interpolated_generating_set(0, mesh, INTERIOR_TEST)
 print()
 print("== one kernel basis element (k=0), cell by cell ==")
 for ci in range(mesh.n_cells):

@@ -9,12 +9,11 @@ diagnostics.
 
 from .exactla import nullspace, rank, rref, spans_equal
 from .fields import CATALOG, FormField, ManufacturedSolution, constant_solution, manufactured
-from .forms import (CellBox, PolyForm, Polynomial, adjoint_pairing, boundary_bump,
-                    format_form, parse_form)
+from .forms import CellBox, PolyForm, Polynomial, boundary_bump, format_form
 from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from .indices import complement, hodge_sign, multi_indices, wedge_sign
 from .mesh import CubicalMesh, build_grid, face_dofs
-from .projection import LocalProjector, check_commuting, project_cell
+from .projection import LocalProjector, check_commuting
 from .reports import CheckReport
 from .spaces import (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR, SpaceBasis,
                      basis, check_Q_exactness, check_ap_identity, check_local_couple,
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     """Solver names load on first use: only solving needs scipy."""
-    if name in ("assemble", "broken_error", "build_solver_space", "consistency_residual",
-                "consistency_with_floor", "convergence_sweep", "solve"):
+    if name in ("assemble", "broken_error", "build_solver_space", "consistency_with_floor",
+                "convergence_sweep", "solve"):
         from . import solver
         return getattr(solver, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

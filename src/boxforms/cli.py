@@ -264,14 +264,14 @@ def cmd_basis(args):
     mesh = build_grid([[0, 1]] * args.dim, divisions)
     k = args.k if args.k is not None else 0
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else INTERIOR_TEST
-    pw = PiecewiseWhitney(k, mesh)
-    if pw.ncols > args.dump_limit:
+    ncols = PiecewiseWhitney(k, mesh).ncols
+    if ncols > args.dump_limit:
         raise SystemExit(_usage_error(
-            f"broken space has {pw.ncols} coordinates > --dump-limit "
+            f"broken space has {ncols} coordinates > --dump-limit "
             f"{args.dump_limit}; pick a smaller grid or raise the limit"))
-    constraints = build_constraints(k, mesh, flavor, pw=pw)
+    constraints = build_constraints(k, mesh, flavor)
     kernel = kernel_space(constraints)
-    generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+    generators = interpolated_generating_set(k, mesh, flavor)
     summary = summarize(constraints, kernel, generators)
     lines = [f"summary: {json.dumps(summary, sort_keys=True)}", ""]
     lines.append(f"kernel basis ({kernel.dim} elements):")
@@ -295,7 +295,7 @@ def main(argv=None):
         return handlers[args.command](args)
     except SystemExit:
         raise
-    except (ValueError, KeyError, RuntimeError) as err:
+    except (ValueError, KeyError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

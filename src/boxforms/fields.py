@@ -69,12 +69,6 @@ class FormField:
             raise ValueError("field carries no analytic exterior derivative")
         return _on_axes(self.d_components, axes)
 
-    def d_field(self):
-        if self.d_components is None:
-            raise ValueError("field carries no analytic exterior derivative")
-        # d of d vanishes identically
-        return FormField(self.n, self.k + 1, self.d_components, {})
-
 
 # ---------------------------------------------------------------------------
 # exact exterior calculus on term dictionaries: {(p, factors): c} stands for

@@ -29,7 +29,6 @@ results of arithmetic, ``partial``, ``d`` and ``hodge`` are built from
 clean data and skip the checks.
 """
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -99,10 +98,6 @@ class Polynomial:
     # -- constructors
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def constant(cls, n, c):
         return cls(n, {(0,) * n: ratio(c)})
 
@@ -169,7 +164,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # -- calculus and substitution
+    # -- calculus
 
     def partial(self, i):
         """Derivative with respect to x_i (1-based)."""
@@ -179,20 +174,6 @@ class Polynomial:
             if p:
                 out[e[: i - 1] + (p - 1,) + e[i:]] = c * p
         return Polynomial._of(self.n, out)
-
-    def evaluate(self, point):
-        total = Fraction(0) if all(isinstance(v, (int, Fraction)) for v in point) else 0.0
-        for e, c in self.coeffs.items():
-            term = c
-            for v, p in zip(point, e):
-                if p:
-                    term = term * v ** p
-            total = total + term
-        return total
-
-    def translate(self, shift):
-        """Substitute x_i -> x_i + shift_i for all axes."""
-        return PolyForm.from_scalar(self).translate(shift).parts.get((), Polynomial.zero(self.n))
 
     def homogeneous_parts(self):
         """Split into {degree: homogeneous polynomial}."""
@@ -390,10 +371,6 @@ class PolyForm:
     # -- constructors
 
     @classmethod
-    def zero(cls, n, k):
-        return cls(n, k, {})
-
-    @classmethod
     def covector(cls, n, alpha, coeff=1):
         """coeff * dx^alpha with a constant or Polynomial coefficient."""
         return cls(n, len(alpha), {tuple(alpha): coeff})
@@ -447,10 +424,10 @@ class PolyForm:
 
     __rmul__ = __mul__
 
-    def _check_compatible(self, other, same_degree=True):
+    def _check_compatible(self, other):
         if not isinstance(other, PolyForm) or other.n != self.n:
             raise ValueError("forms live in different ambient dimensions")
-        if same_degree and other.k != self.k:
+        if other.k != self.k:
             raise ValueError(f"degree mismatch: {self.k} vs {other.k}")
 
     # -- exterior calculus
@@ -521,38 +498,12 @@ class PolyForm:
             raise ValueError("star-Koszul undefined on top-degree forms")
         return self.hodge().koszul(center).hodge()
 
-    def wedge(self, other):
-        self._check_compatible(other, same_degree=False)
-        if self.k + other.k > self.n:
-            raise ValueError(f"wedge degree {self.k}+{other.k} exceeds n={self.n}")
-        out = {}
-        for a, p in self.parts.items():
-            for b, q in other.parts.items():
-                s, gamma = wedge_sign(a, b)
-                if s:
-                    _add_component(out, gamma, (p * q).coeffs, s < 0)
-        return PolyForm._of(self.n, self.k + other.k,
-                            {g: Polynomial._of(self.n, c) for g, c in out.items()})
-
-    # -- metric pairings and evaluation
+    # -- metric pairings
 
     def inner_product(self, other, box):
         """Exact L2 inner product over a box (orthonormal covector frame)."""
         self._check_compatible(other)
         return box.pairing_table([(self,)], [(other,)])[0][0]
-
-    def evaluate(self, point):
-        """Component values at a point: {alpha: scalar}, zeros omitted."""
-        out = {}
-        for alpha, poly in self.parts.items():
-            v = poly.evaluate(point)
-            if v:
-                out[alpha] = v
-        return out
-
-    def translate(self, shift):
-        """Shift every coefficient polynomial by x -> x + shift."""
-        return Combination(self.n, self.k, [self])([1], [-ratio(t) for t in shift])
 
     def homogeneous_parts(self):
         """Split by coefficient degree: {r: k-form with degree-r coefficients}."""
@@ -637,18 +588,13 @@ def _star(alpha, n):
     return hodge_sign(alpha, n), complement(alpha, n)
 
 
-def adjoint_pairing(omega, mu, box):
-    """``<d omega, mu>_box - <omega, delta mu>_box`` for a k-form and a (k+1)-form.
-
-    This combination is a pure boundary functional: it vanishes whenever
-    either argument has vanishing trace on the box boundary.
-    """
-    return adjoint_table([omega], [mu], box)[0][0]
-
-
 def adjoint_table(forms, tests, box):
-    """``rows[i][j] = adjoint_pairing(forms[i], tests[j], box)``; d and delta
-    are taken once per form, not once per pair."""
+    """``rows[i][j] = <d forms[i], tests[j]>_box - <forms[i], delta tests[j]>_box``
+    for k-forms and (k+1)-forms; d and delta are taken once per form, not once per pair.
+
+    Each entry is a pure boundary functional: it vanishes whenever either
+    argument has vanishing trace on the box boundary.
+    """
     bad = [mu.k for mu in tests if forms and mu.k != forms[0].k + 1]
     if bad:
         raise ValueError(f"expected a ({forms[0].k + 1})-form test, got degree {bad[0]}")
@@ -667,7 +613,7 @@ def boundary_bump(box):
 
 
 # ---------------------------------------------------------------------------
-# textual round-trip format:  (poly) * dx[i,j,...]  joined by " + "
+# text output:  (poly) * dx[i,j,...]  joined by " + "
 
 
 def format_polynomial(poly):
@@ -693,59 +639,3 @@ def format_form(form):
         terms.append(f"({format_polynomial(poly)}) * dx[{idx}]")
     return " + ".join(terms)
 
-
-_TERM_RE = re.compile(r"\(([^()]*)\)\s*\*\s*dx\[([0-9,\s]*)\]")
-_MONO_RE = re.compile(r"^(?:(\d+(?:/\d+)?)(?:\*)?)?((?:x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*)?)$")
-
-
-def _parse_polynomial(text, n):
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return Polynomial.zero(n)
-    chunks = re.findall(r"[+-]?[^+-]+", text)
-    poly = Polynomial.zero(n)
-    for chunk in chunks:
-        sign = 1
-        if chunk[0] in "+-":
-            sign = -1 if chunk[0] == "-" else 1
-            chunk = chunk[1:]
-        m = _MONO_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse monomial {chunk!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        expts = [0] * n
-        if m.group(2):
-            for factor in m.group(2).split("*"):
-                var, _, power = factor.partition("^")
-                i = int(var[1:])
-                if not 1 <= i <= n:
-                    raise ValueError(f"variable {var} out of range for n={n}")
-                expts[i - 1] += int(power) if power else 1
-        poly = poly + Polynomial.monomial(n, tuple(expts), sign * coeff)
-    return poly
-
-
-def parse_form(text, n, k=None):
-    """Inverse of :func:`format_form`; ``k`` is required for the zero form."""
-    text = text.strip()
-    if text == "0":
-        if k is None:
-            raise ValueError("parsing the zero form requires an explicit degree")
-        return PolyForm.zero(n, k)
-    parts = {}
-    covered = 0
-    for m in _TERM_RE.finditer(text):
-        alpha = tuple(int(s) for s in m.group(2).replace(" ", "").split(",") if s)
-        poly = _parse_polynomial(m.group(1), n)
-        parts[alpha] = parts.get(alpha, Polynomial.zero(n)) + poly
-        covered += 1
-    stripped = _TERM_RE.sub("", text).replace("+", "").strip()
-    if not covered or stripped:
-        raise ValueError(f"cannot parse form text {text!r}")
-    degrees = {len(a) for a in parts}
-    if len(degrees) != 1:
-        raise ValueError("mixed-degree terms in form text")
-    kk = degrees.pop()
-    if k is not None and k != kk:
-        raise ValueError(f"expected a {k}-form, text encodes a {kk}-form")
-    return PolyForm(n, kk, parts)

@@ -216,7 +216,7 @@ def shapes(mesh, k):
 
 
 def gluing_pairings(mesh, k, cell_id):
-    """Row a, column j: ``adjoint_pairing(phi_j, star f_a)`` on the cell's shape, f_a
+    """Row a, column j: ``adjoint_table([phi_j], [star f_a])`` on the cell's shape, f_a
     face function a of Q1minus^(n-k-1): one cell's gluing constraint entries.  Built once
     per shape, from the mesh's degree-(n-k-1) table, so its Vandermonde is inverted once."""
     table = tables(mesh, k, cell_id)

@@ -9,15 +9,10 @@ projection onto constant volume forms.  P commutes with d cell by cell.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
-
-import numpy as np
 
 from . import spaces
 from .exactla import SingularMatrixError, integer_scaled, invert
-from .forms import PolyForm
-from .quadrature import box_rule, component_array, form_array
 from .reports import CheckReport
 
 
@@ -36,8 +31,7 @@ class LocalProjector:
             self._test_side = [(self.trial[0],)]
         else:
             self.tests = spaces.basis(spaces.P1MINUS_STAR, k + 1, cell)
-            self.test_codiffs = [mu.codifferential() for mu in self.tests]
-            self._test_side = [(mu, -dmu) for mu, dmu in zip(self.tests, self.test_codiffs)]
+            self._test_side = [(mu, -mu.codifferential()) for mu in self.tests]
         self.matrix = cell.pairing_table(self._test_side, [self._left(phi) for phi in self.trial])
         try:
             self.inverse = invert(self.matrix)
@@ -48,10 +42,6 @@ class LocalProjector:
         ints, self._inverse_den = integer_scaled([v for row in self.inverse for v in row])
         size = len(self.inverse)
         self._inverse_ints = [ints[i * size:(i + 1) * size] for i in range(size)]
-
-    @cached_property
-    def inverse_float(self):
-        return np.array(self.inverse, dtype=float)
 
     def _left(self, omega):
         """omega's entry: ``(d omega, omega)``; on top degree ``(omega,)``, for the volume form."""
@@ -73,62 +63,22 @@ class LocalProjector:
     def project(self, omega):
         return self.trial.combination(self.coefficients(omega))
 
-    def coefficients_from_field(self, field, order=5):
-        """Float trial coefficients for a sampled (non-polynomial) k-form."""
-        points, weights = box_rule(self.cell, order)
-        n = self.cell.n
-        omega = component_array(field.at(points), self.k, n, weights.shape) * weights
-        if self.k == n:
-            rhs = np.einsum("tap,ap->t", form_array([self.trial[0]], points), omega)
-        else:
-            d_omega = component_array(field.d_at(points), self.k + 1, n, weights.shape) * weights
-            rhs = (np.einsum("tap,ap->t", form_array(self.tests, points), d_omega)
-                   - np.einsum("tap,ap->t", form_array(self.test_codiffs, points), omega))
-        return self.inverse_float @ rhs
 
-
-def project_cell(omega, k, cell, order=5):
-    """One-shot adjoint projection of a PolyForm or sampled field."""
-    projector = LocalProjector(k, cell)
-    if isinstance(omega, PolyForm):
-        return projector.project(omega)
-    coeffs = projector.coefficients_from_field(omega, order=order)
-    return coeffs, projector.trial
-
-
-def commuting_gap(omega, proj, target, order=5, tol=1e-9):
+def commuting_gap(omega, proj, target):
     """None when ``target.project(d omega) == d proj.project(omega)``, else a witness.
 
     ``proj`` and ``target`` are the degree-k and degree-(k+1) projectors of
-    one cell, so a caller checking many forms builds them once.  Exact for
-    polynomial input; within ``tol`` in the max coefficient norm for
-    sampled fields.
+    one cell, so a caller checking many forms builds them once.  Exact.
     """
-    cell = proj.cell
-    if isinstance(omega, PolyForm):
-        left = target.project(omega.exterior_derivative())
-        right = proj.project(omega).exterior_derivative()
-        if left != right:
-            return f"cell {cell.lo}..{cell.hi}: {left} != {right}"
-        return None
-    left = target.coefficients_from_field(omega.d_field(), order=order)
-    coeffs = proj.coefficients_from_field(omega, order=order)
-    # d of the projected form, expanded in the degree-(k+1) trial basis
-    d_cols = [target.coefficients(phi.exterior_derivative()) for phi in proj.trial]
-    right = np.array(d_cols, dtype=float).T @ coeffs
-    gap = np.max(np.abs(left - right))
-    if gap > tol:
-        return f"cell {cell.lo}..{cell.hi}: max coefficient gap {gap:.3e}"
+    left = target.project(omega.exterior_derivative())
+    right = proj.project(omega).exterior_derivative()
+    if left != right:
+        return f"cell {proj.cell.lo}..{proj.cell.hi}: {left} != {right}"
     return None
 
 
-def check_commuting(omega, k, cell, order=5, tol=1e-9):
-    """Projection commutes with d on ``cell``: P^(k+1)(d w) = d(P^k w).
-
-    Exact for polynomial input; quadrature-consistent (within ``tol`` in
-    the max coefficient norm) for sampled fields.
-    """
-    witness = commuting_gap(omega, LocalProjector(k, cell), LocalProjector(k + 1, cell),
-                            order=order, tol=tol)
+def check_commuting(omega, k, cell):
+    """Projection commutes with d on ``cell``, exactly: P^(k+1)(d w) = d(P^k w)."""
+    witness = commuting_gap(omega, LocalProjector(k, cell), LocalProjector(k + 1, cell))
     return CheckReport("projection_commutes_with_d", cell.n, k, witness is None,
                        counterexample=witness)

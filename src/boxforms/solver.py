@@ -452,11 +452,6 @@ def consistency_with_floor(entry, problem):
     return problem.dual_norm(ell), gamma * problem.dual_norm(bound)
 
 
-def consistency_residual(entry, problem):
-    """sup over the discrete space of the nonconformity functional (see consistency_with_floor)."""
-    return consistency_with_floor(entry, problem)[0]
-
-
 # ---------------------------------------------------------------------------
 # space construction and convergence studies
 
@@ -468,13 +463,13 @@ def build_solver_space(k, mesh, flavor=INTERIOR_TEST, representation="auto"):
     "generators" (projected conforming basis, pruned), or "auto" which
     picks the kernel up to KERNEL_COLUMN_LIMIT broken coordinates.
     """
-    pw = PiecewiseWhitney(k, mesh)
     if representation == "auto":
-        representation = "kernel" if pw.ncols <= KERNEL_COLUMN_LIMIT else "generators"
+        ncols = PiecewiseWhitney(k, mesh).ncols
+        representation = "kernel" if ncols <= KERNEL_COLUMN_LIMIT else "generators"
     if representation == "kernel":
-        return kernel_space(build_constraints(k, mesh, flavor, pw=pw))
+        return kernel_space(build_constraints(k, mesh, flavor))
     if representation == "generators":
-        gens = interpolated_generating_set(k, mesh, flavor, pw=pw)
+        gens = interpolated_generating_set(k, mesh, flavor)
         return prune_vectors(gens)[0]
     raise ValueError(f"unknown representation {representation!r}")
 

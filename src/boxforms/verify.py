@@ -255,7 +255,7 @@ def mesh_suite(n, divisions, flavors=FLAVORS):
         reports.append(check_commuting_squares(mesh, flavor))
         for k in range(n + 1):
             constraints = build_constraints(k, mesh, flavor)
-            generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+            generators = interpolated_generating_set(k, mesh, flavor)
             bad = next((i for i, vec in enumerate(generators.vectors)
                         if any(constraints.residual(vec))), None)
             reports.append(CheckReport(

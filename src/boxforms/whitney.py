@@ -34,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import local, spaces
-from .exactla import (independent_rows, independent_subset, kernel_vectors, nullspace, rank,
-                      primitive_multipliers, spans_equal)
+from .exactla import (independent_rows, kernel_vectors, nullspace, primitive_multipliers, rank,
+                      spans_equal)
 from .forms import PolyForm
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
@@ -95,7 +95,7 @@ class ConstraintSystem:
         return out
 
 
-def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
+def build_constraints(k, mesh, flavor=INTERIOR_TEST):
     """Assemble the constraint matrix; for k = n there are no constraints.
 
     Each test function is, on every cell, ``star(f_a)`` for a face function
@@ -110,7 +110,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST, pw=None):
     n = mesh.n
     if not 0 <= k <= n:
         raise ValueError(f"no degree-{k} space in dimension {n}")
-    pw = pw or PiecewiseWhitney(k, mesh)
+    pw = PiecewiseWhitney(k, mesh)
     if k == n:
         return ConstraintSystem(k, flavor, pw, [])
     dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
@@ -127,20 +127,21 @@ class WhitneySpace:
     """A concrete basis (or generating set) of the glued space.
 
     ``independent`` is True only when exact elimination has proved the
-    vectors linearly independent (kernel bases and pruned generating sets).
+    vectors linearly independent: always for a kernel basis, and for a
+    generating set (``GeneratorSpace``) once it is pruned.
     ``free_columns`` (canonical kernel bases only) holds, per vector, the
     broken column where it is 1 and every other vector is 0.
     """
 
-    def __init__(self, k, mesh, flavor, representation, vectors, pw, independent=False,
-                 free_columns=None):
+    independent = True
+
+    def __init__(self, k, mesh, flavor, representation, vectors, pw, free_columns=None):
         self.k = k
         self.mesh = mesh
         self.flavor = flavor
         self.representation = representation  # "kernel" | "generators"
         self.vectors = vectors                # sparse dicts col -> Fraction
         self.pw = pw
-        self.independent = independent
         self.free_columns = free_columns
 
     @property
@@ -149,15 +150,6 @@ class WhitneySpace:
 
     def form_on_cell(self, index, cell_id):
         return self.pw.form_on_cell(self.vectors[index], cell_id)
-
-    def independent_indices(self):
-        """Indices of a maximal independent subset of the vectors, scanning in order (exact)."""
-        return independent_subset(self.vectors)
-
-    def subset(self, kept):
-        """The space of the vectors at the indices ``kept``, proved independent."""
-        return WhitneySpace(self.k, self.mesh, self.flavor, self.representation,
-                            [self.vectors[i] for i in kept], self.pw, independent=True)
 
     def float_columns(self):
         """(data, rows, column starts) of the vectors in broken coordinates, in vector order."""
@@ -236,9 +228,11 @@ class GeneratorSpace(WhitneySpace):
                    for j, v in entries[s][a]}
 
     def independent_indices(self):
+        """Indices of a maximal independent subset of the vectors, scanning in order (exact)."""
         return independent_rows(self.integer_rows())
 
     def subset(self, kept):
+        """The space of the vectors at the indices ``kept``, proved independent."""
         return GeneratorSpace(self.k, self.mesh, self.flavor, self.pw, self.dofs,
                               [self.members[i] for i in kept], independent=True)
 
@@ -263,10 +257,10 @@ def kernel_space(constraints):
     pw = constraints.pw
     free, vectors = kernel_vectors(constraints.rows, pw.ncols)
     return WhitneySpace(constraints.k, pw.mesh, constraints.flavor,
-                        "kernel", vectors, pw, independent=True, free_columns=free)
+                        "kernel", vectors, pw, free_columns=free)
 
 
-def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
+def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):
     """Cell-wise adjoint projection of every conforming basis function.
 
     The result generates the projected conforming space; it may be
@@ -275,11 +269,11 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST, pw=None):
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    pw = pw or PiecewiseWhitney(k, mesh)
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
     for _, table in local.shapes(mesh, k):
         table.patterns  # the exact projections, built once per shape
-    return GeneratorSpace(k, mesh, flavor, pw, dofs, list(range(dofs.n_dofs)))
+    return GeneratorSpace(k, mesh, flavor, PiecewiseWhitney(k, mesh), dofs,
+                          list(range(dofs.n_dofs)))
 
 
 def prune_vectors(space):
@@ -319,12 +313,9 @@ def check_whitney_complex(mesh, flavor=INTERIOR_TEST):
     broken derivative twice gives the zero vector.
     """
     n = mesh.n
-    pws = {k: PiecewiseWhitney(k, mesh) for k in range(n + 1)}
-    kernels = {}
-    systems = {}
-    for k in range(n + 1):
-        systems[k] = build_constraints(k, mesh, flavor, pw=pws[k])
-        kernels[k] = kernel_space(systems[k])
+    systems = [build_constraints(k, mesh, flavor) for k in range(n + 1)]
+    kernels = [kernel_space(system) for system in systems]
+    pws = [system.pw for system in systems]
     for k in range(n):
         for idx, vec in enumerate(kernels[k].vectors):
             dv = apply_broken_d(vec, pws[k], pws[k + 1])
@@ -442,5 +433,5 @@ def space_summary(k, mesh, flavor=INTERIOR_TEST):
     """Dimension bookkeeping for one (k, flavor) pair on a mesh."""
     constraints = build_constraints(k, mesh, flavor)
     kernel = kernel_space(constraints)
-    generators = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+    generators = interpolated_generating_set(k, mesh, flavor)
     return summarize(constraints, kernel, generators)

@@ -168,7 +168,7 @@ def test_criterion_3_projected_conforming_basis_in_space():
             for flavor in (INTERIOR_TEST, FULL_TEST):
                 for k in range(n + 1):
                     constraints = build_constraints(k, mesh, flavor)
-                    gens = interpolated_generating_set(k, mesh, flavor, pw=constraints.pw)
+                    gens = interpolated_generating_set(k, mesh, flavor)
                     for vec in gens.vectors:
                         residual = constraints.residual(vec)
                         assert not any(residual), (n, k, flavor)
@@ -189,8 +189,8 @@ def test_criterion_5_mean_jump_equivalence():
     with criterion(5, "k=0 glued space equals zero-mean-jump piecewise linears (2d)"):
         for divisions in ((2, 2), (3, 3)):
             mesh = build_grid([[0, 1], [0, 1]], divisions)
-            pw = PiecewiseWhitney(0, mesh)
-            constraints = build_constraints(0, mesh, INTERIOR_TEST, pw=pw)
+            constraints = build_constraints(0, mesh, INTERIOR_TEST)
+            pw = constraints.pw
             kernel_a = nullspace(constraints.rows, ncols=pw.ncols)
             kernel_b = nullspace(mean_jump_rows(mesh, pw), ncols=pw.ncols)
             assert spans_equal(kernel_a, kernel_b), divisions

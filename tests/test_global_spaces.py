@@ -92,7 +92,7 @@ def test_unisolvence(mesh, kmax):
 def test_partition_of_unity_for_vertices():
     space = build_space(VQ, 0, MESH2)
     for ci in range(MESH2.n_cells):
-        total = PolyForm.zero(2, 0)
+        total = PolyForm(2, 0)
         for form in space.cell_expansions[ci].values():
             total = total + form
         assert total == PolyForm.from_scalar(
@@ -165,8 +165,8 @@ def test_star_chain_inclusion(mesh):
                 if value:
                     coeffs[low_dof] = value
             for ci in range(mesh.n_cells):
-                target = image.get(ci, PolyForm.zero(n, k - 1))
-                combo = PolyForm.zero(n, k - 1)
+                target = image.get(ci, PolyForm(n, k - 1))
+                combo = PolyForm(n, k - 1)
                 for low_dof, c in coeffs.items():
                     local = lower.cell_expansions[ci].get(low_dof)
                     if local is not None:
@@ -179,7 +179,7 @@ def test_expand_in_face_dofs_roundtrip():
     # a conforming function: sum of two hats
     pw = []
     for ci in range(MESH2.n_cells):
-        form = PolyForm.zero(2, 0)
+        form = PolyForm(2, 0)
         for dof in (0, 4):
             local = space.cell_expansions[ci].get(dof)
             if local is not None:
@@ -236,8 +236,8 @@ def reference_conforming_complex(mesh, with_boundary_conditions=False):
             for ci in range(mesh.n_cells):
                 target = level[k].cell_expansions[ci].get(dof)
                 d_local = (target.exterior_derivative() if target is not None
-                           else PolyForm.zero(n, k + 1))
-                combo = PolyForm.zero(n, k + 1)
+                           else PolyForm(n, k + 1))
+                combo = PolyForm(n, k + 1)
                 for up_dof, c in coeffs.items():
                     local = level[k + 1].cell_expansions[ci].get(up_dof)
                     if local is not None and c:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every third-party module it imports is a declared dependency, every
-name the package re-exports resolves, and every name the package defines
-is referenced somewhere."""
+name the package re-exports resolves, every name the package defines
+is referenced somewhere, and every one is reached from the program's
+entry points or kept by name with a reason."""
 
 import ast
 import inspect
@@ -244,3 +245,117 @@ def test_definition_scan_flags_unreferenced_members_and_aliases():
     path = Path("sample.py")
     dead = dead_definitions({path: ast.parse(SAMPLE)}, [path])
     assert dead == ["sample.Form.der", "sample.Form.twice", "sample.Form.unread", "sample.helper"]
+
+
+#: the definition the console script and ``python -m boxforms`` run
+ENTRY_POINT = "cli.main"
+#: definitions that no entry point reaches and that stay, with the reason
+KEPT = {
+    "solver.DiscreteProblem.G_exact": "perfbench's exact-solve check reads it",
+    "solver._cell_members": "G_exact builds on it",
+    "fields.FormField.at": "the pointwise oracle of the catalog's separable evaluation",
+    "fields.FormField.d_at": "the pointwise oracle of the catalog's separable evaluation",
+    "quadrature.box_rule": "the pointwise quadrature oracle of the shape tabulations",
+    "projection.check_commuting": "the exact cell-wise commuting check of acceptance criterion 2",
+}
+
+
+def unreached_definitions(trees, package, entries, roots):
+    """Definitions in the ``package`` paths of ``trees`` that no walk reaches.
+
+    The walk starts from the module-level code of the ``package`` and
+    ``entries`` paths and from the definitions named in ``roots`` (dotted,
+    as reported); no other tree is read.  A reached definition reaches what
+    its references name, matched by name as in :func:`dead_definitions`;
+    imports are not uses.  A dunder is part of the class or module that
+    holds it, since Python calls it implicitly.
+    """
+    named, uses = {}, {None: []}
+    for path in package + entries:
+        home = {}
+        for name, node, owner in definitions(trees[path]) if path in package else ():
+            if not (name.startswith("__") and name.endswith("__")):
+                dotted = f"{path.stem}.{owner.name + '.' if owner else ''}{name}"
+                named.setdefault(name, []).append((dotted, owner))
+                uses[dotted] = []
+                home.update(dict.fromkeys(map(id, ast.walk(node)), dotted))
+        for name, ref, scope in references(trees[path]):
+            if not isinstance(ref, ast.alias):
+                uses[home.get(id(ref))].append((name, ref, scope))
+    reached = set(roots)
+    todo = [use for root in (None, *roots) for use in uses[root]]
+    while todo:
+        name, ref, scope = todo.pop()
+        for dotted, owner in named.get(name, ()):
+            if dotted not in reached and (owner is None or scope is owner
+                                          or not isinstance(ref, ast.Name)):
+                reached.add(dotted)
+                todo += uses[dotted]
+    return sorted(set(uses) - reached - {None})
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    # the package's exports, the tests and the benchmark are not entry points
+    package = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    demos = sorted((SRC.parents[1] / "demos").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in package + demos}
+    assert len(demos) == 5 and SRC / "__main__.py" in package
+    assert unreached_definitions(trees, package, demos, [ENTRY_POINT, *KEPT]) == []
+    # each kept definition is needed: the program alone does not reach it
+    assert unreached_definitions(trees, package, demos, [ENTRY_POINT]) == sorted(KEPT)
+
+
+WALKED = """
+import helpers
+from tools import tested
+
+
+class Form:
+    def __add__(self, other):
+        return self.combine(other)
+
+    def combine(self, other):
+        return other
+
+    def derivative(self):
+        return helpers.derivative(self)
+
+    def evaluate(self):
+        return 0
+
+
+def main():
+    return run(Form())
+
+
+def run(form):
+    return form.derivative()
+
+
+def tested():
+    return 1
+
+
+def oracle():
+    return 2
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def test_walk_flags_what_only_tests_reach():
+    # ``tested`` and ``Form.evaluate`` are reached only from the test, which is
+    # not walked, and an import is not a use; ``Form.derivative`` is reached
+    # through an attribute, ``combine`` through ``__add__``, a part of the
+    # reached class, and ``oracle`` from a root
+    path, test = Path("sample.py"), Path("test_sample.py")
+    trees = {path: ast.parse(WALKED),
+             test: ast.parse("from sample import Form, tested\n"
+                             "assert tested() == Form().evaluate() + 1\n")}
+    assert unreached_definitions(trees, [path], [], ["sample.main"]) == [
+        "sample.Form.evaluate", "sample.oracle", "sample.tested"]
+    assert unreached_definitions(trees, [path], [test], ["sample.main"]) == ["sample.oracle"]
+    assert unreached_definitions(trees, [path], [], ["sample.main", "sample.oracle"]) == [
+        "sample.Form.evaluate", "sample.tested"]

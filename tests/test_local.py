@@ -22,7 +22,7 @@ from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.projection import LocalProjector
 from boxforms.quadrature import box_rule, form_array, polyform_values
 from boxforms.solver import (assemble, broken_error, build_solver_space,
-                             conjugate_gradient, consistency_residual, flavor_for, solve)
+                             conjugate_gradient, consistency_with_floor, flavor_for, solve)
 from boxforms.verify import random_box
 
 MESHES = [
@@ -285,7 +285,7 @@ def test_contraction_matches_per_cell_loops(name, divisions):
     for g, r in zip(got, ref):
         assert abs(g - r) <= 1e-12 * r
 
-    got_c = consistency_residual(entry, problem)
+    got_c = consistency_with_floor(entry, problem)[0]
     ref_c = reference_consistency(entry, problem, 5)
     assert abs(got_c - ref_c) <= max(1e-12 * ref_c, 1e-14)
 
@@ -296,7 +296,7 @@ def test_back_solve_consistency_matches_cg(name, m):
     mesh = build_grid(entry.domain, (m, m))
     space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
     problem = assemble(space, entry.load, 5)
-    got = consistency_residual(entry, problem)
+    got = consistency_with_floor(entry, problem)[0]
     ref = reference_consistency(entry, problem, 5)
     assert abs(got - ref) <= max(1e-12 * ref, 1e-14)
 
@@ -322,7 +322,7 @@ def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
         space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
         problem = assemble(space, entry.load, 5)
         broken_error(entry.omega, solve(problem), 5)
-        consistency_residual(entry, problem)
+        consistency_with_floor(entry, problem)[0]
         per_level.append(list(calls))
     on_shape = [[(spaces.P1MINUS, 1, (Fraction(1, m),) * 2)] for m in (4, 8, 16)]
     assert [[c for c in level if c[2] != (2, 2)] for level in per_level] == on_shape

@@ -266,8 +266,8 @@ def test_conforming_traces_match_across_shared_faces():
                 for alpha in multi_indices(k, n):
                     if not set(alpha) <= tangential:
                         continue
-                    p1 = f1.parts.get(alpha, Polynomial.zero(n))
-                    p2 = f2.parts.get(alpha, Polynomial.zero(n))
+                    p1 = f1.parts.get(alpha, Polynomial(n))
+                    p2 = f2.parts.get(alpha, Polynomial(n))
                     for i in range(n):
                         if (i + 1) not in face.axes:
                             value = mesh.grid[i][face.pos[i]]

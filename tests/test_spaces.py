@@ -10,7 +10,7 @@ from test_mesh import integrate
 
 from boxforms import cli, spaces
 from boxforms.exactla import independent_subset
-from boxforms.forms import CellBox, PolyForm, Polynomial, adjoint_pairing, format_form
+from boxforms.forms import CellBox, PolyForm, Polynomial, adjoint_table, format_form
 from boxforms.indices import complement, multi_indices
 from boxforms.spaces import (KINDS, P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
                              basis, check_Q_exactness, check_ap_identity,
@@ -294,8 +294,8 @@ def reference_ap_identity(k, n, cell):
     for (sig, tau), omega in zip(trial.labels, trial.elements):
         projected = projector.project(omega)
         for (sig2, tau2), mu in zip(tests.labels, tests.elements):
-            lhs = adjoint_pairing(projected, mu, cell)
-            rhs = adjoint_pairing(omega, mu, cell)
+            lhs = adjoint_table([projected], [mu], cell)[0][0]
+            rhs = adjoint_table([omega], [mu], cell)[0][0]
             if lhs != rhs:
                 return CheckReport(
                     "projection_pairing", n, k, False,

@@ -20,7 +20,7 @@ from boxforms import cli, local, projection, spaces
 from boxforms import whitney as whitney_module
 from boxforms import exactla
 from boxforms.exactla import independent_subset, nullspace, rank, spans_equal
-from boxforms.forms import PolyForm, Polynomial, adjoint_pairing, adjoint_table
+from boxforms.forms import Combination, PolyForm, Polynomial, adjoint_table
 from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
@@ -89,7 +89,7 @@ def test_constants_satisfy_constraints():
 def test_projected_conforming_functions_satisfy_constraints(mesh, flavor):
     for k in range(mesh.n + 1):
         cs = build_constraints(k, mesh, flavor)
-        gens = interpolated_generating_set(k, mesh, flavor, pw=cs.pw)
+        gens = interpolated_generating_set(k, mesh, flavor)
         for vec in gens.vectors:
             assert not any(cs.residual(vec))
 
@@ -99,7 +99,7 @@ def test_generator_span_inside_kernel(mesh):
     for k in range(mesh.n):
         cs = build_constraints(k, mesh, INTERIOR_TEST)
         kernel = kernel_space(cs)
-        gens = interpolated_generating_set(k, mesh, INTERIOR_TEST, pw=cs.pw)
+        gens = interpolated_generating_set(k, mesh, INTERIOR_TEST)
         dk = dense_matrix(kernel)
         dg = dense_matrix(gens)
         assert rank(dk) == rank(dk + dg)      # containment
@@ -108,7 +108,7 @@ def test_generator_span_inside_kernel(mesh):
 
 def test_generating_set_can_be_dependent_and_prunes():
     cs = build_constraints(0, MESH2, INTERIOR_TEST)
-    gens = interpolated_generating_set(0, MESH2, INTERIOR_TEST, pw=cs.pw)
+    gens = interpolated_generating_set(0, MESH2, INTERIOR_TEST)
     assert gens.dim == 9          # one per vertex
     pruned, kept = prune_vectors(gens)
     assert pruned.dim == rank(dense_matrix(gens)) == 8
@@ -295,7 +295,7 @@ def reference_constraints(k, mesh, flavor):
         for ci in test_space.supports[dof]:
             mu = test_space.cell_expansions[ci][dof]
             for j, phi in enumerate(bases[ci]):
-                row[pw.col(ci, j)] = adjoint_pairing(phi, mu, mesh.cells[ci])
+                row[pw.col(ci, j)] = adjoint_table([phi], [mu], mesh.cells[ci])[0][0]
         rows.append(row)
     return rows
 
@@ -426,7 +426,7 @@ def test_generator_supports_match_the_cell_loop(name):
 def test_summary_from_built_objects_matches_space_summary():
     for flavor in (INTERIOR_TEST, FULL_TEST):
         cs = build_constraints(1, MESH3, flavor)
-        gens = interpolated_generating_set(1, MESH3, flavor, pw=cs.pw)
+        gens = interpolated_generating_set(1, MESH3, flavor)
         assert summarize(cs, kernel_space(cs), gens) == space_summary(1, MESH3, flavor)
 
 
@@ -448,7 +448,7 @@ def reference_commuting_squares(mesh, flavor=INTERIOR_TEST):
                 shape, shape_up = local.tables(mesh, k, ci), local.tables(mesh, k + 1, ci)
                 # the shape's projectors sit on its first cell: move v there
                 shift = [a - b for a, b in zip(mesh.cells[ci].center, shape.cell.center)]
-                v = space.cell_expansions[ci][dof].translate(shift)
+                v = Combination(n, k, [space.cell_expansions[ci][dof]])([1], [-t for t in shift])
                 left = shape_up.projector.coefficients(v.exterior_derivative())
                 ck = shape.projector.coefficients(v)
                 cols = shape.d_matrix
