@@ -202,9 +202,9 @@ def cmd_convergence(args):
     base = args.base if args.base is not None else (2 if args.dim >= 3 else 4)
     levels = [base * 2 ** i for i in range(args.levels)]
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else None
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = convergence_sweep(entry, levels, flavor=flavor, quad_order=args.quad)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if args.format == "json":
         payload = {
             "command": "convergence",
@@ -237,13 +237,11 @@ def cmd_solve(args):
     entry = _pick_solution(args, allow_constant=True)
     divisions = args.grid or (4,) * args.dim
     flavor = _FLAVOR_NAMES[args.flavor] if args.flavor else flavor_for(entry)
-    space, results = solve_level(entry, build_grid(entry.domain, divisions), flavor,
-                                 args.quad, "auto")
+    results = solve_level(entry, build_grid(entry.domain, divisions), flavor, args.quad)
     payload = {
         "command": "solve",
         "solution": entry.name,
         "n": args.dim, "k": entry.k, "grid": list(divisions), "flavor": flavor,
-        "representation": space.representation,
         **results,
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.output)
@@ -292,6 +290,8 @@ def main(argv=None):
     handlers = {"verify": cmd_verify, "convergence": cmd_convergence,
                 "solve": cmd_solve, "basis": cmd_basis}
     try:
+        if args.output:  # fail before the work; append mode keeps an existing file
+            open(args.output, "a").close()
         return handlers[args.command](args)
     except SystemExit:
         raise

@@ -1,7 +1,7 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``kernel_vectors``, ``solve``, ``solve_consistent``, ``invert``,
+``kernel_vectors``, ``solve_consistent``, ``invert``,
 ``independent_subset`` and ``independent_rows``.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968, with content division for his exact
 quotients): each input row is scaled by the lcm of its denominators and
@@ -162,19 +162,6 @@ def nullspace(matrix, ncols=None):
         raise ValueError("nullspace of an empty matrix needs ncols")
     return [[vec.get(c, Fraction(0)) for c in range(ncols)]
             for vec in kernel_vectors(matrix, ncols)[1]]
-
-
-def solve(matrix, rhs):
-    """Unique solution of a square nonsingular system; exact."""
-    n = len(matrix)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in matrix):
-        raise ValueError("solve expects a square matrix")
-    pivots, _ = _eliminate([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if sorted(pivots) != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [pivots[i].get(n, Fraction(0)) for i in range(n)]
 
 
 def invert(matrix):

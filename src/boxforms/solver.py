@@ -48,13 +48,8 @@ from .fields import manufactured
 from .forms import Combination, PolyForm
 from .mesh import build_grid, face_dofs
 from .quadrature import component_array
-from .whitney import (FULL_TEST, INTERIOR_TEST, PiecewiseWhitney, WhitneySpace,
-                      build_constraints, interpolated_generating_set, kernel_space,
+from .whitney import (FULL_TEST, INTERIOR_TEST, WhitneySpace, interpolated_generating_set,
                       prune_vectors)
-
-#: piecewise-coordinate count up to which the exact kernel representation
-#: is the default space basis (pure-Python elimination stays fast there)
-KERNEL_COLUMN_LIMIT = 400
 
 #: unit roundoff of float64
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -255,7 +250,6 @@ class Solution:
     x_exact: list | None = None
     w_exact: dict | None = None  # exact path: the solution in broken coordinates
     history: list = field(default_factory=list)
-    _pw_cache: np.ndarray | None = None
 
     @property
     def cg_iterations(self):
@@ -269,9 +263,7 @@ class Solution:
 
     def pw_coefficients(self):
         """Float coefficients in the broken (piecewise) coordinates."""
-        if self._pw_cache is None:
-            self._pw_cache = np.asarray(self.problem.V @ self.x).ravel()
-        return self._pw_cache
+        return np.asarray(self.problem.V @ self.x).ravel()
 
     def form_on_cell(self, ci):
         """Exact local PolyForm on cell ci (exact solve path only)."""
@@ -456,44 +448,37 @@ def consistency_with_floor(entry, problem):
 # space construction and convergence studies
 
 
-def build_solver_space(k, mesh, flavor=INTERIOR_TEST, representation="auto"):
-    """A ready-to-assemble independent basis of the glued space.
+def build_solver_space(k, mesh, flavor=INTERIOR_TEST):
+    """An independent basis of the glued space, ready to assemble.
 
-    ``representation``: "kernel" (exact nullspace of the constraints),
-    "generators" (projected conforming basis, pruned), or "auto" which
-    picks the kernel up to KERNEL_COLUMN_LIMIT broken coordinates.
+    It is the projected conforming generating set, pruned by exact
+    elimination.  It spans the exact kernel of the constraints
+    (``whitney.kernel_space``), the basis of the exact oracle, the
+    ``basis`` dump and the complexes.
     """
-    if representation == "auto":
-        ncols = PiecewiseWhitney(k, mesh).ncols
-        representation = "kernel" if ncols <= KERNEL_COLUMN_LIMIT else "generators"
-    if representation == "kernel":
-        return kernel_space(build_constraints(k, mesh, flavor))
-    if representation == "generators":
-        gens = interpolated_generating_set(k, mesh, flavor)
-        return prune_vectors(gens)[0]
-    raise ValueError(f"unknown representation {representation!r}")
+    return prune_vectors(interpolated_generating_set(k, mesh, flavor))[0]
 
 
 def flavor_for(entry):
     return FULL_TEST if entry.compatibility == "essential" else INTERIOR_TEST
 
 
-def solve_level(entry, mesh, flavor, quad_order, representation):
-    """(space, results) of the discrete problem of ``entry`` on ``mesh``, solved by CG.
+def solve_level(entry, mesh, flavor, quad_order):
+    """The results of the discrete problem of ``entry`` on ``mesh``, solved by CG.
 
-    The results are the space dimension, the L2 and broken energy errors,
+    They are the space dimension, the L2 and broken energy errors,
     the consistency residual and whether it is at its roundoff floor, and
     the CG iteration count and final residual.  d(omega) is evaluated once
     and read by both the energy error and the consistency residual.
     """
-    space = build_solver_space(entry.k, mesh, flavor, representation)
+    space = build_solver_space(entry.k, mesh, flavor)
     problem = assemble(space, entry.load, quad_order)
     sol = solve(problem)
     d_omega = entry.omega.d_on_axes(mesh.gauss_axes(quad_order))
     omega = SimpleNamespace(on_axes=entry.omega.on_axes, d_on_axes=lambda axes: d_omega)
     err_l2, err_hd = broken_error(omega, sol, quad_order)
     cons, floor = consistency_with_floor(replace(entry, omega=omega), problem)
-    return space, {
+    return {
         "dim_space": space.dim,
         "err_L2": err_l2,
         "err_Hd": err_hd,
@@ -509,9 +494,9 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5):
 
     ``solution`` is a catalog name or a ManufacturedSolution; ``levels``
     is a list of per-axis division counts.  Returns one row per level:
-    its mesh size, the results of ``solve_level`` on the generator basis,
-    and observed orders between consecutive levels (no consistency order
-    where either level is at the floor).
+    its mesh size, the results of ``solve_level`` and observed orders
+    between consecutive levels (no consistency order where either level is
+    at the floor).
     """
     entry = manufactured(solution) if isinstance(solution, str) else solution
     flavor = flavor or flavor_for(entry)
@@ -519,7 +504,7 @@ def convergence_sweep(solution, levels, flavor=None, quad_order=5):
     for level, m in enumerate(levels):
         mesh = build_grid(entry.domain, (m,) * entry.n)
         row = {"level": level, "h": float(mesh.h_max), "n_cells": mesh.n_cells,
-               **solve_level(entry, mesh, flavor, quad_order, "generators")[1],
+               **solve_level(entry, mesh, flavor, quad_order),
                "order_L2": None, "order_Hd": None, "order_consistency": None}
         if rows:
             prev = rows[-1]

@@ -13,15 +13,16 @@ for every test function mu in a conforming Hodge-dual space.  Two flavors:
 * ``full-test``: tests are VQstar at degree k+1, giving the essential
   boundary condition variant.
 
-Two representations are built:
+The space is built two ways:
 
 * the exact kernel of the constraint matrix (exact rational elimination),
+  the basis of the exact oracle, the ``basis`` dump and the complexes;
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).  It
   stores no vector: each is a scatter of per-shape projection patterns
   through the face-DOF table, and pruning eliminates primitive integer
   rows made from the patterns' primitive integer forms and per-cell
-  multipliers.
+  multipliers.  Pruned, it is the basis of every float solve.
 
 The second is contained in the first; the test-suite checks containment,
 and equality of dimensions on small meshes, exactly.
@@ -135,12 +136,11 @@ class WhitneySpace:
 
     independent = True
 
-    def __init__(self, k, mesh, flavor, representation, vectors, pw, free_columns=None):
+    def __init__(self, k, mesh, flavor, vectors, pw, free_columns=None):
         self.k = k
         self.mesh = mesh
         self.flavor = flavor
-        self.representation = representation  # "kernel" | "generators"
-        self.vectors = vectors                # sparse dicts col -> Fraction
+        self.vectors = vectors  # sparse dicts col -> Fraction
         self.pw = pw
         self.free_columns = free_columns
 
@@ -175,7 +175,6 @@ class GeneratorSpace(WhitneySpace):
         self.k = k
         self.mesh = mesh
         self.flavor = flavor
-        self.representation = "generators"
         self.pw = pw
         self.independent = independent
         self.free_columns = None
@@ -256,8 +255,8 @@ def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
     pw = constraints.pw
     free, vectors = kernel_vectors(constraints.rows, pw.ncols)
-    return WhitneySpace(constraints.k, pw.mesh, constraints.flavor,
-                        "kernel", vectors, pw, free_columns=free)
+    return WhitneySpace(constraints.k, pw.mesh, constraints.flavor, vectors, pw,
+                        free_columns=free)
 
 
 def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):

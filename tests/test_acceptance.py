@@ -248,7 +248,7 @@ def test_criterion_8_solver_paths_agree():
         ]
         for n, k, sigma, divisions in cases + iterating:
             mesh = build_grid([[0, 1]] * n, divisions)
-            space = build_solver_space(k, mesh, INTERIOR_TEST, "kernel")
+            space = kernel_space(build_constraints(k, mesh, INTERIOR_TEST))
             load = PolyForm.covector(n, sigma, Fraction(7, 3))
             problem = assemble(space, load)
             assert problem.size <= 500

@@ -92,28 +92,43 @@ def test_nonpositive_sweep_size_rejected(command, flag):
     assert flag in err
 
 
-@pytest.mark.parametrize("grid, representation", [((4, 4), "kernel"),
-                                                   ((12, 12), "generators")])
-def test_solve_reports_the_shared_level_row(monkeypatch, grid, representation):
-    # `solve` reports what solver.solve_level gives for its mesh, flavor and
-    # order, on a kernel-size and on a generator-size grid
+@pytest.mark.parametrize("grid", [(4, 4), (12, 12)])
+def test_solve_reports_the_shared_level_row(monkeypatch, grid):
+    # `solve` reports what solver.solve_level gives for its mesh, flavor and order
     levels = []
     real = solver.solve_level
 
-    def solve_level(entry, mesh, flavor, quad_order, rep):
-        levels.append((mesh.divisions, flavor, quad_order, rep))
-        return real(entry, mesh, flavor, quad_order, rep)
+    def solve_level(entry, mesh, flavor, quad_order):
+        levels.append((mesh.divisions, flavor, quad_order))
+        return real(entry, mesh, flavor, quad_order)
 
     monkeypatch.setattr(solver, "solve_level", solve_level)
     code, out, _ = run_cli(["solve", "--dim", "2", "--k", "1", "--solution", "sin2d_k1",
                             "--grid", ",".join(map(str, grid))])
     assert code == 0
-    assert levels == [(grid, FULL_TEST, 5, "auto")]
+    assert levels == [(grid, FULL_TEST, 5)]
     entry = manufactured("sin2d_k1")
-    space, row = real(entry, build_grid(entry.domain, grid), FULL_TEST, 5, "auto")
+    row = real(entry, build_grid(entry.domain, grid), FULL_TEST, 5)
     payload = json.loads(out)
-    assert space.representation == payload["representation"] == representation
+    assert set(payload) == {"command", "solution", "n", "k", "grid", "flavor", *row}
     assert {key: payload[key] for key in row} == row
+
+
+@pytest.mark.parametrize("name, k", [("sin2d_k1", 1), ("cos2d_k0", 0)])
+def test_solve_agrees_with_the_convergence_level_on_its_mesh(name, k):
+    # one pipeline on one basis: `solve --grid 8,8` is level m = 8 of a sweep
+    code, out, _ = run_cli(["solve", "--dim", "2", "--k", str(k), "--solution", name,
+                            "--grid", "8,8"])
+    assert code == 0
+    code, sweep, _ = run_cli(["convergence", "--dim", "2", "--k", str(k), "--solution", name,
+                              "--levels", "2", "--base", "4", "--format", "json"])
+    assert code == 0
+    sweep = json.loads(sweep)
+    row = sweep["rows"][sweep["config"]["levels"].index(8)]
+    keys = ["dim_space", "err_L2", "err_Hd", "consistency", "consistency_at_floor",
+            "cg_iterations", "cg_residual"]
+    solved = json.loads(out)
+    assert {key: solved[key] for key in keys} == {key: row[key] for key in keys}
 
 
 def test_solve_evaluates_d_omega_once(monkeypatch):
@@ -257,6 +272,35 @@ def test_unwritable_output_is_a_usage_error(tmp_path, argv):
     code, out, err = run_cli([*argv, "--output", str(path)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["verify", "--dim", "1"], cli, "run_verify"),
+    (["convergence", "--dim", "1", "--k", "0", "--levels", "2"], solver, "convergence_sweep"),
+], ids=["verify", "convergence"])
+def test_unwritable_output_fails_before_the_work(monkeypatch, tmp_path, argv, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli([*argv, "--output", str(path)])
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_a_failed_run_keeps_an_existing_output_file(tmp_path):
+    # the output probe appends nothing and truncates nothing
+    path = tmp_path / "out.json"
+    path.write_text("earlier report\n")
+    code, _, err = run_cli(["basis", "--dim", "2", "--grid", "6,6", "--dump-limit", "10",
+                            "--output", str(path)])
+    assert code == 2 and "dump-limit" in err
+    assert path.read_text() == "earlier report\n"
 
 
 def test_config_file_defaults_and_override(tmp_path):

@@ -260,43 +260,104 @@ KEPT = {
 }
 
 
+def import_bindings(tree, package_name, modules):
+    """{name: [target]} of what a module's imports from the package bind, function-level
+    imports included.  A target is a module's path (``modules`` maps a stem to it) or
+    (path, name) for a name that module binds.  A package ``__init__``'s lazy exports
+    are bound in each module it imports."""
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = node.module
+        elif node.module == package_name or node.module.startswith(package_name + "."):
+            base = node.module[len(package_name) + 1:] or None
+        else:
+            continue
+        for alias in node.names:
+            if base is None and alias.name in modules:
+                target = modules[alias.name]
+            elif (base or "__init__") in modules:
+                target = modules[base or "__init__"], alias.name
+            else:
+                continue
+            out.setdefault(alias.asname or alias.name, []).append(target)
+    imported = [t for targets in out.values() for t in targets if isinstance(t, Path)]
+    for name in exported_names(tree)[1]:
+        out.setdefault(name, []).extend((path, name) for path in imported)
+    return out
+
+
 def unreached_definitions(trees, package, entries, roots):
     """Definitions in the ``package`` paths of ``trees`` that no walk reaches.
 
     The walk starts from the module-level code of the ``package`` and
     ``entries`` paths and from the definitions named in ``roots`` (dotted,
     as reported); no other tree is read.  A reached definition reaches what
-    its references name, matched by name as in :func:`dead_definitions`;
-    imports are not uses.  A dunder is part of the class or module that
-    holds it, since Python calls it implicitly.
+    its references name, resolved from the module that holds them:
+
+    - a bare name, the module's own top-level definition or what its
+      imports from the package bind (through a package ``__init__`` among
+      the ``package`` paths for ``from package import``), and in a class
+      body also that class's member;
+    - ``mod.name`` with ``mod`` an imported package module, that module's
+      binding of the name;
+    - any other attribute, every class member of that name.
+
+    Imports and string literals are not uses.  A dunder is part of the
+    class or module that holds it, since Python calls it implicitly.
     """
-    named, uses = {}, {None: []}
+    modules = {path.stem: path for path in package}
+    top, members, binds, uses = {}, {}, {}, {None: []}
     for path in package + entries:
+        binds[path] = import_bindings(trees[path], package[0].parent.name, modules)
         home = {}
         for name, node, owner in definitions(trees[path]) if path in package else ():
             if not (name.startswith("__") and name.endswith("__")):
                 dotted = f"{path.stem}.{owner.name + '.' if owner else ''}{name}"
-                named.setdefault(name, []).append((dotted, owner))
+                if owner is None:
+                    top[path, name] = dotted
+                else:
+                    members.setdefault(name, []).append((dotted, owner))
                 uses[dotted] = []
                 home.update(dict.fromkeys(map(id, ast.walk(node)), dotted))
         for name, ref, scope in references(trees[path]):
-            if not isinstance(ref, ast.alias):
-                uses[home.get(id(ref))].append((name, ref, scope))
+            if not isinstance(ref, (ast.alias, ast.Constant)):
+                uses[home.get(id(ref))].append((path, name, ref, scope))
+
+    def bound(path, name, seen=()):
+        if (path, name) in seen:
+            return set()
+        found = {top[path, name]} if (path, name) in top else set()
+        for target in binds[path].get(name, ()):
+            if isinstance(target, tuple):
+                found |= bound(*target, seen=(*seen, (path, name)))
+        return found
+
+    def named(path, name, ref, scope):
+        if isinstance(ref, ast.Name):
+            return bound(path, name) | {dotted for dotted, owner in members.get(name, ())
+                                        if owner is scope}
+        receiver = binds[path].get(ref.value.id, ()) if isinstance(ref.value, ast.Name) else ()
+        imported = [target for target in receiver if isinstance(target, Path)]
+        if imported:
+            return set().union(*(bound(module, name) for module in imported))
+        return {dotted for dotted, _ in members.get(name, ())}
+
     reached = set(roots)
     todo = [use for root in (None, *roots) for use in uses[root]]
     while todo:
-        name, ref, scope = todo.pop()
-        for dotted, owner in named.get(name, ()):
-            if dotted not in reached and (owner is None or scope is owner
-                                          or not isinstance(ref, ast.Name)):
-                reached.add(dotted)
-                todo += uses[dotted]
+        for dotted in named(*todo.pop()) - reached:
+            reached.add(dotted)
+            todo += uses[dotted]
     return sorted(set(uses) - reached - {None})
 
 
 def test_every_definition_is_reached_from_an_entry_point():
-    # the package's exports, the tests and the benchmark are not entry points
-    package = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    # the tests and the benchmark are not entry points; the package's
+    # ``__init__`` only binds the names the demos import from the package
+    package = sorted(SRC.glob("*.py"))
     demos = sorted((SRC.parents[1] / "demos").glob("*.py"))
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in package + demos}
     assert len(demos) == 5 and SRC / "__main__.py" in package
@@ -305,9 +366,19 @@ def test_every_definition_is_reached_from_an_entry_point():
     assert unreached_definitions(trees, package, demos, [ENTRY_POINT]) == sorted(KEPT)
 
 
-WALKED = """
-import helpers
-from tools import tested
+WALKED = {
+    "__init__": """
+from .shapes import Form
+
+
+def __getattr__(name):
+    if name in ("run",):
+        from . import engine
+        return getattr(engine, name)
+    raise AttributeError(name)
+""",
+    "shapes": """
+from . import helpers
 
 
 class Form:
@@ -322,6 +393,22 @@ class Form:
 
     def evaluate(self):
         return 0
+""",
+    "helpers": """
+def derivative(form):
+    return form
+
+
+def solve(form):
+    return form
+
+
+def tested():
+    return 1
+""",
+    "engine": """
+from .helpers import tested
+from .shapes import Form
 
 
 def main():
@@ -329,11 +416,15 @@ def main():
 
 
 def run(form):
-    return form.derivative()
+    return form.derivative(), solve(form), form.factor.solve(), "tested"
 
 
-def tested():
-    return 1
+def solve(form):
+    return form
+
+
+def derivative(form):
+    return form
 
 
 def oracle():
@@ -342,20 +433,32 @@ def oracle():
 
 if __name__ == "__main__":
     main()
+""",
+}
+TESTED = """
+from pkg import Form, run
+from pkg.helpers import tested
+
+assert tested() == Form().evaluate() + 1 and run
 """
 
 
 def test_walk_flags_what_only_tests_reach():
-    # ``tested`` and ``Form.evaluate`` are reached only from the test, which is
-    # not walked, and an import is not a use; ``Form.derivative`` is reached
-    # through an attribute, ``combine`` through ``__add__``, a part of the
-    # reached class, and ``oracle`` from a root
-    path, test = Path("sample.py"), Path("test_sample.py")
-    trees = {path: ast.parse(WALKED),
-             test: ast.parse("from sample import Form, tested\n"
-                             "assert tested() == Form().evaluate() + 1\n")}
-    assert unreached_definitions(trees, [path], [], ["sample.main"]) == [
-        "sample.Form.evaluate", "sample.oracle", "sample.tested"]
-    assert unreached_definitions(trees, [path], [test], ["sample.main"]) == ["sample.oracle"]
-    assert unreached_definitions(trees, [path], [], ["sample.main", "sample.oracle"]) == [
-        "sample.Form.evaluate", "sample.tested"]
+    # ``helpers.tested`` and ``Form.evaluate`` are reached only from the test,
+    # which is not walked; an import and a string are not uses.  A bare name is
+    # its module's own (``engine.solve``), ``helpers.derivative`` is reached
+    # through its module, another attribute (``Form.derivative``, and
+    # ``factor.solve``) reaches class members only, ``combine`` is reached
+    # through ``__add__``, a part of the reached class, ``main`` from the
+    # module-level code and ``oracle`` from a root.  The test reaches ``run``
+    # through the package's lazy export.
+    package = [Path(f"pkg/{stem}.py") for stem in WALKED]
+    test = Path("test_sample.py")
+    trees = {path: ast.parse(WALKED[path.stem]) for path in package}
+    trees[test] = ast.parse(TESTED)
+    never = ["engine.derivative", "engine.oracle", "helpers.solve"]
+    assert unreached_definitions(trees, package, [], []) == sorted(
+        never + ["helpers.tested", "shapes.Form.evaluate"])
+    assert unreached_definitions(trees, package, [test], []) == never
+    assert unreached_definitions(trees, package, [], ["engine.oracle"]) == [
+        "engine.derivative", "helpers.solve", "helpers.tested", "shapes.Form.evaluate"]

@@ -294,7 +294,7 @@ def test_contraction_matches_per_cell_loops(name, divisions):
 def test_back_solve_consistency_matches_cg(name, m):
     entry = manufactured(name)
     mesh = build_grid(entry.domain, (m, m))
-    space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
+    space = build_solver_space(entry.k, mesh, flavor_for(entry))
     problem = assemble(space, entry.load, 5)
     got = consistency_with_floor(entry, problem)[0]
     ref = reference_consistency(entry, problem, 5)
@@ -319,7 +319,7 @@ def test_float_pipeline_builds_local_bases_once_per_shape(monkeypatch):
     for m in (4, 8, 16):
         calls.clear()
         mesh = build_grid(entry.domain, (m, m))
-        space = build_solver_space(entry.k, mesh, flavor_for(entry), "generators")
+        space = build_solver_space(entry.k, mesh, flavor_for(entry))
         problem = assemble(space, entry.load, 5)
         broken_error(entry.omega, solve(problem), 5)
         consistency_with_floor(entry, problem)[0]

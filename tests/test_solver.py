@@ -43,7 +43,7 @@ def test_local_energy_matrix_interval_oracle():
 
 def test_top_degree_gram_is_cell_volumes():
     mesh = build_grid([[0, 1], [0, 2]], (2, 2))
-    space = build_solver_space(2, mesh, INTERIOR_TEST, "kernel")
+    space = kernel_space(build_constraints(2, mesh, INTERIOR_TEST))
     problem = assemble(space, PolyForm.covector(2, (1, 2), 1))
     # kernel basis of the unconstrained top space is one indicator per cell
     volumes = sorted(float(c.volume) for c in mesh.cells)
@@ -132,7 +132,7 @@ def test_cg_matches_exact_solve():
 
 def test_default_solve_is_cg_even_for_rational_data():
     mesh = build_grid([[0, 1], [0, 1]], (3, 3))
-    space = build_solver_space(1, mesh, INTERIOR_TEST, "kernel")
+    space = kernel_space(build_constraints(1, mesh, INTERIOR_TEST))
     load = PolyForm(2, 1, {
         (1,): Polynomial(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-3, 4)}),
         (2,): Polynomial(2, {(0, 0): Fraction(-2, 3), (0, 1): Fraction(5, 7)})})
@@ -356,7 +356,7 @@ def seeded_rational_load(n, k, seed):
 @pytest.mark.parametrize("n, k, m", [(2, 0, 6), (2, 1, 4), (3, 1, 2)])
 def test_exact_assembly_matches_the_pair_loop(n, k, m):
     mesh = build_grid([[0, 1]] * n, (m,) * n)
-    space = build_solver_space(k, mesh, INTERIOR_TEST, "kernel")
+    space = kernel_space(build_constraints(k, mesh, INTERIOR_TEST))
     load = seeded_rational_load(n, k, seed=10 * n + k)
     problem = assemble(space, load)
     g, f = reference_exact_assembly(space, load)
@@ -368,8 +368,10 @@ def test_exact_assembly_matches_the_pair_loop(n, k, m):
 
 
 def reference_exact_solve(problem):
-    """The path the condensed solve replaced: exact elimination on the dense Gram matrix."""
-    return exactla.solve(problem.G_exact, problem.F_exact)
+    """The dense reference for the condensed solve: the exact inverse of the Gram
+    matrix over the basis, applied to the load."""
+    return [sum(g * f for g, f in zip(row, problem.F_exact))
+            for row in exactla.invert(problem.G_exact)]
 
 
 def exact_space(k, mesh, flavor, representation):
@@ -398,8 +400,8 @@ def test_condensed_exact_solve_matches_the_dense_path(name, flavor, representati
 @pytest.mark.parametrize("keep_free_columns", [True, False])
 def test_exact_solve_rejects_a_basis_short_of_the_glued_space(keep_free_columns):
     mesh = build_grid([[0, 1], [0, 1]], (3, 3))
-    space = build_solver_space(0, mesh, INTERIOR_TEST, "kernel")
-    short = WhitneySpace(0, mesh, INTERIOR_TEST, "kernel", space.vectors[1:], space.pw,
+    space = kernel_space(build_constraints(0, mesh, INTERIOR_TEST))
+    short = WhitneySpace(0, mesh, INTERIOR_TEST, space.vectors[1:], space.pw,
                          free_columns=space.free_columns[1:] if keep_free_columns else None)
     problem = assemble(short, seeded_rational_load(2, 0, seed=3))
     with pytest.raises(ValueError, match="span"):
@@ -423,7 +425,7 @@ def test_solution_form_on_cell_combines_the_basis_forms(name, k, representation)
 def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
     # the dense Gram costs O(N^2) to assemble: no exact solve may read it
     mesh = graded_mesh(GRADED["2d"])
-    space = build_solver_space(1, mesh, INTERIOR_TEST, "kernel")
+    space = kernel_space(build_constraints(1, mesh, INTERIOR_TEST))
     problem = assemble(space, seeded_rational_load(2, 1, seed=5))
     calls = []
 
@@ -487,7 +489,7 @@ def test_float_path_from_scaled_tables_matches_direct_tables(monkeypatch, name):
         out = []
         for k in range(mesh.n + 1):
             for flavor in (INTERIOR_TEST, FULL_TEST):
-                space = build_solver_space(k, mesh, flavor, "generators")
+                space = build_solver_space(k, mesh, flavor)
                 if space.dim:
                     problem = assemble(space, constant_solution(mesh.n, k, range(1, k + 1)).load)
                     out += [problem.V, problem.G]
@@ -619,7 +621,7 @@ def test_a_sweep_evaluates_d_omega_once_per_level(monkeypatch, name):
     assert calls == [entry.omega] * len(levels)
     for row, m in zip(rows, levels):
         space = build_solver_space(entry.k, build_grid(entry.domain, (m,) * entry.n),
-                                   flavor_for(entry), "generators")
+                                   flavor_for(entry))
         problem = assemble(space, entry.load)
         assert (row["err_L2"], row["err_Hd"]) == broken_error(entry.omega, solve(problem))
         cons, floor = consistency_with_floor(entry, problem)
