@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .fields import CATALOG, constant_solution, manufactured
-from .forms import format_form
+from .forms import format_terms
 from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
@@ -132,8 +132,8 @@ def _validate_dim(args):
     grid = getattr(args, "grid", None)
     if grid is not None and len(grid) != args.dim:
         raise SystemExit(_usage_error("--grid must list one division count per axis"))
-    for flag in ("levels", "base", "quad"):
-        value = getattr(args, flag, None)
+    for flag in ("levels", "base", "quad", "dump-limit"):
+        value = getattr(args, flag.replace("-", "_"), None)
         if value is not None and value < 1:
             raise SystemExit(_usage_error(f"--{flag} must be >= 1, got {value}"))
 
@@ -249,12 +249,11 @@ def cmd_solve(args):
 
 
 def _dump_lines(tag, space):
-    """One line per (vector, cell) pair, for the cells the vector's keys name."""
-    lines = []
-    for i, vector in enumerate(space.vectors):
-        for ci in sorted({col // space.pw.dim_local for col in vector}):
-            lines.append(f"  {tag}{i} | cell {ci}: {format_form(space.form_on_cell(i, ci))}")
-    return lines
+    """One line per (vector, cell) pair, for the cells the vector's keys name, each
+    combined and printed in integers."""
+    return [f"  {tag}{i} | cell {ci}: {format_terms(*space.pw.cell_terms(row, den, ci))}"
+            for i, (row, den) in enumerate(space.integer_vectors)
+            for ci in sorted({col // space.pw.dim_local for col in row})]
 
 
 def cmd_basis(args):
@@ -271,12 +270,10 @@ def cmd_basis(args):
     kernel = kernel_space(constraints)
     generators = interpolated_generating_set(k, mesh, flavor)
     summary = summarize(constraints, kernel, generators)
-    lines = [f"summary: {json.dumps(summary, sort_keys=True)}", ""]
-    lines.append(f"kernel basis ({kernel.dim} elements):")
-    lines += _dump_lines("v", kernel)
-    lines.append("")
-    lines.append(f"projected conforming generators ({generators.dim}):")
-    lines += _dump_lines("g", generators)
+    lines = [f"summary: {json.dumps(summary, sort_keys=True)}", "",
+             f"kernel basis ({kernel.dim} elements):", *_dump_lines("v", kernel), "",
+             f"projected conforming generators ({generators.dim}):",
+             *_dump_lines("g", generators)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

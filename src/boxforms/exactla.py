@@ -7,15 +7,16 @@ One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
 quotients): each input row is scaled by the lcm of its denominators and
 divided by the gcd of its entries, giving a primitive ``{column: int}``
 row (``independent_rows`` takes such rows as they are, from a caller
-that knows them, as through ``primitive_multipliers``).  Rows enter one
-at a time, in the order given: each is reduced by the pivot rows kept so far,
-leftmost column first, as ``b*row - a*pivot`` with a/b the ratio of the
-two pivot-column entries in lowest terms, then made primitive again; what
-remains becomes a new pivot row.  Back-substitution clears each pivot
-column outside its own row the same way, and only then does each pivot
-row become Fractions with a unit leading entry.  The reduced form is
-unique for a fixed column order, so kernels come out canonical (one basis
-vector per free column, unit entry there).
+that knows them).  Rows enter one at a time, in the order given: each is
+reduced by the pivot rows kept so far, leftmost column first, as
+``b*row - a*pivot`` with a/b the ratio of the two pivot-column entries in
+lowest terms, then made primitive again; what remains becomes a new pivot
+row.  Back-substitution clears each pivot column outside its own row the
+same way, and the pivot rows stay integers: each caller divides by a
+row's leading entry only where it needs a Fraction, ``kernel_vectors``
+not at all.  The reduced form is unique for a fixed column order, so
+kernels come out canonical (one basis vector per free column, unit entry
+there).
 """
 
 from fractions import Fraction
@@ -38,26 +39,19 @@ def integer_scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def integer_matrices(matrices):
+    """(integer matrices, den): matrices of ints and Fractions as integers over one den."""
+    ints, den = integer_scaled([v for rows in matrices for row in rows for v in row])
+    ints = iter(ints)
+    return [[[next(ints) for _ in row] for row in rows] for rows in matrices], den
+
+
 def primitive_part(values):
     """(s, row): the primitive integer row {index: int} of a list of values, and s >= 0
     with ``values[i] == s * row.get(i, 0)``."""
     ints, den = integer_scaled(values)
     g = gcd(*ints)
     return Fraction(g, den), {i: v // g for i, v in enumerate(ints) if v}
-
-
-def primitive_multipliers(scales):
-    """Integers proportional to the scales s >= 0, with gcd 1.
-
-    Multiplying primitive integer rows on disjoint columns by them gives
-    the primitive integer row of the sum of the ``s * row``: with L the lcm
-    of the scales' denominators, the integers L*s divided by their gcd,
-    which is the gcd of the sum's entries.
-    """
-    den = lcm(*(s.denominator for s in scales))
-    mults = [s.numerator * (den // s.denominator) for s in scales]
-    g = gcd(*mults)
-    return [m // g for m in mults]
 
 
 def _integer_row(row):
@@ -91,10 +85,11 @@ def _eliminate(rows, reduce=True, primitive=False):
     """Sparse elimination of rows given as dense lists or {column: value} dicts.
 
     Returns (pivot rows keyed by leading column, indices of the rows that
-    gained a pivot).  When ``reduce`` is set the pivot rows are those of the
-    reduced row echelon form, as Fractions; otherwise they are primitive
-    integer rows of an echelon form.  With ``primitive`` the rows are
-    already primitive integer dicts and are eliminated in place.
+    gained a pivot).  The pivot rows are primitive integer rows: with
+    ``reduce``, each is its leading entry times a row of the reduced row
+    echelon form; otherwise they are rows of an echelon form.  With
+    ``primitive`` the rows are already primitive integer dicts and are
+    eliminated in place.
     """
     pivots = {}
     kept = []
@@ -115,9 +110,6 @@ def _eliminate(rows, reduce=True, primitive=False):
             for j in [j for j in row if j != c and j in pivots]:
                 row = _cancel(row, pivots[j], j)
             pivots[c] = row
-        for c, row in pivots.items():
-            lead = row[c]
-            pivots[c] = {j: Fraction(v, lead) for j, v in row.items()}
     return pivots, kept
 
 
@@ -130,7 +122,7 @@ def rref(matrix):
     rows = [[Fraction(0)] * len(matrix[0]) for _ in matrix]
     for row, c in zip(rows, order):
         for j, v in pivots[c].items():
-            row[j] = v
+            row[j] = Fraction(v, pivots[c][c])
     return rows, order
 
 
@@ -139,19 +131,22 @@ def rank(matrix):
 
 
 def kernel_vectors(matrix, ncols):
-    """Canonical kernel basis as (free columns, sparse vectors), one per free column.
+    """Canonical kernel basis as (free columns, vectors), one per free column.
 
-    Vector i is a ``{column: Fraction}`` dict with a unit entry at free
-    column i, zero at every other free column; entries in column order.
+    Vector i is (row, den): an integer ``{column: int}`` row over den > 0,
+    the lcm of the leading entries it divides by, equal to den at free
+    column i and zero at every other free column; entries in column order.
     """
     pivots = _eliminate(matrix)[0] if matrix else {}
     free = [c for c in range(ncols) if c not in pivots]
-    vectors = {fc: {fc: Fraction(1)} for fc in free}
+    entries = {fc: [] for fc in free}
     for pc, row in pivots.items():
         for c, v in row.items():
             if c != pc:
-                vectors[c][pc] = -v
-    return free, [dict(sorted(vectors[fc].items())) for fc in free]
+                entries[c].append((pc, -v, row[pc]))
+    dens = [lcm(*(lead for _, _, lead in entries[fc])) for fc in free]
+    return free, [(dict(sorted([(fc, den)] + [(pc, v * (den // lead)) for pc, v, lead in
+                                             entries[fc]])), den) for fc, den in zip(free, dens)]
 
 
 def nullspace(matrix, ncols=None):
@@ -160,8 +155,8 @@ def nullspace(matrix, ncols=None):
         ncols = len(matrix[0])
     elif ncols is None:
         raise ValueError("nullspace of an empty matrix needs ncols")
-    return [[vec.get(c, Fraction(0)) for c in range(ncols)]
-            for vec in kernel_vectors(matrix, ncols)[1]]
+    return [[Fraction(vec.get(c, 0), den) for c in range(ncols)]
+            for vec, den in kernel_vectors(matrix, ncols)[1]]
 
 
 def invert(matrix):
@@ -171,7 +166,7 @@ def invert(matrix):
                             for i, row in enumerate(matrix)])
     if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [[pivots[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
+    return [[Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(n)] for i in range(n)]
 
 
 def solve_consistent(rows, rhs, ncols):
@@ -185,7 +180,7 @@ def solve_consistent(rows, rhs, ncols):
         raise ValueError("the system has no solution")
     x = [Fraction(0)] * ncols
     for c, row in pivots.items():
-        x[c] = row.get(ncols, Fraction(0))
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
 
 

@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, getitem, sub
 
+from .exactla import integer_scaled
 from .indices import complement, hodge_sign, is_multi_index, wedge_sign
 
 
@@ -183,7 +184,8 @@ class Polynomial:
         return {r: Polynomial(self.n, cs) for r, cs in sorted(parts.items())}
 
     def __repr__(self):
-        return f"Polynomial({self.n}, {format_polynomial(self)!r})"
+        ints, den = integer_scaled(list(self.coeffs.values()))
+        return f"Polynomial({self.n}, {_polynomial_text(dict(zip(self.coeffs, ints)), den)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +266,7 @@ class CellBox:
 
     @cached_property
     def volume(self):
-        v = Fraction(1)
-        for w in self.widths:
-            v *= w
-        return v
+        return prod(self.widths, start=Fraction(1))
 
     @cached_property
     def _moments(self):
@@ -547,7 +546,9 @@ class Combination:
         self.terms, self.den = _scaled_terms([(form,) for form in forms])
         self.top = max([sum(e) for t in self.terms for c in t.values() for e in c], default=0)
 
-    def __call__(self, coeffs, shift=None):
+    def integers(self, coeffs, shift=None):
+        """(parts, den): ``self(coeffs, shift)`` as {alpha: {exponents: int}} over one
+        denominator, zero terms and components dropped."""
         # x - s = (q x + t) / q with t = -q s: q^top (x - s)^e is the sum over
         # f <= e of C(e, f) t^(e - f) q^(top - |e - f|) x^f
         shift = shift or (0,) * self.n
@@ -566,9 +567,13 @@ class Combination:
                             scale[drop] = prod(map(pow, steps, drop)) * q ** (self.top - sum(drop))
                         if scale[drop]:
                             out[f] = out.get(f, 0) + c * v * m * scale[drop]
-        den = c_den * self.den * q ** self.top
-        parts = ((a, {e: Fraction(v, den) for e, v in out.items() if v}) for a, out in acc.items())
-        return PolyForm._of(self.n, self.k, {a: Polynomial._of(self.n, p) for a, p in parts if p})
+        parts = ((a, {e: v for e, v in out.items() if v}) for a, out in acc.items())
+        return {a: p for a, p in parts if p}, c_den * self.den * q ** self.top
+
+    def __call__(self, coeffs, shift=None):
+        parts, den = self.integers(coeffs, shift)
+        return PolyForm._of(self.n, self.k, {a: Polynomial._of(
+            self.n, {e: Fraction(v, den) for e, v in p.items()}) for a, p in parts.items()})
 
 
 @lru_cache(maxsize=None)
@@ -616,26 +621,28 @@ def boundary_bump(box):
 # text output:  (poly) * dx[i,j,...]  joined by " + "
 
 
-def format_polynomial(poly):
-    if not poly.coeffs:
+def format_terms(parts, den):
+    """The text of the form with components {alpha: {exponents: int}} over ``den`` > 0."""
+    return " + ".join(f"({_polynomial_text(parts[alpha], den)}) * dx[{','.join(map(str, alpha))}]"
+                      for alpha in sorted(parts)) or "0"
+
+
+def _polynomial_text(coeffs, den):
+    """The text of the polynomial {exponents: int} over ``den`` > 0, in lowest terms."""
+    if not coeffs:
         return "0"
     pieces = []
-    for e, c in sorted(poly.coeffs.items(), key=lambda item: (sum(item[0]), item[0])):
+    for _, e, c in sorted((sum(e), e, c) for e, c in coeffs.items()):
         factors = [f"x{i}" + (f"^{p}" if p > 1 else "")
                    for i, p in enumerate(e, start=1) if p]
-        num, den = c.numerator, c.denominator
-        body = "*".join(factors if factors and abs(num) == den == 1
-                        else [str(abs(num)) + (f"/{den}" if den > 1 else "")] + factors)
+        g = gcd(c, den)
+        num, d = c // g, den // g
+        body = "*".join(factors if factors and abs(num) == d == 1
+                        else [str(abs(num)) + (f"/{d}" if d > 1 else "")] + factors)
         pieces.append((("- " if num < 0 else "+ ") if pieces else ("-" if num < 0 else "")) + body)
     return " ".join(pieces)
 
 
 def format_form(form):
-    if form.is_zero():
-        return "0"
-    terms = []
-    for alpha, poly in form.components():
-        idx = ",".join(str(i) for i in alpha)
-        terms.append(f"({format_polynomial(poly)}) * dx[{idx}]")
-    return " + ".join(terms)
-
+    (terms,), den = _scaled_terms([(form,)])
+    return format_terms({alpha: t for (_, alpha), t in terms.items()}, den)

@@ -8,13 +8,14 @@ tables of [-1, 1]^n once per process, on first use.  P1minus basis
 function j, labelled by an index tuple e_j (sigma of dx^sigma, gamma of the
 Koszul lift of dx^gamma), pulls back to h^e_j times the reference's, h the
 half-widths, and face functions and the projector commute with the
-pullback.  So ``patterns[a][j] = ref.patterns[a][j] / h^e_j``, and
+pullback.  So ``patterns[a][j] = ref.patterns[a][j] / h^e_j`` and the gluing
+pairings are the reference's times h^e_j, both scaled in integers, and
 ``energy[i][j] = h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I) T_I[i][j]`` with T_I
 the reference's mass (I a k-index) or stiffness ((k+1)-index) table on
-component I, summed in integers (``energy_integers``): both equal the tables
-built on the cell.  Face DOFs and functions, the projector, d-matrix, gluing
-pairings and Gauss tabulations are built on the shape's own box, from the
-families ``spaces.basis`` builds once at the origin and moves there.
+component I, summed in integers (``energy_integers``): all equal the tables
+built on the cell.  Face DOFs and functions, the projector, d-matrix and
+Gauss tabulations are built on the shape's own box, from the families
+``spaces.basis`` builds once at the origin and moves there.
 """
 
 from collections import namedtuple
@@ -59,7 +60,6 @@ class LocalTables:
         self.k = k
         self.cell = cell
         self._tabulations = {}
-        self._gluing_pairings = None
 
     @cached_property
     def basis(self):
@@ -160,23 +160,46 @@ class LocalTables:
         """The exact degree-k adjoint projector of the shape, on this table's cell."""
         return LocalProjector(self.k, self.cell)
 
+    def _column_scales(self, up):
+        """(ints, den): h^e_j if ``up`` else h^-e_j per basis function j, over one den."""
+        num, den = zip(*((w.numerator, 2 * w.denominator) for w in self.cell.widths))
+        num, den = (num, den) if up else (den, num)
+        return [prod(num[i - 1] if i in e else den[i - 1] for i in range(1, self.cell.n + 1))
+                for _, e in reference(self.cell.n, self.k).basis.labels], prod(den)
+
     @cached_property
     def patterns(self):
         """P1minus coefficients of the adjoint projection of each face function; off
-        the reference, its patterns with entry j divided by h^e_j."""
+        the reference, ``integer_patterns`` as Fractions."""
         ref = reference(self.cell.n, self.k)
         if ref is self:
             return [self.projector.coefficients(f) for f in self.face_functions]
-        h = [w / 2 for w in self.cell.widths]
-        scales = [(prod(h[i - 1].numerator for i in e), prod(h[i - 1].denominator for i in e))
-                  for _, e in ref.basis.labels]
-        return [[Fraction(c.numerator * q, c.denominator * p) for c, (p, q) in zip(row, scales)]
-                for row in ref.patterns]
+        return [[s * p.get(j, 0) for j in range(len(ref.basis))] for s, p in self.integer_patterns]
 
     @cached_property
     def integer_patterns(self):
-        """Per local face: (s, primitive integer pattern {j: int}), the pattern s times it."""
-        return [primitive_part(p) for p in self.patterns]
+        """Per local face: (s, primitive integer pattern {j: int}), the pattern s times it;
+        off the reference, the reference's with column j times h^-e_j, made primitive."""
+        ref = reference(self.cell.n, self.k)
+        if ref is self:
+            return [primitive_part(p) for p in self.patterns]
+        scales, den = self._column_scales(up=False)
+        return [(s * g / den, row) for s, (g, row) in (
+            (s, primitive_part([p.get(j, 0) * c for j, c in enumerate(scales)]))
+            for s, p in ref.integer_patterns)]
+
+    @cached_property
+    def gluing_pairings(self):
+        """Row a, column j: ``adjoint_table([phi_j], [star f_a])``, f_a face function a of
+        Q1minus^(n-k-1): one cell's gluing constraint entries.  The pairing is a boundary
+        integral of traces, so off the reference it is the reference's times h^e_j."""
+        n, ref = self.cell.n, reference(self.cell.n, self.k)
+        if ref is self:
+            tests = [f.hodge() for f in reference(n, n - self.k - 1).face_functions]
+            return [list(col) for col in zip(*adjoint_table(self.basis, tests, self.cell))]
+        scales, den = self._column_scales(up=True)
+        return [[Fraction(v.numerator * c, v.denominator * den) for v, c in zip(row, scales)]
+                for row in ref.gluing_pairings]
 
     @cached_property
     def float_patterns(self):
@@ -213,16 +236,3 @@ def tables(mesh, k, cell_id):
 def shapes(mesh, k):
     """(first cell id, table) for each cell shape of the mesh, in cell order."""
     return [(ci, tables(mesh, k, ci)) for ci in mesh.cell_shapes[1]]
-
-
-def gluing_pairings(mesh, k, cell_id):
-    """Row a, column j: ``adjoint_table([phi_j], [star f_a])`` on the cell's shape, f_a
-    face function a of Q1minus^(n-k-1): one cell's gluing constraint entries.  Built once
-    per shape, from the mesh's degree-(n-k-1) table, so its Vandermonde is inverted once."""
-    table = tables(mesh, k, cell_id)
-    if table._gluing_pairings is None:
-        dual = tables(mesh, mesh.n - k - 1, cell_id)
-        tests = [f.hodge() for f in dual.face_functions]
-        table._gluing_pairings = [list(col) for col in
-                                  zip(*adjoint_table(table.basis, tests, table.cell))]
-    return table._gluing_pairings

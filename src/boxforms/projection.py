@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import spaces
-from .exactla import SingularMatrixError, integer_scaled, invert
+from .exactla import SingularMatrixError, integer_matrices, invert
 from .reports import CheckReport
 
 
@@ -39,9 +39,7 @@ class LocalProjector:
             raise RuntimeError(
                 f"adjoint projection system singular for k={k} on {cell}") from err
         # the inverse as integers over one denominator, for the exact product
-        ints, self._inverse_den = integer_scaled([v for row in self.inverse for v in row])
-        size = len(self.inverse)
-        self._inverse_ints = [ints[i * size:(i + 1) * size] for i in range(size)]
+        (self._inverse_ints,), self._inverse_den = integer_matrices([self.inverse])
 
     def _left(self, omega):
         """omega's entry: ``(d omega, omega)``; on top degree ``(omega,)``, for the volume form."""

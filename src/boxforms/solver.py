@@ -20,13 +20,14 @@ saddle-point system of the gluing constraints, condensed cell by cell
 onto their multipliers (hybridization, with the paper's test space as
 the multiplier space: Arnold and Brezzi, RAIRO M2AN 19, 1985; Cockburn,
 Gopalakrishnan and Lazarov, SIAM J. Numer. Anal. 47, 2009), and reads
-the basis coefficients off the broken solution.  The exact path doubles
-as the oracle for the iterative one; the exact Gram over the basis is
-built only when something reads ``DiscreteProblem.G_exact``.  The
-consistency residual takes back-solves with a sparse LU factorization of
-the Gram matrix, made once per problem on first demand, integrates at
-the problem's quadrature order, and comes with a roundoff floor: a
-residual at or below it may be all rounding.
+the basis coefficients off the broken solution, all on integer rows over
+one denominator: Fractions appear only in ``x_exact`` and ``w_exact``.
+The exact path doubles as the oracle for the iterative one; the exact
+Gram over the basis is built only when something reads
+``DiscreteProblem.G_exact``.  The consistency residual takes back-solves
+with a sparse LU factorization of the Gram matrix, made once per problem
+on first demand, integrates at the problem's quadrature order, and comes
+with a roundoff floor: a residual at or below it may be all rounding.
 
 ``solve_level`` is the one per-level pipeline, from space to consistency
 residual: the ``solve`` command reports one level, ``convergence_sweep`` a
@@ -37,13 +38,14 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse
 
 from . import local
-from .exactla import integer_scaled, solve_consistent
+from .exactla import integer_matrices, integer_scaled, solve_consistent
 from .fields import manufactured
 from .forms import Combination, PolyForm
 from .mesh import build_grid, face_dofs
@@ -81,7 +83,7 @@ class DiscreteProblem:
     V: scipy.sparse.spmatrix    # piecewise-coordinates-from-basis map (CSC)
     quad_order: int
     F_exact: list | None = None      # exact load over the basis: V^T load_broken
-    load_broken: list | None = None  # exact load paired with every piecewise basis form
+    load_broken: tuple | None = None  # (ints, den): exact load on each piecewise basis form
 
     @property
     def exact(self):
@@ -91,29 +93,26 @@ class DiscreteProblem:
     def G_exact(self):
         """Exact Gram matrix over the basis, built on first use (None for a quadrature load).
 
-        Cell by cell, in integers over one denominator per vector: the
+        Cell by cell, on each vector's integer row over its denominator: the
         local energy applied once to each vector on the cell, then dot
         products among the vectors that share it.  No solve reads it.
         """
         if not self.exact:
             return None
-        pw = self.space.pw
-        size = self.space.dim
+        pw, size = self.space.pw, self.space.dim
+        members = [[] for _ in range(pw.mesh.n_cells)]  # per cell: (index, local row, den)
+        for i, (row, den) in enumerate(self.space.integer_vectors):
+            for ci in {c // pw.dim_local for c in row}:
+                members[ci].append((i, [row.get(c, 0) for c in range(
+                    pw.col(ci, 0), pw.col(ci + 1, 0))], den))
         g_exact = [[0] * size for _ in range(size)]
-        for ci, members in enumerate(_cell_members(self.space)):
-            if not members:
-                continue
+        for ci, on_cell in enumerate(members):
             energy, e_den = local.tables(pw.mesh, pw.k, ci).energy_integers
-            scaled = [(i, *integer_scaled(li)) for i, li in members]
-            for p, (i, li, di) in enumerate(scaled):
-                applied = [sum(e * c for e, c in zip(row, li) if c) for row in energy]
-                row = g_exact[i]
-                for j, lj, dj in scaled[p:]:
-                    row[j] += Fraction(sum(c * a for c, a in zip(lj, applied) if c),
-                                       di * dj * e_den)
-        for i in range(size):
-            for j in range(i + 1, size):
-                g_exact[j][i] = g_exact[i][j]
+            for p, (i, li, di) in enumerate(on_cell):
+                applied = [sum(map(mul, row, li)) for row in energy]
+                for j, lj, dj in on_cell[p:]:
+                    g_exact[i][j] += Fraction(sum(map(mul, lj, applied)), di * dj * e_den)
+                    g_exact[j][i] = g_exact[i][j]
         return g_exact
 
     @property
@@ -133,20 +132,6 @@ class DiscreteProblem:
     def dual_norm(self, vec):
         """sqrt(vec . G^-1 vec): the norm of a functional on the discrete space."""
         return math.sqrt(max(float(vec @ self.factor.solve(vec)), 0.0))
-
-
-def _cell_members(space):
-    """Per cell: (basis vector index, dense local coefficient list) for each vector on it."""
-    pw = space.pw
-    out = [[] for _ in range(pw.mesh.n_cells)]
-    for i, vec in enumerate(space.vectors):
-        per_cell = {}
-        for col, val in vec.items():
-            ci, j = divmod(col, pw.dim_local)
-            per_cell.setdefault(ci, [0] * pw.dim_local)[j] = val
-        for ci, coeffs in per_cell.items():
-            out[ci].append((i, coeffs))
-    return out
 
 
 def _gauss_grid(pw, quad_order, *fields):
@@ -188,8 +173,7 @@ def assemble(space, load, quad_order=5):
     if not space.independent and len(space.independent_indices()) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
                          "prune the generating set before assembling")
-    pw = space.pw
-    mesh = pw.mesh
+    pw, mesh = space.pw, space.mesh
     v_mat = basis_matrix(space)
     gram = v_mat.T @ (broken_energy(pw) @ v_mat)
     gram = ((gram + gram.T) / 2.0).tocsr()
@@ -197,16 +181,16 @@ def assemble(space, load, quad_order=5):
     load_broken = f_exact = None
     if isinstance(load, PolyForm):
         # a cell's pairings are those of its shape's first cell with the load moved there
-        load_at, load_broken = Combination(mesh.n, pw.k, [load]), []
+        load_at, cells = Combination(mesh.n, pw.k, [load]), []
         for ci, cell in enumerate(mesh.cells):
             table = local.tables(mesh, pw.k, ci)
             moved = load_at([1], [a - b for a, b in zip(table.cell.center, cell.center)])
-            load_broken += table.cell.pairing_table([(moved,)], [(phi,) for phi in table.basis])[0]
-        ints, den = integer_scaled(load_broken)  # V^T load_broken in integers
-        values, v_den = integer_scaled([v for vec in space.vectors for v in vec.values()])
-        values = iter(values)
-        f_exact = [Fraction(sum(ints[c] * next(values) for c in vec), den * v_den)
-                   for vec in space.vectors]
+            cells.append(table.cell.pairing_integers([(moved,)], [(phi,) for phi in table.basis]))
+        den = math.lcm(*(d for _, d in cells))
+        ints = [v * (den // d) for (row,), d in cells for v in row]
+        load_broken = ints, den  # V^T load_broken in integers, one Fraction per vector
+        f_exact = [Fraction(sum(ints[c] * v for c, v in row.items()), den * d)
+                   for row, d in space.integer_vectors]
         f_float = np.array([float(x) for x in f_exact])
     else:
         f_float = np.asarray(v_mat.T @ _load_pw_float(pw, load, quad_order))
@@ -272,20 +256,9 @@ class Solution:
         return self.space.pw.form_on_cell(self.w_exact, ci)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v) if a)
-
-
-def _local_schur(mesh, k, cell_id):
-    """(P A^-1, P A^-1 P^T) of the cell's shape: P its gluing pairings, A its energy."""
-    pairings = local.gluing_pairings(mesh, k, cell_id)
-    inverse = local.tables(mesh, k, cell_id).energy_inverse  # symmetric
-    pa = [[_dot(p, col) for col in inverse] for p in pairings]
-    return pa, [[_dot(row, p) for p in pairings] for row in pa]
-
-
 def condensed_solution(problem):
-    """The exact Galerkin solution in broken coordinates, as ``{column: Fraction}``.
+    """The exact Galerkin solution in broken coordinates: (w, den), w an integer
+    ``{column: int}`` over den.
 
     It is the w part of the saddle-point system ``A w + B^T lam = f,
     B w = 0``: A is block-diagonal with the local energy of each cell's
@@ -293,75 +266,75 @@ def condensed_solution(problem):
     cell blocks are eliminated.  With P_c the cell's gluing pairings, the
     multipliers solve ``S lam = g``, where S and g scatter ``P_c A_c^-1 P_c^T``
     and ``P_c A_c^-1 f_c`` through the test face DOFs; then
-    ``w_c = A_c^-1 (f_c - P_c^T lam_c)`` cell by cell.  Dependent rows of B
-    make S singular but consistent: lam is taken zero at its free columns,
-    and w is unique all the same.
+    ``w_c = A_c^-1 f_c - (P_c A_c^-1)^T lam_c`` cell by cell.  Dependent rows
+    of B make S singular but consistent: lam is taken zero at its free
+    columns, and w is unique all the same.  All of it is integer matrices
+    over denominators every shape shares, ``P A^-1`` and S formed per shape.
     """
-    space = problem.space
-    pw, mesh, k = space.pw, space.mesh, space.k
+    pw, flavor = problem.space.pw, problem.space.flavor
+    mesh, k, shape_of = pw.mesh, pw.k, pw.mesh.cell_shapes[0].tolist()
+    inverses, d_a = integer_matrices([t.energy_inverse for _, t in local.shapes(mesh, k)])
     if k < mesh.n:
-        dofs = face_dofs(mesh.n - k - 1, mesh, interior=space.flavor == INTERIOR_TEST)
+        dofs = face_dofs(mesh.n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
         cell_dofs, n_dofs = dofs.cell_dofs, dofs.n_dofs
+        pairings, d_p = integer_matrices([t.gluing_pairings for _, t in local.shapes(mesh, k)])
     else:  # no gluing at the top degree
-        cell_dofs, n_dofs = [()] * mesh.n_cells, 0
-    loads = [problem.load_broken[pw.col(ci, 0):pw.col(ci + 1, 0)] for ci in range(mesh.n_cells)]
-    schur = {}
-    s_rows = [{} for _ in range(n_dofs)]
-    g = [0] * n_dofs
-    for ci, pairs in enumerate(cell_dofs):
-        if not pairs:
-            continue
-        table = local.tables(mesh, k, ci)
-        if table not in schur:
-            schur[table] = _local_schur(mesh, k, ci)
-        pa, m = schur[table]
+        cell_dofs, n_dofs, pairings, d_p = [()] * mesh.n_cells, 0, [[]] * len(inverses), 1
+    # P A^-1 (A^-1 is symmetric) and P A^-1 P^T per shape
+    pa = [[[sum(map(mul, r, c)) for c in inv] for r in p] for p, inv in zip(pairings, inverses)]
+    schur = [[[sum(map(mul, r, c)) for c in p] for r in rows] for rows, p in zip(pa, pairings)]
+    loads, d_f = problem.load_broken
+    # A^-1 f_c over d_a d_f, g over d_p d_a d_f, S over d_p^2 d_a: S (d_f lam) = d_p g
+    applied = [[sum(map(mul, row, loads[pw.col(ci, 0):pw.col(ci + 1, 0)])) for row in inverses[s]]
+               for ci, s in enumerate(shape_of)]
+    s_rows, g = [{} for _ in range(n_dofs)], [0] * n_dofs
+    for ci, (s, pairs) in enumerate(zip(shape_of, cell_dofs)):
         for a, da in pairs:
-            g[da] += _dot(pa[a], loads[ci])
+            g[da] += d_p * sum(map(mul, pairings[s][a], applied[ci]))
             row = s_rows[da]
             for b, db in pairs:
-                row[db] = row.get(db, 0) + m[a][b]
-    lam = solve_consistent(s_rows, g, n_dofs)
+                row[db] = row.get(db, 0) + schur[s][a][b]
+    lam, d_lam = integer_scaled(solve_consistent(s_rows, g, n_dofs))  # d_f lam over d_lam
     w = {}
     for ci, pairs in enumerate(cell_dofs):
-        rhs = loads[ci]
-        if pairs:
-            pairings = local.gluing_pairings(mesh, k, ci)
-            for a, da in pairs:
-                if lam[da]:
-                    rhs = [r - lam[da] * p for r, p in zip(rhs, pairings[a])]
-        for j, row in enumerate(local.tables(mesh, k, ci).energy_inverse):
-            value = _dot(row, rhs)
-            if value:
-                w[pw.col(ci, j)] = value
-    return w
+        rhs = [value * d_p * d_lam for value in applied[ci]]  # over d_a d_f d_p d_lam
+        for a, da in pairs:
+            if lam[da]:
+                rhs = [r - lam[da] * p for r, p in zip(rhs, pa[shape_of[ci]][a])]
+        w.update((pw.col(ci, j), value) for j, value in enumerate(rhs) if value)
+    return w, d_a * d_f * d_p * d_lam
 
 
-def _coordinates(space, w):
-    """Basis coefficients x with ``V x == w`` exactly.
+def _coordinates(space, w, den):
+    """Basis coefficients x with ``V x == w / den`` exactly, w an integer {column: int}.
 
-    A canonical kernel basis reads x off w at its free columns; any other
-    independent basis takes one sparse exact solve.  Raises ValueError when
-    w is not in the span of the basis, which then spans less than the glued
-    space.
+    A canonical kernel basis reads x off w at its free columns and checks
+    ``V x`` in integers; any other independent basis takes one sparse exact
+    solve on its integer rows.  Raises ValueError when w is not in the span
+    of the basis, which then spans less than the glued space.
     """
+    vectors = space.integer_vectors
     if space.free_columns is not None:
-        x = [w.get(c, Fraction(0)) for c in space.free_columns]
+        x = [w.get(c, 0) for c in space.free_columns]  # over den
+        scale = math.lcm(*(d for xi, (_, d) in zip(x, vectors) if xi))
         combined = {}
-        for xi, vec in zip(x, space.vectors):
+        for xi, (row, d) in zip(x, vectors):
             if xi:
-                for c, val in vec.items():
-                    combined[c] = combined.get(c, 0) + xi * val
-        if {c: v for c, v in combined.items() if v} == w:
-            return x
+                for c, v in row.items():
+                    combined[c] = combined.get(c, 0) + xi * (scale // d) * v
+        if {c: v for c, v in combined.items() if v} == {c: v * scale for c, v in w.items()}:
+            return [Fraction(xi, den) for xi in x]
     else:
+        # vector i is row_i / d_i: solve for y_i = x_i den / d_i on the integer rows
         by_column = {c: {} for c in w}
-        for i, vec in enumerate(space.vectors):
-            for c, val in vec.items():
-                by_column.setdefault(c, {})[i] = val
+        for i, (row, _) in enumerate(vectors):
+            for c, v in row.items():
+                by_column.setdefault(c, {})[i] = v
         columns = sorted(by_column)
         try:
-            return solve_consistent([by_column[c] for c in columns],
-                                    [w.get(c, 0) for c in columns], space.dim)
+            y = solve_consistent([by_column[c] for c in columns],
+                                 [w.get(c, 0) for c in columns], space.dim)
+            return [yi * d / den for yi, (_, d) in zip(y, vectors)]
         except ValueError:
             pass
     raise ValueError("the exact solution is not in the span of the basis vectors: "
@@ -373,10 +346,11 @@ def solve(problem, method="cg"):
     if method == "exact":
         if not problem.exact:
             raise ValueError("exact solve requested but data is not rational")
-        w = condensed_solution(problem)
-        x_exact = _coordinates(problem.space, w)
+        w, den = condensed_solution(problem)
+        x_exact = _coordinates(problem.space, w, den)
         x = np.array([float(v) for v in x_exact])
-        return Solution(problem.space, problem, x, x_exact=x_exact, w_exact=w)
+        return Solution(problem.space, problem, x, x_exact=x_exact,
+                        w_exact={c: Fraction(v, den) for c, v in w.items()})
     if method != "cg":
         raise ValueError(f"unknown solve method {method!r}")
     x, history = conjugate_gradient(problem.G, problem.F)

@@ -89,10 +89,7 @@ def dimension(kind, k, n):
 
 def _subsets(axes):
     """All sub-tuples, ordered by (cardinality, lexicographic)."""
-    out = []
-    for r in range(len(axes) + 1):
-        out.extend(combinations(axes, r))
-    return out
+    return [s for r in range(len(axes) + 1) for s in combinations(axes, r)]
 
 
 @cache

@@ -16,7 +16,8 @@ for every test function mu in a conforming Hodge-dual space.  Two flavors:
 The space is built two ways:
 
 * the exact kernel of the constraint matrix (exact rational elimination),
-  the basis of the exact oracle, the ``basis`` dump and the complexes;
+  each vector an integer row over its denominator: the basis of the exact
+  oracle, the ``basis`` dump and the complexes;
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).  It
   stores no vector: each is a scatter of per-shape projection patterns
@@ -31,11 +32,12 @@ and equality of dimensions on small meshes, exactly.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
 from . import local, spaces
-from .exactla import (independent_rows, kernel_vectors, nullspace, primitive_multipliers, rank,
+from .exactla import (independent_rows, integer_scaled, kernel_vectors, nullspace, rank,
                       spans_equal)
 from .forms import PolyForm
 from .global_spaces import VQ, VQ0
@@ -65,6 +67,26 @@ class PiecewiseWhitney:
         return local.reference(self.mesh.n, self.k).basis.combination(
             [vector.get(c, 0) for c in cols], self.mesh.cells[cell_id].center)
 
+    def cell_terms(self, row, den, cell_id):
+        """(parts, den): the local form of an integer row over ``den`` on one cell, as
+        {alpha: {exponents: int}} over one denominator, zero terms dropped."""
+        moved = self.mesh.moved_bases
+        if (self.k, cell_id) not in moved:  # the reference basis moved there, term by term
+            columns, combine = {}, local.reference(self.mesh.n, self.k).basis.combination
+            for j in range(self.dim_local):
+                parts, moved_den = combine.integers([int(i == j) for i in range(self.dim_local)],
+                                                    self.mesh.cells[cell_id].center)
+                for alpha, terms in parts.items():
+                    for e, t in terms.items():
+                        columns.setdefault((alpha, e), []).append((self.col(cell_id, j), t))
+            moved[self.k, cell_id] = list(columns.items()), moved_den
+        (columns, moved_den), parts = moved[self.k, cell_id], {}
+        for (alpha, e), column in columns:
+            value = sum(row.get(c, 0) * t for c, t in column)
+            if value:
+                parts.setdefault(alpha, {})[e] = value
+        return parts, den * moved_den
+
     def constant_form_vector(self, sigma, scale=1):
         """Coefficients of the global constant form scale*dx^sigma."""
         j = local.tables(self.mesh, self.k, 0).basis.labels.index(("const", tuple(sigma)))
@@ -90,10 +112,8 @@ class ConstraintSystem:
 
     def residual(self, vector):
         """B v for a sparse coefficient vector; exact."""
-        out = []
-        for row in self.rows:
-            out.append(sum((row[c] * v for c, v in vector.items() if row[c]), Fraction(0)))
-        return out
+        return [sum((row[c] * v for c, v in vector.items() if row[c]), Fraction(0))
+                for row in self.rows]
 
 
 def build_constraints(k, mesh, flavor=INTERIOR_TEST):
@@ -101,7 +121,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST):
 
     Each test function is, on every cell, ``star(f_a)`` for a face function
     f_a of Q1minus^(n-k-1) (``local.LocalTables.face_functions``), so a cell's
-    entries are its shape's ``local.gluing_pairings`` scattered
+    entries are its shape's ``local.LocalTables.gluing_pairings`` scattered
     through the face DOFs of degree n-k-1: interior faces only for
     interior-test, all faces for full-test.  Rows are dense lists, 0 off the
     cells' blocks, one per test DOF in face order.
@@ -115,13 +135,17 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST):
     if k == n:
         return ConstraintSystem(k, flavor, pw, [])
     dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
+    pairings = [table.gluing_pairings for _, table in local.shapes(mesh, k)]
+    return ConstraintSystem(k, flavor, pw, _scatter(pw, dofs, pairings))
+
+
+def _scatter(pw, dofs, per_shape):
+    """Dense rows, one per DOF: row a of each cell's shape table at its local face a."""
     rows = [[0] * pw.ncols for _ in range(dofs.n_dofs)]
-    for ci, cell_dofs in enumerate(dofs.cell_dofs):
-        pairings = local.gluing_pairings(mesh, k, ci)
-        base = pw.col(ci, 0)
+    for ci, (s, cell_dofs) in enumerate(zip(pw.mesh.cell_shapes[0].tolist(), dofs.cell_dofs)):
         for a, dof in cell_dofs:
-            rows[dof][base:base + pw.dim_local] = pairings[a]
-    return ConstraintSystem(k, flavor, pw, rows)
+            rows[dof][pw.col(ci, 0):pw.col(ci + 1, 0)] = per_shape[s][a]
+    return rows
 
 
 class WhitneySpace:
@@ -131,32 +155,35 @@ class WhitneySpace:
     vectors linearly independent: always for a kernel basis, and for a
     generating set (``GeneratorSpace``) once it is pruned.
     ``free_columns`` (canonical kernel bases only) holds, per vector, the
-    broken column where it is 1 and every other vector is 0.
+    broken column where it is 1 and every other vector is 0.  Vectors are
+    integer rows over a denominator each; ``vectors`` views them as Fractions.
     """
 
     independent = True
 
-    def __init__(self, k, mesh, flavor, vectors, pw, free_columns=None):
-        self.k = k
-        self.mesh = mesh
-        self.flavor = flavor
-        self.vectors = vectors  # sparse dicts col -> Fraction
-        self.pw = pw
+    def __init__(self, k, mesh, flavor, integer_vectors, pw, free_columns=None):
+        self.k, self.mesh, self.flavor, self.pw = k, mesh, flavor, pw
+        self.integer_vectors = integer_vectors  # (sparse {col: int}, den) pairs
         self.free_columns = free_columns
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.integer_vectors)
+
+    @cached_property
+    def vectors(self):
+        """The vectors as sparse dicts col -> Fraction, built on first read."""
+        return [{c: Fraction(v, den) for c, v in row.items()} for row, den in self.integer_vectors]
 
     def form_on_cell(self, index, cell_id):
         return self.pw.form_on_cell(self.vectors[index], cell_id)
 
     def float_columns(self):
         """(data, rows, column starts) of the vectors in broken coordinates, in vector order."""
-        starts = np.cumsum([0] + [len(vec) for vec in self.vectors])
-        rows = [c for vec in self.vectors for c in vec]
-        # the float of a Fraction, without its generic __float__
-        data = [v.numerator / v.denominator for vec in self.vectors for v in vec.values()]
+        starts = np.cumsum([0] + [len(row) for row, _ in self.integer_vectors])
+        rows = [c for row, _ in self.integer_vectors for c in row]
+        # int / int rounds once, as the float of each entry's Fraction does
+        data = [v / den for row, den in self.integer_vectors for v in row.values()]
         return data, rows, starts
 
 
@@ -165,19 +192,15 @@ class GeneratorSpace(WhitneySpace):
 
     The function of a degree-k face DOF is, on every cell that has the face
     as its local face a, pattern a of the cell's shape
-    (``local.LocalTables.patterns``).  No vector is stored: ``vectors``
-    (Fraction dicts, for exact callers) is scattered on first read, and
-    pruning and the float basis matrix read the per-shape integer and
-    float patterns instead.
+    (``local.LocalTables.patterns``).  No vector is stored:
+    ``integer_vectors`` (for exact callers) is scattered from the per-shape
+    integer patterns on first read, and pruning and the float basis matrix
+    read the per-shape integer and float patterns instead.
     """
 
     def __init__(self, k, mesh, flavor, pw, dofs, members, independent=False):
-        self.k = k
-        self.mesh = mesh
-        self.flavor = flavor
-        self.pw = pw
-        self.independent = independent
-        self.free_columns = None
+        self.k, self.mesh, self.flavor, self.pw = k, mesh, flavor, pw
+        self.independent, self.free_columns = independent, None
         self.dofs = dofs         # mesh.DofTable of the degree-k face DOFs
         self.members = members   # the DOF id of each vector
 
@@ -200,20 +223,14 @@ class GeneratorSpace(WhitneySpace):
         ends = np.cumsum(np.bincount(dofs, minlength=self.dofs.n_dofs)).tolist()
         return [(tuple(pairs[a:b]), bases[a:b]) for a, b in zip([0] + ends, ends)]
 
-    @cached_property
-    def vectors(self):
-        patterns = [table.patterns for table in self._tables()]
-        return [{base + j: c for (s, a), base in zip(*self._supports[m])
-                 for j, c in enumerate(patterns[s][a]) if c} for m in self.members]
+    def _primitive_rows(self):
+        """Each vector as (primitive integer row {column: int}, s >= 0), the vector s times
+        the row, in order, each row a new dict.
 
-    def integer_rows(self):
-        """Each vector's primitive integer row {column: int}, in order, each a new dict.
-
-        A vector is s * p on each cell of its support, (s, p) the
-        ``integer_patterns`` entry of the cell's (shape, local face); its
-        row is p times the scales' ``primitive_multipliers`` on each cell.
-        These depend only on the support's (shape, local face) pairs, so
-        they are found once per tuple of them.
+        A vector is s_c * p_c on each cell c of its support, (s_c, p_c) the
+        ``integer_patterns`` entry of the cell's (shape, local face); its row
+        is p_c times integers proportional to the s_c, with gcd 1, found once
+        per tuple of the support's (shape, local face) pairs.
         """
         scaled = [table.integer_patterns for table in self._tables()]
         entries = [[list(p.items()) for _, p in per_shape] for per_shape in scaled]
@@ -221,10 +238,21 @@ class GeneratorSpace(WhitneySpace):
         for m in self.members:
             pairs, bases = self._supports[m]
             if pairs not in multipliers:
-                multipliers[pairs] = primitive_multipliers([scaled[s][a][0] for s, a in pairs])
-            yield {base + j: mult * v
-                   for (s, a), base, mult in zip(pairs, bases, multipliers[pairs])
-                   for j, v in entries[s][a]}
+                mults, den = integer_scaled([scaled[s][a][0] for s, a in pairs])
+                g = gcd(*mults)
+                multipliers[pairs] = [v // g for v in mults], Fraction(g, den)
+            mults, scale = multipliers[pairs]
+            yield {base + j: mult * v for (s, a), base, mult in zip(pairs, bases, mults)
+                   for j, v in entries[s][a]}, scale
+
+    def integer_rows(self):
+        """Each vector's primitive integer row {column: int}, in order, each a new dict."""
+        return (row for row, _ in self._primitive_rows())
+
+    @cached_property
+    def integer_vectors(self):
+        return [({c: v * s.numerator for c, v in row.items()}, s.denominator)
+                for row, s in self._primitive_rows()]
 
     def independent_indices(self):
         """Indices of a maximal independent subset of the vectors, scanning in order (exact)."""
@@ -390,14 +418,7 @@ def mean_jump_rows(mesh, pw):
             [local.face_plane(shape.cell, axes, shift) for axes, shift in facets])
         jumps.append([[v if sum(shift) else -v for v in row]
                       for row, (_, shift) in zip(table, facets)])
-    dofs = face_dofs(n - 1, mesh, interior=True)
-    rows = [[0] * pw.ncols for _ in range(dofs.n_dofs)]
-    for ci, (s, row) in enumerate(zip(mesh.cell_shapes[0].tolist(), dofs.array.tolist())):
-        base = pw.col(ci, 0)
-        for a, dof in enumerate(row):
-            if dof >= 0:
-                rows[dof][base:base + pw.dim_local] = jumps[s][a]
-    return rows
+    return _scatter(pw, face_dofs(n - 1, mesh, interior=True), jumps)
 
 
 def check_crossing_equivalence(mesh):

@@ -303,6 +303,16 @@ def test_a_failed_run_keeps_an_existing_output_file(tmp_path):
     assert path.read_text() == "earlier report\n"
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_basis_rejects_a_dump_limit_below_one(monkeypatch, limit):
+    # a usage error at parse time, like --levels 0: no constraint is built
+    from boxforms import cli
+    monkeypatch.setattr(cli, "build_constraints", lambda *args: pytest.fail("built"))
+    code, out, err = run_cli(["basis", "--dim", "2", "--grid", "2,2", "--dump-limit", limit])
+    assert code == 2 and out == ""
+    assert f"--dump-limit must be >= 1, got {limit}" in err
+
+
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim = 1\nlevels = 2\nk = 0\n")
@@ -339,13 +349,13 @@ def test_basis_builds_constraints_and_kernel_once(monkeypatch):
 def test_basis_dump_reconstructs_only_the_cells_a_vector_names(monkeypatch):
     from boxforms import whitney
     cells = []
-    form_on_cell = whitney.PiecewiseWhitney.form_on_cell
+    cell_terms = whitney.PiecewiseWhitney.cell_terms
 
-    def counting(self, vector, cell_id):
+    def counting(self, row, den, cell_id):
         cells.append(cell_id)
-        return form_on_cell(self, vector, cell_id)
+        return cell_terms(self, row, den, cell_id)
 
-    monkeypatch.setattr(whitney.PiecewiseWhitney, "form_on_cell", counting)
+    monkeypatch.setattr(whitney.PiecewiseWhitney, "cell_terms", counting)
     code, out, _ = run_cli(["basis", "--dim", "2", "--k", "0", "--grid", "3,3"])
     assert code == 0
     dumped = [int(line.split("| cell ")[1].split(":")[0])

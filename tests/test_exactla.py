@@ -339,12 +339,14 @@ def test_kernel_vectors_are_the_sparse_nullspace():
     rng = random.Random(41)
     for rows, cols in [(3, 6), (5, 5), (6, 4), (2, 7)]:
         m = rand_matrix(rows, cols, rng, density=0.5)
-        free, vectors = kernel_vectors(m, cols)
+        free, pairs = kernel_vectors(m, cols)
+        assert all(den > 0 and vec[fc] == den for (vec, den), fc in zip(pairs, free))
+        vectors = [{c: F(v, den) for c, v in vec.items()} for vec, den in pairs]
         assert [[vec.get(c, F(0)) for c in range(cols)] for vec in vectors] == nullspace(m)
         assert all(list(vec) == sorted(vec) and all(vec.values()) for vec in vectors)
         for i, fc in enumerate(free):
             assert [vec.get(fc, 0) for vec in vectors] == [int(i == j) for j in range(len(free))]
-    assert kernel_vectors([], 2) == ([0, 1], [{0: F(1)}, {1: F(1)}])
+    assert kernel_vectors([], 2) == ([0, 1], [({0: 1}, 1), ({1: 1}, 1)])
 
 
 def test_solve_consistent_takes_zero_at_free_columns_and_rejects_inconsistency():

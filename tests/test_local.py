@@ -115,6 +115,19 @@ def test_tabulation_equals_the_per_box_basis_bit_for_bit(name):
                     [phi.exterior_derivative() for phi in elements], points)), (k, ci)
 
 
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_integer_patterns_scale_from_the_reference_on_graded_meshes(name):
+    # the reference's primitive patterns with column j times h^-e_j and one gcd,
+    # against primitive_part of the patterns projected on each shape's own cell
+    mesh = graded_mesh(GRADED[name])
+    for k in range(mesh.n + 1):
+        assert len(shapes(mesh, k)) > 1
+        for ci, table in shapes(mesh, k):
+            patterns = [table.projector.coefficients(f) for f in table.face_functions]
+            assert table.integer_patterns == [primitive_part(p) for p in patterns], (k, ci)
+            assert table.patterns == patterns, (k, ci)
+
+
 def test_one_table_per_shape():
     mesh = MESHES[0]
     assert len({id(tables(mesh, 1, ci)) for ci in range(mesh.n_cells)}) == 1

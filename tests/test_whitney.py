@@ -1,3 +1,4 @@
+import functools
 import gc
 import io
 import re
@@ -310,13 +311,20 @@ CONSTRAINT_MESHES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONSTRAINT_MESHES))
+def constraint_mesh(name):
+    """A CONSTRAINT_MESHES grid, or a GRADED mesh (``graded-2d``), whose cells differ in width."""
+    if name.startswith("graded-"):
+        return graded_mesh(GRADED[name[len("graded-"):]])
+    return build_grid(*CONSTRAINT_MESHES[name])
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRAINT_MESHES) + [f"graded-{n}" for n in GRADED])
 @pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
 def test_constraint_rows_match_the_per_entry_build(name, flavor):
-    domain, divisions = CONSTRAINT_MESHES[name]
-    for k in range(len(divisions) + 1):
-        rows = build_constraints(k, build_grid(domain, divisions), flavor).rows
-        assert rows == reference_constraints(k, build_grid(domain, divisions), flavor), k
+    # each shape's pairings are the reference cell's scaled by h^e_j
+    for k in range(constraint_mesh(name).n + 1):
+        rows = build_constraints(k, constraint_mesh(name), flavor).rows
+        assert rows == reference_constraints(k, constraint_mesh(name), flavor), k
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRAINT_MESHES))
@@ -354,8 +362,10 @@ def test_a_mesh_is_freed_without_the_cycle_collector():
 
 
 def test_constraint_build_pairs_once_per_shape(monkeypatch):
-    # 2D k=0: 4 edge face functions times 3 P1minus basis functions per shape,
-    # whatever the number of cells; counted as adjoint_table entries
+    # 2D k=0: 4 edge face functions times 3 P1minus basis functions, paired on
+    # the reference cell the first time and scaled to every shape after that,
+    # whatever the number of cells or shapes; counted as adjoint_table entries
+    monkeypatch.setattr(local, "reference", functools.cache(local.reference.__wrapped__))
     entries = []
 
     def counting(forms, tests, box):
@@ -366,11 +376,12 @@ def test_constraint_build_pairs_once_per_shape(monkeypatch):
         if hasattr(module, "adjoint_table"):
             monkeypatch.setattr(module, "adjoint_table", counting)
     counts = []
-    for m in (4, 8):
+    for mesh in (build_grid([[0, 1], [0, 1]], (4, 4)), build_grid([[0, 1], [0, 1]], (8, 8)),
+                 graded_mesh(GRADED["2d"])):
         entries.clear()
-        build_constraints(0, build_grid([[0, 1], [0, 1]], (m, m)), INTERIOR_TEST)
+        build_constraints(0, mesh, INTERIOR_TEST)
         counts.append(sum(entries))
-    assert counts == [12, 12]
+    assert counts == [12, 0, 0]
 
 
 def test_generators_scatter_matches_the_face_lookup():
