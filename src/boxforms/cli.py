@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .fields import CATALOG, constant_solution, manufactured
-from .forms import format_terms
+from .forms import ordered_text
 from .indices import MAX_DIM, multi_indices
 from .mesh import build_grid
 from .reports import first_failure
@@ -251,7 +251,7 @@ def cmd_solve(args):
 def _dump_lines(tag, space):
     """One line per (vector, cell) pair, for the cells the vector's keys name, each
     combined and printed in integers."""
-    return [f"  {tag}{i} | cell {ci}: {format_terms(*space.pw.cell_terms(row, den, ci))}"
+    return [f"  {tag}{i} | cell {ci}: {ordered_text(*space.pw.cell_terms(row, den, ci))}"
             for i, (row, den) in enumerate(space.integer_vectors)
             for ci in sorted({col // space.pw.dim_local for col in row})]
 

@@ -1,8 +1,9 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``kernel_vectors``, ``solve_consistent``, ``invert``,
-``independent_subset`` and ``independent_rows``.  It is fraction-free
+``kernel_vectors``, ``invert``, ``independent_subset`` and
+``independent_rows``, and ``solve_consistent`` when its modular solve
+proves nothing.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968, with content division for his exact
 quotients): each input row is scaled by the lcm of its denominators and
 divided by the gcd of its entries, giving a primitive ``{column: int}``
@@ -17,10 +18,16 @@ row's leading entry only where it needs a Fraction, ``kernel_vectors``
 not at all.  The reduced form is unique for a fixed column order, so
 kernels come out canonical (one basis vector per free column, unit entry
 there).
+
+Fraction-free entries swell to thousands of bits on large systems with
+small solutions.  So ``solve_consistent`` first eliminates mod a prime,
+lifts p-adically (Dixon, Numer. Math. 40, 1982) and reconstructs fractions
+(Wang, SYMSAC 1981), and keeps the answer only once proven in integers.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import partial
+from math import gcd, isqrt, lcm, prod
 
 
 class SingularMatrixError(ValueError):
@@ -173,8 +180,12 @@ def solve_consistent(rows, rhs, ncols):
     """One solution of a sparse system that may be singular, zero at its free columns.
 
     ``rows`` are ``{column: value}`` dicts over ``ncols`` columns.  Raises
-    ValueError when ``rhs`` is not in the span of the columns.
+    ValueError when ``rhs`` is not in the span of the columns.  The
+    fraction-free elimination answers where the modular solve proves nothing.
     """
+    found = _solve_modular(rows, rhs)
+    if found:
+        return [Fraction(found[0].get(c, 0), found[1]) for c in range(ncols)]
     pivots, _ = _eliminate([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)])
     if ncols in pivots:
         raise ValueError("the system has no solution")
@@ -182,6 +193,117 @@ def solve_consistent(rows, rhs, ncols):
     for c, row in pivots.items():
         x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
+
+
+# -- the modular solve
+
+#: the prime of the modular solve, a Mersenne prime
+PRIME = 2 ** 61 - 1
+
+
+def _eliminate_mod(rows):
+    """(pivot rows, steps): ``_eliminate``'s echelon form of integer rows, mod PRIME.
+
+    Pivot rows omit their unit leading entry.  A row's step replays its
+    reduction on a right side: its (pivot column, multiplier) pairs, then
+    (its pivot column, inverse leading entry), or None if it reduced to zero.
+    """
+    pivots, steps = {}, []
+    for row in rows:
+        work, ops, lead = dict(row), [], None
+        while work:
+            c = min(work)
+            m = work.pop(c) % PRIME  # entries are reduced only when they lead
+            if m and c not in pivots:
+                lead = c, pow(m, -1, PRIME)
+                pivots[c] = {j: v * lead[1] % PRIME for j, v in work.items() if v % PRIME}
+                break
+            if m:
+                ops.append((c, m))
+                for j, v in pivots[c].items():
+                    work[j] = work.get(j, 0) - m * v
+        steps.append((ops, lead))
+    return pivots, steps
+
+
+def _solve_mod(pivots, steps, rhs):
+    """The solution mod PRIME, zero at the free columns; None if a zero row's side is not."""
+    reduced = {}
+    for (ops, lead), b in zip(steps, rhs):
+        b = (b - sum(m * reduced[c] for c, m in ops)) % PRIME
+        if lead:
+            reduced[lead[0]] = b * lead[1] % PRIME
+        elif b:
+            return None
+    x = {}
+    for c in sorted(reduced, reverse=True):
+        x[c] = (reduced[c] - sum(v * x.get(j, 0) for j, v in pivots[c].items())) % PRIME
+    return x
+
+
+def _reconstruct(digits, modulus):
+    """(num, den), zeros dropped, with ``num[c] == den * digits[c]`` mod ``modulus`` and all
+    of them at most sqrt(modulus / 2) in size, or None; the denominator runs over entries."""
+    bound, den, half = isqrt(modulus // 2), 1, modulus // 2
+    for v in digits.values():
+        r0, r1, t0, t1 = modulus, v * den % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound:
+            return None
+    num = {c: (v * den + half) % modulus - half for c, v in digits.items()}
+    if any(abs(v) > bound for v in num.values()):
+        return None
+    return {c: v for c, v in num.items() if v}, den
+
+
+def _lift(rows, pivots, steps, norms, rhs):
+    """(num, den) with ``rows num == den rhs`` exactly, num zero at the free columns mod
+    PRIME; None if a zero row is inconsistent mod PRIME, or if PRIME^K passes twice the
+    squared Hadamard bound of the pivot rows (``norms``: their squared norms on the pivot
+    columns), where reconstruction must have succeeded, with no exact solution found."""
+    bound = prod(norm + b * b for norm, b in zip(norms, rhs) if norm)
+    digits, modulus, residual = {}, 1, rhs
+    while True:
+        x = _solve_mod(pivots, steps, residual)
+        if x is None:
+            return None
+        for c, v in x.items():
+            digits[c] = digits.get(c, 0) + v * modulus
+        modulus *= PRIME
+        residual = [(r - sum(v * x.get(j, 0) for j, v in row.items())) // PRIME
+                    for row, r in zip(rows, residual)]
+        found = _reconstruct(digits, modulus)
+        if found and all(sum(v * found[0].get(j, 0) for j, v in row.items()) == found[1] * b
+                         for row, b in zip(rows, rhs)):
+            return found
+        if modulus > 2 * bound:
+            return None
+
+
+def _solve_modular(rows, rhs):
+    """``solve_consistent``'s solution as (integers {column: int}, den), or None.
+
+    A prime dividing a pivot can move the free columns.  So each free column
+    mod PRIME left of the solution's last nonzero column must lift to a sum
+    of pivot columns left of it: then the pivot columns up to there are the
+    rational ones, and the solution is zero at the rational free columns.
+    """
+    scaled = [integer_scaled([*row.values(), b])[0] for row, b in zip(rows, rhs)]
+    rows = [dict(zip(row, ints)) for row, ints in zip(rows, scaled)]
+    pivots, steps = _eliminate_mod(rows)
+    lift = partial(_lift, rows, pivots, steps, [
+        lead and sum(v * v for j, v in row.items() if j in pivots)
+        for row, (_, lead) in zip(rows, steps)])
+    found = lift([ints[-1] for ints in scaled])
+    for j in range(max(found[0], default=0) if found else 0):
+        if j not in pivots:
+            column = lift([row.get(j, 0) for row in rows])
+            if column is None or max(column[0], default=-1) >= j:
+                return None
+    return found
 
 
 # -- span utilities (rows are coefficient vectors)

@@ -185,14 +185,15 @@ class Polynomial:
 
     def __repr__(self):
         ints, den = integer_scaled(list(self.coeffs.values()))
-        return f"Polynomial({self.n}, {_polynomial_text(dict(zip(self.coeffs, ints)), den)!r})"
+        text = _polynomial_text(_monomials(dict(zip(self.coeffs, ints))), den) or "0"
+        return f"Polynomial({self.n}, {text!r})"
 
 
 # ---------------------------------------------------------------------------
 # axis-aligned boxes
 
 
-def _scaled_terms(entries):
+def scaled_terms(entries):
     """Entries (tuples of forms) as {(position, index): {exponents: int}}, over one denominator."""
     den = lcm(*(c.denominator for entry in entries for form in entry
                 for poly in form.parts.values() for c in poly.coeffs.values()))
@@ -293,8 +294,12 @@ class CellBox:
         list of such dicts freezes each row by its own, so one call serves
         every face of the box.
         """
-        left, den_left = _scaled_terms(left)
-        right, den_right = _scaled_terms(right)
+        return self.pairing_terms(scaled_terms(left), scaled_terms(right), frozen)
+
+    def pairing_terms(self, left, right, frozen=None):
+        """``pairing_integers`` of two lists already scaled, each as ``scaled_terms``
+        returns it, so a list paired on many boxes is scaled once."""
+        (left, den_left), (right, den_right) = left, right
         top = list(map(add, map(max, zip(*(e for t in left for p in t.values() for e in p))),
                        map(max, zip(*(e for t in right for p in t.values() for e in p)))))
         if not top:
@@ -543,7 +548,7 @@ class Combination:
 
     def __init__(self, n, k, forms):
         self.n, self.k, self.moves = n, k, {}  # moves: x^e to [(x^f, C(e, f), e - f), f <= e]
-        self.terms, self.den = _scaled_terms([(form,) for form in forms])
+        self.terms, self.den = scaled_terms([(form,) for form in forms])
         self.top = max([sum(e) for t in self.terms for c in t.values() for e in c], default=0)
 
     def integers(self, coeffs, shift=None):
@@ -621,28 +626,43 @@ def boundary_bump(box):
 # text output:  (poly) * dx[i,j,...]  joined by " + "
 
 
-def format_terms(parts, den):
-    """The text of the form with components {alpha: {exponents: int}} over ``den`` > 0."""
-    return " + ".join(f"({_polynomial_text(parts[alpha], den)}) * dx[{','.join(map(str, alpha))}]"
-                      for alpha in sorted(parts)) or "0"
+def print_order(parts):
+    """{alpha: {exponents: value}} in printed order as [(dx text, [(monomial text, value)])]."""
+    return [(f"dx[{','.join(map(str, alpha))}]", _monomials(parts[alpha]))
+            for alpha in sorted(parts)]
 
 
-def _polynomial_text(coeffs, den):
-    """The text of the polynomial {exponents: int} over ``den`` > 0, in lowest terms."""
-    if not coeffs:
-        return "0"
+def _monomials(coeffs):
+    """[(monomial text, value)] of {exponents: value} by degree, then exponents; the
+    constant's text is ""."""
+    return [("*".join(f"x{i}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e, start=1) if p),
+             coeffs[e]) for e in sorted(coeffs, key=lambda e: (sum(e), e))]
+
+
+def ordered_text(components, den):
+    """The text of a form in ``print_order`` with int values over ``den`` > 0, zeros skipped."""
+    texts = []
+    for dx, terms in components:
+        text = _polynomial_text(terms, den)
+        if text:
+            texts.append(f"({text}) * {dx}")
+    return " + ".join(texts) or "0"
+
+
+def _polynomial_text(monomials, den):
+    """The text of (monomial text, int) pairs over ``den`` > 0 in lowest terms, zeros skipped."""
     pieces = []
-    for _, e, c in sorted((sum(e), e, c) for e, c in coeffs.items()):
-        factors = [f"x{i}" + (f"^{p}" if p > 1 else "")
-                   for i, p in enumerate(e, start=1) if p]
-        g = gcd(c, den)
-        num, d = c // g, den // g
-        body = "*".join(factors if factors and abs(num) == d == 1
-                        else [str(abs(num)) + (f"/{d}" if d > 1 else "")] + factors)
-        pieces.append((("- " if num < 0 else "+ ") if pieces else ("-" if num < 0 else "")) + body)
+    for monomial, c in monomials:
+        if c:
+            g = gcd(c, den)
+            num, d = c // g, den // g
+            body = (monomial if monomial and abs(num) == d == 1 else str(abs(num))
+                    + (f"/{d}" if d > 1 else "") + ("*" + monomial if monomial else ""))
+            pieces.append((("- " if num < 0 else "+ ") if pieces else ("-" if num < 0 else ""))
+                          + body)
     return " ".join(pieces)
 
 
 def format_form(form):
-    (terms,), den = _scaled_terms([(form,)])
-    return format_terms({alpha: t for (_, alpha), t in terms.items()}, den)
+    (terms,), den = scaled_terms([(form,)])
+    return ordered_text(print_order({alpha: t for (_, alpha), t in terms.items()}), den)

@@ -54,7 +54,7 @@ class CubicalMesh:
                      for i, m in enumerate(divisions)]
         self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
         self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
-        self.moved_bases = {}   # (k, cell id) -> P1minus basis by term, whitney.cell_terms
+        self.moved_bases = {}   # (k, cell id) -> P1minus basis in print order, whitney.cell_terms
 
     # -- cells, numbered row-major by slot tuple
 

@@ -22,6 +22,11 @@ the multiplier space: Arnold and Brezzi, RAIRO M2AN 19, 1985; Cockburn,
 Gopalakrishnan and Lazarov, SIAM J. Numer. Anal. 47, 2009), and reads
 the basis coefficients off the broken solution, all on integer rows over
 one denominator: Fractions appear only in ``x_exact`` and ``w_exact``.
+The exact load on a cell is its moved load's integer terms times one
+table per shape, the basis paired with each monomial.  The multiplier
+system, the one large elimination, is solved mod a prime and lifted
+p-adically, each answer checked exactly in integers
+(``exactla.solve_consistent``), so its entries do not swell.
 The exact path doubles as the oracle for the iterative one; the exact
 Gram over the basis is built only when something reads
 ``DiscreteProblem.G_exact``.  The consistency residual takes back-solves
@@ -38,7 +43,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +52,7 @@ import scipy.sparse
 from . import local
 from .exactla import integer_matrices, integer_scaled, solve_consistent
 from .fields import manufactured
-from .forms import Combination, PolyForm
+from .forms import Combination, PolyForm, scaled_terms
 from .mesh import build_grid, face_dofs
 from .quadrature import component_array
 from .whitney import (FULL_TEST, INTERIOR_TEST, WhitneySpace, interpolated_generating_set,
@@ -180,14 +185,26 @@ def assemble(space, load, quad_order=5):
 
     load_broken = f_exact = None
     if isinstance(load, PolyForm):
-        # a cell's pairings are those of its shape's first cell with the load moved there
-        load_at, cells = Combination(mesh.n, pw.k, [load]), []
-        for ci, cell in enumerate(mesh.cells):
-            table = local.tables(mesh, pw.k, ci)
-            moved = load_at([1], [a - b for a, b in zip(table.cell.center, cell.center)])
-            cells.append(table.cell.pairing_integers([(moved,)], [(phi,) for phi in table.basis]))
+        # a cell's pairings are those of its shape's first cell with the load moved there:
+        # the moved load's integer terms times that cell's pairings of the basis with each
+        # monomial they hold, one table per shape
+        load_at, shape_of = Combination(mesh.n, pw.k, [load]), mesh.cell_shapes[0].tolist()
+        shapes = local.shapes(mesh, pw.k)
+        moved = [load_at.integers([1], list(map(sub, shapes[s][1].cell.center, cell.center)))
+                 for cell, s in zip(mesh.cells, shape_of)]
+        support = sorted({(alpha, e) for parts, _ in moved
+                          for alpha, terms in parts.items() for e in terms})
+        tables = []
+        for _, table in shapes:
+            rows, d = table.cell.pairing_terms(([{(0, alpha): {e: 1}} for alpha, e in support], 1),
+                                               scaled_terms([(phi,) for phi in table.basis]))
+            tables.append(([[row[j] for row in rows] for j in range(pw.dim_local)], d))
+        cells = []
+        for (parts, den), s in zip(moved, shape_of):
+            values = [parts.get(alpha, {}).get(e, 0) for alpha, e in support]
+            cells.append(([sum(map(mul, values, col)) for col in tables[s][0]], den * tables[s][1]))
         den = math.lcm(*(d for _, d in cells))
-        ints = [v * (den // d) for (row,), d in cells for v in row]
+        ints = [v * (den // d) for row, d in cells for v in row]
         load_broken = ints, den  # V^T load_broken in integers, one Fraction per vector
         f_exact = [Fraction(sum(ints[c] * v for c, v in row.items()), den * d)
                    for row, d in space.integer_vectors]

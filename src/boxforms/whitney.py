@@ -39,7 +39,7 @@ import numpy as np
 from . import local, spaces
 from .exactla import (independent_rows, integer_scaled, kernel_vectors, nullspace, rank,
                       spans_equal)
-from .forms import PolyForm
+from .forms import PolyForm, print_order
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
 from .reports import CheckReport
@@ -68,8 +68,8 @@ class PiecewiseWhitney:
             [vector.get(c, 0) for c in cols], self.mesh.cells[cell_id].center)
 
     def cell_terms(self, row, den, cell_id):
-        """(parts, den): the local form of an integer row over ``den`` on one cell, as
-        {alpha: {exponents: int}} over one denominator, zero terms dropped."""
+        """(components, den): the local form of an integer row over ``den`` on one cell, in
+        ``forms.print_order`` with integer values over one denominator, zeros kept."""
         moved = self.mesh.moved_bases
         if (self.k, cell_id) not in moved:  # the reference basis moved there, term by term
             columns, combine = {}, local.reference(self.mesh.n, self.k).basis.combination
@@ -78,14 +78,21 @@ class PiecewiseWhitney:
                                                     self.mesh.cells[cell_id].center)
                 for alpha, terms in parts.items():
                     for e, t in terms.items():
-                        columns.setdefault((alpha, e), []).append((self.col(cell_id, j), t))
-            moved[self.k, cell_id] = list(columns.items()), moved_den
-        (columns, moved_den), parts = moved[self.k, cell_id], {}
-        for (alpha, e), column in columns:
-            value = sum(row.get(c, 0) * t for c, t in column)
-            if value:
-                parts.setdefault(alpha, {})[e] = value
-        return parts, den * moved_den
+                        columns.setdefault(alpha, {}).setdefault(e, []).append(
+                            (self.col(cell_id, j), t))
+            moved[self.k, cell_id] = print_order(columns), moved_den
+        components, moved_den = moved[self.k, cell_id]
+        out = []  # plain loops: per dump line, comprehensions cost twice as much
+        for dx, terms in components:
+            values = []
+            for monomial, column in terms:
+                value = 0
+                for c, t in column:
+                    if c in row:
+                        value += row[c] * t
+                values.append((monomial, value))
+            out.append((dx, values))
+        return out, den * moved_den
 
     def constant_form_vector(self, sigma, scale=1):
         """Coefficients of the global constant form scale*dx^sigma."""

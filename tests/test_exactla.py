@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from boxforms import exactla
 from boxforms.exactla import (SingularMatrixError, independent_subset, invert, kernel_vectors,
                               nullspace, rank, rref, solve_consistent, spans_equal)
 
@@ -369,3 +370,93 @@ def test_solve_consistent_takes_zero_at_free_columns_and_rejects_inconsistency()
         b = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         sparse = [{c: v for c, v in enumerate(row) if v} for row in m]
         assert solve_consistent(sparse, b, n) == mat_vec(invert(m), b)
+
+
+# -- the modular solve against the fraction-free elimination
+
+
+def fraction_free(monkeypatch, rows, rhs, ncols):
+    """``solve_consistent`` with the modular solve taken away, or the ValueError it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exactla, "_solve_modular", lambda rows, rhs: None)
+        try:
+            return solve_consistent(rows, rhs, ncols)
+        except ValueError as err:
+            return err
+
+
+def sparse_system(kind, rng):
+    """(rows, rhs, ncols): a seeded sparse system of ints and Fractions, some above the prime.
+
+    ``square`` is nonsingular; ``rectangular`` has more rows than columns
+    and full column rank; ``singular`` has dependent rows and dependent
+    columns between independent ones; the three are consistent.
+    ``inconsistent`` is a singular one with a dependent row's right side moved.
+    """
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        value = rng.choice((-1, 1)) * rng.choice((rng.randint(1, 9), rng.randint(1, 2 ** 80)))
+        return F(value, rng.randint(1, 7)) if rng.random() < 0.5 else value
+
+    def draw(nrows, ncols):
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+    ncols = rng.randint(1, 8)
+    if kind == "square":
+        while rank(m := draw(ncols, ncols)) < ncols:
+            pass
+    elif kind == "rectangular":
+        while rank(m := draw(ncols + rng.randint(1, 4), ncols)) < ncols:
+            pass
+    else:
+        ncols += 2
+        m = draw(rng.randint(2, ncols), ncols)
+        for _ in range(2):  # two columns, then a row, that combine two others
+            (a, b, c), s = rng.sample(range(ncols), 3), rng.randint(-3, 3)
+            t = F(rng.randint(-3, 3), 2)
+            for row in m:
+                row[c] = row[a] * s + row[b] * t
+        (a, b), s = rng.sample(range(len(m)), 2), rng.randint(-3, 3)
+        m.append([x * s + y for x, y in zip(m[a], m[b])])
+    x = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)]
+    rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in m]
+    if kind == "inconsistent":
+        rhs[-1] += 1
+    return [{c: v for c, v in enumerate(row) if v} for row in m], rhs, ncols
+
+
+@pytest.mark.parametrize("kind", ["square", "rectangular", "singular", "inconsistent"])
+def test_modular_solve_matches_the_fraction_free_elimination(monkeypatch, kind):
+    rng = random.Random(70 + len(kind))
+    for _ in range(60):
+        rows, rhs, ncols = sparse_system(kind, rng)
+        expected = fraction_free(monkeypatch, rows, rhs, ncols)
+        if kind == "inconsistent":
+            assert isinstance(expected, ValueError)
+            assert exactla._solve_modular(rows, rhs) is None
+            with pytest.raises(ValueError, match="no solution"):
+                solve_consistent(rows, rhs, ncols)
+        else:
+            assert exactla._solve_modular(rows, rhs) is not None  # no fallback
+            assert solve_consistent(rows, rhs, ncols) == expected
+
+
+def test_a_prime_dividing_a_pivot_changes_no_answer(monkeypatch):
+    p = exactla.PRIME
+    # mod p the first column vanishes, so the second takes its pivot: x = (0, 1)
+    # solves the system exactly but is not the solution zero at the free column
+    rows, rhs = [{0: p, 1: 1}], [1]
+    assert exactla._solve_modular(rows, rhs) is None
+    assert solve_consistent(rows, rhs, 2) == [F(1, p), 0] == fraction_free(monkeypatch, rows,
+                                                                          rhs, 2)
+    # nonsingular, but of rank 1 mod p, where the right side is inconsistent
+    rows, rhs = [{0: p, 1: 1}, {1: F(1, 2)}], [2, F(1, 2)]
+    assert exactla._solve_modular(rows, rhs) is None
+    assert solve_consistent(rows, rhs, 2) == [F(1, p), 1]
+    # a multiple of p on a pivot of the rational elimination, a unit mod p after a swap
+    rows = [{0: 2 * p, 1: 3}, {0: 1, 1: p + 1}]
+    x = solve_consistent(rows, [5, 7], 2)
+    assert exactla._solve_modular(rows, [5, 7]) is not None
+    assert x == fraction_free(monkeypatch, rows, [5, 7], 2)
+    assert [sum(v * x[c] for c, v in row.items()) for row in rows] == [5, 7]

@@ -444,6 +444,98 @@ def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
     assert "G_exact" not in problem.__dict__
 
 
+# -- the modular solve of the exact path against the fraction-free elimination
+
+
+def fraction_free_solve(monkeypatch, problem):
+    """The exact solve with the modular solve taken away from ``solve_consistent``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exactla, "_solve_modular", lambda rows, rhs: None)
+        return solve(problem, method="exact")
+
+
+def recording_modular_solves(monkeypatch):
+    """A list that receives (rows, result) of every modular solve from now on."""
+    calls, solve_modular = [], exactla._solve_modular
+
+    def recording(rows, rhs):
+        calls.append((rows, solve_modular(rows, rhs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(exactla, "_solve_modular", recording)
+    return calls
+
+
+def assert_same_exact_solution(sol, reference):
+    assert sol.x_exact == reference.x_exact
+    assert sol.w_exact == reference.w_exact
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+@pytest.mark.parametrize("representation", ["kernel", "generators"])
+def test_modular_exact_solve_matches_the_fraction_free_path(monkeypatch, name, flavor,
+                                                            representation):
+    # the generators' coordinates take a second solve_consistent, on the basis rows
+    mesh = CHECK_MESHES[name]()
+    for k in range(mesh.n + 1):
+        _, space = exact_space(k, mesh, flavor, representation)
+        problem = assemble(space, seeded_rational_load(mesh.n, k, seed=200 + 10 * mesh.n + k))
+        reference = fraction_free_solve(monkeypatch, problem)
+        calls = recording_modular_solves(monkeypatch)
+        assert_same_exact_solution(solve(problem, method="exact"), reference)
+        assert len(calls) == (1 if representation == "kernel" else 2), k
+        assert all(found is not None for _, found in calls), k
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n, k, m", [(2, 0, 6), (3, 1, 2)])
+def test_modular_exact_solve_of_a_singular_multiplier_system(monkeypatch, n, k, m):
+    # full-test constraints are dependent, so S is singular: 2D k=0 6^2 has rank 83
+    # of 84, 3D k=1 2^3 rank 42 of 54
+    mesh = build_grid([[0, 1]] * n, (m,) * n)
+    problem = assemble(kernel_space(build_constraints(k, mesh, FULL_TEST)),
+                       seeded_rational_load(n, k, seed=17))
+    reference = fraction_free_solve(monkeypatch, problem)
+    calls = recording_modular_solves(monkeypatch)
+    assert_same_exact_solution(solve(problem, method="exact"), reference)
+    [(rows, found)] = calls
+    assert found is not None
+    assert exactla.rank(rows) < len(rows)
+
+
+def test_a_corrupted_lift_is_refused_and_the_solve_falls_back(monkeypatch):
+    mesh = build_grid([[0, 1]] * 2, (4, 4))
+    problem = assemble(kernel_space(build_constraints(0, mesh, INTERIOR_TEST)),
+                       seeded_rational_load(2, 0, seed=11))
+    reference = fraction_free_solve(monkeypatch, problem)
+    lifts, solve_mod = [], exactla._solve_mod
+
+    def corrupted(pivots, steps, rhs):
+        # the first residual update is off by one in its first row: the lifts then
+        # converge to the solution of another right-hand side
+        lifts.append(rhs)
+        return solve_mod(pivots, steps, [rhs[0] + 1, *rhs[1:]] if len(lifts) == 2 else rhs)
+
+    monkeypatch.setattr(exactla, "_solve_mod", corrupted)
+    calls = recording_modular_solves(monkeypatch)
+    assert_same_exact_solution(solve(problem, method="exact"), reference)
+    assert [found for _, found in calls] == [None]
+    assert len(lifts) > 3
+
+
+def test_modular_exact_solve_over_several_lifts(monkeypatch):
+    # 2D k=0 12^2: S has 264 rows and takes four lifts
+    mesh = build_grid([[0, 1]] * 2, (12, 12))
+    problem = assemble(kernel_space(build_constraints(0, mesh, INTERIOR_TEST)),
+                       seeded_rational_load(2, 0, seed=12))
+    reference = fraction_free_solve(monkeypatch, problem)
+    lifts, solve_mod = [], exactla._solve_mod
+    monkeypatch.setattr(exactla, "_solve_mod", lambda *args: lifts.append(1) or solve_mod(*args))
+    assert_same_exact_solution(solve(problem, method="exact"), reference)
+    assert len(lifts) >= 3
+
+
 # -- the per-entry float builds that the lattice and per-shape scatter replaced
 
 
