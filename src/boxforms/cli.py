@@ -12,6 +12,7 @@ import json
 import platform
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .fields import CATALOG, constant_solution, manufactured
@@ -36,6 +37,7 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}; expected e.g. 2,2,3")
 
 
+@cache  # parsing leaves the parser unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="boxforms",

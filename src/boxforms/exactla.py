@@ -27,7 +27,7 @@ lifts p-adically (Dixon, Numer. Math. 40, 1982) and reconstructs fractions
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -157,11 +157,11 @@ def kernel_vectors(matrix, ncols):
 
 
 def nullspace(matrix, ncols=None):
-    """Canonical kernel basis, one dense vector per free column."""
-    if matrix:
+    """Canonical kernel basis, one dense vector per free column (sparse rows need ncols)."""
+    if ncols is None:
+        if not matrix:
+            raise ValueError("nullspace of an empty matrix needs ncols")
         ncols = len(matrix[0])
-    elif ncols is None:
-        raise ValueError("nullspace of an empty matrix needs ncols")
     return [[Fraction(vec.get(c, 0), den) for c in range(ncols)]
             for vec, den in kernel_vectors(matrix, ncols)[1]]
 
@@ -263,8 +263,9 @@ def _lift(rows, pivots, steps, norms, rhs):
     """(num, den) with ``rows num == den rhs`` exactly, num zero at the free columns mod
     PRIME; None if a zero row is inconsistent mod PRIME, or if PRIME^K passes twice the
     squared Hadamard bound of the pivot rows (``norms``: their squared norms on the pivot
-    columns), where reconstruction must have succeeded, with no exact solution found."""
-    bound = prod(norm + b * b for norm, b in zip(norms, rhs) if norm)
+    columns), where reconstruction must have succeeded, with no exact solution found.
+    The bound is compared by bit lengths, which overstate it: it gives up no earlier."""
+    bound_bits = sum((norm + b * b).bit_length() for norm, b in zip(norms, rhs) if norm)
     digits, modulus, residual = {}, 1, rhs
     while True:
         x = _solve_mod(pivots, steps, residual)
@@ -279,7 +280,7 @@ def _lift(rows, pivots, steps, norms, rhs):
         if found and all(sum(v * found[0].get(j, 0) for j, v in row.items()) == found[1] * b
                          for row, b in zip(rows, rhs)):
             return found
-        if modulus > 2 * bound:
+        if modulus.bit_length() > bound_bits + 1:
             return None
 
 

@@ -19,7 +19,8 @@ no Gram matrix over the basis.  It works in broken coordinates on the
 saddle-point system of the gluing constraints, condensed cell by cell
 onto their multipliers (hybridization, with the paper's test space as
 the multiplier space: Arnold and Brezzi, RAIRO M2AN 19, 1985; Cockburn,
-Gopalakrishnan and Lazarov, SIAM J. Numer. Anal. 47, 2009), and reads
+Gopalakrishnan and Lazarov, SIAM J. Numer. Anal. 47, 2009; the
+multipliers and their pairings are ``whitney.gluing``'s table), and reads
 the basis coefficients off the broken solution, all on integer rows over
 one denominator: Fractions appear only in ``x_exact`` and ``w_exact``.
 The exact load on a cell is its moved load's integer terms times one
@@ -53,10 +54,10 @@ from . import local
 from .exactla import integer_matrices, integer_scaled, solve_consistent
 from .fields import manufactured
 from .forms import Combination, PolyForm, scaled_terms
-from .mesh import build_grid, face_dofs
+from .mesh import build_grid
 from .quadrature import component_array
-from .whitney import (FULL_TEST, INTERIOR_TEST, WhitneySpace, interpolated_generating_set,
-                      prune_vectors)
+from .whitney import (FULL_TEST, INTERIOR_TEST, WhitneySpace, gluing,
+                      interpolated_generating_set, prune_vectors)
 
 #: unit roundoff of float64
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -286,17 +287,13 @@ def condensed_solution(problem):
     ``w_c = A_c^-1 f_c - (P_c A_c^-1)^T lam_c`` cell by cell.  Dependent rows
     of B make S singular but consistent: lam is taken zero at its free
     columns, and w is unique all the same.  All of it is integer matrices
-    over denominators every shape shares, ``P A^-1`` and S formed per shape.
+    over denominators every shape shares, ``P A^-1`` and S formed per shape; P_c
+    and the test face DOFs are the ``whitney.gluing`` table's.
     """
-    pw, flavor = problem.space.pw, problem.space.flavor
+    pw = problem.space.pw
     mesh, k, shape_of = pw.mesh, pw.k, pw.mesh.cell_shapes[0].tolist()
     inverses, d_a = integer_matrices([t.energy_inverse for _, t in local.shapes(mesh, k)])
-    if k < mesh.n:
-        dofs = face_dofs(mesh.n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
-        cell_dofs, n_dofs = dofs.cell_dofs, dofs.n_dofs
-        pairings, d_p = integer_matrices([t.gluing_pairings for _, t in local.shapes(mesh, k)])
-    else:  # no gluing at the top degree
-        cell_dofs, n_dofs, pairings, d_p = [()] * mesh.n_cells, 0, [[]] * len(inverses), 1
+    cell_dofs, n_dofs, pairings, d_p = gluing(k, mesh, problem.space.flavor)
     # P A^-1 (A^-1 is symmetric) and P A^-1 P^T per shape
     pa = [[[sum(map(mul, r, c)) for c in inv] for r in p] for p, inv in zip(pairings, inverses)]
     schur = [[[sum(map(mul, r, c)) for c in p] for r in rows] for rows, p in zip(pa, pairings)]

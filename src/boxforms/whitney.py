@@ -17,7 +17,10 @@ The space is built two ways:
 
 * the exact kernel of the constraint matrix (exact rational elimination),
   each vector an integer row over its denominator: the basis of the exact
-  oracle, the ``basis`` dump and the complexes;
+  oracle, the ``basis`` dump and the complexes.  The matrix is sparse
+  integer rows scattered from one ``gluing`` table per (k, mesh, flavor),
+  the test face DOFs and each cell shape's pairings over one denominator,
+  which the condensed exact solve reads too;
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).  It
   stores no vector: each is a scatter of per-shape projection patterns
@@ -29,7 +32,7 @@ The second is contained in the first; the test-suite checks containment,
 and equality of dimensions on small meshes, exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -37,7 +40,7 @@ from math import gcd
 import numpy as np
 
 from . import local, spaces
-from .exactla import (independent_rows, integer_scaled, kernel_vectors, nullspace, rank,
+from .exactla import (independent_rows, integer_matrices, integer_scaled, kernel_vectors, rank,
                       spans_equal)
 from .forms import PolyForm, print_order
 from .global_spaces import VQ, VQ0
@@ -100,14 +103,34 @@ class PiecewiseWhitney:
         return {self.col(ci, j): Fraction(scale) for ci in range(self.mesh.n_cells)}
 
 
+def gluing(k, mesh, flavor=INTERIOR_TEST):
+    """The gluing table (cell_dofs, n_dofs, pairings, den) of a degree-k glued space.
+
+    The tests are the face DOFs of degree n-k-1 (interior ones for interior-test),
+    ``cell_dofs`` each cell's (local face a, DOF) pairs.  A test is ``star(f_a)``
+    on a cell, f_a face function a of Q1minus^(n-k-1); it pairs through row a of
+    the shape's ``gluing_pairings``, in ``pairings`` as integers over ``den``.
+    """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    tables = [table for _, table in local.shapes(mesh, k)]
+    if k == mesh.n:  # no gluing at the top degree
+        return [()] * mesh.n_cells, 0, [[] for _ in tables], 1
+    dofs = face_dofs(mesh.n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
+    return (dofs.cell_dofs, dofs.n_dofs,
+            *integer_matrices([table.gluing_pairings for table in tables]))
+
+
 @dataclass
 class ConstraintSystem:
-    """Exact matrix of the gluing functionals over the broken space."""
+    """Exact matrix of the gluing functionals over the broken space: sparse integer
+    rows ``{column: int}`` over one denominator, one per test DOF in face order."""
 
     k: int
     flavor: str
     pw: PiecewiseWhitney
-    rows: list = field(default_factory=list)
+    integer_rows: list
+    den: int
 
     @property
     def ncols(self):
@@ -115,43 +138,33 @@ class ConstraintSystem:
 
     @property
     def n_rows(self):
-        return len(self.rows)
+        return len(self.integer_rows)
+
+    @property
+    def rows(self):
+        """The rows as dense lists, Fractions and 0s, built on every read."""
+        return [[Fraction(row[c], self.den) if c in row else 0 for c in range(self.ncols)]
+                for row in self.integer_rows]
 
     def residual(self, vector):
         """B v for a sparse coefficient vector; exact."""
-        return [sum((row[c] * v for c, v in vector.items() if row[c]), Fraction(0))
-                for row in self.rows]
+        return [Fraction(sum(v * vector.get(c, 0) for c, v in row.items()), self.den)
+                for row in self.integer_rows]
 
 
 def build_constraints(k, mesh, flavor=INTERIOR_TEST):
-    """Assemble the constraint matrix; for k = n there are no constraints.
-
-    Each test function is, on every cell, ``star(f_a)`` for a face function
-    f_a of Q1minus^(n-k-1) (``local.LocalTables.face_functions``), so a cell's
-    entries are its shape's ``local.LocalTables.gluing_pairings`` scattered
-    through the face DOFs of degree n-k-1: interior faces only for
-    interior-test, all faces for full-test.  Rows are dense lists, 0 off the
-    cells' blocks, one per test DOF in face order.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    n = mesh.n
-    if not 0 <= k <= n:
-        raise ValueError(f"no degree-{k} space in dimension {n}")
+    """The constraint matrix, scattered from the ``gluing`` table; none for k = n."""
     pw = PiecewiseWhitney(k, mesh)
-    if k == n:
-        return ConstraintSystem(k, flavor, pw, [])
-    dofs = face_dofs(n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
-    pairings = [table.gluing_pairings for _, table in local.shapes(mesh, k)]
-    return ConstraintSystem(k, flavor, pw, _scatter(pw, dofs, pairings))
+    cell_dofs, n_dofs, pairings, den = gluing(k, mesh, flavor)
+    return ConstraintSystem(k, flavor, pw, _scatter(pw, cell_dofs, n_dofs, pairings), den)
 
 
-def _scatter(pw, dofs, per_shape):
-    """Dense rows, one per DOF: row a of each cell's shape table at its local face a."""
-    rows = [[0] * pw.ncols for _ in range(dofs.n_dofs)]
-    for ci, (s, cell_dofs) in enumerate(zip(pw.mesh.cell_shapes[0].tolist(), dofs.cell_dofs)):
-        for a, dof in cell_dofs:
-            rows[dof][pw.col(ci, 0):pw.col(ci + 1, 0)] = per_shape[s][a]
+def _scatter(pw, cell_dofs, n_dofs, per_shape):
+    """Sparse rows {column: int}, one per DOF: row a of each cell's shape table at face a."""
+    rows = [{} for _ in range(n_dofs)]
+    for ci, (s, pairs) in enumerate(zip(pw.mesh.cell_shapes[0].tolist(), cell_dofs)):
+        for a, dof in pairs:
+            rows[dof].update((pw.col(ci, j), v) for j, v in enumerate(per_shape[s][a]) if v)
     return rows
 
 
@@ -289,7 +302,7 @@ class GeneratorSpace(WhitneySpace):
 def kernel_space(constraints):
     """Exact nullspace basis of the constraint matrix, canonical form."""
     pw = constraints.pw
-    free, vectors = kernel_vectors(constraints.rows, pw.ncols)
+    free, vectors = kernel_vectors(constraints.integer_rows, pw.ncols)
     return WhitneySpace(constraints.k, pw.mesh, constraints.flavor, vectors, pw,
                         free_columns=free)
 
@@ -409,7 +422,7 @@ def _square_gap(shape, shape_up, a):
 
 
 def mean_jump_rows(mesh, pw):
-    """Zero-mean-jump functionals across interior facets (0-forms only).
+    """Zero-mean-jump functionals across interior facets (0-forms only): (rows, den).
 
     Per shape, the facet integrals of the basis: + where the facet is at
     normal offset 1, - at offset 0; scattered through the facet DOFs.
@@ -425,15 +438,17 @@ def mean_jump_rows(mesh, pw):
             [local.face_plane(shape.cell, axes, shift) for axes, shift in facets])
         jumps.append([[v if sum(shift) else -v for v in row]
                       for row, (_, shift) in zip(table, facets)])
-    return _scatter(pw, face_dofs(n - 1, mesh, interior=True), jumps)
+    dofs = face_dofs(n - 1, mesh, interior=True)
+    jumps, den = integer_matrices(jumps)
+    return _scatter(pw, dofs.cell_dofs, dofs.n_dofs, jumps), den
 
 
 def check_crossing_equivalence(mesh):
     """At k = 0 the glued space equals piecewise-P1 with zero-mean jumps."""
-    pw = PiecewiseWhitney(0, mesh)
     constraints = build_constraints(0, mesh, INTERIOR_TEST)
-    kernel_a = nullspace(constraints.rows, ncols=pw.ncols)
-    kernel_b = nullspace(mean_jump_rows(mesh, pw), ncols=pw.ncols)
+    pw = constraints.pw
+    kernel_a = [row for row, _ in kernel_vectors(constraints.integer_rows, pw.ncols)[1]]
+    kernel_b = [row for row, _ in kernel_vectors(mean_jump_rows(mesh, pw)[0], pw.ncols)[1]]
     ok = spans_equal(kernel_a, kernel_b)
     return CheckReport("mean_jump_equivalence", mesh.n, 0, ok,
                        details={"dim": len(kernel_a), "dim_jump": len(kernel_b)})
@@ -450,7 +465,7 @@ def summarize(constraints, kernel, generators):
         "flavor": constraints.flavor,
         "n_cells": constraints.pw.mesh.n_cells,
         "dim_piecewise": constraints.ncols,
-        "rank_B": rank(constraints.rows),
+        "rank_B": rank(constraints.integer_rows),
         "dim_kernel": kernel.dim,
         "dim_generators_span": len(generators.independent_indices()),
     }

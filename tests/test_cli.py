@@ -325,6 +325,19 @@ def test_config_file_defaults_and_override(tmp_path):
     assert len(list(csv.DictReader(io.StringIO(out)))) == 1
 
 
+def test_config_files_do_not_leak_between_calls(tmp_path):
+    # one parser serves every call in the process; each call's flags stay its own
+    full, degree = tmp_path / "full.cfg", tmp_path / "degree.cfg"
+    full.write_text("flavor = full\n")
+    degree.write_text("k = 1\n")
+    base = ["basis", "--dim", "2", "--grid", "2,2"]
+    runs = [run_cli([*base, "--config", str(full)]), run_cli([*base, "--config", str(degree)]),
+            run_cli(base)]
+    assert runs == [run_cli([*base, "--flavor", "full"]), run_cli([*base, "--k", "1"]),
+                    run_cli(base)]
+    assert len({out for _, out, _ in runs}) == 3
+    assert cli._build_parser() is cli._build_parser()
+
 
 def test_basis_builds_constraints_and_kernel_once(monkeypatch):
     from boxforms import cli, whitney

@@ -223,7 +223,8 @@ def random_cases(count, seed):
         if case % 3 == 0 and rows > 1:
             # rank-deficient: later rows combine earlier ones
             a, b = rng.sample(range(rows), 2)
-            m[b] = [x + F(rng.randint(-2, 2), 3) * y for x, y in zip(m[b], m[a])]
+            scale = F(rng.randint(-2, 2), 3)
+            m[b] = [x + scale * y for x, y in zip(m[b], m[a])]
             m.append([F(2) * x - y for x, y in zip(m[0], m[-1])])
         if case % 4 == 1:
             z = rng.randrange(len(m))
@@ -290,12 +291,26 @@ def wide_cases(count, seed):
         m = [[entry(kind) for _ in range(cols)] for _ in range(rows)]
         if rows > 2 and case % 2:
             a, b = rng.sample(range(rows - 1), 2)
-            m[-1] = [x * rng.randint(-3, 3) + y for x, y in zip(m[a], m[b])]
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[-1] = [p * x + q * y for x, y in zip(m[a], m[b])]
         yield kind, m
 
 
 def as_fractions(m):
     return [[F(v) for v in row] for row in m]
+
+
+def test_the_seeded_cases_are_rank_deficient_where_they_claim():
+    # a combined or appended row makes its case rank-deficient
+    def deficient(m):
+        return len(reference_rref(as_fractions(m))[1]) < len(m)
+
+    claimed = [deficient(m) for case, m in enumerate(random_cases(300, seed=5))
+               if case % 3 == 0 and len(m) > 2]
+    assert len(claimed) > 60 and all(claimed)
+    claimed = [deficient(m) for case, (_, m) in enumerate(wide_cases(300, seed=5))
+               if case % 2 and len(m) > 2]
+    assert len(claimed) > 60 and all(claimed)
 
 
 def test_wide_rows_match_dense_reference():

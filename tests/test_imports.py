@@ -252,6 +252,7 @@ ENTRY_POINT = "cli.main"
 #: definitions that no entry point reaches and that stay, with the reason
 KEPT = {
     "solver.DiscreteProblem.G_exact": "perfbench's exact-solve check reads it",
+    "whitney.ConstraintSystem.rows": "perfbench's exact-solve check reads the dense rows",
     "fields.FormField.at": "the pointwise oracle of the catalog's separable evaluation",
     "fields.FormField.d_at": "the pointwise oracle of the catalog's separable evaluation",
     "quadrature.box_rule": "the pointwise quadrature oracle of the shape tabulations",

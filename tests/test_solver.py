@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse
 
 import boxforms
-from boxforms import exactla, fields, local, projection
+from boxforms import exactla, fields, local, projection, whitney
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import CubicalMesh, build_grid
@@ -442,6 +442,18 @@ def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
     solve(problem, method="exact")
     assert len(calls) == len(local.shapes(mesh, 1))
     assert "G_exact" not in problem.__dict__
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_the_exact_solve_reads_the_gluing_table_and_builds_no_constraint_row(monkeypatch, k):
+    # the multipliers are the gluing table's test DOFs; k = 2 has none
+    mesh = graded_mesh(GRADED["2d"])
+    space = build_solver_space(k, mesh, FULL_TEST)
+    problem = assemble(space, seeded_rational_load(2, k, seed=3))
+    with monkeypatch.context() as patch:
+        patch.setattr(whitney, "_scatter", lambda *args: pytest.fail("rows built"))
+        sol = solve(problem, method="exact")
+    assert not any(build_constraints(k, mesh, FULL_TEST).residual(sol.w_exact))
 
 
 # -- the modular solve of the exact path against the fraction-free elimination
