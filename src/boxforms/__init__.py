@@ -7,7 +7,7 @@ Whitney spaces, and a compatible Galerkin solver with convergence
 diagnostics.
 """
 
-from .exactla import nullspace, rank, rref, spans_equal
+from .exactla import rank, spans_equal
 from .fields import CATALOG, FormField, ManufacturedSolution, constant_solution, manufactured
 from .forms import CellBox, PolyForm, Polynomial, boundary_bump, format_form
 from .global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex

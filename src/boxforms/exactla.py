@@ -1,9 +1,11 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
-One sparse routine, ``_eliminate``, backs ``rref``, ``rank``, ``nullspace``,
-``kernel_vectors``, ``invert``, ``independent_subset`` and
-``independent_rows``, and ``solve_consistent`` when its modular solve
-proves nothing.  It is fraction-free
+One sparse routine, ``_eliminate``, backs ``rank``, ``kernel_vectors``,
+``invert``, ``independent_subset`` and ``independent_rows``, and
+``solve_consistent`` when its modular solve proves nothing.  Rows are
+dense lists or sparse ``{column: value}`` dicts; ``rank`` and the span
+utilities take any sortable column keys, such as the ``(index,
+exponents)`` keys of forms.  It is fraction-free
 (Bareiss, Math. Comp. 22, 1968, with content division for his exact
 quotients): each input row is scaled by the lcm of its denominators and
 divided by the gcd of its entries, giving a primitive ``{column: int}``
@@ -120,19 +122,6 @@ def _eliminate(rows, reduce=True, primitive=False):
     return pivots, kept
 
 
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    if not matrix:
-        return [], []
-    pivots, _ = _eliminate(matrix)
-    order = sorted(pivots)
-    rows = [[Fraction(0)] * len(matrix[0]) for _ in matrix]
-    for row, c in zip(rows, order):
-        for j, v in pivots[c].items():
-            row[j] = Fraction(v, pivots[c][c])
-    return rows, order
-
-
 def rank(matrix):
     return len(_eliminate(matrix, reduce=False)[0])
 
@@ -154,16 +143,6 @@ def kernel_vectors(matrix, ncols):
     dens = [lcm(*(lead for _, _, lead in entries[fc])) for fc in free]
     return free, [(dict(sorted([(fc, den)] + [(pc, v * (den // lead)) for pc, v, lead in
                                              entries[fc]])), den) for fc, den in zip(free, dens)]
-
-
-def nullspace(matrix, ncols=None):
-    """Canonical kernel basis, one dense vector per free column (sparse rows need ncols)."""
-    if ncols is None:
-        if not matrix:
-            raise ValueError("nullspace of an empty matrix needs ncols")
-        ncols = len(matrix[0])
-    return [[Fraction(vec.get(c, 0), den) for c in range(ncols)]
-            for vec, den in kernel_vectors(matrix, ncols)[1]]
 
 
 def invert(matrix):

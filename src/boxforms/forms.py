@@ -176,13 +176,6 @@ class Polynomial:
                 out[e[: i - 1] + (p - 1,) + e[i:]] = c * p
         return Polynomial._of(self.n, out)
 
-    def homogeneous_parts(self):
-        """Split into {degree: homogeneous polynomial}."""
-        parts = {}
-        for e, c in self.coeffs.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {r: Polynomial(self.n, cs) for r, cs in sorted(parts.items())}
-
     def __repr__(self):
         ints, den = integer_scaled(list(self.coeffs.values()))
         text = _polynomial_text(_monomials(dict(zip(self.coeffs, ints))), den) or "0"
@@ -508,14 +501,6 @@ class PolyForm:
         """Exact L2 inner product over a box (orthonormal covector frame)."""
         self._check_compatible(other)
         return box.pairing_table([(self,)], [(other,)])[0][0]
-
-    def homogeneous_parts(self):
-        """Split by coefficient degree: {r: k-form with degree-r coefficients}."""
-        out = {}
-        for alpha, poly in self.parts.items():
-            for r, hom in poly.homogeneous_parts().items():
-                out.setdefault(r, {})[alpha] = hom
-        return {r: PolyForm(self.n, self.k, parts) for r, parts in sorted(out.items())}
 
     def __repr__(self):
         return f"PolyForm({self.n}, {self.k}, {format_form(self)!r})"

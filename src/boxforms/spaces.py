@@ -17,9 +17,11 @@ P1minus independence elimination included, and :func:`basis` moves it to a
 cell's center by its own ``Combination``, the one way a form reaches a box.
 
 Basis order is lexicographic in sigma, then in (|tau|, tau); all matrix
-layouts downstream inherit that numbering.  The structural checks at the
-bottom verify the kernel/range, orthogonality and projection identities
-these families satisfy, by exact elimination.
+layouts downstream inherit that numbering.  Spans, kernels and expansions
+eliminate forms exactly as sparse rows keyed by (index, exponents)
+(``form_rows``).  The structural checks at the bottom verify the
+kernel/range, orthogonality and projection identities these families
+satisfy.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,8 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .exactla import independent_subset, integer_scaled, nullspace, rank, rref, spans_equal
+from .exactla import (independent_subset, integer_scaled, kernel_vectors, rank, solve_consistent,
+                      spans_equal)
 from .forms import CellBox, Combination, PolyForm, Polynomial, adjoint_table
 from .indices import complement, multi_indices
 from .reports import CheckReport
@@ -112,7 +115,7 @@ def _family(kind, k, n):
             generators += [PolyForm.covector(n, gamma).koszul()
                            for gamma in multi_indices(k + 1, n)]
             gen_labels += [("koszul", gamma) for gamma in multi_indices(k + 1, n)]
-        keep = independent_subset(coefficient_vectors(generators))
+        keep = independent_subset(form_rows(generators))
         elements = [generators[i] for i in keep]
         labels = [gen_labels[i] for i in keep]
     else:
@@ -134,75 +137,53 @@ def basis(kind, k, cell):
 
 
 # ---------------------------------------------------------------------------
-# spans of forms as exact coefficient vectors
+# spans of forms as exact sparse rows
 
 
-def coefficient_vectors(forms, frame=None):
-    """Represent forms as vectors over a shared (index, exponent) frame.
-
-    When ``frame`` is omitted it is the sorted union of keys present; pass
-    the returned vectors of several groups through one call (concatenated)
-    when they must be comparable.
-    """
-    if frame is None:
-        frame = sorted({(alpha, e) for f in forms
-                        for alpha, poly in f.parts.items() for e in poly.coeffs})
-    pos = {key: i for i, key in enumerate(frame)}
-    vectors = []
-    for f in forms:
-        v = [Fraction(0)] * len(frame)
-        for alpha, poly in f.parts.items():
-            for e, c in poly.coeffs.items():
-                v[pos[(alpha, e)]] = c
-        vectors.append(v)
-    return vectors
-
-
-def _common_vectors(*groups):
-    frame = sorted({(alpha, e) for group in groups for f in group
-                    for alpha, poly in f.parts.items() for e in poly.coeffs})
-    return [coefficient_vectors(group, frame) for group in groups]
+def form_rows(forms):
+    """Each form as a sparse row {(alpha, exponents): coefficient}; the keys sort as
+    the forms' (index, exponent) frame, which fixes the elimination's pivots."""
+    return [{(alpha, e): c for alpha, poly in f.parts.items() for e, c in poly.coeffs.items()}
+            for f in forms]
 
 
 def form_spans_equal(group_a, group_b):
-    va, vb = _common_vectors(group_a, group_b)
-    if not va and not vb:
-        return True
-    return spans_equal(va, vb)
+    return spans_equal(form_rows(group_a), form_rows(group_b))
 
 
 def form_span_rank(group):
-    return rank(coefficient_vectors(group))
+    return rank(form_rows(group))
+
+
+def _transposed(rows):
+    """{(alpha, e): {j: coefficient}}: the rows' entries by key, j the row's index."""
+    out = {}
+    for j, row in enumerate(rows):
+        for key, c in row.items():
+            out.setdefault(key, {})[j] = c
+    return out
 
 
 def expand_in_span(basis_forms, target):
-    """Exact coefficients of target over an independent list of forms.
-
-    Returns None when the target lies outside the span.
-    """
-    if target.is_zero():
-        return [Fraction(0)] * len(basis_forms)
-    groups = _common_vectors(basis_forms, [target])
-    basis_vecs, (target_vec,) = groups
-    m = len(basis_forms)
-    system = [[basis_vecs[j][i] for j in range(m)] + [target_vec[i]]
-              for i in range(len(target_vec))]
-    red, pivots = rref(system)
-    if m in pivots:
+    """Exact coefficients of target over an independent list of forms, or None when
+    it lies outside their span.  ``LocalTables.d_matrix`` passes P1minus bases, which
+    ``_family`` proves independent; a dependent list gets one expansion of many."""
+    columns = _transposed(form_rows(basis_forms))
+    values = form_rows([target])[0]
+    keys = sorted(columns.keys() | values.keys())
+    try:
+        return solve_consistent([columns.get(key, {}) for key in keys],
+                                [values.get(key, 0) for key in keys], len(basis_forms))
+    except ValueError:
         return None
-    if pivots != list(range(m)):
-        raise ValueError("expand_in_span requires an independent basis")
-    return [red[r][m] for r in range(m)]
 
 
 def operator_kernel(space, op):
     """Forms spanning the kernel of a linear operator restricted to a span."""
-    images = [op(f) for f in space]
-    if not any(images):
-        return list(space)
-    # rows of the elimination system = frame entries, columns = basis elements
-    system = [list(row) for row in zip(*coefficient_vectors(images))]
-    return [space.combination(coeffs) for coeffs in nullspace(system)]
+    system = _transposed(form_rows([op(f) for f in space]))
+    _, vectors = kernel_vectors([system[key] for key in sorted(system)], len(space))
+    return [space.combination([Fraction(vec.get(j, 0), den) for j in range(len(space))])
+            for vec, den in vectors]
 
 
 # ---------------------------------------------------------------------------

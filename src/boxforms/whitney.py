@@ -147,9 +147,8 @@ class ConstraintSystem:
                 for row in self.integer_rows]
 
     def residual(self, vector):
-        """B v for a sparse coefficient vector; exact."""
-        return [Fraction(sum(v * vector.get(c, 0) for c, v in row.items()), self.den)
-                for row in self.integer_rows]
+        """den * B v for a sparse coefficient vector, exact: zero exactly where B v is."""
+        return [sum(v * vector.get(c, 0) for c, v in row.items()) for row in self.integer_rows]
 
 
 def build_constraints(k, mesh, flavor=INTERIOR_TEST):
@@ -364,7 +363,7 @@ def check_whitney_complex(mesh, flavor=INTERIOR_TEST):
     kernels = [kernel_space(system) for system in systems]
     pws = [system.pw for system in systems]
     for k in range(n):
-        for idx, vec in enumerate(kernels[k].vectors):
+        for idx, (vec, _) in enumerate(kernels[k].integer_vectors):
             dv = apply_broken_d(vec, pws[k], pws[k + 1])
             res = systems[k + 1].residual(dv)
             if any(res):

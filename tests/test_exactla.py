@@ -5,7 +5,7 @@ import pytest
 
 from boxforms import exactla
 from boxforms.exactla import (SingularMatrixError, independent_subset, invert, kernel_vectors,
-                              nullspace, rank, rref, solve_consistent, spans_equal)
+                              rank, solve_consistent, spans_equal)
 
 
 def F(a, b=1):
@@ -51,27 +51,51 @@ def rand_matrix(rows, cols, rng, density=0.8):
              for _ in range(cols)] for _ in range(rows)]
 
 
-def test_rref_identity_pivots():
+def kernel_view(matrix, ncols=None):
+    """``kernel_vectors`` as dense Fraction vectors, one per free column."""
+    ncols = len(matrix[0]) if ncols is None else ncols
+    return [[F(vec.get(c, 0), den) for c in range(ncols)]
+            for vec, den in kernel_vectors(matrix, ncols)[1]]
+
+
+def reduced_view(matrix):
+    """(rows, pivot columns): the reduced row echelon form that ``kernel_vectors``
+    implies, one row per input row; the kernel vector of free column f holds
+    -rref[r][f] at the pivot column of row r."""
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    free, pairs = kernel_vectors(matrix, ncols)
+    pivots = [c for c in range(ncols) if c not in free]
+    rows = [[F(0)] * ncols for _ in matrix]
+    for row, pc in zip(rows, pivots):
+        row[pc] = F(1)
+        for fc, (vec, den) in zip(free, pairs):
+            row[fc] = -F(vec.get(pc, 0), den)
+    return rows, pivots
+
+
+def test_reduced_view_identity_pivots():
     m = [[F(2), F(0)], [F(0), F(3)]]
-    red, pivots = rref(m)
+    red, pivots = reduced_view(m)
     assert red == [[F(1), F(0)], [F(0), F(1)]]
     assert pivots == [0, 1]
 
 
-def test_rank_and_nullspace_consistency():
+def test_rank_and_kernel_vectors_consistency():
     rng = random.Random(0)
     for _ in range(20):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = rand_matrix(rows, cols, rng)
         r = rank(m)
-        kernel = nullspace(m)
+        kernel = kernel_view(m)
         assert r + len(kernel) == cols
         for v in kernel:
             assert all(x == 0 for x in mat_vec(m, v))
 
 
-def test_nullspace_of_zero_rows():
-    basis = nullspace([], ncols=3)
+def test_kernel_vectors_of_zero_rows():
+    basis = kernel_view([], ncols=3)
     assert len(basis) == 3
 
 
@@ -130,11 +154,11 @@ def test_independent_subset_scans_in_order():
     assert independent_subset([[F(0), F(0)]]) == []
 
 
-def test_nullspace_is_canonical():
+def test_kernel_vectors_are_canonical():
     # one vector per free column with a unit entry there
     m = [[F(1), F(2), F(0), F(3)],
          [F(0), F(0), F(1), F(4)]]
-    kernel = nullspace(m)
+    kernel = kernel_view(m)
     assert len(kernel) == 2
     assert kernel[0][1] == 1 and kernel[0][3] == 0
     assert kernel[1][3] == 1 and kernel[1][1] == 0
@@ -192,9 +216,9 @@ def reference_independent_subset(vectors):
     return kept
 
 
-def reference_nullspace(matrix):
+def reference_nullspace(matrix, ncols=None):
     red, pivots = reference_rref(matrix)
-    ncols = len(matrix[0])
+    ncols = len(matrix[0]) if ncols is None else ncols
     basis = []
     for fc in [c for c in range(ncols) if c not in pivots]:
         v = [F(0)] * ncols
@@ -236,16 +260,16 @@ def random_cases(count, seed):
         yield m
 
 
-def test_rref_matches_dense_reference():
+def test_reduced_view_matches_dense_reference():
     for m in random_cases(300, seed=3):
-        assert rref(m) == reference_rref(m)
+        assert reduced_view(m) == reference_rref(m)
 
 
-def test_nullspace_and_rank_match_dense_reference():
+def test_kernel_vectors_and_rank_match_dense_reference():
     for m in random_cases(300, seed=4):
         red, pivots = reference_rref(m)
         assert rank(m) == len(pivots)
-        assert nullspace(m) == reference_nullspace(m)
+        assert kernel_view(m) == reference_nullspace(m)
 
 
 def test_independent_subset_matches_reference_dense_and_sparse():
@@ -255,13 +279,13 @@ def test_independent_subset_matches_reference_dense_and_sparse():
         assert independent_subset([{c: v for c, v in enumerate(row) if v} for row in m]) == expected
 
 
-def test_rref_edge_shapes():
-    assert rref([]) == ([], [])
-    assert rref([[F(0), F(0)]]) == ([[F(0), F(0)]], [])
-    assert rref([[F(0), F(3), F(6)]]) == ([[F(0), F(1), F(2)]], [1])
+def test_elimination_edge_shapes():
+    assert reduced_view([]) == ([], [])
+    assert reduced_view([[F(0), F(0)]]) == ([[F(0), F(0)]], [])
+    assert reduced_view([[F(0), F(3), F(6)]]) == ([[F(0), F(1), F(2)]], [1])
     zeros = [[F(0)] * 3 for _ in range(4)]
-    assert rref(zeros) == (zeros, [])
-    assert nullspace(zeros) == reference_nullspace(zeros)
+    assert reduced_view(zeros) == (zeros, [])
+    assert kernel_view(zeros) == reference_nullspace(zeros)
     assert independent_subset([]) == []
     assert independent_subset([{}, {2: F(1)}, {2: F(-2)}]) == [1]
 
@@ -316,8 +340,8 @@ def test_the_seeded_cases_are_rank_deficient_where_they_claim():
 def test_wide_rows_match_dense_reference():
     for kind, m in wide_cases(240, seed=6):
         exact = as_fractions(m)
-        assert rref(m) == reference_rref(exact), kind
-        assert nullspace(m) == reference_nullspace(exact), kind
+        assert reduced_view(m) == reference_rref(exact), kind
+        assert kernel_view(m) == reference_nullspace(exact), kind
         expected = reference_independent_subset(exact)
         assert independent_subset(m) == expected, kind
         dict_rows = [{c: v for c, v in enumerate(row) if v} for row in m]
@@ -346,9 +370,9 @@ def test_wide_square_systems_match_dense_reference():
 
 def test_mixed_int_and_fraction_row():
     # an int beside a Fraction must be scaled by the row's common denominator
-    assert rref([[2, F(1, 3), 5], [F(1, 2), 0, 1]]) == reference_rref(
+    assert reduced_view([[2, F(1, 3), 5], [F(1, 2), 0, 1]]) == reference_rref(
         [[F(2), F(1, 3), F(5)], [F(1, 2), F(0), F(1)]])
-    assert nullspace([[1, F(1, 2)]]) == [[F(-1, 2), F(1)]]
+    assert kernel_view([[1, F(1, 2)]]) == [[F(-1, 2), F(1)]]
 
 
 def test_kernel_vectors_are_the_sparse_nullspace():
@@ -358,7 +382,8 @@ def test_kernel_vectors_are_the_sparse_nullspace():
         free, pairs = kernel_vectors(m, cols)
         assert all(den > 0 and vec[fc] == den for (vec, den), fc in zip(pairs, free))
         vectors = [{c: F(v, den) for c, v in vec.items()} for vec, den in pairs]
-        assert [[vec.get(c, F(0)) for c in range(cols)] for vec in vectors] == nullspace(m)
+        assert [[vec.get(c, F(0)) for c in range(cols)] for vec in vectors] == \
+            reference_nullspace(m)
         assert all(list(vec) == sorted(vec) and all(vec.values()) for vec in vectors)
         for i, fc in enumerate(free):
             assert [vec.get(fc, 0) for vec in vectors] == [int(i == j) for j in range(len(free))]

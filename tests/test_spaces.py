@@ -6,6 +6,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from test_exactla import reference_nullspace, reference_rref
 from test_mesh import integrate
 
 from boxforms import cli, spaces
@@ -15,8 +16,8 @@ from boxforms.indices import complement, multi_indices
 from boxforms.spaces import (KINDS, P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
                              basis, check_Q_exactness, check_ap_identity,
                              check_local_couple, check_orthogonality,
-                             coefficient_vectors, dimension, expand_in_span,
-                             form_span_rank, form_spans_equal)
+                             dimension, expand_in_span, form_rows, form_span_rank,
+                             form_spans_equal)
 from boxforms.projection import LocalProjector
 from boxforms.reports import CheckReport
 from boxforms.verify import random_box, stretched_box
@@ -66,7 +67,6 @@ def test_bases_independent_and_centered(n):
         for k in range(n + 1):
             for kind in (P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR):
                 sb = basis(kind, k, cell)
-                vectors = coefficient_vectors(list(sb))
                 assert form_span_rank(list(sb)) == len(sb) == dimension(kind, k, n)
             # centered coordinates: every non-constant tensor monomial integrates to zero
             for (sigma, tau), form in zip(basis(Q1MINUS, k, cell).labels,
@@ -104,7 +104,7 @@ def per_box_basis(kind, k, cell):
             generators += [PolyForm.covector(n, gamma).koszul(center)
                            for gamma in multi_indices(k + 1, n)]
             gen_labels += [("koszul", gamma) for gamma in multi_indices(k + 1, n)]
-        keep = independent_subset(coefficient_vectors(generators))
+        keep = independent_subset(form_rows(generators))
         return [generators[i] for i in keep], [gen_labels[i] for i in keep]
     dual, _ = per_box_basis(P1MINUS, n - k, cell)
     return [f.hodge() for f in dual], [None] * len(dual)
@@ -220,8 +220,7 @@ def test_homogeneous_decomposition_of_tensor_family():
         for k in range(n + 1):
             for (sigma, tau), form in zip(basis(Q1MINUS, k, cell).labels,
                                           basis(Q1MINUS, k, cell).elements):
-                parts = form.homogeneous_parts()
-                assert set(parts) == {len(tau)}
+                assert {sum(e) for _, p in form.components() for e in p.coeffs} == {len(tau)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -266,6 +265,56 @@ def test_expand_in_span():
     outside = PolyForm.from_scalar(Polynomial.variable(2, 1) * Polynomial.variable(2, 2))
     assert expand_in_span(list(basis(P1MINUS, 0, cell)), outside) is None
 
+
+
+# -- the dense frame elimination that the sparse form rows replaced
+
+
+def dense_vectors(*groups):
+    """Each group of forms as dense Fraction vectors over the sorted (index, exponents)
+    keys that the groups hold."""
+    frame = sorted({(alpha, e) for group in groups for f in group
+                    for alpha, poly in f.parts.items() for e in poly.coeffs})
+    return [[[f.parts[alpha].coeffs.get(e, Fraction(0)) if alpha in f.parts else Fraction(0)
+              for alpha, e in frame] for f in group] for group in groups]
+
+
+def reference_expand(forms, target):
+    vectors, (value,) = dense_vectors(forms, [target])
+    m = len(forms)
+    red, pivots = reference_rref([[v[i] for v in vectors] + [value[i]] for i in range(len(value))])
+    if m in pivots:
+        return None
+    assert pivots == list(range(m))
+    return [red[r][m] for r in range(m)]
+
+
+def reference_kernel(space, op):
+    (images,) = dense_vectors([op(f) for f in space])
+    system = [list(row) for row in zip(*images)]
+    return [space.combination(v) for v in reference_nullspace(system, ncols=len(space))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_and_expansions_match_the_dense_frame_reference(n):
+    outside = 0
+    for cell in (CellBox.reference(n), stretched_box(n), random_box(n, random.Random(40 + n))):
+        for k in range(n + 1):
+            families = [list(basis(kind, k, cell)) for kind in KINDS]
+            targets = [f for family in families for f in family]
+            for forms in families:
+                for target in targets:
+                    expected = reference_expand(forms, target)
+                    assert expand_in_span(forms, target) == expected
+                    outside += expected is None
+            for kind in KINDS:
+                space = basis(kind, k, cell)
+                ops = [lambda f: f.exterior_derivative()]
+                if k:
+                    ops.append(lambda f: f.codifferential())
+                for op in ops:
+                    assert spaces.operator_kernel(space, op) == reference_kernel(space, op)
+    assert outside > 0
 
 # -- the per-pair loops that the pairing tables replaced
 
