@@ -25,7 +25,7 @@ denominator; the kernel sums term pairs in integers against them, with no
 product polynomial.  Linear combinations of forms go through ``Combination``.
 
 The public constructors check every exponent vector and multi-index;
-results of arithmetic, ``partial``, ``d`` and ``hodge`` are built from
+results of arithmetic, ``d`` and ``hodge`` are built from
 clean data and skip the checks.
 """
 
@@ -164,17 +164,6 @@ class Polynomial:
         return Polynomial._of(self.n, {e: c * v for e, v in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    # -- calculus
-
-    def partial(self, i):
-        """Derivative with respect to x_i (1-based)."""
-        out = {}
-        for e, c in self.coeffs.items():
-            p = e[i - 1]
-            if p:
-                out[e[: i - 1] + (p - 1,) + e[i:]] = c * p
-        return Polynomial._of(self.n, out)
 
     def __repr__(self):
         ints, den = integer_scaled(list(self.coeffs.values()))

@@ -27,7 +27,7 @@ from operator import getitem
 import numpy as np
 
 from . import spaces
-from .exactla import integer_scaled, invert, primitive_part
+from .exactla import integer_matrices, integer_scaled, invert, primitive_part
 from .forms import CellBox, PolyForm, adjoint_table
 from .mesh import local_faces
 from .projection import LocalProjector
@@ -115,12 +115,14 @@ class LocalTables:
 
     @cached_property
     def d_matrix(self):
-        """Columns: coefficients of d(phi_j) in the degree-(k+1) P1minus basis."""
+        """(columns, den): column j, the coefficients of d(phi_j) in the degree-(k+1)
+        P1minus basis, as integers over one denominator (each entry is 0 or k+1)."""
         target = list(spaces.basis(spaces.P1MINUS, self.k + 1, self.cell))
         cols = [spaces.expand_in_span(target, phi.exterior_derivative()) for phi in self.basis]
         if None in cols:
             raise AssertionError("d of a Whitney form left the Whitney space")
-        return cols
+        (cols,), den = integer_matrices([cols])
+        return cols, den
 
     @cached_property
     def q_basis(self):

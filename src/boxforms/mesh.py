@@ -55,6 +55,7 @@ class CubicalMesh:
         self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
         self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
         self.moved_bases = {}   # (k, cell id) -> P1minus basis in print order, whitney.cell_terms
+        self.gauss_coordinates = {}  # order -> gauss_axes(order), read-only arrays
 
     # -- cells, numbered row-major by slot tuple
 
@@ -111,10 +112,15 @@ class CubicalMesh:
 
         A coordinate is the slot's center plus the node times its half
         width: a cell's Gauss point is its center plus the offset that
-        ``quadrature.centered_rule`` gives its widths, bit for bit.
+        ``quadrature.centered_rule`` gives its widths, bit for bit.  Built once per order.
         """
-        nodes = gauss_nodes(order)
-        return [mids[:, None] + nodes * halves[:, None] for mids, halves in self.float_slots]
+        if order not in self.gauss_coordinates:
+            nodes = gauss_nodes(order)
+            axes = [mids[:, None] + nodes * halves[:, None] for mids, halves in self.float_slots]
+            for values in axes:
+                values.flags.writeable = False
+            self.gauss_coordinates[order] = axes
+        return self.gauss_coordinates[order]
 
 
 def build_grid(domain, divisions):

@@ -6,9 +6,10 @@ and mass entries are assembled exactly (rational local matrices, cast to
 float only at the end) into a sparse Gram matrix ``V^T E V``; only load
 vectors, error norms and consistency functionals of non-polynomial data
 use quadrature.  A generating set's V is scattered from its shapes' float
-projection patterns, and its pruning eliminates integer rows built from
-their primitive integer forms (``whitney.GeneratorSpace``), so the float
-path makes no Fraction per entry.  Each quadrature pass evaluates its
+projection patterns, and its pruning reads the exact supports of their
+integer forms, eliminating integer rows only when two vectors' leading
+columns collide (``whitney.GeneratorSpace``), so the float path makes no
+Fraction per entry.  Each quadrature pass evaluates its
 fields once on the whole mesh, on the per-axis Gauss coordinates
 (``FormField.on_axes``), and slices the values by cell id per shape.
 
@@ -76,9 +77,12 @@ def broken_energy(pw):
     ``scipy.sparse.block_diag``, so the Gram products round the same way.
     """
     blocks = np.stack([table.energy_float for _, table in local.shapes(pw.mesh, pw.k)])
-    cells = np.arange(pw.mesh.n_cells + 1)
-    return scipy.sparse.bsr_matrix((blocks[pw.mesh.cell_shapes[0]], cells[:-1], cells),
-                                   shape=(pw.ncols, pw.ncols)).tocsc()
+    size = pw.dim_local
+    # column j of cell c holds rows c * size + i, i ascending, from column j of its block
+    rows = np.arange(pw.ncols).reshape(-1, 1, size).repeat(size, axis=1)
+    return scipy.sparse.csc_matrix(
+        (blocks[pw.mesh.cell_shapes[0]].transpose(0, 2, 1).ravel(), rows.ravel(),
+         np.arange(0, pw.ncols * size + 1, size)), shape=(pw.ncols, pw.ncols))
 
 
 @dataclass
@@ -174,7 +178,7 @@ def assemble(space, load, quad_order=5):
     ``load`` is a FormField (quadrature path) or a PolyForm, then also
     assembled exactly, in broken coordinates and over the basis; the exact
     Gram waits for ``G_exact``.  Raises when the basis is dependent, as
-    decided by exact elimination unless the space carries its proof.
+    decided exactly unless the space carries its proof.
     """
     if not space.independent and len(space.independent_indices()) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
@@ -439,10 +443,9 @@ def consistency_with_floor(entry, problem):
 def build_solver_space(k, mesh, flavor=INTERIOR_TEST):
     """An independent basis of the glued space, ready to assemble.
 
-    It is the projected conforming generating set, pruned by exact
-    elimination.  It spans the exact kernel of the constraints
-    (``whitney.kernel_space``), the basis of the exact oracle, the
-    ``basis`` dump and the complexes.
+    It is the projected conforming generating set, pruned exactly.  It
+    spans the exact kernel of the constraints (``whitney.kernel_space``),
+    the basis of the exact oracle, the ``basis`` dump and the complexes.
     """
     return prune_vectors(interpolated_generating_set(k, mesh, flavor))[0]
 

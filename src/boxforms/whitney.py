@@ -24,9 +24,11 @@ The space is built two ways:
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).  It
   stores no vector: each is a scatter of per-shape projection patterns
-  through the face-DOF table, and pruning eliminates primitive integer
-  rows made from the patterns' primitive integer forms and per-cell
-  multipliers.  Pruned, it is the basis of every float solve.
+  through the face-DOF table.  Pruning keeps every vector when their
+  leading columns, read off the patterns' exact supports, are distinct
+  (every full-test and top-degree set); otherwise it eliminates primitive
+  integer rows made from the patterns' primitive integer forms and
+  per-cell multipliers.  Pruned, it is the basis of every float solve.
 
 The second is contained in the first; the test-suite checks containment,
 and equality of dimensions on small meshes, exactly.
@@ -35,7 +37,7 @@ and equality of dimensions on small meshes, exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -170,9 +172,9 @@ def _scatter(pw, cell_dofs, n_dofs, per_shape):
 class WhitneySpace:
     """A concrete basis (or generating set) of the glued space.
 
-    ``independent`` is True only when exact elimination has proved the
-    vectors linearly independent: always for a kernel basis, and for a
-    generating set (``GeneratorSpace``) once it is pruned.
+    ``independent`` is True only when an exact proof says the vectors are
+    linearly independent: always for a kernel basis, and for a generating
+    set (``GeneratorSpace``) once it is pruned.
     ``free_columns`` (canonical kernel bases only) holds, per vector, the
     broken column where it is 1 and every other vector is 0.  Vectors are
     integer rows over a denominator each; ``vectors`` views them as Fractions.
@@ -213,8 +215,9 @@ class GeneratorSpace(WhitneySpace):
     as its local face a, pattern a of the cell's shape
     (``local.LocalTables.patterns``).  No vector is stored:
     ``integer_vectors`` (for exact callers) is scattered from the per-shape
-    integer patterns on first read, and pruning and the float basis matrix
-    read the per-shape integer and float patterns instead.
+    integer patterns on first read; pruning reads the integer patterns'
+    supports, and their rows only when two leading columns collide, and
+    the float basis matrix reads the float patterns.
     """
 
     def __init__(self, k, mesh, flavor, pw, dofs, members, independent=False):
@@ -274,7 +277,21 @@ class GeneratorSpace(WhitneySpace):
                 for row, s in self._primitive_rows()]
 
     def independent_indices(self):
-        """Indices of a maximal independent subset of the vectors, scanning in order (exact)."""
+        """Indices of a maximal independent subset of the vectors, scanning in order (exact).
+
+        A vector's leading column is the least ``cell * dim_local + min(support)`` of the
+        exact integer patterns it takes on its cells.  When every vector has one and no two
+        share it, the rows are an echelon form up to order and all are kept: no row is built.
+        """
+        none = self.pw.ncols  # past every column: the lead of a zero pattern
+        leads = np.array([[min(p, default=none) for _, p in table.integer_patterns]
+                          for table in self._tables()])[self.mesh.cell_shapes[0]]
+        leads += np.arange(self.mesh.n_cells)[:, None] * self.pw.dim_local
+        first = np.full(self.dofs.n_dofs + 1, none)  # the last takes the faces with no DOF
+        np.minimum.at(first, self.dofs.array, leads)
+        first = first[self.members]
+        if (first < none).all() and np.unique(first).size == first.size:
+            return list(range(self.dim))
         return independent_rows(self.integer_rows())
 
     def subset(self, kept):
@@ -323,7 +340,7 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):
 
 
 def prune_vectors(space):
-    """Restrict to an independent subset, found by exact elimination (no tolerance).
+    """Restrict to an independent subset, found exactly (no tolerance).
 
     Vectors are kept in the order given, each one unless it lies in the
     span of those kept before it.  Returns (pruned space, kept indices).
@@ -337,14 +354,17 @@ def prune_vectors(space):
 
 
 def apply_broken_d(vector, pw_k, pw_k1):
-    """Broken exterior derivative as a map of sparse coefficient vectors."""
+    """(row, den): the broken exterior derivative of a sparse coefficient vector, row / den,
+    den the lcm of the shapes' ``d_matrix`` denominators; an integer vector gives an integer row."""
+    den = lcm(*(table.d_matrix[1] for _, table in local.shapes(pw_k.mesh, pw_k.k)))
     out = {}
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
-        for i, c in enumerate(local.tables(pw_k.mesh, pw_k.k, ci).d_matrix[j]):
+        columns, d_den = local.tables(pw_k.mesh, pw_k.k, ci).d_matrix
+        for i, c in enumerate(columns[j]):
             if c:
-                out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c
-    return {col: v for col, v in out.items() if v}
+                out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c * (den // d_den)
+    return {col: v for col, v in out.items() if v}, den
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +384,14 @@ def check_whitney_complex(mesh, flavor=INTERIOR_TEST):
     pws = [system.pw for system in systems]
     for k in range(n):
         for idx, (vec, _) in enumerate(kernels[k].integer_vectors):
-            dv = apply_broken_d(vec, pws[k], pws[k + 1])
+            dv = apply_broken_d(vec, pws[k], pws[k + 1])[0]
             res = systems[k + 1].residual(dv)
             if any(res):
                 return CheckReport("whitney_complex", n, k, False,
                                    counterexample=f"kernel vector {idx}: residual {res}")
-            if k + 1 < n:
-                ddv = apply_broken_d(dv, pws[k + 1], pws[k + 2])
-                if ddv:
-                    return CheckReport("whitney_complex", n, k, False,
-                                       counterexample=f"kernel vector {idx}: d(d(.)) != 0")
+            if k + 1 < n and apply_broken_d(dv, pws[k + 1], pws[k + 2])[0]:
+                return CheckReport("whitney_complex", n, k, False,
+                                   counterexample=f"kernel vector {idx}: d(d(.)) != 0")
     dims = {k: kernels[k].dim for k in range(n + 1)}
     return CheckReport("whitney_complex", n, None, True,
                        details={"flavor": flavor, "kernel_dims": dims})
@@ -414,8 +432,8 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
 def _square_gap(shape, shape_up, a):
     """None when face function a of the shape's cell commutes, else (left, right)."""
     left = shape_up.projector.coefficients(shape.face_functions[a].exterior_derivative())
-    pattern, cols = shape.patterns[a], shape.d_matrix
-    right = [sum((c * col[i] for c, col in zip(pattern, cols)), Fraction(0))
+    pattern, (cols, den) = shape.patterns[a], shape.d_matrix
+    right = [sum((c * col[i] for c, col in zip(pattern, cols)), Fraction(0)) / den
              for i in range(len(left))]
     return None if left == right else (left, right)
 

@@ -289,6 +289,20 @@ def import_bindings(tree, package_name, modules):
     return out
 
 
+def foreign_names(tree, package_name):
+    """Names that a module's imports, function-level ones included, bind from outside
+    the package: ``np`` of ``import numpy as np``, ``prod`` of ``from math import prod``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                       if alias.name.split(".")[0] != package_name)
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] != package_name):
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
 def unreached_definitions(trees, package, entries, roots):
     """Definitions in the ``package`` paths of ``trees`` that no walk reaches.
 
@@ -303,15 +317,18 @@ def unreached_definitions(trees, package, entries, roots):
       body also that class's member;
     - ``mod.name`` with ``mod`` an imported package module, that module's
       binding of the name;
+    - an attribute whose receiver chain starts at a name imported from
+      outside the package (``np.add.at``, ``math.prod``), nothing;
     - any other attribute, every class member of that name.
 
     Imports and string literals are not uses.  A dunder is part of the
     class or module that holds it, since Python calls it implicitly.
     """
     modules = {path.stem: path for path in package}
-    top, members, binds, uses = {}, {}, {}, {None: []}
+    top, members, binds, foreign, uses = {}, {}, {}, {}, {None: []}
     for path in package + entries:
         binds[path] = import_bindings(trees[path], package[0].parent.name, modules)
+        foreign[path] = foreign_names(trees[path], package[0].parent.name)
         home = {}
         for name, node, owner in definitions(trees[path]) if path in package else ():
             if not (name.startswith("__") and name.endswith("__")):
@@ -343,6 +360,11 @@ def unreached_definitions(trees, package, entries, roots):
         imported = [target for target in receiver if isinstance(target, Path)]
         if imported:
             return set().union(*(bound(module, name) for module in imported))
+        root = ref.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in foreign[path]:
+            return set()
         return {dotted for dotted, _ in members.get(name, ())}
 
     reached = set(roots)
@@ -393,6 +415,9 @@ class Form:
 
     def evaluate(self):
         return 0
+
+    def at(self, point):
+        return point
 """,
     "helpers": """
 def derivative(form):
@@ -407,6 +432,8 @@ def tested():
     return 1
 """,
     "engine": """
+import numpy as np
+
 from .helpers import tested
 from .shapes import Form
 
@@ -416,6 +443,7 @@ def main():
 
 
 def run(form):
+    np.add.at(np.zeros(2), [0], 1)
     return form.derivative(), solve(form), form.factor.solve(), "tested"
 
 
@@ -450,15 +478,17 @@ def test_walk_flags_what_only_tests_reach():
     # through its module, another attribute (``Form.derivative``, and
     # ``factor.solve``) reaches class members only, ``combine`` is reached
     # through ``__add__``, a part of the reached class, ``main`` from the
-    # module-level code and ``oracle`` from a root.  The test reaches ``run``
-    # through the package's lazy export.
+    # module-level code and ``oracle`` from a root.  ``np.add.at`` starts at a
+    # name imported from outside the package, so it reaches no ``Form.at``.
+    # The test reaches ``run`` through the package's lazy export.
     package = [Path(f"pkg/{stem}.py") for stem in WALKED]
     test = Path("test_sample.py")
     trees = {path: ast.parse(WALKED[path.stem]) for path in package}
     trees[test] = ast.parse(TESTED)
-    never = ["engine.derivative", "engine.oracle", "helpers.solve"]
+    never = ["engine.derivative", "engine.oracle", "helpers.solve", "shapes.Form.at"]
     assert unreached_definitions(trees, package, [], []) == sorted(
         never + ["helpers.tested", "shapes.Form.evaluate"])
     assert unreached_definitions(trees, package, [test], []) == never
     assert unreached_definitions(trees, package, [], ["engine.oracle"]) == [
-        "engine.derivative", "helpers.solve", "helpers.tested", "shapes.Form.evaluate"]
+        "engine.derivative", "helpers.solve", "helpers.tested", "shapes.Form.at",
+        "shapes.Form.evaluate"]

@@ -72,7 +72,9 @@ def test_tables_equal_per_cell_exact_data(mesh):
             assert table.energy == energy
             assert all(isinstance(x, Fraction) for row in table.energy for x in row)
             if d_matrix is not None:
-                assert table.d_matrix == d_matrix
+                columns, den = table.d_matrix
+                assert all(type(v) is int for column in columns for v in column)
+                assert [[Fraction(v, den) for v in column] for column in columns] == d_matrix
             assert table.vandermonde_inverse == vinv
             assert table.patterns == patterns
 

@@ -141,6 +141,7 @@ def per_vector_basis_matrix(space):
 
 
 PRUNE_MESHES = {
+    "uniform-1d-5": lambda: build_grid([[0, 2]], (5,)),
     "uniform-2d-4x3": lambda: build_grid([[0, 1], [0, 3]], (4, 3)),
     "uniform-3d-3x2x2": lambda: build_grid([[0, 1]] * 3, (3, 2, 2)),
     "graded-2d": lambda: graded_mesh(GRADED["2d"]),
@@ -150,14 +151,27 @@ PRUNE_MESHES = {
 
 @pytest.mark.parametrize("name", sorted(PRUNE_MESHES))
 @pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
-def test_integer_row_pruning_matches_the_fraction_vectors(name, flavor):
+def test_integer_row_pruning_matches_the_fraction_vectors(monkeypatch, name, flavor):
     mesh = PRUNE_MESHES[name]()
+    scans = []
+
+    def scan(rows):
+        scans.append(rows)
+        return exactla.independent_rows(rows)
+
+    monkeypatch.setattr(whitney_module, "independent_rows", scan)
     for k in range(mesh.n + 1):
         gens = interpolated_generating_set(k, mesh, flavor)
         rows = [exactla._integer_row(v) for v in gens.vectors]
         assert list(gens.integer_rows()) == rows
+        scans.clear()
         pruned, kept = prune_vectors(gens)
         assert kept == independent_subset(gens.vectors), k
+        assert kept == exactla.independent_rows([dict(row) for row in rows]), k
+        # rows are built and eliminated only when two vectors' leading columns
+        # collide; the 1D interior-test vertex set has one collision and keeps all
+        leads = [min(row) for row in rows]
+        assert bool(scans) == (len(set(leads)) < len(leads)), k
         assert pruned.vectors == [gens.vectors[i] for i in kept]
         # elimination works on rows of its own and leaves the per-shape
         # patterns alone: pruning again, or a new generating set on the same
@@ -200,12 +214,13 @@ def test_commuting_squares(mesh, flavor):
 def test_broken_d_map():
     pw0 = PiecewiseWhitney(0, MESH2)
     pw1 = PiecewiseWhitney(1, MESH2)
-    cols = local.tables(MESH2, 0, 0).d_matrix
+    cols, _ = local.tables(MESH2, 0, 0).d_matrix
     assert len(cols) == pw0.dim_local and len(cols[0]) == pw1.dim_local
     # derivative of a piecewise linear: check on one cell explicitly
-    vec = {pw0.col(0, 1): Fraction(2)}  # 2*(x1 - c1) on cell 0
-    dvec = apply_broken_d(vec, pw0, pw1)
-    form = pw1.form_on_cell(dvec, 0)
+    vec = {pw0.col(0, 1): 2}  # 2*(x1 - c1) on cell 0
+    dvec, den = apply_broken_d(vec, pw0, pw1)
+    assert all(type(v) is int for v in dvec.values())
+    form = pw1.form_on_cell({c: Fraction(v, den) for c, v in dvec.items()}, 0)
     from boxforms.forms import PolyForm
     assert form == PolyForm.covector(2, (1,), 2)
 
@@ -463,8 +478,8 @@ def reference_commuting_squares(mesh, flavor=INTERIOR_TEST):
                 v = Combination(n, k, [space.cell_expansions[ci][dof]])([1], [-t for t in shift])
                 left = shape_up.projector.coefficients(v.exterior_derivative())
                 ck = shape.projector.coefficients(v)
-                cols = shape.d_matrix
-                right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0))
+                cols, den = shape.d_matrix
+                right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0)) / den
                          for i in range(len(left))]
                 if left != right:
                     return CheckReport(
@@ -487,9 +502,11 @@ def perturbed_square(mesh, flavor, k, attribute, perturb):
     """Check the squares after ``perturb`` edits a copy of one table attribute
     of the mesh's last shape; return the report and that shape's table."""
     shape = local.tables(mesh, k, mesh.n_cells - 1)
-    value = [list(column) for column in getattr(shape, attribute)]
-    perturb(value)
-    shape.__dict__[attribute] = value
+    value = getattr(shape, attribute)  # d_matrix is (columns, den): perturb its columns
+    columns, den = value if attribute == "d_matrix" else (value, None)
+    columns = [list(column) for column in columns]
+    perturb(columns)
+    shape.__dict__[attribute] = columns if den is None else (columns, den)
     return check_commuting_squares(mesh, flavor), shape
 
 
@@ -524,7 +541,7 @@ def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
     a = face_dofs(1, mesh, interior=flavor == FULL_TEST).cell_dofs[mesh.n_cells - 1][0][0]
 
     def bump(patterns):
-        j = next(j for j, col in enumerate(local.tables(mesh, 1, 0).d_matrix) if any(col))
+        j = next(j for j, col in enumerate(local.tables(mesh, 1, 0).d_matrix[0]) if any(col))
         patterns[a][j] += 1
 
     report, shape = perturbed_square(mesh, flavor, 1, "patterns", bump)
