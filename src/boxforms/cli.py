@@ -64,7 +64,9 @@ def _build_parser():
             p.add_argument("--format", choices=["json", "csv"], default=None)
         return p
 
-    command("verify", "run the exact structural suites", grid=True)
+    p_verify = command("verify", "run the exact structural suites", grid=True)
+    p_verify.add_argument("--timings", action="store_true",
+                          help="print each suite's wall seconds to stderr")
 
     p_conv = command("convergence", "manufactured-solution convergence study",
                      quad=True, formats=True)
@@ -88,7 +90,8 @@ _COMMANDS = ("verify", "convergence", "solve", "basis")
 
 
 def _apply_config_file(parser, argv):
-    """Expand ``--config FILE`` into flags placed before the explicit ones.
+    """Expand ``--config FILE`` into flags placed before the explicit ones; the
+    value ``true`` sets an on/off flag such as ``--timings``.
 
     Explicit flags come later on the command line, so they win.
     """
@@ -107,7 +110,8 @@ def _apply_config_file(parser, argv):
                 key, sep, value = line.partition("=")
                 if not sep:
                     parser.error(f"bad config line {line!r}; expected key = value")
-                injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
+                flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+                injected += [flag] if value == "true" else [flag, value]
     except OSError as err:
         parser.error(f"cannot read config file: {err}")
     at = next((i for i, tok in enumerate(argv) if tok in _COMMANDS), None)
@@ -148,8 +152,11 @@ def _usage_error(message):
 def cmd_verify(args):
     flavors = (_FLAVOR_NAMES[args.flavor],) if args.flavor else FLAVORS
     ks = None if args.k is None else [args.k]
+    timings = {} if args.timings else None
     reports = run_verify(args.dim, ks=ks, divisions=args.grid,
-                         seed=args.seed, flavors=flavors)
+                         seed=args.seed, flavors=flavors, timings=timings)
+    for name, seconds in (timings or {}).items():
+        print(f"{name}: {seconds:.4f} s", file=sys.stderr)
     payload = {
         "command": "verify",
         "n": args.dim,

@@ -55,20 +55,20 @@ def integer_matrices(matrices):
     return [[[next(ints) for _ in row] for row in rows] for rows in matrices], den
 
 
-def primitive_part(values):
-    """(s, row): the primitive integer row {index: int} of a list of values, and s >= 0
-    with ``values[i] == s * row.get(i, 0)``."""
-    ints, den = integer_scaled(values)
+def primitive_part(values, den=1):
+    """(s, row): the primitive integer row {index: int} of a list of values over ``den``,
+    and s >= 0 with ``values[i] / den == s * row.get(i, 0)``."""
+    ints, d = integer_scaled(values)
     g = gcd(*ints)
-    return Fraction(g, den), {i: v // g for i, v in enumerate(ints) if v}
+    return Fraction(g, d * den), {i: v // g for i, v in enumerate(ints) if v}
 
 
 def _integer_row(row):
     """The primitive integer multiple of a dense or {column: value} row of ints and Fractions."""
     row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
-    if not row:
-        return row
-    return _primitive(dict(zip(row, integer_scaled(row.values())[0])))
+    if any(type(v) is not int for v in row.values()):
+        row = dict(zip(row, integer_scaled(row.values())[0]))
+    return _primitive(row) if row else row
 
 
 def _cancel(row, pivot, c):
@@ -145,14 +145,23 @@ def kernel_vectors(matrix, ncols):
                                              entries[fc]])), den) for fc, den in zip(free, dens)]
 
 
-def invert(matrix):
-    """Exact inverse of a square nonsingular matrix."""
+def inverse_integers(matrix):
+    """(rows, den): the exact inverse of a square nonsingular matrix as integer rows over
+    one denominator, the lcm of the reduced pivot rows' leading entries."""
     n = len(matrix)
-    pivots, _ = _eliminate([list(row) + [Fraction(i == j) for j in range(n)]
+    pivots, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
                             for i, row in enumerate(matrix)])
     if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [[Fraction(pivots[i].get(n + j, 0), pivots[i][i]) for j in range(n)] for i in range(n)]
+    den = lcm(*(pivots[i][i] for i in range(n)))
+    return [[pivots[i].get(n + j, 0) * (den // pivots[i][i]) for j in range(n)]
+            for i in range(n)], den
+
+
+def invert(matrix):
+    """Exact inverse of a square nonsingular matrix, as Fractions."""
+    rows, den = inverse_integers(matrix)
+    return [[Fraction(v, den) for v in row] for row in rows]
 
 
 def solve_consistent(rows, rhs, ncols):

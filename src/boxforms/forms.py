@@ -13,11 +13,13 @@ Conventions, fixed once for the whole package:
   dx^a1^...(omit j)...^dx^ak``, so that on a box centered at c the
   coefficients it produces integrate to zero.
 
-All coefficients are ``fractions.Fraction``; every identity checked in the
-test-suite holds exactly.  Scalars passed to constructors may be ints,
-Fractions or strings like ``"3/4"``.
+A polynomial holds integer coefficients over one positive denominator, in
+lowest terms, and every operation below works on those integers; every
+identity checked in the test-suite holds exactly.  ``Polynomial.coeffs`` is
+the Fraction view.  Scalars passed to constructors may be ints, Fractions or
+strings like ``"3/4"``.
 
-Every exact integral is an entry of one kernel, ``CellBox.pairing_integers``:
+Every exact integral is an entry of one kernel, ``CellBox.pairing_terms``:
 L2 pairings of two lists of form tuples, paired position by position and
 summed, so ``(d w, w)`` against ``(mu, -delta mu)`` is an adjoint pairing.
 Each box caches per-axis moments ``int t^p dt`` as integers over one
@@ -36,7 +38,6 @@ from itertools import product
 from math import comb, gcd, lcm, prod
 from operator import add, getitem, sub
 
-from .exactla import integer_scaled
 from .indices import complement, hodge_sign, is_multi_index, wedge_sign
 
 
@@ -69,38 +70,46 @@ def _sum_into(out, items):
 
 
 class Polynomial:
-    """Multivariate polynomial over Fraction, keyed by exponent tuples.
+    """Multivariate polynomial over the rationals, keyed by exponent tuples.
 
-    Zero coefficients are never stored, so equality is plain structural
-    equality and the zero polynomial has an empty coefficient map.
+    Stored as integer coefficients ``terms`` {exponents: int} over one
+    positive ``den``, in lowest terms: zero terms are never stored and the
+    gcd of ``den`` and every coefficient is 1.  So equality is plain
+    structural equality, and the zero polynomial has no terms over 1.
+    ``coeffs`` is the Fraction view.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, n, coeffs=None):
         self.n = n
         clean = {}
         for expts, c in (coeffs or {}).items():
-            c = ratio(c)
+            if type(c) is not int:
+                c = ratio(c)
             if len(expts) != n or any(e < 0 for e in expts):
                 raise ValueError(f"bad exponent vector {expts} for n={n}")
             if c:
                 clean[tuple(expts)] = c
-        self.coeffs = clean
+        # the lcm of reduced denominators leaves no common factor
+        self.den = den = lcm(*(c.denominator for c in clean.values()))
+        self.terms = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
 
     @classmethod
-    def _of(cls, n, coeffs):
-        """Wrap clean coefficients: exponent n-tuples to nonzero Fractions, unchecked."""
+    def _lowest(cls, n, terms, den):
+        """Wrap exponent n-tuples to nonzero ints over den > 0, unchecked, divided by
+        their common factor with den."""
+        g = gcd(den, *terms.values())
         poly = object.__new__(cls)
-        poly.n = n
-        poly.coeffs = coeffs
+        poly.n, poly.den = n, den // g
+        poly.terms = {e: c // g for e, c in terms.items()} if g != 1 else terms
         return poly
 
     # -- constructors
 
     @classmethod
     def constant(cls, n, c):
-        return cls(n, {(0,) * n: ratio(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n, i, shift=0):
@@ -114,21 +123,27 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n, expts, c=1):
-        return cls(n, {tuple(expts): ratio(c)})
+        return cls(n, {tuple(expts): c})
 
     # -- queries
 
+    @property
+    def coeffs(self):
+        """{exponents: Fraction}, built on every read, in the stored order."""
+        return {e: Fraction(c, self.den) for e, c in self.terms.items()}
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.n == other.n and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.n == other.n and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        return hash((self.n, self.den, frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     # -- arithmetic
 
@@ -138,10 +153,13 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_dimension(other)
-        return Polynomial._of(self.n, _sum_into(dict(self.coeffs), other.coeffs.items()))
+        den = lcm(self.den, other.den)
+        terms = dict(_times(self.terms, den // self.den))
+        return Polynomial._lowest(
+            self.n, _sum_into(terms, _times(other.terms, den // other.den).items()), den)
 
     def __neg__(self):
-        return Polynomial._of(self.n, {e: -c for e, c in self.coeffs.items()})
+        return Polynomial._lowest(self.n, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -150,25 +168,31 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_dimension(other)
             out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
                     e = tuple(map(add, e1, e2))
                     s = out.get(e)
                     out[e] = c1 * c2 if s is None else s + c1 * c2
-            return Polynomial._of(self.n, {e: c for e, c in out.items() if c})
+            return Polynomial._lowest(self.n, {e: c for e, c in out.items() if c},
+                                      self.den * other.den)
         if not isinstance(other, (int, str, Fraction)):
             return NotImplemented
-        c = ratio(other)
+        c = ratio(other) if isinstance(other, str) else other
         if not c:
-            return Polynomial._of(self.n, {})
-        return Polynomial._of(self.n, {e: c * v for e, v in self.coeffs.items()})
+            return Polynomial._lowest(self.n, {}, 1)
+        return Polynomial._lowest(self.n, _times(self.terms, c.numerator),
+                                  self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        ints, den = integer_scaled(list(self.coeffs.values()))
-        text = _polynomial_text(_monomials(dict(zip(self.coeffs, ints))), den) or "0"
+        text = _polynomial_text(_monomials(self.terms), self.den) or "0"
         return f"Polynomial({self.n}, {text!r})"
+
+
+def _times(terms, m):
+    """{exponents: int} times the int m, a new dict unless m is 1."""
+    return terms if m == 1 else {e: c * m for e, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +201,8 @@ class Polynomial:
 
 def scaled_terms(entries):
     """Entries (tuples of forms) as {(position, index): {exponents: int}}, over one denominator."""
-    den = lcm(*(c.denominator for entry in entries for form in entry
-                for poly in form.parts.values() for c in poly.coeffs.values()))
-    return [{(p, alpha): {e: c.numerator * (den // c.denominator) for e, c in poly.coeffs.items()}
+    den = lcm(*{poly.den for entry in entries for form in entry for poly in form.parts.values()})
+    return [{(p, alpha): _times(poly.terms, den // poly.den)
              for p, form in enumerate(entry) for alpha, poly in form.parts.items()}
             for entry in entries], den
 
@@ -267,20 +290,16 @@ class CellBox:
             table = self._moments[axis] = _moment_table(self.lo[axis], self.hi[axis], size)
         return table
 
-    def pairing_integers(self, left, right, frozen=None):
-        """(rows, den): ``pairing_table`` as integers over one denominator.
+    def pairing_terms(self, left, right, frozen=None):
+        """(rows, den): ``pairing_table`` as integers over one denominator, of two lists of
+        entries already scaled as ``scaled_terms`` returns them, so a list paired on many
+        boxes or many times is scaled once.
 
         Entries are tuples of forms; forms at one position share a degree.
-        Each list is scaled to integers over one denominator, once.  Axes in
-        ``frozen`` (0-based axis: value) are evaluated, not integrated; a
-        list of such dicts freezes each row by its own, so one call serves
-        every face of the box.
+        Axes in ``frozen`` (0-based axis: value) are evaluated, not
+        integrated; a list of such dicts freezes each row by its own, so one
+        call serves every face of the box.
         """
-        return self.pairing_terms(scaled_terms(left), scaled_terms(right), frozen)
-
-    def pairing_terms(self, left, right, frozen=None):
-        """``pairing_integers`` of two lists already scaled, each as ``scaled_terms``
-        returns it, so a list paired on many boxes is scaled once."""
         (left, den_left), (right, den_right) = left, right
         top = list(map(add, map(max, zip(*(e for t in left for p in t.values() for e in p))),
                        map(max, zip(*(e for t in right for p in t.values() for e in p)))))
@@ -308,7 +327,7 @@ class CellBox:
 
     def pairing_table(self, left, right, frozen=None):
         """Exact ``rows[i][j] = sum_p <left[i][p], right[j][p]>`` over the box, as Fractions."""
-        rows, den = self.pairing_integers(left, right, frozen)
+        rows, den = self.pairing_terms(scaled_terms(left), scaled_terms(right), frozen)
         return [[Fraction(v, den) for v in row] for row in rows]
 
 
@@ -384,6 +403,11 @@ class PolyForm:
         """(alpha, coefficient) pairs in lexicographic index order."""
         return sorted(self.parts.items())
 
+    @property
+    def den(self):
+        """The lcm of the components' denominators: times it, every coefficient is an int."""
+        return lcm(*{poly.den for poly in self.parts.values()})
+
     # -- linear structure
 
     def __add__(self, other):
@@ -403,7 +427,7 @@ class PolyForm:
             return PolyForm._of(self.n, self.k, {a: scalar * p for a, p in self.parts.items()})
         if not isinstance(scalar, (int, str, Fraction)):
             return NotImplemented
-        c = ratio(scalar)
+        c = ratio(scalar) if isinstance(scalar, str) else scalar
         if not c:
             return PolyForm._of(self.n, self.k, {})
         return PolyForm._of(self.n, self.k, {a: p * c for a, p in self.parts.items()})
@@ -422,24 +446,23 @@ class PolyForm:
         """d: k-forms to (k+1)-forms; d of a top form is the zero (n+1)-form."""
         if self.k > self.n:
             raise ValueError("cannot differentiate beyond top degree")
-        out = {}
+        den, out = self.den, {}
         for alpha, poly in self.parts.items():
+            scale = den // poly.den
             for i, sign, gamma in _d_targets(alpha, self.n):
-                acc = out.setdefault(gamma, {})
-                for e, c in poly.coeffs.items():
+                acc, m = out.setdefault(gamma, {}), sign * scale
+                for e, c in poly.terms.items():
                     p = e[i]
                     if p:
                         f = e[:i] + (p - 1,) + e[i + 1:]
-                        v = c if p == 1 else c * p
-                        if sign < 0:
-                            v = -v
+                        v = c * m if p == 1 else c * m * p
                         s = acc.get(f)
                         acc[f] = v if s is None else s + v
         parts = {}
         for gamma, acc in out.items():
-            coeffs = {e: c for e, c in acc.items() if c}
-            if coeffs:
-                parts[gamma] = Polynomial._of(self.n, coeffs)
+            terms = {e: c for e, c in acc.items() if c}
+            if terms:
+                parts[gamma] = Polynomial._lowest(self.n, terms, den)
         return PolyForm._of(self.n, self.k + 1, parts)
 
     def hodge(self):
@@ -465,18 +488,23 @@ class PolyForm:
             raise ValueError("Koszul operator undefined on 0-forms")
         if self.k > self.n:
             raise ValueError("no Koszul contraction above top degree")
-        center = center or (0,) * self.n
+        # c = steps / q: every term over den * q, (x_i - c_i) * c/den = (q x_i - t_i) c / (den q)
+        center = [c if type(c) is int else ratio(c) for c in center or (0,) * self.n]
+        q, den = lcm(*(c.denominator for c in center)), self.den
+        steps = [c.numerator * (q // c.denominator) for c in center]
         out = {}
         for alpha, poly in self.parts.items():
+            terms = _times(poly.terms, den // poly.den)
+            lifted = _times(terms, q)
             for j, axis in enumerate(alpha):
                 # (x_axis - c_axis) * poly, in the key order of the product
-                i, shift = axis - 1, ratio(center[axis - 1])
-                term = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in poly.coeffs.items()}
-                if shift:
-                    _sum_into(term, ((e, -shift * c) for e, c in poly.coeffs.items()))
+                i, t = axis - 1, steps[axis - 1]
+                term = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in lifted.items()}
+                if t:
+                    _sum_into(term, ((e, -t * c) for e, c in terms.items()))
                 _add_component(out, alpha[:j] + alpha[j + 1:], term, j % 2)
         return PolyForm._of(self.n, self.k - 1,
-                            {a: Polynomial._of(self.n, c) for a, c in out.items()})
+                            {a: Polynomial._lowest(self.n, c, den * q) for a, c in out.items()})
 
     def koszul_delta(self, center=None):
         """star kappa star; raises degree by one."""
@@ -516,25 +544,48 @@ def _add_component(out, key, coeffs, negate):
 
 class Combination:
     """Exact linear combinations of one list of k-forms in dimension n: ``self(coeffs)`` is
-    ``sum_j coeffs[j] * forms[j]``, ``self(coeffs, shift)`` that of ``forms[j](x - shift)``.
-    Forms, coefficients and shift are integers over one denominator each, the forms scaled
-    once; each result coefficient is one Fraction, and zeros are dropped as ``+`` drops them."""
+    ``sum_j coeffs[j] * forms[j]``, ``self(coeffs, shift)`` that of ``forms[j](x - shift)``,
+    and ``den`` divides the coefficients.  Forms, coefficients and shift are integers over
+    one denominator each, the forms scaled once; zeros are dropped as ``+`` drops them."""
 
     def __init__(self, n, k, forms):
         self.n, self.k, self.moves = n, k, {}  # moves: x^e to [(x^f, C(e, f), e - f), f <= e]
         self.terms, self.den = scaled_terms([(form,) for form in forms])
         self.top = max([sum(e) for t in self.terms for c in t.values() for e in c], default=0)
 
-    def integers(self, coeffs, shift=None):
-        """(parts, den): ``self(coeffs, shift)`` as {alpha: {exponents: int}} over one
+    def integers(self, coeffs, shift=None, den=1):
+        """(parts, den): ``self(coeffs, shift, den)`` as {alpha: {exponents: int}} over one
         denominator, zero terms and components dropped."""
-        # x - s = (q x + t) / q with t = -q s: q^top (x - s)^e is the sum over
-        # f <= e of C(e, f) t^(e - f) q^(top - |e - f|) x^f
+        c_den = lcm(*[c.denominator for c in coeffs if c])
+        parts, d = self._sum([(c.numerator * (c_den // c.denominator), terms)
+                              for c, terms in zip(coeffs, self.terms) if c], self._shifted(shift))
+        return parts, c_den * den * d
+
+    def __call__(self, coeffs, shift=None, den=1):
+        return self._form(*self.integers(coeffs, shift, den))
+
+    def moved(self, shift):
+        """Every form moved, ``forms[j](x - shift)``, the shift turned to integers once."""
+        shifted = self._shifted(shift)
+        return [self._form(*self._sum([(1, terms)], shifted)) for terms in self.terms]
+
+    def _form(self, parts, den):
+        return PolyForm._of(self.n, self.k, {a: Polynomial._lowest(self.n, p, den)
+                                             for a, p in parts.items()})
+
+    def _shifted(self, shift):
+        """(q, t, powers): x - shift = (q x + t) / q in integers, and an empty cache of
+        t^drop q^(top - |drop|)."""
         shift = shift or (0,) * self.n
-        c_den, q = lcm(*[c.denominator for c in coeffs if c]), lcm(*[s.denominator for s in shift])
-        steps, scale, acc = [-s.numerator * (q // s.denominator) for s in shift], {}, {}
-        for c, terms in ((c, terms) for c, terms in zip(coeffs, self.terms) if c):
-            c = c.numerator * (c_den // c.denominator)
+        q = lcm(*[s.denominator for s in shift])
+        return q, [-s.numerator * (q // s.denominator) for s in shift], {}
+
+    def _sum(self, pairs, shifted):
+        """(parts, den): the sum of int c times scaled terms, moved as ``_shifted`` says,
+        over this list's den times q^top."""
+        # q^top (x - s)^e is the sum over f <= e of C(e, f) t^(e - f) q^(top - |e - f|) x^f
+        (q, steps, scale), acc = shifted, {}
+        for c, terms in pairs:
             for (_, alpha), part in terms.items():
                 out = acc.setdefault(alpha, {})
                 for e, v in part.items():
@@ -547,12 +598,7 @@ class Combination:
                         if scale[drop]:
                             out[f] = out.get(f, 0) + c * v * m * scale[drop]
         parts = ((a, {e: v for e, v in out.items() if v}) for a, out in acc.items())
-        return {a: p for a, p in parts if p}, c_den * self.den * q ** self.top
-
-    def __call__(self, coeffs, shift=None):
-        parts, den = self.integers(coeffs, shift)
-        return PolyForm._of(self.n, self.k, {a: Polynomial._of(
-            self.n, {e: Fraction(v, den) for e, v in p.items()}) for a, p in parts.items()})
+        return {a: p for a, p in parts if p}, self.den * q ** self.top
 
 
 @lru_cache(maxsize=None)

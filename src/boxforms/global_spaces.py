@@ -13,7 +13,7 @@ of the face-DOF Vandermonde of the local tensor-product basis, which the
 unisolvence check below guarantees to exist.  No global space is built.
 """
 
-from fractions import Fraction
+from math import lcm
 
 from .exactla import rank
 from .forms import Combination
@@ -51,29 +51,33 @@ def _d_rows(mesh, k, interior):
     function is f_a, the sum is ``d f_a = sum_b I[b][a] f_b`` exactly when
     each kept face b (DOF j) has c[j] == I[b][a] and each dropped one has
     I[b][a] == 0; off the support, when c[j] == 0 for each kept face.  c[j]
-    is read on the first support cell of face j, in cell order.
+    is read on the first support cell of face j, in cell order.  The coefficients
+    are integers over the lcm of the shapes' ``incidence`` denominators.
     """
     low, up = face_dofs(k, mesh, interior), face_dofs(k + 1, mesh, interior)
+    den = lcm(*(shape.incidence[1] for _, shape in shapes(mesh, k)))
     rows = [{} for _ in range(low.n_dofs)]
     support = [set() for _ in range(low.n_dofs)]
     members = {}
     bad = []
     for ci, cell_dofs in enumerate(low.cell_dofs):
         shape = tables(mesh, k, ci)
-        incidence = shape.incidence
+        incidence, d = shape.incidence
+        scale = den // d
         kept = dict(up.cell_dofs[ci])
         for a, dof in cell_dofs:
             if (shape, a) not in members:  # every local face of the shape at once
                 combo = Combination(mesh.n, k + 1, tables(mesh, k + 1, ci).face_functions)
                 for b, f in enumerate(shape.face_functions):
-                    members[shape, b] = combo([r[b] for r in incidence]) == f.exterior_derivative()
+                    members[shape, b] = combo([r[b] for r in incidence], den=d) == \
+                        f.exterior_derivative()
             support[dof].add(ci)
             ok = members[shape, a]
             for b, r in enumerate(incidence):
-                j = kept.get(b)
+                j, value = kept.get(b), r[a] * scale
                 if j is None:
-                    ok = ok and not r[a]
-                elif rows[dof].setdefault(j, r[a]) != r[a]:
+                    ok = ok and not value
+                elif rows[dof].setdefault(j, value) != value:
                     ok = False
             if not ok:
                 bad.append((dof, ci))
@@ -113,7 +117,7 @@ def check_conforming_complex(mesh, with_boundary_conditions=False):
             acc = {}
             for mid, c in coeffs.items():
                 for up, c2 in d_maps[k + 1][mid].items():
-                    acc[up] = acc.get(up, Fraction(0)) + c * c2
+                    acc[up] = acc.get(up, 0) + c * c2
             if any(acc.values()):
                 return CheckReport("conforming_complex", n, k, False,
                                    counterexample=f"d(d(dof {dof})) != 0")

@@ -149,13 +149,16 @@ class LocalTables:
 
     @cached_property
     def incidence(self):
-        """Row b, column a: the DOF on local (k+1)-face b of d(face function a).
+        """(rows, den): row b, column a, the DOF on local (k+1)-face b of d(face function a),
+        as integers over one denominator (every entry is 0 or +-1 on the meshes built so far).
 
         If d maps Q1minus^k into Q1minus^(k+1), then
-        ``d f_a == sum_b incidence[b][a] * f_b`` with f_b the degree-(k+1)
+        ``d f_a == sum_b rows[b][a] / den * f_b`` with f_b the degree-(k+1)
         face functions of the same cell.
         """
-        return face_dof_matrix(self.cell, [f.exterior_derivative() for f in self.face_functions])
+        (rows,), den = integer_matrices([face_dof_matrix(
+            self.cell, [f.exterior_derivative() for f in self.face_functions])])
+        return rows, den
 
     @cached_property
     def projector(self):
@@ -171,12 +174,9 @@ class LocalTables:
 
     @cached_property
     def patterns(self):
-        """P1minus coefficients of the adjoint projection of each face function; off
-        the reference, ``integer_patterns`` as Fractions."""
-        ref = reference(self.cell.n, self.k)
-        if ref is self:
-            return [self.projector.coefficients(f) for f in self.face_functions]
-        return [[s * p.get(j, 0) for j in range(len(ref.basis))] for s, p in self.integer_patterns]
+        """P1minus coefficients of the adjoint projection of each face function:
+        ``integer_patterns`` as Fractions."""
+        return [[s * p.get(j, 0) for j in range(len(self.basis))] for s, p in self.integer_patterns]
 
     @cached_property
     def integer_patterns(self):
@@ -184,10 +184,10 @@ class LocalTables:
         off the reference, the reference's with column j times h^-e_j, made primitive."""
         ref = reference(self.cell.n, self.k)
         if ref is self:
-            return [primitive_part(p) for p in self.patterns]
+            return [primitive_part(*self.projector.integers(f)) for f in self.face_functions]
         scales, den = self._column_scales(up=False)
-        return [(s * g / den, row) for s, (g, row) in (
-            (s, primitive_part([p.get(j, 0) * c for j, c in enumerate(scales)]))
+        return [(s * g, row) for s, (g, row) in (
+            (s, primitive_part([p.get(j, 0) * c for j, c in enumerate(scales)], den))
             for s, p in ref.integer_patterns)]
 
     @cached_property

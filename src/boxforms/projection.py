@@ -12,7 +12,8 @@ from fractions import Fraction
 from operator import mul
 
 from . import spaces
-from .exactla import SingularMatrixError, integer_matrices, invert
+from .exactla import SingularMatrixError, inverse_integers
+from .forms import scaled_terms
 from .reports import CheckReport
 
 
@@ -28,18 +29,20 @@ class LocalProjector:
         self.trial = spaces.basis(spaces.P1MINUS, k, cell)
         if k == n:
             self.tests = None
-            self._test_side = [(self.trial[0],)]
+            test_side = [(self.trial[0],)]
         else:
             self.tests = spaces.basis(spaces.P1MINUS_STAR, k + 1, cell)
-            self._test_side = [(mu, -mu.codifferential()) for mu in self.tests]
-        self.matrix = cell.pairing_table(self._test_side, [self._left(phi) for phi in self.trial])
+            test_side = [(mu, -mu.codifferential()) for mu in self.tests]
+        self._test_terms = scaled_terms(test_side)  # fixed: scaled once, paired per projection
+        rows, den = cell.pairing_terms(self._test_terms,
+                                       scaled_terms([self._left(phi) for phi in self.trial]))
         try:
-            self.inverse = invert(self.matrix)
+            inverse, inverse_den = inverse_integers(rows)
         except SingularMatrixError as err:
             raise RuntimeError(
                 f"adjoint projection system singular for k={k} on {cell}") from err
-        # the inverse as integers over one denominator, for the exact product
-        (self._inverse_ints,), self._inverse_den = integer_matrices([self.inverse])
+        # the matrix is rows / den, so its inverse is den times that of rows
+        self._inverse_ints, self._inverse_den = [[v * den for v in r] for r in inverse], inverse_den
 
     def _left(self, omega):
         """omega's entry: ``(d omega, omega)``; on top degree ``(omega,)``, for the volume form."""
@@ -47,19 +50,25 @@ class LocalProjector:
 
     def _rhs(self, omega):
         """(ints, den): the adjoint pairings of omega with every test form."""
-        (ints,), den = self.cell.pairing_integers([self._left(omega)], self._test_side)
+        (ints,), den = self.cell.pairing_terms(scaled_terms([self._left(omega)]),
+                                               self._test_terms)
         return ints, den
 
-    def coefficients(self, omega):
-        """Exact coefficients of the projection in the trial basis."""
+    def integers(self, omega):
+        """(ints, den): the projection's coefficients in the trial basis, over one den."""
         if omega.k != self.k or omega.n != self.cell.n:
             raise ValueError("form degree/dimension does not match the projector")
         rhs, den = self._rhs(omega)
-        den *= self._inverse_den
-        return [Fraction(sum(map(mul, row, rhs)), den) for row in self._inverse_ints]
+        return [sum(map(mul, row, rhs)) for row in self._inverse_ints], den * self._inverse_den
+
+    def coefficients(self, omega):
+        """Exact coefficients of the projection in the trial basis."""
+        ints, den = self.integers(omega)
+        return [Fraction(v, den) for v in ints]
 
     def project(self, omega):
-        return self.trial.combination(self.coefficients(omega))
+        ints, den = self.integers(omega)
+        return self.trial.combination(ints, den=den)
 
 
 def commuting_gap(omega, proj, target):

@@ -42,9 +42,9 @@ def polyform_values(form, points):
     """Component arrays {alpha: values} of a PolyForm at an (m, n) point set."""
     out = {}
     for alpha, poly in form.parts.items():
-        acc = np.zeros(len(points))
-        for e, c in poly.coeffs.items():
-            term = np.full(len(points), float(c))
+        acc, den = np.zeros(len(points)), poly.den
+        for e, c in poly.terms.items():
+            term = np.full(len(points), c / den)  # int / int rounds once, as float(Fraction)
             for axis, p in enumerate(e):
                 if p:
                     term *= points[:, axis] ** p

@@ -31,9 +31,8 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .exactla import (independent_subset, integer_scaled, kernel_vectors, rank, solve_consistent,
-                      spans_equal)
-from .forms import CellBox, Combination, PolyForm, Polynomial, adjoint_table
+from .exactla import independent_subset, kernel_vectors, rank, solve_consistent, spans_equal
+from .forms import CellBox, Combination, PolyForm, Polynomial, scaled_terms
 from .indices import complement, multi_indices
 from .reports import CheckReport
 
@@ -131,8 +130,7 @@ def basis(kind, k, cell):
     """Canonical basis of the requested space on the given cell: its family, moved
     from the origin to the cell's center."""
     family = _family(kind, k, cell.n)
-    elements = [family.combination([int(i == j) for i in range(len(family))], cell.center)
-                for j in range(len(family))] if any(cell.center) else list(family)
+    elements = family.combination.moved(cell.center) if any(cell.center) else list(family)
     return SpaceBasis(kind, k, cell, elements, list(family.labels))
 
 
@@ -141,10 +139,11 @@ def basis(kind, k, cell):
 
 
 def form_rows(forms):
-    """Each form as a sparse row {(alpha, exponents): coefficient}; the keys sort as
-    the forms' (index, exponent) frame, which fixes the elimination's pivots."""
-    return [{(alpha, e): c for alpha, poly in f.parts.items() for e, c in poly.coeffs.items()}
-            for f in forms]
+    """Each form times its ``PolyForm.den`` as a sparse integer row {(alpha, exponents): int},
+    which changes no span or rank; the keys sort as the forms' (index, exponent) frame,
+    which fixes the elimination's pivots."""
+    return [{(alpha, e): c * (den // poly.den) for alpha, poly in f.parts.items()
+             for e, c in poly.terms.items()} for f in forms for den in (f.den,)]
 
 
 def form_spans_equal(group_a, group_b):
@@ -172,18 +171,23 @@ def expand_in_span(basis_forms, target):
     values = form_rows([target])[0]
     keys = sorted(columns.keys() | values.keys())
     try:
-        return solve_consistent([columns.get(key, {}) for key in keys],
-                                [values.get(key, 0) for key in keys], len(basis_forms))
+        scaled = solve_consistent([columns.get(key, {}) for key in keys],
+                                  [values.get(key, 0) for key in keys], len(basis_forms))
     except ValueError:
         return None
+    # the rows are the forms times their dens: undo the scales
+    return [y * f.den / target.den for y, f in zip(scaled, basis_forms)]
 
 
 def operator_kernel(space, op):
     """Forms spanning the kernel of a linear operator restricted to a span."""
-    system = _transposed(form_rows([op(f) for f in space]))
-    _, vectors = kernel_vectors([system[key] for key in sorted(system)], len(space))
-    return [space.combination([Fraction(vec.get(j, 0), den) for j in range(len(space))])
-            for vec, den in vectors]
+    images = [op(f) for f in space]
+    system = _transposed(form_rows(images))
+    free, vectors = kernel_vectors([system[key] for key in sorted(system)], len(space))
+    # column j is image j times its den s_j: undo the scales, keeping the unit at the free column
+    scales = [f.den for f in images]
+    return [space.combination([vec.get(j, 0) * s for j, s in enumerate(scales)],
+                              den=den * scales[c]) for c, (vec, den) in zip(free, vectors)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +276,16 @@ def check_orthogonality(n, k, cell=None):
     cell = cell or CellBox.reference(n)
     primal = basis(Q1MINUS, k, cell)
     dual = basis(Q1MINUS_STAR, k, cell)
-    table = cell.pairing_table([(omega,) for omega in primal], [(mu,) for mu in dual])
+    table, den = cell.pairing_terms(scaled_terms([(omega,) for omega in primal]),
+                                    scaled_terms([(mu,) for mu in dual]))
     for (sigma, tau), row in zip(primal.labels, table):
         for (sigma2, tau2), value in zip(dual.labels, row):
             diagonal = sigma == sigma2 and tau == tau2 == ()
-            if diagonal and value != cell.volume:
+            if value != (cell.volume * den if diagonal else 0):  # in integers over den
+                pair = (f"<dx{sigma}, dx{sigma2}>" if diagonal
+                        else f"<t{tau} dx{sigma}, t{tau2} dx{sigma2}>")
                 return CheckReport("dual_orthogonality", n, k, False,
-                                   counterexample=f"<dx{sigma}, dx{sigma2}> = {value}")
-            if not diagonal and value != 0:
-                return CheckReport(
-                    "dual_orthogonality", n, k, False,
-                    counterexample=f"<t{tau} dx{sigma}, t{tau2} dx{sigma2}> = {value}")
+                                   counterexample=f"{pair} = {Fraction(value, den)}")
     return CheckReport("dual_orthogonality", n, k, True)
 
 
@@ -302,17 +305,19 @@ def check_ap_identity(k, n, cell=None):
     projector = LocalProjector(k, cell)
     trial = basis(Q1MINUS, k, cell)
     tests = basis(Q1MINUS_STAR, k + 1, cell)
-    a_rows, a_den = cell.pairing_integers(
-        [(phi.exterior_derivative(), phi) for phi in projector.trial],
-        [(mu, -mu.codifferential()) for mu in tests])
-    b_rows = adjoint_table(trial, tests, cell)
+    test_side = scaled_terms([(mu, -mu.codifferential()) for mu in tests])
+    a_rows, a_den = cell.pairing_terms(
+        scaled_terms([(phi.exterior_derivative(), phi) for phi in projector.trial]), test_side)
+    b_rows, b_den = cell.pairing_terms(
+        scaled_terms([(omega.exterior_derivative(), omega) for omega in trial]), test_side)
     for (sig, tau), omega, b_row in zip(trial.labels, trial.elements, b_rows):
-        c_ints, c_den = integer_scaled(projector.coefficients(omega))
+        c_ints, c_den = projector.integers(omega)
         for (sig2, tau2), a_col, rhs in zip(tests.labels, zip(*a_rows), b_row):
-            lhs = Fraction(sum(map(mul, c_ints, a_col)), c_den * a_den)
-            if lhs != rhs:
+            lhs = sum(map(mul, c_ints, a_col))
+            if lhs * b_den != rhs * c_den * a_den:  # lhs / (c_den a_den) against rhs / b_den
                 return CheckReport(
                     "projection_pairing", n, k, False,
                     counterexample=(f"omega = t{tau} dx{sig}, mu = t{tau2} dx{sig2}: "
-                                    f"{lhs} != {rhs}"))
+                                    f"{Fraction(lhs, c_den * a_den)} != "
+                                    f"{Fraction(rhs, b_den)}"))
     return CheckReport("projection_pairing", n, k, True)

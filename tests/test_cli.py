@@ -81,6 +81,28 @@ def test_deterministic_stdout_is_byte_identical_to_the_recorded_hash(command):
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
+def test_verify_timings_go_to_stderr_only():
+    command = "verify --dim 2 --grid 3,3 --seed 1"
+    code, out, err = run_cli([*command.split(), "--timings"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+    lines = err.splitlines()
+    suites = ["operator_law_suite", "local_space_suite", "projection_suite", "mesh_suite"]
+    assert [line.split(":")[0] for line in lines] == suites
+    assert all(float(line.split()[1]) >= 0 and line.endswith(" s") for line in lines)
+    _, _, quiet = run_cli(command.split())
+    assert quiet == ""
+
+
+def test_config_file_turns_on_timings(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timings = true\nseed = 1\n")
+    code, out, err = run_cli(["verify", "--dim", "1", "--config", str(cfg)])
+    assert code == 0 and out == run_cli(["verify", "--dim", "1", "--seed", "1"])[1]
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "operator_law_suite", "local_space_suite", "projection_suite"]
+
+
 def test_dimension_bound_rejected():
     code, _, err = run_cli(["verify", "--dim", "9"])
     assert code == 2

@@ -678,3 +678,119 @@ class TestResultsStayClean:
         with pytest.raises(ValueError):
             Polynomial(2, {(1, 0): 1}) + Polynomial(3, {(1, 0, 0): 1})
 
+
+
+# -- the canonical form: integers over one denominator, in lowest terms -----
+# Each polynomial is stored as {exponents: int} over one positive den with no
+# common factor, so equal values built by different routes are equal and
+# hash equally.
+
+
+def assert_same_value(got, expected):
+    assert got == expected and hash(got) == hash(expected)
+
+
+class TestLowestTerms:
+    def test_equal_fractions_give_one_polynomial(self):
+        half = Polynomial(2, {(1, 0): Fraction(1, 2)})
+        for c in (Fraction(2, 4), "2/4", "1/2", Fraction(-3, -6)):
+            assert_same_value(Polynomial(2, {(1, 0): c}), half)
+        assert half.terms == {(1, 0): 1} and half.den == 2
+        assert Polynomial(2, {(0, 0): 4, (1, 0): 0}).den == 1
+
+    def test_a_product_sharing_a_factor_with_its_denominator(self):
+        # (2/3 x1) (3/4 x2): integers 2 * 3 over 3 * 4, a common factor 6
+        p = Polynomial(2, {(1, 0): Fraction(2, 3)}) * Polynomial(2, {(0, 1): Fraction(3, 4)})
+        assert_same_value(p, Polynomial(2, {(1, 1): Fraction(1, 2)}))
+        assert (p.terms, p.den) == ({(1, 1): 1}, 2)
+        q = Polynomial(2, {(1, 0): Fraction(5, 6), (0, 0): Fraction(1, 6)}) * 6
+        assert_same_value(q, Polynomial(2, {(1, 0): 5, (0, 0): 1}))
+        assert q.den == 1
+        assert_same_value(Polynomial(2, {(1, 0): Fraction(4, 9)}) * Fraction(3, 2),
+                          Polynomial(2, {(1, 0): Fraction(2, 3)}))
+
+    def test_a_sum_whose_survivors_share_a_factor_with_the_denominator(self):
+        # x/2 + y/6 and x/2 - y/6 over 6: the survivor 6x has content 6
+        a = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 6)})
+        b = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 6)})
+        assert_same_value(a + b, x(2, 1))
+        assert (a + b).den == 1
+        assert_same_value(a - b, Polynomial(2, {(0, 1): Fraction(1, 3)}))
+        assert_same_value(a - a, Polynomial(2))
+        assert (a - a).terms == {} and (a - a).den == 1
+
+    def test_combinations_and_koszul_about_a_rational_center(self):
+        n = 2
+        f = PolyForm(n, 1, {(1,): Polynomial(n, {(1, 0): Fraction(1, 3), (0, 0): 1}),
+                            (2,): Polynomial(n, {(0, 1): Fraction(2, 3)})})
+        g = PolyForm(n, 1, {(1,): Polynomial(n, {(1, 0): Fraction(2, 3), (0, 0): -1}),
+                            (2,): Polynomial(n, {(0, 1): Fraction(1, 3)})})
+        # (f + g) / 2 = x1/2 dx1 + x2/2 dx2; 3 (f - g) / 2 = (3 - x1/2) dx1 + x2/2 dx2
+        got = linear_combination(n, 1, [Fraction(1, 2), Fraction(1, 2)], [f, g])
+        assert_same_value(got, PolyForm(n, 1, {(1,): Polynomial(n, {(1, 0): "1/2"}),
+                                               (2,): Polynomial(n, {(0, 1): "1/2"})}))
+        got = Combination(n, 1, [f, g])([3, -3], den=2)
+        assert_same_value(got, PolyForm(n, 1, {(1,): Polynomial(n, {(1, 0): "-1/2", (0, 0): 3}),
+                                               (2,): Polynomial(n, {(0, 1): "1/2"})}))
+        moved = Combination(n, 1, [f])([6], (Fraction(3, 2), 0))  # 6 f(x - (3/2, 0))
+        assert_same_value(moved, PolyForm(n, 1, {(1,): Polynomial(n, {(1, 0): 2, (0, 0): 3}),
+                                                 (2,): Polynomial(n, {(0, 1): 4})}))
+        # kappa(2 dx1) about (1/2, 0) is 2 (x1 - 1/2) = 2 x1 - 1, over 1
+        got = PolyForm.covector(n, (1,), 2).koszul((Fraction(1, 2), 0))
+        assert_same_value(got, PolyForm.from_scalar(Polynomial(n, {(1, 0): 2, (0, 0): -1})))
+        assert got.parts[()].den == 1
+        # kappa(dx1 ^ dx2 / 4) about (1/2, 1/3): ((x1 - 1/2) dx2 - (x2 - 1/3) dx1) / 4
+        got = PolyForm.covector(n, (1, 2), Fraction(1, 4)).koszul((Fraction(1, 2), Fraction(1, 3)))
+        assert_same_value(got, PolyForm(n, 1, {
+            (1,): Polynomial(n, {(0, 1): "-1/4", (0, 0): "1/12"}),
+            (2,): Polynomial(n, {(1, 0): "1/4", (0, 0): "-1/8"})}))
+
+
+def shared_factor_form(n, k, rng, top):
+    """Seeded form whose coefficients have non-unit denominators that share factors
+    with each other and with the numerators, so that sums and products cancel them."""
+    parts = {}
+    for alpha in multi_indices(k, n):
+        if rng.random() < 0.8:
+            parts[alpha] = Polynomial(n, {
+                tuple(rng.randint(0, top) for _ in range(n)):
+                    Fraction(rng.choice([1, 2, 3, 4, 6]) * rng.randint(-4, 4), rng.choice([2, 3, 4, 6, 12]))
+                for _ in range(4)})
+    return PolyForm(n, k, parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_non_unit_denominators_match_the_fraction_references(n):
+    rng = random.Random(300 + n)
+    box = random_box(n, rng)
+    centers = [None, box.center, random_box(n, rng).center]
+    seen = set()
+    for k in range(n + 1):
+        for _ in range(3):
+            w = shared_factor_form(n, k, rng, 3)
+            seen |= {p.den for p in w.parts.values()}
+            for got, expected in [(w.exterior_derivative(), ref_d(w)), (w.hodge(), ref_hodge(w))]:
+                assert_clean(got)
+                assert_same_value(got, expected)
+            if k:
+                got = w.codifferential()
+                assert_clean(got)
+                assert_same_value(got, ref_codifferential(w))
+                for center in centers:
+                    got = w.koszul(center)
+                    assert_clean(got)
+                    assert_same_order(got, ref_koszul(w, center))
+                    assert hash(got) == hash(ref_koszul(w, center))
+            m = shared_factor_form(n, k, rng, 3)
+            for p, q in zip(w.parts.values(), m.parts.values()):
+                for got, expected in [(p * q, ref_product(p, q)), (p + q, ref_sum([p, q], n)),
+                                      (p * Fraction(6, 4), ref_scale(p, Fraction(3, 2)))]:
+                    assert_clean(got)
+                    assert_same_value(got, expected)
+            got = w.inner_product(m, box)
+            assert type(got) is Fraction and got == ref_inner_product(w, m, box)
+            if k < n:
+                mu = shared_factor_form(n, k + 1, rng, 3)
+                got = adjoint_table([w], [mu], box)[0][0]
+                assert got == ref_adjoint_pairing(w, mu, box)
+    assert seen - {1}  # the draws did reach non-unit denominators

@@ -298,9 +298,10 @@ def test_a_perturbed_incidence_entry_fails_at_a_dof_and_cell(monkeypatch, bc):
     shape = tables(mesh, 1, mesh.n_cells - 1)
     ci = first_cell_of(mesh, shape)
     a = face_dofs(1, mesh, interior=bc).cell_dofs[ci][0][0]
-    perturbed = [list(row) for row in shape.incidence]
-    perturbed[0][a] += 1
-    monkeypatch.setitem(shape.__dict__, "incidence", perturbed)
+    rows, den = shape.incidence
+    perturbed = [list(row) for row in rows]
+    perturbed[0][a] += den  # one more, in integers over den
+    monkeypatch.setitem(shape.__dict__, "incidence", (perturbed, den))
     report = check_conforming_complex(mesh, with_boundary_conditions=bc)
     assert not report.passed and report.k == 1
     dof, cell = named_dof_and_cell(report)

@@ -257,6 +257,7 @@ KEPT = {
     "fields.FormField.d_at": "the pointwise oracle of the catalog's separable evaluation",
     "quadrature.box_rule": "the pointwise quadrature oracle of the shape tabulations",
     "projection.check_commuting": "the exact cell-wise commuting check of acceptance criterion 2",
+    "forms.Polynomial.coeffs": "the Fraction view that the tests' references and callers read",
 }
 
 

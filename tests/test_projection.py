@@ -142,20 +142,32 @@ def test_wellposed_on_random_rational_boxes():
                 LocalProjector(k, cell)  # raises RuntimeError when singular
 
 
+def system_inverse(projector):
+    """The Fraction inverse of the projector's system, from its pairing table."""
+    cell, trial = projector.cell, projector.trial
+    if projector.k == cell.n:
+        tests, left = [(trial[0],)], [(phi,) for phi in trial]
+    else:
+        tests = [(mu, -mu.codifferential()) for mu in projector.tests]
+        left = [(phi.exterior_derivative(), phi) for phi in trial]
+    return exactla.invert(cell.pairing_table(tests, left))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_integer_product_matches_the_fraction_product(n):
     # the inverse applied as integers over one denominator, against the
-    # plain Fraction product of the inverse with the right-hand side
+    # plain Fraction product of the system's inverse with the right-hand side
     rng = random.Random(200 + n)
     for cell in (CellBox.reference(n), stretched_box(n), random_box(n, rng), random_box(n, rng)):
         for k in range(n + 1):
             projector = LocalProjector(k, cell)
+            inverse = system_inverse(projector)
             forms = [PolyForm(n, k)] + [random_form(n, k, rng) for _ in range(3)]
             for omega in forms + list(projector.trial):
                 ints, den = projector._rhs(omega)
                 rhs = [Fraction(v, den) for v in ints]
                 expected = [sum((a * b for a, b in zip(row, rhs)), Fraction(0))
-                            for row in projector.inverse]
+                            for row in inverse]
                 got = projector.coefficients(omega)
                 assert got == expected and all(type(c) is Fraction for c in got)
 
@@ -251,26 +263,30 @@ def test_verify_builds_projectors_and_inverses_once(monkeypatch):
     # k = 0..2), 16 in the projection suite (one per k = 0..3 and box, 4
     # boxes; the bubble and the commuting check reuse them) and 3 in the
     # mesh suite (P^(k+1) of the commuting squares on the mesh's one cell
-    # shape, k = 0..2).  Each inverts one system; the 4
+    # shape, k = 0..2).  Each inverts one system (``inverse_integers``); the 4
     # further inverses are the face-DOF Vandermonde inverses of the mesh's
     # shape, one per degree.  The shape's projection patterns are scaled from
     # the reference cell's, whose tables are built once per process: on a
     # first run one projector and one Vandermonde inverse per degree more.
     local.reference.cache_clear()
     counts = {"projectors": 0, "invert": 0}
-    real_invert, real_init = exactla.invert, projection.LocalProjector.__init__
+    real_init = projection.LocalProjector.__init__
 
-    def counting_invert(*args, **kwargs):
-        counts["invert"] += 1
-        return real_invert(*args, **kwargs)
+    def counting(real):
+        def counting_invert(*args, **kwargs):
+            counts["invert"] += 1
+            return real(*args, **kwargs)
+        return counting_invert
 
     def counting_init(self, *args, **kwargs):
         counts["projectors"] += 1
         real_init(self, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("boxforms") and getattr(module, "invert", None) is real_invert:
-            monkeypatch.setattr(module, "invert", counting_invert)
+        if name.startswith("boxforms") and name != "boxforms.exactla":
+            for fn in ("invert", "inverse_integers"):
+                if getattr(module, fn, None) is getattr(exactla, fn):
+                    monkeypatch.setattr(module, fn, counting(getattr(exactla, fn)))
     monkeypatch.setattr(projection.LocalProjector, "__init__", counting_init)
     argv = ["verify", "--dim", "3", "--grid", "2,2,2", "--flavor", "interior"]
     for expected in ({"projectors": 25 + 4, "invert": 29 + 8}, {"projectors": 25, "invert": 29}):

@@ -380,14 +380,14 @@ def test_table_checks_match_the_per_pair_loops(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_checks_match_the_per_pair_loops_on_perturbed_input(n, monkeypatch):
-    real_basis, real_coefficients = spaces.basis, LocalProjector.coefficients
+    real_basis, real_integers = spaces.basis, LocalProjector.integers
 
     def off_by_one(self, omega):
         # one coefficient of the projection of the last Q1minus form
-        coeffs = real_coefficients(self, omega)
+        ints, den = real_integers(self, omega)
         if omega == real_basis(Q1MINUS, self.k, self.cell).elements[-1]:
-            coeffs[0] += 1
-        return coeffs
+            ints[0] += den  # one more, in integers over den
+        return ints, den
 
     def scaled_star(kind, k, cell):
         # the first Q1minusStar element (a constant form) times 3/2
@@ -400,7 +400,7 @@ def test_table_checks_match_the_per_pair_loops_on_perturbed_input(n, monkeypatch
     for perturbed in ("coefficient", "star element"):
         with monkeypatch.context() as patch:
             if perturbed == "coefficient":
-                patch.setattr(LocalProjector, "coefficients", off_by_one)
+                patch.setattr(LocalProjector, "integers", off_by_one)
             else:
                 patch.setattr(spaces, "basis", scaled_star)
             for cell in report_cells(n):
