@@ -90,8 +90,7 @@ _COMMANDS = ("verify", "convergence", "solve", "basis")
 
 
 def _apply_config_file(parser, argv):
-    """Expand ``--config FILE`` into flags placed before the explicit ones; the
-    value ``true`` sets an on/off flag such as ``--timings``.
+    """Expand ``--config FILE`` into flags placed before the explicit ones.
 
     Explicit flags come later on the command line, so they win.
     """
@@ -110,8 +109,7 @@ def _apply_config_file(parser, argv):
                 key, sep, value = line.partition("=")
                 if not sep:
                     parser.error(f"bad config line {line!r}; expected key = value")
-                flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
-                injected += [flag] if value == "true" else [flag, value]
+                injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
     except OSError as err:
         parser.error(f"cannot read config file: {err}")
     at = next((i for i, tok in enumerate(argv) if tok in _COMMANDS), None)

@@ -562,14 +562,16 @@ class Combination:
         return parts, c_den * den * d
 
     def __call__(self, coeffs, shift=None, den=1):
-        return self._form(*self.integers(coeffs, shift, den))
+        return self.form(*self.integers(coeffs, shift, den))
 
     def moved(self, shift):
-        """Every form moved, ``forms[j](x - shift)``, the shift turned to integers once."""
+        """Every form moved, ``forms[j](x - shift)``, as ``integers`` gives it (all over one
+        den), the shift turned to integers once."""
         shifted = self._shifted(shift)
-        return [self._form(*self._sum([(1, terms)], shifted)) for terms in self.terms]
+        return [self._sum([(1, terms)], shifted) for terms in self.terms]
 
-    def _form(self, parts, den):
+    def form(self, parts, den):
+        """The PolyForm of ``integers``' (parts, den)."""
         return PolyForm._of(self.n, self.k, {a: Polynomial._lowest(self.n, p, den)
                                              for a, p in parts.items()})
 

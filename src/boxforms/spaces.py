@@ -130,7 +130,9 @@ def basis(kind, k, cell):
     """Canonical basis of the requested space on the given cell: its family, moved
     from the origin to the cell's center."""
     family = _family(kind, k, cell.n)
-    elements = family.combination.moved(cell.center) if any(cell.center) else list(family)
+    combine = family.combination
+    elements = ([combine.form(*moved) for moved in combine.moved(cell.center)]
+                if any(cell.center) else list(family))
     return SpaceBasis(kind, k, cell, elements, list(family.labels))
 
 

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -35,12 +35,11 @@ def stretched_box(n):
 def random_polynomial(n, rng, degree=3, terms=4):
     coeffs = {}
     for _ in range(terms):
-        e = tuple([rng.randint(0, degree) for _ in range(n)])
+        e = tuple(rng.randint(0, degree) for _ in range(n))
         if sum(e) > degree:
             e = tuple(min(v, 1) for v in e)
-        coeffs[e] = rng.randint(-3, 3), rng.randint(1, 4)  # numerator, denominator
-    den = lcm(*(d for _, d in coeffs.values()))
-    return Polynomial._lowest(n, {e: a * (den // d) for e, (a, d) in coeffs.items() if a}, den)
+        coeffs[e] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return Polynomial(n, coeffs)
 
 
 def random_form(n, k, rng, degree=3):
@@ -280,15 +279,17 @@ def mesh_suite(n, divisions, flavors=FLAVORS):
 def run_verify(n, ks=None, divisions=None, seed=0, flavors=FLAVORS, timings=None):
     """The whole exact suite for one ambient dimension; each suite's wall seconds go
     into the dict ``timings``, if given, by suite name."""
-    suites = {"operator_law_suite": lambda: operator_law_suite(n, seed=seed),
-              "local_space_suite": lambda: local_space_suite(n, ks),
-              "projection_suite": lambda: projection_suite(n, seed=seed, ks=ks)}
-    if divisions:
-        suites["mesh_suite"] = lambda: mesh_suite(n, divisions, flavors)
-    reports = []
-    for name, suite in suites.items():
+    def timed(suite, *args, **kwargs):
         start = time.perf_counter()
-        reports += suite()
+        out = suite(*args, **kwargs)
         if timings is not None:
-            timings[name] = time.perf_counter() - start
+            timings[suite.__name__] = time.perf_counter() - start
+        return out
+
+    reports = []
+    reports += timed(operator_law_suite, n, seed=seed)
+    reports += timed(local_space_suite, n, ks)
+    reports += timed(projection_suite, n, seed=seed, ks=ks)
+    if divisions:
+        reports += timed(mesh_suite, n, divisions, flavors)
     return reports

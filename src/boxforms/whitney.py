@@ -44,7 +44,7 @@ import numpy as np
 from . import local, spaces
 from .exactla import (independent_rows, integer_matrices, integer_scaled, kernel_vectors, rank,
                       spans_equal)
-from .forms import PolyForm, print_order, scaled_terms
+from .forms import PolyForm, print_order
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
 from .reports import CheckReport
@@ -78,10 +78,8 @@ class PiecewiseWhitney:
         moved = self.mesh.moved_bases
         if (self.k, cell_id) not in moved:  # the reference basis moved there, term by term
             columns, combine = {}, local.reference(self.mesh.n, self.k).basis.combination
-            parts, moved_den = scaled_terms(
-                [(f,) for f in combine.moved(self.mesh.cells[cell_id].center)])
-            for j, part in enumerate(parts):
-                for (_, alpha), terms in part.items():
+            for j, (parts, moved_den) in enumerate(combine.moved(self.mesh.cells[cell_id].center)):
+                for alpha, terms in parts.items():
                     for e, t in terms.items():
                         columns.setdefault(alpha, {}).setdefault(e, []).append(
                             (self.col(cell_id, j), t))

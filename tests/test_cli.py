@@ -94,15 +94,6 @@ def test_verify_timings_go_to_stderr_only():
     assert quiet == ""
 
 
-def test_config_file_turns_on_timings(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("timings = true\nseed = 1\n")
-    code, out, err = run_cli(["verify", "--dim", "1", "--config", str(cfg)])
-    assert code == 0 and out == run_cli(["verify", "--dim", "1", "--seed", "1"])[1]
-    assert [line.split(":")[0] for line in err.splitlines()] == [
-        "operator_law_suite", "local_space_suite", "projection_suite"]
-
-
 def test_dimension_bound_rejected():
     code, _, err = run_cli(["verify", "--dim", "9"])
     assert code == 2
