@@ -1,7 +1,7 @@
 """Exact Gaussian elimination over the rationals: rank, kernels, solves, spans.
 
 One sparse routine, ``_eliminate``, backs ``rank``, ``kernel_vectors``,
-``invert``, ``independent_subset`` and ``independent_rows``, and
+``inverse_integers``, ``independent_subset`` and ``independent_rows``, and
 ``solve_consistent`` when its modular solve proves nothing.  Rows are
 dense lists or sparse ``{column: value}`` dicts; ``rank`` and the span
 utilities take any sortable column keys, such as the ``(index,
@@ -48,11 +48,11 @@ def integer_scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def integer_matrices(matrices):
-    """(integer matrices, den): matrices of ints and Fractions as integers over one den."""
-    ints, den = integer_scaled([v for rows in matrices for row in rows for v in row])
-    ints = iter(ints)
-    return [[[next(ints) for _ in row] for row in rows] for rows in matrices], den
+def common_denominator(tables):
+    """(integer matrices, den): (rows, den) integer tables over the lcm of their entries'
+    reduced denominators; one table comes back in lowest terms."""
+    den = lcm(*(d // gcd(d, *(v for row in rows for v in row)) for rows, d in tables))
+    return [[[v * den // d for v in row] for row in rows] for rows, d in tables], den
 
 
 def primitive_part(values, den=1):
@@ -145,23 +145,18 @@ def kernel_vectors(matrix, ncols):
                                              entries[fc]])), den) for fc, den in zip(free, dens)]
 
 
-def inverse_integers(matrix):
-    """(rows, den): the exact inverse of a square nonsingular matrix as integer rows over
-    one denominator, the lcm of the reduced pivot rows' leading entries."""
+def inverse_integers(matrix, den=1):
+    """(rows, d): the exact inverse of a square nonsingular matrix over ``den`` as integer
+    rows over one denominator, in lowest terms."""
     n = len(matrix)
     pivots, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
                             for i, row in enumerate(matrix)])
     if sorted(pivots) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    den = lcm(*(pivots[i][i] for i in range(n)))
-    return [[pivots[i].get(n + j, 0) * (den // pivots[i][i]) for j in range(n)]
-            for i in range(n)], den
-
-
-def invert(matrix):
-    """Exact inverse of a square nonsingular matrix, as Fractions."""
-    rows, den = inverse_integers(matrix)
-    return [[Fraction(v, den) for v in row] for row in rows]
+    d = lcm(*(pivots[i][i] for i in range(n)))  # (matrix / den)^-1 is den times matrix^-1
+    (rows,), d = common_denominator([([[pivots[i].get(n + j, 0) * (d // pivots[i][i]) * den
+                                        for j in range(n)] for i in range(n)], d)])
+    return rows, d
 
 
 def solve_consistent(rows, rhs, ncols):

@@ -37,7 +37,7 @@ def check_unisolvence(mesh, k):
     every cell; a failure names the shape's first cell.
     """
     for ci, shape in shapes(mesh, k):
-        if rank(shape.vandermonde) != len(shape.q_basis):
+        if rank(shape.vandermonde[0]) != len(shape.q_basis):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {mesh.cell_tuples[ci]}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)

@@ -8,18 +8,19 @@ tables of [-1, 1]^n once per process, on first use.  P1minus basis
 function j, labelled by an index tuple e_j (sigma of dx^sigma, gamma of the
 Koszul lift of dx^gamma), pulls back to h^e_j times the reference's, h the
 half-widths, and face functions and the projector commute with the
-pullback.  So ``patterns[a][j] = ref.patterns[a][j] / h^e_j`` and the gluing
-pairings are the reference's times h^e_j, both scaled in integers, and
-``energy[i][j] = h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I) T_I[i][j]`` with T_I
-the reference's mass (I a k-index) or stiffness ((k+1)-index) table on
-component I, summed in integers (``energy_integers``): all equal the tables
-built on the cell.  Face DOFs and functions, the projector, d-matrix and
-Gauss tabulations are built on the shape's own box, from the families
-``spaces.basis`` builds once at the origin and moves there.
+pullback.  So projection pattern a is the reference's with column j over
+h^e_j (``integer_patterns``), the gluing pairings are the reference's times
+h^e_j, and energy entry (i, j) is ``h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I)
+T_I[i][j]`` with T_I the reference's mass (I a k-index) or stiffness
+((k+1)-index) table on component I (``energy_integers``): all equal the
+tables built on the cell.  Face DOFs and functions, the projector, d-matrix
+and Gauss tabulations are built on the shape's own box, from the families
+``spaces.basis`` builds once at the origin and moves there.  Every exact
+table is one (integer rows, den) pair in lowest terms; a float table divides
+its integers, ``int / int``, which rounds once, as a Fraction's float does.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
 from operator import getitem
@@ -27,8 +28,8 @@ from operator import getitem
 import numpy as np
 
 from . import spaces
-from .exactla import integer_matrices, integer_scaled, invert, primitive_part
-from .forms import CellBox, PolyForm, adjoint_table
+from .exactla import common_denominator, integer_scaled, inverse_integers, primitive_part
+from .forms import CellBox, PolyForm, scaled_terms
 from .mesh import local_faces
 from .projection import LocalProjector
 from .quadrature import centered_rule, form_array
@@ -40,12 +41,14 @@ def face_plane(cell, axes, shift):
 
 
 def face_dof_matrix(cell, forms):
-    """Face DOFs of same-degree forms on one cell, rows in local face order: on
-    face a, the integral of the trace, the pairing with dx^axes on the face plane."""
+    """(rows, den): face DOFs of same-degree forms on one cell, rows in local face order:
+    on face a, the integral of the trace, the pairing with dx^axes on the face plane."""
     faces = local_faces(cell.n, forms[0].k)
-    return cell.pairing_table([(PolyForm.covector(cell.n, axes),) for axes, _ in faces],
-                              [(phi,) for phi in forms],
-                              [face_plane(cell, axes, shift) for axes, shift in faces])
+    (rows,), den = common_denominator([cell.pairing_terms(
+        scaled_terms([(PolyForm.covector(cell.n, axes),) for axes, _ in faces]),
+        scaled_terms([(phi,) for phi in forms]),
+        [face_plane(cell, axes, shift) for axes, shift in faces])])
+    return rows, den
 
 
 #: Gauss offsets from the cell center (point, axis), weights (point,), and the
@@ -74,14 +77,10 @@ class LocalTables:
         # h_a^m as an integer over the cube of h_a's denominator
         powers = [[x.numerator ** m * x.denominator ** (3 - m) for m in range(4)] for x in h]
         den *= prod(x.denominator for x in h) ** 3
-        return [[sum(c * prod(map(getitem, powers, m)) for m, c in entry) for entry in row]
-                for row in terms], den
-
-    @cached_property
-    def energy(self):
-        """The energy matrix as Fractions: ``energy_integers`` over its denominator."""
-        rows, den = self.energy_integers
-        return [[Fraction(v, den) for v in row] for row in rows]
+        (rows,), den = common_denominator([(
+            [[sum(c * prod(map(getitem, powers, m)) for m, c in entry) for entry in row]
+             for row in terms], den)])
+        return rows, den
 
     @cached_property
     def energy_terms(self):
@@ -106,12 +105,13 @@ class LocalTables:
 
     @cached_property
     def energy_inverse(self):
-        """Exact inverse of the local energy matrix (symmetric, like the matrix)."""
-        return invert(self.energy)
+        """(rows, den): the exact inverse of the energy matrix (symmetric, like the matrix)."""
+        return inverse_integers(*self.energy_integers)
 
     @cached_property
     def energy_float(self):
-        return np.array(self.energy, dtype=float)
+        rows, den = self.energy_integers
+        return np.array([[v / den for v in row] for row in rows])
 
     @cached_property
     def d_matrix(self):
@@ -121,8 +121,8 @@ class LocalTables:
         cols = [spaces.expand_in_span(target, phi.exterior_derivative()) for phi in self.basis]
         if None in cols:
             raise AssertionError("d of a Whitney form left the Whitney space")
-        (cols,), den = integer_matrices([cols])
-        return cols, den
+        ints, den = integer_scaled([v for col in cols for v in col])
+        return [ints[i:i + len(target)] for i in range(0, len(ints), len(target))], den
 
     @cached_property
     def q_basis(self):
@@ -130,17 +130,18 @@ class LocalTables:
 
     @cached_property
     def vandermonde(self):
-        """Face-DOF Vandermonde of Q1minus^k: row a, the DOFs on local face a."""
+        """(rows, den): the face-DOF Vandermonde of Q1minus^k, row a the DOFs on local face a."""
         return face_dof_matrix(self.cell, self.q_basis)
 
     @cached_property
     def vandermonde_inverse(self):
-        """Inverse face-DOF Vandermonde of Q1minus^k; column a gives face function a."""
-        return invert(self.vandermonde)
+        """(rows, den): the inverse face-DOF Vandermonde; column a gives face function a."""
+        return inverse_integers(*self.vandermonde)
 
     def face_function(self, local, a):
         """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""
-        return local.combination([row[a] for row in self.vandermonde_inverse])
+        rows, den = self.vandermonde_inverse
+        return local.combination([row[a] for row in rows], den=den)
 
     @cached_property
     def face_functions(self):
@@ -156,9 +157,7 @@ class LocalTables:
         ``d f_a == sum_b rows[b][a] / den * f_b`` with f_b the degree-(k+1)
         face functions of the same cell.
         """
-        (rows,), den = integer_matrices([face_dof_matrix(
-            self.cell, [f.exterior_derivative() for f in self.face_functions])])
-        return rows, den
+        return face_dof_matrix(self.cell, [f.exterior_derivative() for f in self.face_functions])
 
     @cached_property
     def projector(self):
@@ -173,15 +172,10 @@ class LocalTables:
                 for _, e in reference(self.cell.n, self.k).basis.labels], prod(den)
 
     @cached_property
-    def patterns(self):
-        """P1minus coefficients of the adjoint projection of each face function:
-        ``integer_patterns`` as Fractions."""
-        return [[s * p.get(j, 0) for j in range(len(self.basis))] for s, p in self.integer_patterns]
-
-    @cached_property
     def integer_patterns(self):
-        """Per local face: (s, primitive integer pattern {j: int}), the pattern s times it;
-        off the reference, the reference's with column j times h^-e_j, made primitive."""
+        """Per local face a: (s, primitive integer pattern {j: int}), s times it the P1minus
+        coefficients of the adjoint projection of face function a; off the reference, the
+        reference's with column j times h^-e_j, made primitive."""
         ref = reference(self.cell.n, self.k)
         if ref is self:
             return [primitive_part(*self.projector.integers(f)) for f in self.face_functions]
@@ -192,21 +186,28 @@ class LocalTables:
 
     @cached_property
     def gluing_pairings(self):
-        """Row a, column j: ``adjoint_table([phi_j], [star f_a])``, f_a face function a of
-        Q1minus^(n-k-1): one cell's gluing constraint entries.  The pairing is a boundary
+        """(rows, den): row a, column j, ``adjoint_table([phi_j], [star f_a])``, f_a face function
+        a of Q1minus^(n-k-1): one cell's gluing constraint entries.  The pairing is a boundary
         integral of traces, so off the reference it is the reference's times h^e_j."""
         n, ref = self.cell.n, reference(self.cell.n, self.k)
         if ref is self:
             tests = [f.hodge() for f in reference(n, n - self.k - 1).face_functions]
-            return [list(col) for col in zip(*adjoint_table(self.basis, tests, self.cell))]
-        scales, den = self._column_scales(up=True)
-        return [[Fraction(v.numerator * c, v.denominator * den) for v, c in zip(row, scales)]
-                for row in ref.gluing_pairings]
+            # <mu, d phi> - <delta mu, phi>: the adjoint table, transposed
+            table = self.cell.pairing_terms(
+                scaled_terms([(mu, -mu.codifferential()) for mu in tests]),
+                scaled_terms([(phi.exterior_derivative(), phi) for phi in self.basis]))
+        else:
+            (rows, d), (scales, den) = ref.gluing_pairings, self._column_scales(up=True)
+            table = [[v * c for v, c in zip(row, scales)] for row in rows], d * den
+        (rows,), den = common_denominator([table])
+        return rows, den
 
     @cached_property
     def float_patterns(self):
-        """The patterns as a (local face, j) float array, each the float of its Fraction."""
-        return np.array([[c.numerator / c.denominator for c in p] for p in self.patterns])
+        """The patterns as a (local face, j) float array, each entry s * p_j as one
+        ``int / int``."""
+        return np.array([[s.numerator * p.get(j, 0) / s.denominator for j in range(len(self.basis))]
+                         for s, p in self.integer_patterns])
 
     def tabulation(self, order):
         """Basis values and d-values at the Gauss points of the given order."""

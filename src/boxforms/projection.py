@@ -37,12 +37,10 @@ class LocalProjector:
         rows, den = cell.pairing_terms(self._test_terms,
                                        scaled_terms([self._left(phi) for phi in self.trial]))
         try:
-            inverse, inverse_den = inverse_integers(rows)
+            self._inverse_ints, self._inverse_den = inverse_integers(rows, den)
         except SingularMatrixError as err:
             raise RuntimeError(
                 f"adjoint projection system singular for k={k} on {cell}") from err
-        # the matrix is rows / den, so its inverse is den times that of rows
-        self._inverse_ints, self._inverse_den = [[v * den for v in r] for r in inverse], inverse_den
 
     def _left(self, omega):
         """omega's entry: ``(d omega, omega)``; on top degree ``(omega,)``, for the volume form."""

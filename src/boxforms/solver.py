@@ -2,10 +2,10 @@
 
 The bilinear form is ``<d_h w, d_h m> + <w, m>`` summed over cells; its
 Gram matrix doubles as the square of the broken energy norm.  Stiffness
-and mass entries are assembled exactly (rational local matrices, cast to
-float only at the end) into a sparse Gram matrix ``V^T E V``; only load
-vectors, error norms and consistency functionals of non-polynomial data
-use quadrature.  A generating set's V is scattered from its shapes' float
+and mass entries are exact (each shape's energy is integer rows over one
+denominator, divided once to floats) in a sparse Gram matrix ``V^T E V``;
+only load vectors, error norms and consistency functionals of non-polynomial
+data use quadrature.  A generating set's V is scattered from its shapes' float
 projection patterns, and its pruning reads the exact supports of their
 integer forms, eliminating integer rows only when two vectors' leading
 columns collide (``whitney.GeneratorSpace``), so the float path makes no
@@ -52,7 +52,7 @@ import numpy as np
 import scipy.sparse
 
 from . import local
-from .exactla import integer_matrices, integer_scaled, solve_consistent
+from .exactla import common_denominator, integer_scaled, solve_consistent
 from .fields import manufactured
 from .forms import Combination, PolyForm, scaled_terms
 from .mesh import build_grid
@@ -296,7 +296,7 @@ def condensed_solution(problem):
     """
     pw = problem.space.pw
     mesh, k, shape_of = pw.mesh, pw.k, pw.mesh.cell_shapes[0].tolist()
-    inverses, d_a = integer_matrices([t.energy_inverse for _, t in local.shapes(mesh, k)])
+    inverses, d_a = common_denominator([t.energy_inverse for _, t in local.shapes(mesh, k)])
     cell_dofs, n_dofs, pairings, d_p = gluing(k, mesh, problem.space.flavor)
     # P A^-1 (A^-1 is symmetric) and P A^-1 P^T per shape
     pa = [[[sum(map(mul, r, c)) for c in inv] for r in p] for p, inv in zip(pairings, inverses)]

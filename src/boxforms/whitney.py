@@ -42,9 +42,9 @@ from math import gcd, lcm
 import numpy as np
 
 from . import local, spaces
-from .exactla import (independent_rows, integer_matrices, integer_scaled, kernel_vectors, rank,
+from .exactla import (common_denominator, independent_rows, integer_scaled, kernel_vectors, rank,
                       spans_equal)
-from .forms import PolyForm, print_order
+from .forms import PolyForm, print_order, scaled_terms
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
 from .reports import CheckReport
@@ -118,7 +118,7 @@ def gluing(k, mesh, flavor=INTERIOR_TEST):
         return [()] * mesh.n_cells, 0, [[] for _ in tables], 1
     dofs = face_dofs(mesh.n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
     return (dofs.cell_dofs, dofs.n_dofs,
-            *integer_matrices([table.gluing_pairings for table in tables]))
+            *common_denominator([table.gluing_pairings for table in tables]))
 
 
 @dataclass
@@ -211,7 +211,7 @@ class GeneratorSpace(WhitneySpace):
 
     The function of a degree-k face DOF is, on every cell that has the face
     as its local face a, pattern a of the cell's shape
-    (``local.LocalTables.patterns``).  No vector is stored:
+    (``local.LocalTables.integer_patterns``).  No vector is stored:
     ``integer_vectors`` (for exact callers) is scattered from the per-shape
     integer patterns on first read; pruning reads the integer patterns'
     supports, and their rows only when two leading columns collide, and
@@ -332,7 +332,7 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):
         raise ValueError(f"unknown flavor {flavor!r}")
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
     for _, table in local.shapes(mesh, k):
-        table.patterns  # the exact projections, built once per shape
+        table.integer_patterns  # the exact projections, built once per shape
     return GeneratorSpace(k, mesh, flavor, PiecewiseWhitney(k, mesh), dofs,
                           list(range(dofs.n_dofs)))
 
@@ -403,10 +403,11 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
     function is face function f_a of the cell's shape, centered on the
     cell; the projectors and d act cell by cell and commute with the
     translation onto the shape's first cell.  So the global square is the
-    union of the local squares ``P^(k+1)(d f_a) == D . patterns[a]`` (D the
-    shape's ``d_matrix``), one per (shape, local face a) that the source
-    face-DOF table uses: every face for interior-test, the interior ones
-    for full-test.  A failure names the first (dof, cell) in DOF order.
+    union of the local squares ``P^(k+1)(d f_a) == D . p_a`` (D the shape's
+    ``d_matrix``, p_a its pattern a, ``integer_patterns``), one per (shape,
+    local face a) that the source face-DOF table uses: every face for
+    interior-test, the interior ones for full-test.  A failure names the
+    first (dof, cell) in DOF order.
     """
     n = mesh.n
     source_kind = VQ if flavor == INTERIOR_TEST else VQ0
@@ -430,9 +431,8 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
 def _square_gap(shape, shape_up, a):
     """None when face function a of the shape's cell commutes, else (left, right)."""
     left = shape_up.projector.coefficients(shape.face_functions[a].exterior_derivative())
-    pattern, (cols, den) = shape.patterns[a], shape.d_matrix
-    right = [sum((c * col[i] for c, col in zip(pattern, cols)), Fraction(0)) / den
-             for i in range(len(left))]
+    (s, pattern), (cols, den) = shape.integer_patterns[a], shape.d_matrix
+    right = [s * sum(c * cols[j][i] for j, c in pattern.items()) / den for i in range(len(left))]
     return None if left == right else (left, right)
 
 
@@ -448,13 +448,14 @@ def mean_jump_rows(mesh, pw):
     facets = local_faces(n, n - 1)
     jumps = []
     for _, shape in local.shapes(mesh, 0):
-        table = shape.cell.pairing_table(
-            [(PolyForm.covector(n, ()),)] * len(facets), [(phi,) for phi in shape.basis],
+        rows, den = shape.cell.pairing_terms(
+            scaled_terms([(PolyForm.covector(n, ()),)] * len(facets)),
+            scaled_terms([(phi,) for phi in shape.basis]),
             [local.face_plane(shape.cell, axes, shift) for axes, shift in facets])
-        jumps.append([[v if sum(shift) else -v for v in row]
-                      for row, (_, shift) in zip(table, facets)])
+        jumps.append(([[v if sum(shift) else -v for v in row]
+                       for row, (_, shift) in zip(rows, facets)], den))
     dofs = face_dofs(n - 1, mesh, interior=True)
-    jumps, den = integer_matrices(jumps)
+    jumps, den = common_denominator(jumps)
     return _scatter(pw, dofs.cell_dofs, dofs.n_dofs, jumps), den
 
 

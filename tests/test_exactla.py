@@ -1,11 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from boxforms import exactla
-from boxforms.exactla import (SingularMatrixError, independent_subset, invert, kernel_vectors,
-                              rank, solve_consistent, spans_equal)
+from boxforms.exactla import (SingularMatrixError, common_denominator, independent_subset,
+                              inverse_integers, kernel_vectors, rank, solve_consistent,
+                              spans_equal)
 
 
 def F(a, b=1):
@@ -108,7 +110,9 @@ def test_solve_and_invert():
             if determinant(m) != 0:
                 break
         b = [F(rng.randint(-3, 3)) for _ in range(n)]
-        inv = invert(m)
+        rows, den = inverse_integers(m)
+        assert den > 0 and all(type(v) is int for row in rows for v in row)
+        inv = [[F(v, den) for v in row] for row in rows]
         assert mat_vec(m, mat_vec(inv, b)) == b
         assert mat_vec(inv, mat_vec(m, b)) == b
 
@@ -116,7 +120,7 @@ def test_solve_and_invert():
 def test_singular_raises():
     m = [[F(1), F(2)], [F(2), F(4)]]
     with pytest.raises(SingularMatrixError):
-        invert(m)
+        inverse_integers(m)
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -165,6 +169,12 @@ def test_kernel_vectors_are_canonical():
 
 
 # -- the dense elimination the sparse one replaced, kept as the oracle
+
+
+def invert(matrix):
+    """The exact inverse as Fractions: ``inverse_integers`` over its denominator."""
+    rows, den = inverse_integers(matrix)
+    return [[F(v, den) for v in row] for row in rows]
 
 
 def reference_rref(matrix):
@@ -359,13 +369,32 @@ def test_wide_square_systems_match_dense_reference():
         exact = as_fractions(a)
         if len(reference_rref(exact)[1]) < n:
             with pytest.raises(SingularMatrixError):
-                invert(a)
+                inverse_integers(a)
             continue
         identity = [[F(i == j) for j in range(n)] for i in range(n)]
         both, _ = reference_rref([row + e for row, e in zip(exact, identity)])
         assert invert(a) == [row[n:] for row in both], kind
         solved += 1
     assert solved > 50
+
+
+def test_common_denominator_is_the_lcm_of_the_reduced_denominators():
+    # tables of integers over dens that share factors with their entries, against
+    # the Fractions they stand for
+    rng = random.Random(47)
+    for _ in range(40):
+        tables = []
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice([1, 2, 6, 35])
+            rows = [[g * rng.randint(-9, 9) for _ in range(3)] for _ in range(rng.randint(1, 3))]
+            tables.append((rows, g * rng.randint(1, 12)))
+        matrices, den = common_denominator(tables)
+        exact = [[[F(v, d) for v in row] for row in rows] for rows, d in tables]
+        assert den == math.lcm(*(v.denominator for m in exact for row in m for v in row))
+        assert [[[F(v, den) for v in row] for row in m] for m in matrices] == exact
+        assert all(type(v) is int for m in matrices for row in m for v in row)
+    assert common_denominator([([[0, 0]], 6)]) == ([[[0, 0]]], 1)
+    assert common_denominator([([[2, 4]], 6), ([[1]], 4)]) == ([[[4, 8]], [[3]]], 12)
 
 
 def test_mixed_int_and_fraction_row():

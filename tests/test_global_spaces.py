@@ -197,7 +197,7 @@ def reference_unisolvence(mesh, k):
     """Face DOFs against the local tensor basis give a nonsingular matrix."""
     for tup, cell in zip(mesh.cell_tuples, mesh.cells):
         local = spaces.basis(spaces.Q1MINUS, k, cell)
-        if rank(face_dof_matrix(cell, local)) != len(local):
+        if rank(face_dof_matrix(cell, local)[0]) != len(local):
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {tup}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)

@@ -4,17 +4,19 @@ quadrature contractions against the per-cell loops they replaced."""
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import numpy as np
 import pytest
+from test_exactla import invert
 from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
 from test_spaces import per_box_basis
 
 from boxforms import local, spaces
-from boxforms.exactla import invert, primitive_part
+from boxforms.exactla import primitive_part
 from boxforms.fields import manufactured
-from boxforms.forms import CellBox, PolyForm
+from boxforms.forms import CellBox, PolyForm, adjoint_table
 from boxforms.global_spaces import check_unisolvence
 from boxforms.indices import multi_indices
 from boxforms.local import LocalTables, face_dof_matrix, shapes, tables
@@ -35,6 +37,17 @@ def local_energy_matrix(basis, cell):
     """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact: one pairing table."""
     entries = [(phi.exterior_derivative(), phi) for phi in basis]
     return cell.pairing_table(entries, entries)
+
+
+def fractions_of(table):
+    """The Fractions an integer (rows, den) table stands for."""
+    rows, den = table
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
+def pattern_fractions(table):
+    """The projection patterns as Fraction lists: (s, {j: int}) is s times the row."""
+    return [[s * p.get(j, 0) for j in range(len(table.basis))] for s, p in table.integer_patterns]
 
 
 def cell_bases(pw):
@@ -69,14 +82,13 @@ def test_tables_equal_per_cell_exact_data(mesh):
         for ci in range(mesh.n_cells):
             table = tables(mesh, k, ci)
             energy, d_matrix, vinv, patterns = _cell_data(mesh, k, ci)
-            assert table.energy == energy
-            assert all(isinstance(x, Fraction) for row in table.energy for x in row)
+            assert fractions_of(table.energy_integers) == energy
             if d_matrix is not None:
-                columns, den = table.d_matrix
+                columns, _ = table.d_matrix
                 assert all(type(v) is int for column in columns for v in column)
-                assert [[Fraction(v, den) for v in column] for column in columns] == d_matrix
-            assert table.vandermonde_inverse == vinv
-            assert table.patterns == patterns
+                assert fractions_of(table.d_matrix) == d_matrix
+            assert fractions_of(table.vandermonde_inverse) == vinv
+            assert pattern_fractions(table) == patterns
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=["2d", "3d"])
@@ -127,7 +139,6 @@ def test_integer_patterns_scale_from_the_reference_on_graded_meshes(name):
         for ci, table in shapes(mesh, k):
             patterns = [table.projector.coefficients(f) for f in table.face_functions]
             assert table.integer_patterns == [primitive_part(p) for p in patterns], (k, ci)
-            assert table.patterns == patterns, (k, ci)
 
 
 def test_one_table_per_shape():
@@ -173,18 +184,6 @@ def test_shape_tables_scale_from_the_reference(n):
         for k in range(n + 1):
             table, ref = LocalTables(k, box), local.reference(n, k)
             assert ref.cell == CellBox.reference(n) and ref.basis.labels == table.basis.labels
-            assert ref.energy == local_energy_matrix(ref.basis, ref.cell)
-            # the direct builds on the box itself
-            patterns = [table.projector.coefficients(f) for f in table.face_functions]
-            energy = local_energy_matrix(table.basis, box)
-            assert table.patterns == patterns
-            assert table.integer_patterns == [primitive_part(p) for p in patterns]
-            assert table.energy == energy
-            assert table.energy_inverse == invert(energy)
-            for got, expect in ((table.float_patterns, as_floats(patterns)),
-                                (table.energy_float, np.array(energy, dtype=float))):
-                assert got.dtype == expect.dtype and got.shape == expect.shape
-                assert got.tobytes() == expect.tobytes()
             # term by term: each component's table is the reference's times its monomial
             e, ref_tables = [label[1] for label in ref.basis.labels], component_tables(ref)
             for key, rows in component_tables(table).items():
@@ -204,11 +203,89 @@ def test_shape_tables_scale_from_the_reference(n):
                     for row in terms] == expected
 
 
+# ---------------------------------------------------------------------------
+# the table contract: every exact per-shape table is integer rows over one den in
+# lowest terms, and equals the Fractions built on the shape's own cell
+
+
+@cache
+def oracle_face_functions(k, cell):
+    """(Vandermonde, its inverse, face functions) of Q1minus^k on ``cell``, as Fractions,
+    the face DOFs taken on the one-cell mesh of the box."""
+    q = list(spaces.basis(spaces.Q1MINUS, k, cell))
+    vandermonde = reference_face_dof_matrix(cell, q)
+    vinv = invert(vandermonde)
+    return vandermonde, vinv, [sum((vinv[j][a] * q[j] for j in range(len(q))), 0 * q[0])
+                               for a in range(len(q))]
+
+
+@cache
+def oracle_tables(k, cell):
+    """{table name: Fractions}: the degree-k tables built on ``cell`` itself."""
+    n, basis = cell.n, list(spaces.basis(spaces.P1MINUS, k, cell))
+    vandermonde, vinv, face_functions = oracle_face_functions(k, cell)
+    energy = local_energy_matrix(basis, cell)
+    out = {"vandermonde": vandermonde, "vandermonde_inverse": vinv,
+           "energy_integers": energy, "energy_inverse": invert(energy),
+           "patterns": [LocalProjector(k, cell).coefficients(f) for f in face_functions]}
+    if k < n:
+        tests = [f.hodge() for f in oracle_face_functions(n - k - 1, cell)[2]]
+        target = list(spaces.basis(spaces.P1MINUS, k + 1, cell))
+        out.update(
+            gluing_pairings=[list(col) for col in zip(*adjoint_table(basis, tests, cell))],
+            incidence=reference_face_dof_matrix(
+                cell, [f.exterior_derivative() for f in face_functions]),
+            d_matrix=[spaces.expand_in_span(target, phi.exterior_derivative()) for phi in basis])
+    return out
+
+
+#: the exact (rows, den) tables of a LocalTables; the last three exist below the top degree
+EXACT_TABLES = ("vandermonde", "vandermonde_inverse", "energy_integers", "energy_inverse",
+                "gluing_pairings", "incidence", "d_matrix")
+
+
+def assert_table_contract(table):
+    expected = oracle_tables(table.k, table.cell)
+    for name in EXACT_TABLES[:4 if table.k == table.cell.n else None]:
+        rows, den = getattr(table, name)
+        assert type(rows) is list and all(type(row) is list for row in rows), name
+        assert all(type(v) is int for row in rows for v in row), name
+        assert type(den) is int and den > 0, name
+        assert math.gcd(den, *(v for row in rows for v in row)) == 1, name
+        assert fractions_of((rows, den)) == expected[name], name
+    patterns, energy = expected["patterns"], expected["energy_integers"]
+    assert table.integer_patterns == [primitive_part(p) for p in patterns]
+    for got, expect in ((table.float_patterns, as_floats(patterns)),
+                        (table.energy_float, np.array(energy, dtype=float))):
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_box_tables_are_lowest_integer_rows_equal_to_the_cell_build(n):
+    # the reference's tables built on it, and the scaled ones of random boxes
+    rng = random.Random(1700 + n)
+    for k in range(n + 1):
+        assert_table_contract(local.reference(n, k))
+    for _ in range(3 if n < 4 else 2):
+        box = random_box(n, rng)
+        for k in range(n + 1):
+            assert_table_contract(LocalTables(k, box))
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_graded_shape_tables_are_lowest_integer_rows_equal_to_the_cell_build(name):
+    mesh = graded_mesh(GRADED[name])
+    for k in range(mesh.n + 1):
+        for _, table in shapes(mesh, k):
+            assert_table_contract(table)
+
+
 def test_the_reference_is_built_once_per_dimension_and_degree():
     local.reference.cache_clear()
     mesh = graded_mesh(GRADED["2d"])
     for _, table in shapes(mesh, 1):
-        table.patterns, table.energy
+        table.integer_patterns, table.energy_integers
     assert len(shapes(mesh, 1)) > 1 and local.reference.cache_info().misses == 1
     assert local.reference(2, 0) is not local.reference(2, 1)
 
@@ -404,7 +481,8 @@ def test_face_dof_matrix_matches_the_one_cell_mesh_build(n):
                 families.append([f.exterior_derivative()
                                  for f in LocalTables(k, cell).face_functions])
             for forms in families:
-                assert face_dof_matrix(cell, forms) == reference_face_dof_matrix(cell, forms), k
+                assert fractions_of(face_dof_matrix(cell, forms)) == \
+                    reference_face_dof_matrix(cell, forms), k
 
 
 def test_face_dofs_build_no_mesh(monkeypatch):

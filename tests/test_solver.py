@@ -23,6 +23,7 @@ from boxforms.spaces import P1MINUS, basis
 from boxforms.whitney import FULL_TEST, INTERIOR_TEST, prune_vectors, interpolated_generating_set, PiecewiseWhitney
 from boxforms.whitney import WhitneySpace, build_constraints, kernel_space
 from test_global_spaces import CHECK_MESHES
+from test_exactla import invert
 from test_local import cell_bases, local_energy_matrix
 from test_mesh import GRADED, graded_mesh
 
@@ -374,7 +375,7 @@ def reference_exact_solve(problem):
     """The dense reference for the condensed solve: the exact inverse of the Gram
     matrix over the basis, applied to the load."""
     return [sum(g * f for g, f in zip(row, problem.F_exact))
-            for row in exactla.invert(problem.G_exact)]
+            for row in invert(problem.G_exact)]
 
 
 def exact_space(k, mesh, flavor, representation):
@@ -432,15 +433,19 @@ def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
     problem = assemble(space, seeded_rational_load(2, 1, seed=5))
     calls = []
 
-    def counting(matrix):
-        calls.append(len(matrix))
-        return exactla.invert(matrix)
+    def counting(matrix, den=1):
+        calls.append(matrix)
+        return exactla.inverse_integers(matrix, den)
 
-    monkeypatch.setattr(local, "invert", counting)
+    def energy_inversions():
+        energies = [table.energy_integers[0] for _, table in local.shapes(mesh, 1)]
+        return sum(any(m is e for e in energies) for m in calls)
+
+    monkeypatch.setattr(local, "inverse_integers", counting)
     solve(problem, method="exact")
-    assert len(calls) == len(local.shapes(mesh, 1)) > 1
+    assert energy_inversions() == len(local.shapes(mesh, 1)) > 1
     solve(problem, method="exact")
-    assert len(calls) == len(local.shapes(mesh, 1))
+    assert energy_inversions() == len(local.shapes(mesh, 1))
     assert "G_exact" not in problem.__dict__
 
 
@@ -587,6 +592,13 @@ SCALED_MESHES = {**{f"graded-{name}": bp for name, bp in GRADED.items()},
                  "geometric-2d": (geometric_breakpoints(8),) * 2}
 
 
+def integer_table(matrix):
+    """(rows, den): a Fraction matrix as integer rows over the lcm of its denominators."""
+    ints, den = exactla.integer_scaled([v for row in matrix for v in row])
+    width = len(matrix[0])
+    return [ints[i:i + width] for i in range(0, len(ints), width)], den
+
+
 @pytest.mark.parametrize("name", sorted(SCALED_MESHES))
 def test_float_path_from_scaled_tables_matches_direct_tables(monkeypatch, name):
     # V and G with every shape's patterns and energy scaled from the reference
@@ -604,10 +616,10 @@ def test_float_path_from_scaled_tables_matches_direct_tables(monkeypatch, name):
 
     scaled = operators()
     # patterns projected and energy paired on each shape's own cell
-    monkeypatch.setattr(local.LocalTables, "patterns", property(
-        lambda table: [table.projector.coefficients(f) for f in table.face_functions]))
-    monkeypatch.setattr(local.LocalTables, "energy",
-                        property(lambda table: local_energy_matrix(table.basis, table.cell)))
+    monkeypatch.setattr(local.LocalTables, "integer_patterns", property(lambda table: [
+        exactla.primitive_part(table.projector.coefficients(f)) for f in table.face_functions]))
+    monkeypatch.setattr(local.LocalTables, "energy_integers", property(
+        lambda table: integer_table(local_energy_matrix(table.basis, table.cell))))
     direct = operators()
     assert len(scaled) == len(direct) > 0
     for a, b in zip(scaled, direct):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import io
@@ -12,16 +13,15 @@ import pytest
 import scipy.sparse
 from test_exactla import reference_independent_subset, reference_nullspace
 from test_global_spaces import CHECK_MESHES, build_space
-from test_local import cell_bases
+from test_local import cell_bases, oracle_tables
 from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_faces, faces,
                        graded_mesh, integrate_on_face, interior_faces, is_boundary)
 
-from boxforms import forms as forms_module
 from boxforms import cli, local, projection, spaces
 from boxforms import whitney as whitney_module
 from boxforms import exactla
 from boxforms.exactla import independent_subset, kernel_vectors, rank, spans_equal
-from boxforms.forms import Combination, PolyForm, Polynomial, adjoint_table
+from boxforms.forms import CellBox, Combination, PolyForm, Polynomial, adjoint_table
 from boxforms.global_spaces import VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
@@ -204,6 +204,30 @@ def test_whitney_complex(mesh, flavor):
     assert report.passed, report.to_dict()
 
 
+#: uniform meshes in 1D-4D and the graded ones, for the Betti numbers of the complexes
+COHOMOLOGY_MESHES = {
+    **{f"uniform-{n}d-{m}": (lambda n=n, m=m: build_grid([[0, 1]] * n, (m,) * n))
+       for n, m in ((1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))},
+    **{f"graded-{name}": (lambda bp=bp: graded_mesh(bp)) for name, bp in GRADED.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHOMOLOGY_MESHES))
+@pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
+def test_the_glued_complexes_have_the_cohomology_of_the_box(name, flavor):
+    # dim V_k - rank d_k - rank d_(k-1) on the pruned generator bases, exactly: the
+    # box's cohomology for interior-test, its cohomology relative to the boundary for
+    # full-test.  A space one vector short or long changes a Betti number.
+    mesh = COHOMOLOGY_MESHES[name]()
+    bases = [prune_vectors(interpolated_generating_set(k, mesh, flavor))[0]
+             for k in range(mesh.n + 1)]
+    ranks = [rank([apply_broken_d(row, space.pw, up.pw)[0] for row, _ in space.integer_vectors])
+             for space, up in zip(bases, bases[1:])]
+    betti = [space.dim - r - r_before
+             for space, r, r_before in zip(bases, ranks + [0], [0] + ranks)]
+    assert betti == ([1] + [0] * mesh.n if flavor == INTERIOR_TEST else [0] * mesh.n + [1])
+
+
 @pytest.mark.parametrize("mesh", [MESH2, MESH3])
 @pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
 def test_commuting_squares(mesh, flavor):
@@ -380,24 +404,24 @@ def test_a_mesh_is_freed_without_the_cycle_collector():
 def test_constraint_build_pairs_once_per_shape(monkeypatch):
     # 2D k=0: 4 edge face functions times 3 P1minus basis functions, paired on
     # the reference cell the first time and scaled to every shape after that,
-    # whatever the number of cells or shapes; counted as adjoint_table entries
+    # whatever the number of cells or shapes; counted as entries of the pairing
+    # kernel, with the 4 x 4 face-DOF Vandermonde of the reference's edge functions
     monkeypatch.setattr(local, "reference", functools.cache(local.reference.__wrapped__))
     entries = []
+    real = CellBox.pairing_terms
 
-    def counting(forms, tests, box):
-        entries.append(len(forms) * len(tests))
-        return adjoint_table(forms, tests, box)
+    def counting(box, left, right, frozen=None):
+        entries.append(len(left[0]) * len(right[0]))
+        return real(box, left, right, frozen)
 
-    for module in (local, forms_module, whitney_module):
-        if hasattr(module, "adjoint_table"):
-            monkeypatch.setattr(module, "adjoint_table", counting)
+    monkeypatch.setattr(CellBox, "pairing_terms", counting)
     counts = []
     for mesh in (build_grid([[0, 1], [0, 1]], (4, 4)), build_grid([[0, 1], [0, 1]], (8, 8)),
                  graded_mesh(GRADED["2d"])):
         entries.clear()
         build_constraints(0, mesh, INTERIOR_TEST)
         counts.append(sum(entries))
-    assert counts == [12, 0, 0]
+    assert counts == [12 + 16, 0, 0]
 
 
 def test_generators_scatter_matches_the_face_lookup():
@@ -412,7 +436,8 @@ def test_generators_scatter_matches_the_face_lookup():
                     vec = {}
                     for ci in cells_of_face(mesh, face):
                         a = cell_faces(mesh, mesh.cell_tuples[ci], k).index(face)
-                        for j, c in enumerate(local.tables(mesh, k, ci).patterns[a]):
+                        shape = local.tables(mesh, k, ci)
+                        for j, c in enumerate(oracle_tables(k, shape.cell)["patterns"][a]):
                             if c:
                                 vec[pw.col(ci, j)] = c
                     expected.append(vec)
@@ -502,11 +527,9 @@ def perturbed_square(mesh, flavor, k, attribute, perturb):
     """Check the squares after ``perturb`` edits a copy of one table attribute
     of the mesh's last shape; return the report and that shape's table."""
     shape = local.tables(mesh, k, mesh.n_cells - 1)
-    value = getattr(shape, attribute)  # d_matrix is (columns, den): perturb its columns
-    columns, den = value if attribute == "d_matrix" else (value, None)
-    columns = [list(column) for column in columns]
-    perturb(columns)
-    shape.__dict__[attribute] = columns if den is None else (columns, den)
+    value = copy.deepcopy(getattr(shape, attribute))
+    perturb(value[0] if attribute == "d_matrix" else value)  # d_matrix is (columns, den)
+    shape.__dict__[attribute] = value
     return check_commuting_squares(mesh, flavor), shape
 
 
@@ -542,9 +565,10 @@ def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
 
     def bump(patterns):
         j = next(j for j, col in enumerate(local.tables(mesh, 1, 0).d_matrix[0]) if any(col))
-        patterns[a][j] += 1
+        _, pattern = patterns[a]  # (s, primitive integer pattern {j: int})
+        pattern[j] = pattern.get(j, 0) + 1
 
-    report, shape = perturbed_square(mesh, flavor, 1, "patterns", bump)
+    report, shape = perturbed_square(mesh, flavor, 1, "integer_patterns", bump)
     assert report.k == 1
     assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
 
