@@ -13,11 +13,9 @@ of the face-DOF Vandermonde of the local tensor-product basis, which the
 unisolvence check below guarantees to exist.  No global space is built.
 """
 
-from math import lcm
-
 from .exactla import rank
 from .forms import Combination
-from .local import shapes, tables
+from .local import incidence, shapes
 from .mesh import face_dofs
 from .reports import CheckReport
 
@@ -36,8 +34,10 @@ def check_unisolvence(mesh, k):
     the cell and the faces move with it), so one rank per shape decides
     every cell; a failure names the shape's first cell.
     """
-    for ci, shape in shapes(mesh, k):
+    shape_ids, tables = shapes(mesh, k)
+    for s, shape in enumerate(tables):
         if rank(shape.vandermonde[0]) != len(shape.q_basis):
+            ci = shape_ids.tolist().index(s)
             return CheckReport("face_dof_unisolvence", mesh.n, k, False,
                                counterexample=f"cell {mesh.cell_tuples[ci]}")
     return CheckReport("face_dof_unisolvence", mesh.n, k, True)
@@ -52,29 +52,28 @@ def _d_rows(mesh, k, interior):
     each kept face b (DOF j) has c[j] == I[b][a] and each dropped one has
     I[b][a] == 0; off the support, when c[j] == 0 for each kept face.  c[j]
     is read on the first support cell of face j, in cell order.  The coefficients
-    are integers over the lcm of the shapes' ``incidence`` denominators.
+    are integers over the shared ``incidence`` table's denominator; the identity is
+    checked on each shape's own face functions, so a wrong shared table fails here.
     """
     low, up = face_dofs(k, mesh, interior), face_dofs(k + 1, mesh, interior)
-    den = lcm(*(shape.incidence[1] for _, shape in shapes(mesh, k)))
+    (shape_ids, tables), (_, tables_up) = shapes(mesh, k), shapes(mesh, k + 1)
+    table, den = incidence(mesh.n, k)
     rows = [{} for _ in range(low.n_dofs)]
     support = [set() for _ in range(low.n_dofs)]
     members = {}
     bad = []
-    for ci, cell_dofs in enumerate(low.cell_dofs):
-        shape = tables(mesh, k, ci)
-        incidence, d = shape.incidence
-        scale = den // d
+    for ci, (s, cell_dofs) in enumerate(zip(shape_ids.tolist(), low.cell_dofs)):
         kept = dict(up.cell_dofs[ci])
         for a, dof in cell_dofs:
-            if (shape, a) not in members:  # every local face of the shape at once
-                combo = Combination(mesh.n, k + 1, tables(mesh, k + 1, ci).face_functions)
-                for b, f in enumerate(shape.face_functions):
-                    members[shape, b] = combo([r[b] for r in incidence], den=d) == \
+            if (s, a) not in members:  # every local face of the shape at once
+                combo = Combination(mesh.n, k + 1, tables_up[s].face_functions)
+                for b, f in enumerate(tables[s].face_functions):
+                    members[s, b] = combo([r[b] for r in table], den=den) == \
                         f.exterior_derivative()
             support[dof].add(ci)
-            ok = members[shape, a]
-            for b, r in enumerate(incidence):
-                j, value = kept.get(b), r[a] * scale
+            ok = members[s, a]
+            for b, r in enumerate(table):
+                j, value = kept.get(b), r[a]
                 if j is None:
                     ok = ok and not value
                 elif rows[dof].setdefault(j, value) != value:
@@ -97,7 +96,7 @@ def check_conforming_complex(mesh, with_boundary_conditions=False):
     On each cell of its support a global basis function is a face function
     f_a of the cell's shape, and d acts cell by cell, so the global
     statement is a per-shape one, ``d f_a = sum_b I[b][a] f_b`` with I the
-    shape's ``incidence`` table (checked once per shape and face used),
+    shared ``local.incidence`` table (checked once per shape and face used),
     plus a scatter of I through the face-DOF numbering: every cell that
     has a (k+1)-face must give it the same coefficient, a cell off the
     support 0, and a dropped boundary face must get 0.  The composite

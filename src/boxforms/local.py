@@ -1,23 +1,34 @@
-"""Per-shape local data: what every cell of the same widths shares.
+"""Per-shape local data: the one module that knows the cell-shape layout.
 
 A :class:`LocalTables` is a function of a degree k and one cell box; it
-knows no mesh.  :func:`tables` builds one per shape, on its first cell,
-and caches them on the mesh by cell id, from ``CubicalMesh.cell_shapes``.
-One reference per (n, k), shapes by scaling: :func:`reference` builds the
-tables of [-1, 1]^n once per process, on first use.  P1minus basis
-function j, labelled by an index tuple e_j (sigma of dx^sigma, gamma of the
-Koszul lift of dx^gamma), pulls back to h^e_j times the reference's, h the
-half-widths, and face functions and the projector commute with the
-pullback.  So projection pattern a is the reference's with column j over
-h^e_j (``integer_patterns``), the gluing pairings are the reference's times
-h^e_j, and energy entry (i, j) is ``h^(e_i+e_j) h^(1,...,1) sum_I h^(-2I)
-T_I[i][j]`` with T_I the reference's mass (I a k-index) or stiffness
-((k+1)-index) table on component I (``energy_integers``): all equal the
-tables built on the cell.  Face DOFs and functions, the projector, d-matrix
-and Gauss tabulations are built on the shape's own box, from the families
-``spaces.basis`` builds once at the origin and moves there.  Every exact
-table is one (integer rows, den) pair in lowest terms; a float table divides
-its integers, ``int / int``, which rounds once, as a Fraction's float does.
+knows no mesh.  :func:`shapes` is the one accessor of a mesh's tables:
+(shape id of each cell, tables per shape), each shape's built on its first
+cell and cached on the mesh, from ``CubicalMesh.cell_shapes``.  Every cell
+basis is a family of centered monomials, so per-shape data comes in three
+kinds:
+
+* shared per (n, k), equal on every box: the d-matrix (:func:`d_matrix`;
+  d of the Koszul lift of dx^gamma is (k+1) dx^gamma) and the face-DOF
+  incidence of d (:func:`incidence`; Stokes on the cube), each built once;
+* scaled from the reference: :func:`reference` builds the tables of
+  [-1, 1]^n once per (n, k), on first use.  P1minus basis function j,
+  labelled by an index tuple e_j (sigma of dx^sigma, gamma of the Koszul
+  lift of dx^gamma), pulls back to h^e_j times the reference's, h the
+  half-widths, and face functions and the projector commute with the
+  pullback.  So projection pattern a is the reference's with column j over
+  h^e_j (``integer_patterns``), the gluing pairings are the reference's
+  times h^e_j, and energy entry (i, j) is ``h^(e_i+e_j) h^(1,...,1) sum_I
+  h^(-2I) T_I[i][j]`` with T_I the reference's mass (I a k-index) or
+  stiffness ((k+1)-index) table on component I (``energy_integers``): all
+  equal the tables built on the cell;
+* built on the shape's own box, from the families ``spaces.basis`` builds
+  once at the origin and moves there: the face-DOF Vandermonde, the face
+  functions and the projector, which the mesh checks read, and the Gauss
+  tabulations.
+
+Every exact table is one (integer rows, den) pair in lowest terms; a float
+table divides its integers, ``int / int``, which rounds once, as a
+Fraction's float does.
 """
 
 from collections import namedtuple
@@ -28,7 +39,7 @@ from operator import getitem
 import numpy as np
 
 from . import spaces
-from .exactla import common_denominator, integer_scaled, inverse_integers, primitive_part
+from .exactla import common_denominator, inverse_integers, primitive_part
 from .forms import CellBox, PolyForm, scaled_terms
 from .mesh import local_faces
 from .projection import LocalProjector
@@ -88,20 +99,23 @@ class LocalTables:
         of its integrals c/den on one component I each, to scale by h^m, m = e_i + e_j
         + 1 - 2I (from 1 to 3)."""
         e, n = [label[1] for label in self.basis.labels], self.cell.n
-        terms = [[[] for _ in e] for _ in e]
+        components, tables = [], []
         for forms in (list(self.basis), [phi.exterior_derivative() for phi in self.basis]):
             for alpha in {alpha for f in forms for alpha in f.parts}:
-                part = [(PolyForm._of(n, f.k, {alpha: f.parts[alpha]}
-                                      if alpha in f.parts else {}),) for f in forms]
-                for i, row in enumerate(self.cell.pairing_table(part, part)):
-                    for j, c in enumerate(row):
-                        if c:
-                            m = tuple((a in e[i]) + (a in e[j]) + 1 - 2 * (a in alpha)
-                                      for a in range(1, n + 1))
-                            terms[i][j].append((m, c))
-        ints, den = integer_scaled([c for row in terms for entry in row for _, c in entry])
-        ints = iter(ints)
-        return [[[(m, next(ints)) for m, _ in entry] for entry in row] for row in terms], den
+                part = scaled_terms([(PolyForm._of(n, f.k, {alpha: f.parts[alpha]}
+                                                   if alpha in f.parts else {}),) for f in forms])
+                components.append(alpha)
+                tables.append(self.cell.pairing_terms(part, part))
+        tables, den = common_denominator(tables)
+        terms = [[[] for _ in e] for _ in e]
+        for alpha, rows in zip(components, tables):
+            for i, row in enumerate(rows):
+                for j, c in enumerate(row):
+                    if c:
+                        m = tuple((a in e[i]) + (a in e[j]) + 1 - 2 * (a in alpha)
+                                  for a in range(1, n + 1))
+                        terms[i][j].append((m, c))
+        return terms, den
 
     @cached_property
     def energy_inverse(self):
@@ -112,17 +126,6 @@ class LocalTables:
     def energy_float(self):
         rows, den = self.energy_integers
         return np.array([[v / den for v in row] for row in rows])
-
-    @cached_property
-    def d_matrix(self):
-        """(columns, den): column j, the coefficients of d(phi_j) in the degree-(k+1)
-        P1minus basis, as integers over one denominator (each entry is 0 or k+1)."""
-        target = list(spaces.basis(spaces.P1MINUS, self.k + 1, self.cell))
-        cols = [spaces.expand_in_span(target, phi.exterior_derivative()) for phi in self.basis]
-        if None in cols:
-            raise AssertionError("d of a Whitney form left the Whitney space")
-        ints, den = integer_scaled([v for col in cols for v in col])
-        return [ints[i:i + len(target)] for i in range(0, len(ints), len(target))], den
 
     @cached_property
     def q_basis(self):
@@ -138,26 +141,13 @@ class LocalTables:
         """(rows, den): the inverse face-DOF Vandermonde; column a gives face function a."""
         return inverse_integers(*self.vandermonde)
 
-    def face_function(self, local, a):
-        """The form of ``local`` (a cell's Q1minus^k basis) dual to local face a."""
-        rows, den = self.vandermonde_inverse
-        return local.combination([row[a] for row in rows], den=den)
-
     @cached_property
     def face_functions(self):
-        """The face functions of this table's cell, in local face order."""
-        return [self.face_function(self.q_basis, a) for a in range(len(self.q_basis))]
-
-    @cached_property
-    def incidence(self):
-        """(rows, den): row b, column a, the DOF on local (k+1)-face b of d(face function a),
-        as integers over one denominator (every entry is 0 or +-1 on the meshes built so far).
-
-        If d maps Q1minus^k into Q1minus^(k+1), then
-        ``d f_a == sum_b rows[b][a] / den * f_b`` with f_b the degree-(k+1)
-        face functions of the same cell.
-        """
-        return face_dof_matrix(self.cell, [f.exterior_derivative() for f in self.face_functions])
+        """The face functions of this table's cell, in local face order: column a of the
+        inverse Vandermonde, over the Q1minus^k basis, is face function a."""
+        rows, den = self.vandermonde_inverse
+        return [self.q_basis.combination([row[a] for row in rows], den=den)
+                for a in range(len(self.q_basis))]
 
     @cached_property
     def projector(self):
@@ -226,16 +216,32 @@ def reference(n, k):
     return LocalTables(k, CellBox.reference(n))
 
 
-def tables(mesh, k, cell_id):
-    """The degree-k LocalTables shared by every cell congruent to ``cell_id``."""
-    per_cell = mesh.local_tables.get(k)
-    if per_cell is None:
-        shape_ids, first = mesh.cell_shapes
-        per_shape = [LocalTables(k, mesh.cell(ci)) for ci in first]
-        per_cell = mesh.local_tables[k] = [per_shape[s] for s in shape_ids.tolist()]
-    return per_cell[cell_id]
+@cache
+def d_matrix(n, k):
+    """(columns, den): column j, the coefficients of d(phi_j) in the degree-(k+1) P1minus
+    basis, the same on every box.  In coordinates centered on the cell, d of a constant is
+    0 and d of the Koszul lift of dx^gamma is (k+1) dx^gamma, so the column of
+    ("koszul", gamma) holds k+1 at the row of ("const", gamma); den is 1."""
+    rows = reference(n, k + 1).basis.labels
+    return [[k + 1 if kind == "koszul" and row == ("const", gamma) else 0 for row in rows]
+            for kind, gamma in reference(n, k).basis.labels], 1
+
+
+@cache
+def incidence(n, k):
+    """(rows, den): row b, column a, the DOF on local (k+1)-face b of d(face function a),
+    the same on every box (by Stokes, +-1 where face a bounds face b, else 0), read on
+    the reference.  If d maps Q1minus^k into Q1minus^(k+1), then
+    ``d f_a == sum_b rows[b][a] / den * f_b`` with f_b the degree-(k+1) face functions
+    of the same box."""
+    ref = reference(n, k)
+    return face_dof_matrix(ref.cell, [f.exterior_derivative() for f in ref.face_functions])
 
 
 def shapes(mesh, k):
-    """(first cell id, table) for each cell shape of the mesh, in cell order."""
-    return [(ci, tables(mesh, k, ci)) for ci in mesh.cell_shapes[1]]
+    """(shape id of each cell, as an int array; the degree-k LocalTables of each shape),
+    a shape's tables built on its first cell, once per mesh and degree."""
+    shape_ids, first = mesh.cell_shapes
+    if k not in mesh.local_tables:
+        mesh.local_tables[k] = [LocalTables(k, mesh.cell(ci)) for ci in first]
+    return shape_ids, mesh.local_tables[k]

@@ -53,7 +53,7 @@ class CubicalMesh:
                       for j in range(m + 1)]
                      for i, m in enumerate(divisions)]
         self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
-        self.local_tables = {}  # k -> LocalTables per cell id, filled by local.tables
+        self.local_tables = {}  # k -> LocalTables per shape, filled by local.shapes
         self.moved_bases = {}   # (k, cell id) -> P1minus basis in print order, whitney.cell_terms
         self.gauss_coordinates = {}  # order -> gauss_axes(order), read-only arrays
 

@@ -76,12 +76,13 @@ def broken_energy(pw):
     CSC with every block entry stored, zeros too: the layout of
     ``scipy.sparse.block_diag``, so the Gram products round the same way.
     """
-    blocks = np.stack([table.energy_float for _, table in local.shapes(pw.mesh, pw.k)])
+    shape_ids, tables = local.shapes(pw.mesh, pw.k)
+    blocks = np.stack([table.energy_float for table in tables])
     size = pw.dim_local
     # column j of cell c holds rows c * size + i, i ascending, from column j of its block
     rows = np.arange(pw.ncols).reshape(-1, 1, size).repeat(size, axis=1)
     return scipy.sparse.csc_matrix(
-        (blocks[pw.mesh.cell_shapes[0]].transpose(0, 2, 1).ravel(), rows.ravel(),
+        (blocks[shape_ids].transpose(0, 2, 1).ravel(), rows.ravel(),
          np.arange(0, pw.ncols * size + 1, size)), shape=(pw.ncols, pw.ncols))
 
 
@@ -116,18 +117,15 @@ class DiscreteProblem:
                 members[ci].append((i, [row.get(c, 0) for c in range(
                     pw.col(ci, 0), pw.col(ci + 1, 0))], den))
         g_exact = [[0] * size for _ in range(size)]
-        for ci, on_cell in enumerate(members):
-            energy, e_den = local.tables(pw.mesh, pw.k, ci).energy_integers
+        shape_ids, tables = local.shapes(pw.mesh, pw.k)
+        for on_cell, s in zip(members, shape_ids.tolist()):
+            energy, e_den = tables[s].energy_integers
             for p, (i, li, di) in enumerate(on_cell):
                 applied = [sum(map(mul, row, li)) for row in energy]
                 for j, lj, dj in on_cell[p:]:
                     g_exact[i][j] += Fraction(sum(map(mul, lj, applied)), di * dj * e_den)
                     g_exact[j][i] = g_exact[i][j]
         return g_exact
-
-    @property
-    def size(self):
-        return len(self.F)
 
     @cached_property
     def factor(self):
@@ -155,8 +153,8 @@ def _gauss_grid(pw, quad_order, *fields):
     axes = mesh.gauss_axes(quad_order)
     size = (mesh.n_cells, quad_order ** mesh.n)
     arrays = [component_array(on_axes(axes), degree, mesh.n, size) for degree, on_axes in fields]
-    shape_ids = mesh.cell_shapes[0]
-    for shape, (_, table) in enumerate(local.shapes(mesh, pw.k)):
+    shape_ids, tables = local.shapes(mesh, pw.k)
+    for shape, table in enumerate(tables):
         ids = np.flatnonzero(shape_ids == shape)
         # contiguous slices: einsum then sums in the same order as on a fresh array
         yield (ids, table.tabulation(quad_order),
@@ -193,14 +191,14 @@ def assemble(space, load, quad_order=5):
         # a cell's pairings are those of its shape's first cell with the load moved there:
         # the moved load's integer terms times that cell's pairings of the basis with each
         # monomial they hold, one table per shape
-        load_at, shape_of = Combination(mesh.n, pw.k, [load]), mesh.cell_shapes[0].tolist()
-        shapes = local.shapes(mesh, pw.k)
-        moved = [load_at.integers([1], list(map(sub, shapes[s][1].cell.center, cell.center)))
+        load_at, (shape_ids, shapes) = Combination(mesh.n, pw.k, [load]), local.shapes(mesh, pw.k)
+        shape_of = shape_ids.tolist()
+        moved = [load_at.integers([1], list(map(sub, shapes[s].cell.center, cell.center)))
                  for cell, s in zip(mesh.cells, shape_of)]
         support = sorted({(alpha, e) for parts, _ in moved
                           for alpha, terms in parts.items() for e in terms})
         tables = []
-        for _, table in shapes:
+        for table in shapes:
             rows, d = table.cell.pairing_terms(([{(0, alpha): {e: 1}} for alpha, e in support], 1),
                                                scaled_terms([(phi,) for phi in table.basis]))
             tables.append(([[row[j] for row in rows] for j in range(pw.dim_local)], d))
@@ -295,8 +293,9 @@ def condensed_solution(problem):
     and the test face DOFs are the ``whitney.gluing`` table's.
     """
     pw = problem.space.pw
-    mesh, k, shape_of = pw.mesh, pw.k, pw.mesh.cell_shapes[0].tolist()
-    inverses, d_a = common_denominator([t.energy_inverse for _, t in local.shapes(mesh, k)])
+    mesh, k, (shape_ids, shapes) = pw.mesh, pw.k, local.shapes(pw.mesh, pw.k)
+    shape_of = shape_ids.tolist()
+    inverses, d_a = common_denominator([t.energy_inverse for t in shapes])
     cell_dofs, n_dofs, pairings, d_p = gluing(k, mesh, problem.space.flavor)
     # P A^-1 (A^-1 is symmetric) and P A^-1 P^T per shape
     pa = [[[sum(map(mul, r, c)) for c in inv] for r in p] for p, inv in zip(pairings, inverses)]

@@ -31,7 +31,7 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .exactla import independent_subset, kernel_vectors, rank, solve_consistent, spans_equal
+from .exactla import independent_subset, kernel_vectors, rank, spans_equal
 from .forms import CellBox, Combination, PolyForm, Polynomial, scaled_terms
 from .indices import complement, multi_indices
 from .reports import CheckReport
@@ -163,22 +163,6 @@ def _transposed(rows):
         for key, c in row.items():
             out.setdefault(key, {})[j] = c
     return out
-
-
-def expand_in_span(basis_forms, target):
-    """Exact coefficients of target over an independent list of forms, or None when
-    it lies outside their span.  ``LocalTables.d_matrix`` passes P1minus bases, which
-    ``_family`` proves independent; a dependent list gets one expansion of many."""
-    columns = _transposed(form_rows(basis_forms))
-    values = form_rows([target])[0]
-    keys = sorted(columns.keys() | values.keys())
-    try:
-        scaled = solve_consistent([columns.get(key, {}) for key in keys],
-                                  [values.get(key, 0) for key in keys], len(basis_forms))
-    except ValueError:
-        return None
-    # the rows are the forms times their dens: undo the scales
-    return [y * f.den / target.den for y, f in zip(scaled, basis_forms)]
 
 
 def operator_kernel(space, op):

@@ -37,7 +37,7 @@ and equality of dimensions on small meshes, exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class PiecewiseWhitney:
 
     def constant_form_vector(self, sigma, scale=1):
         """Coefficients of the global constant form scale*dx^sigma."""
-        j = local.tables(self.mesh, self.k, 0).basis.labels.index(("const", tuple(sigma)))
+        j = local.reference(self.mesh.n, self.k).basis.labels.index(("const", tuple(sigma)))
         return {self.col(ci, j): Fraction(scale) for ci in range(self.mesh.n_cells)}
 
 
@@ -113,7 +113,7 @@ def gluing(k, mesh, flavor=INTERIOR_TEST):
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    tables = [table for _, table in local.shapes(mesh, k)]
+    tables = local.shapes(mesh, k)[1]
     if k == mesh.n:  # no gluing at the top degree
         return [()] * mesh.n_cells, 0, [[] for _ in tables], 1
     dofs = face_dofs(mesh.n - k - 1, mesh, interior=flavor == INTERIOR_TEST)
@@ -161,7 +161,7 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST):
 def _scatter(pw, cell_dofs, n_dofs, per_shape):
     """Sparse rows {column: int}, one per DOF: row a of each cell's shape table at face a."""
     rows = [{} for _ in range(n_dofs)]
-    for ci, (s, pairs) in enumerate(zip(pw.mesh.cell_shapes[0].tolist(), cell_dofs)):
+    for ci, (s, pairs) in enumerate(zip(local.shapes(pw.mesh, pw.k)[0].tolist(), cell_dofs)):
         for a, dof in pairs:
             rows[dof].update((pw.col(ci, j), v) for j, v in enumerate(per_shape[s][a]) if v)
     return rows
@@ -228,9 +228,6 @@ class GeneratorSpace(WhitneySpace):
     def dim(self):
         return len(self.members)
 
-    def _tables(self):
-        return [table for _, table in local.shapes(self.mesh, self.k)]
-
     @cached_property
     def _supports(self):
         """Per face DOF: ((shape, local face) pairs, first columns) of the cells that have it."""
@@ -238,7 +235,7 @@ class GeneratorSpace(WhitneySpace):
         dofs = self.dofs.array[cells, faces]
         order = np.argsort(dofs, kind="stable")  # keeps each DOF's cells in cell order
         cells, faces = cells[order], faces[order]
-        pairs = list(zip(self.mesh.cell_shapes[0][cells].tolist(), faces.tolist()))
+        pairs = list(zip(local.shapes(self.mesh, self.k)[0][cells].tolist(), faces.tolist()))
         bases = (cells * self.pw.dim_local).tolist()
         ends = np.cumsum(np.bincount(dofs, minlength=self.dofs.n_dofs)).tolist()
         return [(tuple(pairs[a:b]), bases[a:b]) for a, b in zip([0] + ends, ends)]
@@ -252,7 +249,7 @@ class GeneratorSpace(WhitneySpace):
         is p_c times integers proportional to the s_c, with gcd 1, found once
         per tuple of the support's (shape, local face) pairs.
         """
-        scaled = [table.integer_patterns for table in self._tables()]
+        scaled = [table.integer_patterns for table in local.shapes(self.mesh, self.k)[1]]
         entries = [[list(p.items()) for _, p in per_shape] for per_shape in scaled]
         multipliers = {}
         for m in self.members:
@@ -282,8 +279,9 @@ class GeneratorSpace(WhitneySpace):
         share it, the rows are an echelon form up to order and all are kept: no row is built.
         """
         none = self.pw.ncols  # past every column: the lead of a zero pattern
+        shape_ids, tables = local.shapes(self.mesh, self.k)
         leads = np.array([[min(p, default=none) for _, p in table.integer_patterns]
-                          for table in self._tables()])[self.mesh.cell_shapes[0]]
+                          for table in tables])[shape_ids]
         leads += np.arange(self.mesh.n_cells)[:, None] * self.pw.dim_local
         first = np.full(self.dofs.n_dofs + 1, none)  # the last takes the faces with no DOF
         np.minimum.at(first, self.dofs.array, leads)
@@ -299,8 +297,9 @@ class GeneratorSpace(WhitneySpace):
 
     def float_columns(self):
         """(data, rows, column starts) as arrays, scattered from the per-shape float patterns."""
-        patterns = np.stack([table.float_patterns for table in self._tables()])
-        patterns = patterns[self.mesh.cell_shapes[0]]             # (cell, local face, j)
+        shape_ids, tables = local.shapes(self.mesh, self.k)
+        patterns = np.stack([table.float_patterns for table in tables])
+        patterns = patterns[shape_ids]                            # (cell, local face, j)
         column = np.full(self.dofs.n_dofs + 1, -1)
         column[self.members] = np.arange(self.dim)
         columns = column[self.dofs.array]                         # -1 where no member
@@ -331,7 +330,7 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
-    for _, table in local.shapes(mesh, k):
+    for table in local.shapes(mesh, k)[1]:
         table.integer_patterns  # the exact projections, built once per shape
     return GeneratorSpace(k, mesh, flavor, PiecewiseWhitney(k, mesh), dofs,
                           list(range(dofs.n_dofs)))
@@ -353,15 +352,14 @@ def prune_vectors(space):
 
 def apply_broken_d(vector, pw_k, pw_k1):
     """(row, den): the broken exterior derivative of a sparse coefficient vector, row / den,
-    den the lcm of the shapes' ``d_matrix`` denominators; an integer vector gives an integer row."""
-    den = lcm(*(table.d_matrix[1] for _, table in local.shapes(pw_k.mesh, pw_k.k)))
+    den that of the shared ``local.d_matrix``; an integer vector gives an integer row."""
+    columns, den = local.d_matrix(pw_k.mesh.n, pw_k.k)
     out = {}
     for col, val in vector.items():
         ci, j = divmod(col, pw_k.dim_local)
-        columns, d_den = local.tables(pw_k.mesh, pw_k.k, ci).d_matrix
         for i, c in enumerate(columns[j]):
             if c:
-                out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c * (den // d_den)
+                out[pw_k1.col(ci, i)] = out.get(pw_k1.col(ci, i), 0) + val * c
     return {col: v for col, v in out.items() if v}, den
 
 
@@ -403,23 +401,24 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
     function is face function f_a of the cell's shape, centered on the
     cell; the projectors and d act cell by cell and commute with the
     translation onto the shape's first cell.  So the global square is the
-    union of the local squares ``P^(k+1)(d f_a) == D . p_a`` (D the shape's
-    ``d_matrix``, p_a its pattern a, ``integer_patterns``), one per (shape,
-    local face a) that the source face-DOF table uses: every face for
-    interior-test, the interior ones for full-test.  A failure names the
+    union of the local squares ``P^(k+1)(d f_a) == D . p_a`` (D the shared
+    ``local.d_matrix``, p_a the shape's pattern a, ``integer_patterns``), one
+    per (shape, local face a) that the source face-DOF table uses: every face
+    for interior-test, the interior ones for full-test.  A failure names the
     first (dof, cell) in DOF order.
     """
     n = mesh.n
     source_kind = VQ if flavor == INTERIOR_TEST else VQ0
     for k in range(n):
+        (shape_ids, shapes), (_, shapes_up) = local.shapes(mesh, k), local.shapes(mesh, k + 1)
         gaps, bad = {}, []
-        for ci, cell_dofs in enumerate(face_dofs(k, mesh, interior=flavor == FULL_TEST).cell_dofs):
-            shape = local.tables(mesh, k, ci)
-            for a, dof in cell_dofs:
-                if (shape, a) not in gaps:
-                    gaps[shape, a] = _square_gap(shape, local.tables(mesh, k + 1, ci), a)
-                if gaps[shape, a] is not None:
-                    bad.append((dof, ci, gaps[shape, a]))
+        cell_dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST).cell_dofs
+        for ci, (s, pairs) in enumerate(zip(shape_ids.tolist(), cell_dofs)):
+            for a, dof in pairs:
+                if (s, a) not in gaps:
+                    gaps[s, a] = _square_gap(shapes[s], shapes_up[s], a)
+                if gaps[s, a] is not None:
+                    bad.append((dof, ci, gaps[s, a]))
         if bad:
             dof, ci, (left, right) = min(bad, key=lambda item: item[:2])
             return CheckReport("interpolation_commutes", n, k, False,
@@ -431,7 +430,7 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
 def _square_gap(shape, shape_up, a):
     """None when face function a of the shape's cell commutes, else (left, right)."""
     left = shape_up.projector.coefficients(shape.face_functions[a].exterior_derivative())
-    (s, pattern), (cols, den) = shape.integer_patterns[a], shape.d_matrix
+    (s, pattern), (cols, den) = shape.integer_patterns[a], local.d_matrix(shape.cell.n, shape.k)
     right = [s * sum(c * cols[j][i] for j, c in pattern.items()) / den for i in range(len(left))]
     return None if left == right else (left, right)
 
@@ -447,7 +446,7 @@ def mean_jump_rows(mesh, pw):
     n = mesh.n
     facets = local_faces(n, n - 1)
     jumps = []
-    for _, shape in local.shapes(mesh, 0):
+    for shape in local.shapes(mesh, 0)[1]:
         rows, den = shape.cell.pairing_terms(
             scaled_terms([(PolyForm.covector(n, ()),)] * len(facets)),
             scaled_terms([(phi,) for phi in shape.basis]),

@@ -2,14 +2,15 @@ import re
 from fractions import Fraction
 
 import pytest
+from test_local import table_of
 from test_mesh import GRADED, cells_of_face, dof_faces, face_dof, graded_mesh, is_boundary
 
-from boxforms import spaces
+from boxforms import global_spaces, spaces
 from boxforms.exactla import rank
 from boxforms.forms import PolyForm, Polynomial
 from boxforms.global_spaces import (VQ, VQ0, VQSTAR, VQSTAR0, check_conforming_complex,
                                     check_unisolvence)
-from boxforms.local import face_dof_matrix, tables
+from boxforms.local import face_dof_matrix, incidence
 from boxforms.mesh import build_grid, face_dofs
 from boxforms.reports import CheckReport
 
@@ -49,9 +50,10 @@ def build_space(kind, k, mesh):
     # the dual coefficients, only the centered basis differs
     expansions = []
     for ci, cell in enumerate(mesh.cells):
-        local = spaces.basis(spaces.Q1MINUS, k, cell)
-        shape = tables(mesh, k, ci)
-        expansions.append({dof: shape.face_function(local, a) for a, dof in table.cell_dofs[ci]})
+        combine = spaces.basis(spaces.Q1MINUS, k, cell).combination
+        rows, den = table_of(mesh, k, ci).vandermonde_inverse
+        expansions.append({dof: combine([row[a] for row in rows], den=den)
+                           for a, dof in table.cell_dofs[ci]})
     return GlobalSpace(kind, k, mesh, dof_faces(k, mesh, interior=kind == VQ0), expansions)
 
 
@@ -288,24 +290,23 @@ def named_dof_and_cell(report):
 
 
 def first_cell_of(mesh, table):
-    return next(ci for ci in range(mesh.n_cells) if table is tables(mesh, 1, ci))
+    return next(ci for ci in range(mesh.n_cells) if table is table_of(mesh, 1, ci))
 
 
 @pytest.mark.parametrize("bc", [False, True])
 def test_a_perturbed_incidence_entry_fails_at_a_dof_and_cell(monkeypatch, bc):
-    # graded 2D: the degree-1 table of the mesh's last shape gets one entry off by one
+    # graded 2D: the shared degree-1 table gets one entry off by one, read on every shape
     mesh = graded_mesh(GRADED["2d"])
-    shape = tables(mesh, 1, mesh.n_cells - 1)
-    ci = first_cell_of(mesh, shape)
-    a = face_dofs(1, mesh, interior=bc).cell_dofs[ci][0][0]
-    rows, den = shape.incidence
+    a = face_dofs(1, mesh, interior=bc).cell_dofs[mesh.n_cells - 1][0][0]
+    rows, den = incidence(2, 1)
     perturbed = [list(row) for row in rows]
     perturbed[0][a] += den  # one more, in integers over den
-    monkeypatch.setitem(shape.__dict__, "incidence", (perturbed, den))
+    real = global_spaces.incidence
+    monkeypatch.setattr(global_spaces, "incidence",
+                        lambda n, k: (perturbed, den) if (n, k) == (2, 1) else real(n, k))
     report = check_conforming_complex(mesh, with_boundary_conditions=bc)
     assert not report.passed and report.k == 1
     dof, cell = named_dof_and_cell(report)
-    assert tables(mesh, 1, cell) is shape
     assert (a, dof) in face_dofs(1, mesh, interior=bc).cell_dofs[cell]
 
 
@@ -314,13 +315,13 @@ def test_a_rescaled_face_function_fails_where_its_shape_meets_another():
     # shape's span, but the cells of other shapes give the shared edges the
     # old coefficients, so the global function is not conforming
     mesh = graded_mesh(GRADED["2d"])
-    shape = tables(mesh, 0, mesh.n_cells - 1)
+    shape = table_of(mesh, 0, mesh.n_cells - 1)
     shape.__dict__["face_functions"] = [2 * shape.face_functions[0]] + shape.face_functions[1:]
     report = check_conforming_complex(mesh)
     assert not report.passed and report.k == 0
     dof, _ = named_dof_and_cell(report)
     doubled = {d for ci, cell_dofs in enumerate(face_dofs(0, mesh).cell_dofs)
-               if tables(mesh, 0, ci) is shape for a, d in cell_dofs if a == 0}
+               if table_of(mesh, 0, ci) is shape for a, d in cell_dofs if a == 0}
     assert dof in doubled
 
 
@@ -364,7 +365,7 @@ def test_an_edge_dropped_from_one_cell_fails_like_the_reference():
 
 def test_a_singular_shape_fails_unisolvence_at_its_first_cell(monkeypatch):
     mesh = graded_mesh(GRADED["3d"])
-    shape = tables(mesh, 1, mesh.n_cells - 1)
+    shape = table_of(mesh, 1, mesh.n_cells - 1)
     ci = first_cell_of(mesh, shape)
     q = shape.q_basis
     monkeypatch.setitem(shape.__dict__, "q_basis", [q[0]] + list(q[:-1]))

@@ -11,21 +11,22 @@ import numpy as np
 import pytest
 from test_exactla import invert
 from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
-from test_spaces import per_box_basis
+from test_spaces import expand_in_span, per_box_basis
 
 from boxforms import local, spaces
 from boxforms.exactla import primitive_part
 from boxforms.fields import manufactured
 from boxforms.forms import CellBox, PolyForm, adjoint_table
-from boxforms.global_spaces import check_unisolvence
+from boxforms.global_spaces import check_conforming_complex, check_unisolvence
 from boxforms.indices import multi_indices
-from boxforms.local import LocalTables, face_dof_matrix, shapes, tables
+from boxforms.local import LocalTables, face_dof_matrix, shapes
 from boxforms.mesh import CubicalMesh, build_grid
 from boxforms.projection import LocalProjector
 from boxforms.quadrature import box_rule, form_array, polyform_values
 from boxforms.solver import (assemble, broken_error, build_solver_space,
                              conjugate_gradient, consistency_with_floor, flavor_for, solve)
 from boxforms.verify import random_box
+from boxforms.whitney import FULL_TEST, INTERIOR_TEST, check_commuting_squares, check_whitney_complex
 
 MESHES = [
     build_grid([[0, 1], [0, 3]], (3, 2)),
@@ -37,6 +38,12 @@ def local_energy_matrix(basis, cell):
     """<d phi_a, d phi_b> + <phi_a, phi_b> on one cell, exact: one pairing table."""
     entries = [(phi.exterior_derivative(), phi) for phi in basis]
     return cell.pairing_table(entries, entries)
+
+
+def table_of(mesh, k, cell_id):
+    """The degree-k LocalTables of the shape of one cell, through the shape ids."""
+    shape_ids, tables = shapes(mesh, k)
+    return tables[shape_ids[cell_id]]
 
 
 def fractions_of(table):
@@ -56,15 +63,10 @@ def cell_bases(pw):
 
 
 def _cell_data(mesh, k, ci):
-    """Energy, d-matrix, Vandermonde inverse and patterns from the cell's own basis."""
+    """Energy, Vandermonde inverse and patterns from the cell's own basis."""
     cell = mesh.cells[ci]
     whitney = spaces.basis(spaces.P1MINUS, k, cell)
     energy = local_energy_matrix(whitney, cell)
-    d_matrix = None
-    if k < mesh.n:
-        target = list(spaces.basis(spaces.P1MINUS, k + 1, cell))
-        d_matrix = [spaces.expand_in_span(target, phi.exterior_derivative())
-                    for phi in whitney]
     q = spaces.basis(spaces.Q1MINUS, k, cell)
     faces = cell_faces(mesh, mesh.cell_tuples[ci], k)
     vinv = invert([[face_dof(mesh, f, phi) for phi in q] for f in faces])
@@ -73,20 +75,16 @@ def _cell_data(mesh, k, ci):
     for a in range(len(faces)):
         form = sum((vinv[j][a] * q[j] for j in range(len(q))), 0 * q[0])
         patterns.append(projector.coefficients(form))
-    return energy, d_matrix, vinv, patterns
+    return energy, vinv, patterns
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=["2d", "3d"])
 def test_tables_equal_per_cell_exact_data(mesh):
     for k in range(mesh.n + 1):
         for ci in range(mesh.n_cells):
-            table = tables(mesh, k, ci)
-            energy, d_matrix, vinv, patterns = _cell_data(mesh, k, ci)
+            table = table_of(mesh, k, ci)
+            energy, vinv, patterns = _cell_data(mesh, k, ci)
             assert fractions_of(table.energy_integers) == energy
-            if d_matrix is not None:
-                columns, _ = table.d_matrix
-                assert all(type(v) is int for column in columns for v in column)
-                assert fractions_of(table.d_matrix) == d_matrix
             assert fractions_of(table.vandermonde_inverse) == vinv
             assert pattern_fractions(table) == patterns
 
@@ -96,7 +94,7 @@ def test_tables_equal_per_cell_exact_data(mesh):
 def test_tabulation_matches_cell_evaluation(mesh, order):
     for k in range(mesh.n + 1):
         for ci, cell in enumerate(mesh.cells):
-            tab = tables(mesh, k, ci).tabulation(order)
+            tab = table_of(mesh, k, ci).tabulation(order)
             points, weights = box_rule(cell, order)
             center = np.array([float(c) for c in cell.center])
             assert np.array_equal(center + tab.offsets, points)
@@ -119,14 +117,14 @@ def test_tabulation_equals_the_per_box_basis_bit_for_bit(name):
     # as the basis built at each shape's center
     mesh = graded_mesh(GRADED[name])
     for k in range(mesh.n + 1):
-        for ci, table in shapes(mesh, k):
+        for s, table in enumerate(shapes(mesh, k)[1]):
             elements, _ = per_box_basis(spaces.P1MINUS, k, table.cell)
             for order in (2, 5):
                 tab = table.tabulation(order)
                 points = np.array([float(c) for c in table.cell.center]) + tab.offsets
-                assert np.array_equal(tab.values, form_array(elements, points)), (k, ci)
+                assert np.array_equal(tab.values, form_array(elements, points)), (k, s)
                 assert np.array_equal(tab.d_values, form_array(
-                    [phi.exterior_derivative() for phi in elements], points)), (k, ci)
+                    [phi.exterior_derivative() for phi in elements], points)), (k, s)
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))
@@ -135,17 +133,18 @@ def test_integer_patterns_scale_from_the_reference_on_graded_meshes(name):
     # against primitive_part of the patterns projected on each shape's own cell
     mesh = graded_mesh(GRADED[name])
     for k in range(mesh.n + 1):
-        assert len(shapes(mesh, k)) > 1
-        for ci, table in shapes(mesh, k):
+        assert len(shapes(mesh, k)[1]) > 1
+        for s, table in enumerate(shapes(mesh, k)[1]):
             patterns = [table.projector.coefficients(f) for f in table.face_functions]
-            assert table.integer_patterns == [primitive_part(p) for p in patterns], (k, ci)
+            assert table.integer_patterns == [primitive_part(p) for p in patterns], (k, s)
 
 
 def test_one_table_per_shape():
     mesh = MESHES[0]
-    assert len({id(tables(mesh, 1, ci)) for ci in range(mesh.n_cells)}) == 1
-    assert tables(mesh, 1, 4).cell == mesh.cells[0]
-    assert tables(mesh, 0, 0) is not tables(mesh, 1, 0)
+    shape_ids, tables = shapes(mesh, 1)
+    assert shape_ids.tolist() == [0] * mesh.n_cells and len(tables) == 1
+    assert tables[0].cell == mesh.cells[0] and shapes(mesh, 1)[1][0] is tables[0]
+    assert shapes(mesh, 0)[1][0] is not tables[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +229,48 @@ def oracle_tables(k, cell):
            "patterns": [LocalProjector(k, cell).coefficients(f) for f in face_functions]}
     if k < n:
         tests = [f.hodge() for f in oracle_face_functions(n - k - 1, cell)[2]]
-        target = list(spaces.basis(spaces.P1MINUS, k + 1, cell))
-        out.update(
-            gluing_pairings=[list(col) for col in zip(*adjoint_table(basis, tests, cell))],
-            incidence=reference_face_dof_matrix(
-                cell, [f.exterior_derivative() for f in face_functions]),
-            d_matrix=[spaces.expand_in_span(target, phi.exterior_derivative()) for phi in basis])
+        out["gluing_pairings"] = [list(col) for col in zip(*adjoint_table(basis, tests, cell))]
     return out
 
 
-#: the exact (rows, den) tables of a LocalTables; the last three exist below the top degree
+@cache
+def oracle_shared_tables(k, cell):
+    """{table name: Fractions}: the tables shared per (n, k), built on ``cell`` itself, k < n:
+    each d(phi_j) expanded in the cell's own degree-(k+1) P1minus basis, and the face DOFs
+    of d of the cell's own face functions."""
+    target = list(spaces.basis(spaces.P1MINUS, k + 1, cell))
+    face_functions = oracle_face_functions(k, cell)[2]
+    return {"d_matrix": [expand_in_span(target, phi.exterior_derivative())
+                         for phi in spaces.basis(spaces.P1MINUS, k, cell)],
+            "incidence": reference_face_dof_matrix(
+                cell, [f.exterior_derivative() for f in face_functions])}
+
+
+#: the exact (rows, den) tables of a LocalTables; the last one exists below the top degree
 EXACT_TABLES = ("vandermonde", "vandermonde_inverse", "energy_integers", "energy_inverse",
-                "gluing_pairings", "incidence", "d_matrix")
+                "gluing_pairings")
+
+
+def assert_lowest_integer_rows(table, expected, name):
+    rows, den = table
+    assert type(rows) is list and all(type(row) is list for row in rows), name
+    assert all(type(v) is int for row in rows for v in row), name
+    assert type(den) is int and den > 0, name
+    assert math.gcd(den, *(v for row in rows for v in row)) == 1, name
+    assert fractions_of((rows, den)) == expected, name
+
+
+def assert_shared_tables(k, cell):
+    """The shared d-matrix and incidence of (n, k) equal the builds on ``cell`` itself."""
+    expected = oracle_shared_tables(k, cell)
+    for name in ("d_matrix", "incidence"):
+        assert_lowest_integer_rows(getattr(local, name)(cell.n, k), expected[name], name)
 
 
 def assert_table_contract(table):
     expected = oracle_tables(table.k, table.cell)
     for name in EXACT_TABLES[:4 if table.k == table.cell.n else None]:
-        rows, den = getattr(table, name)
-        assert type(rows) is list and all(type(row) is list for row in rows), name
-        assert all(type(v) is int for row in rows for v in row), name
-        assert type(den) is int and den > 0, name
-        assert math.gcd(den, *(v for row in rows for v in row)) == 1, name
-        assert fractions_of((rows, den)) == expected[name], name
+        assert_lowest_integer_rows(getattr(table, name), expected[name], name)
     patterns, energy = expected["patterns"], expected["energy_integers"]
     assert table.integer_patterns == [primitive_part(p) for p in patterns]
     for got, expect in ((table.float_patterns, as_floats(patterns)),
@@ -271,22 +289,55 @@ def test_random_box_tables_are_lowest_integer_rows_equal_to_the_cell_build(n):
         box = random_box(n, rng)
         for k in range(n + 1):
             assert_table_contract(LocalTables(k, box))
+            if k < n:
+                assert_shared_tables(k, box)
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))
 def test_graded_shape_tables_are_lowest_integer_rows_equal_to_the_cell_build(name):
     mesh = graded_mesh(GRADED[name])
     for k in range(mesh.n + 1):
-        for _, table in shapes(mesh, k):
+        for table in shapes(mesh, k)[1]:
             assert_table_contract(table)
+
+
+#: uniform meshes (one shape) and graded ones (several)
+SHARED_MESHES = {"uniform-2d": lambda: MESHES[0], "uniform-3d": lambda: MESHES[1],
+                 **{f"graded-{name}": (lambda bp=bp: graded_mesh(bp))
+                    for name, bp in GRADED.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_MESHES))
+def test_shared_tables_equal_the_build_on_every_cell(name):
+    mesh = SHARED_MESHES[name]()
+    for k in range(mesh.n):
+        for cell in mesh.cells:
+            assert_shared_tables(k, cell)
+
+
+def test_shared_tables_are_built_once_per_dimension_and_degree():
+    # every shape of a graded mesh reads them: the broken d, the commuting
+    # squares and the conforming complex, in both flavors
+    local.d_matrix.cache_clear()
+    local.incidence.cache_clear()
+    mesh = graded_mesh(GRADED["2d"])
+    assert len(shapes(mesh, 0)[1]) > 1
+    for flavor in (INTERIOR_TEST, FULL_TEST):
+        assert check_whitney_complex(mesh, flavor).passed
+        assert check_commuting_squares(mesh, flavor).passed
+    for bc in (False, True):
+        assert check_conforming_complex(mesh, with_boundary_conditions=bc).passed
+    for shared in (local.d_matrix, local.incidence):
+        info = shared.cache_info()
+        assert info.misses == mesh.n and info.currsize == mesh.n and info.hits > 0
 
 
 def test_the_reference_is_built_once_per_dimension_and_degree():
     local.reference.cache_clear()
     mesh = graded_mesh(GRADED["2d"])
-    for _, table in shapes(mesh, 1):
+    for table in shapes(mesh, 1)[1]:
         table.integer_patterns, table.energy_integers
-    assert len(shapes(mesh, 1)) > 1 and local.reference.cache_info().misses == 1
+    assert len(shapes(mesh, 1)[1]) > 1 and local.reference.cache_info().misses == 1
     assert local.reference(2, 0) is not local.reference(2, 1)
 
 
@@ -447,14 +498,14 @@ def test_one_table_per_shape_of_the_grid(name):
     first = reference_shapes(mesh)
     first_of = {mesh.cells[ci].widths: ci for ci in first}
     for k in range(mesh.n + 1):
-        assert [ci for ci, _ in shapes(mesh, k)] == first
-        for ci, table in shapes(mesh, k):
-            assert table is tables(mesh, k, ci) and table.cell == mesh.cells[ci]
+        shape_ids, tables = shapes(mesh, k)
+        ids = shape_ids.tolist()
+        assert [ids.index(s) for s in range(len(tables))] == first
         for ci, cell in enumerate(mesh.cells):
-            table = tables(mesh, k, ci)
+            table = tables[ids[ci]]
             assert table.cell == mesh.cells[first_of[cell.widths]]
             for cj, other in enumerate(mesh.cells):
-                assert (tables(mesh, k, cj) is table) == (other.widths == cell.widths)
+                assert (tables[ids[cj]] is table) == (other.widths == cell.widths)
 
 
 # -- the face-DOF matrix of the one-cell mesh of the box, which the pairing
@@ -486,9 +537,10 @@ def test_face_dof_matrix_matches_the_one_cell_mesh_build(n):
 
 
 def test_face_dofs_build_no_mesh(monkeypatch):
-    # unisolvence, the Vandermonde inverse and the incidence table integrate on
-    # the cell's own box: no one-cell mesh is made for them
+    # unisolvence and the Vandermonde inverse integrate on the cell's own box, the
+    # shared incidence table on the reference's: no one-cell mesh is made for them
     meshes = [build_grid([[0, 1], [0, 3]], (3, 2)), graded_mesh(GRADED["3d"])]
+    local.incidence.cache_clear()
     made = []
     real_init = CubicalMesh.__init__
 
@@ -500,11 +552,11 @@ def test_face_dofs_build_no_mesh(monkeypatch):
     for mesh in meshes:
         for k in range(mesh.n + 1):
             assert check_unisolvence(mesh, k).passed
-            for _, shape in shapes(mesh, k):
+            for shape in shapes(mesh, k)[1]:
                 assert LocalTables(k, shape.cell).vandermonde_inverse == \
                     shape.vandermonde_inverse
-                if k < mesh.n:
-                    assert LocalTables(k, shape.cell).incidence[0]
+            if k < mesh.n:
+                assert local.incidence(mesh.n, k)[0]
     assert made == []
     build_grid([[0, 1]], (2,))
     assert made == [(2,)]
@@ -524,6 +576,6 @@ def test_the_vandermonde_is_built_once_per_shape(monkeypatch):
     monkeypatch.setattr(local, "face_plane", counting)
     assert check_unisolvence(mesh, 1).passed
     for ci in range(mesh.n_cells):
-        tables(mesh, 1, ci).vandermonde_inverse
+        table_of(mesh, 1, ci).vandermonde_inverse
     widths = [cell.widths for cell in mesh.cells]
     assert rows == [w for i, w in enumerate(widths) if w not in widths[:i] for _ in range(4)]

@@ -61,8 +61,8 @@ def test_gram_symmetry():
         Polynomial.constant(2, 1)))
     asym = np.max(np.abs(problem.G - problem.G.T))
     assert asym == 0.0
-    for i in range(problem.size):
-        for j in range(problem.size):
+    for i in range(len(problem.F)):
+        for j in range(len(problem.F)):
             assert problem.G_exact[i][j] == problem.G_exact[j][i]
 
 
@@ -246,7 +246,7 @@ def test_generating_set_independence_is_decided_exactly(k):
     full = interpolated_generating_set(k, mesh, FULL_TEST)
     assert not full.independent
     problem = assemble(full, load)
-    assert problem.size == full.dim
+    assert len(problem.F) == full.dim
     assert problem.dual_norm(problem.F) > 0
 
 
@@ -438,14 +438,14 @@ def test_exact_solve_inverts_once_per_shape_and_builds_no_gram(monkeypatch):
         return exactla.inverse_integers(matrix, den)
 
     def energy_inversions():
-        energies = [table.energy_integers[0] for _, table in local.shapes(mesh, 1)]
+        energies = [table.energy_integers[0] for table in local.shapes(mesh, 1)[1]]
         return sum(any(m is e for e in energies) for m in calls)
 
     monkeypatch.setattr(local, "inverse_integers", counting)
     solve(problem, method="exact")
-    assert energy_inversions() == len(local.shapes(mesh, 1)) > 1
+    assert energy_inversions() == len(local.shapes(mesh, 1)[1]) > 1
     solve(problem, method="exact")
-    assert energy_inversions() == len(local.shapes(mesh, 1))
+    assert energy_inversions() == len(local.shapes(mesh, 1)[1])
     assert "G_exact" not in problem.__dict__
 
 
@@ -569,7 +569,8 @@ def reference_basis_matrix(space):
 
 def reference_broken_energy(pw):
     """One dense block per cell, joined by block_diag."""
-    blocks = [local.tables(pw.mesh, pw.k, ci).energy_float for ci in range(pw.mesh.n_cells)]
+    shape_ids, tables = local.shapes(pw.mesh, pw.k)
+    blocks = [tables[s].energy_float for s in shape_ids]
     return scipy.sparse.block_diag(blocks, format="csc")
 
 

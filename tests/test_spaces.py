@@ -10,14 +10,13 @@ from test_exactla import reference_nullspace, reference_rref
 from test_mesh import integrate
 
 from boxforms import cli, spaces
-from boxforms.exactla import independent_subset
+from boxforms.exactla import independent_subset, solve_consistent
 from boxforms.forms import CellBox, PolyForm, Polynomial, adjoint_table, format_form
 from boxforms.indices import complement, multi_indices
 from boxforms.spaces import (KINDS, P0, P1MINUS, P1MINUS_STAR, Q1MINUS, Q1MINUS_STAR,
                              basis, check_Q_exactness, check_ap_identity,
                              check_local_couple, check_orthogonality,
-                             dimension, expand_in_span, form_rows, form_span_rank,
-                             form_spans_equal)
+                             dimension, form_rows, form_span_rank, form_spans_equal)
 from boxforms.projection import LocalProjector
 from boxforms.reports import CheckReport
 from boxforms.verify import random_box, stretched_box
@@ -255,6 +254,24 @@ def test_projection_pairing_identity(n):
         for k in range(n):
             report = check_ap_identity(k, n, cell)
             assert report.passed, report.to_dict()
+
+
+def expand_in_span(basis_forms, target):
+    """Exact coefficients of target over an independent list of forms, or None when it
+    lies outside their span: the oracle of the shared d-matrix, on sparse form rows."""
+    columns = {}
+    for j, row in enumerate(form_rows(basis_forms)):
+        for key, c in row.items():
+            columns.setdefault(key, {})[j] = c
+    values = form_rows([target])[0]
+    keys = sorted(columns.keys() | values.keys())
+    try:
+        scaled = solve_consistent([columns.get(key, {}) for key in keys],
+                                  [values.get(key, 0) for key in keys], len(basis_forms))
+    except ValueError:
+        return None
+    # the rows are the forms times their dens: undo the scales
+    return [y * f.den / target.den for y, f in zip(scaled, basis_forms)]
 
 
 def test_expand_in_span():

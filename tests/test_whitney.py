@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse
 from test_exactla import reference_independent_subset, reference_nullspace
 from test_global_spaces import CHECK_MESHES, build_space
-from test_local import cell_bases, oracle_tables
+from test_local import cell_bases, oracle_tables, table_of
 from test_mesh import (GRADED, LATTICE_MESHES, cell_faces, cells_of_face, dof_faces, faces,
                        graded_mesh, integrate_on_face, interior_faces, is_boundary)
 
@@ -238,7 +238,7 @@ def test_commuting_squares(mesh, flavor):
 def test_broken_d_map():
     pw0 = PiecewiseWhitney(0, MESH2)
     pw1 = PiecewiseWhitney(1, MESH2)
-    cols, _ = local.tables(MESH2, 0, 0).d_matrix
+    cols, _ = local.d_matrix(2, 0)
     assert len(cols) == pw0.dim_local and len(cols[0]) == pw1.dim_local
     # derivative of a piecewise linear: check on one cell explicitly
     vec = {pw0.col(0, 1): 2}  # 2*(x1 - c1) on cell 0
@@ -436,7 +436,7 @@ def test_generators_scatter_matches_the_face_lookup():
                     vec = {}
                     for ci in cells_of_face(mesh, face):
                         a = cell_faces(mesh, mesh.cell_tuples[ci], k).index(face)
-                        shape = local.tables(mesh, k, ci)
+                        shape = table_of(mesh, k, ci)
                         for j, c in enumerate(oracle_tables(k, shape.cell)["patterns"][a]):
                             if c:
                                 vec[pw.col(ci, j)] = c
@@ -497,13 +497,13 @@ def reference_commuting_squares(mesh, flavor=INTERIOR_TEST):
         space = build_space(source_kind, k, mesh)
         for dof in range(space.ndof):
             for ci in space.supports[dof]:
-                shape, shape_up = local.tables(mesh, k, ci), local.tables(mesh, k + 1, ci)
+                shape, shape_up = table_of(mesh, k, ci), table_of(mesh, k + 1, ci)
                 # the shape's projectors sit on its first cell: move v there
                 shift = [a - b for a, b in zip(mesh.cells[ci].center, shape.cell.center)]
                 v = Combination(n, k, [space.cell_expansions[ci][dof]])([1], [-t for t in shift])
                 left = shape_up.projector.coefficients(v.exterior_derivative())
                 ck = shape.projector.coefficients(v)
-                cols, den = shape.d_matrix
+                cols, den = local.d_matrix(n, k)
                 right = [sum((ck[j] * cols[j][i] for j in range(len(ck))), Fraction(0)) / den
                          for i in range(len(left))]
                 if left != right:
@@ -523,36 +523,36 @@ def test_per_shape_squares_match_the_per_cell_reference(name, flavor):
     assert report == reference_commuting_squares(mesh, flavor)
 
 
-def perturbed_square(mesh, flavor, k, attribute, perturb):
-    """Check the squares after ``perturb`` edits a copy of one table attribute
-    of the mesh's last shape; return the report and that shape's table."""
-    shape = local.tables(mesh, k, mesh.n_cells - 1)
-    value = copy.deepcopy(getattr(shape, attribute))
-    perturb(value[0] if attribute == "d_matrix" else value)  # d_matrix is (columns, den)
-    shape.__dict__[attribute] = value
-    return check_commuting_squares(mesh, flavor), shape
-
-
-def assert_names_a_dof_and_cell_of(report, mesh, flavor, shape):
+def assert_names_a_dof_and_cell_of(report, mesh, flavor, shape=None):
     assert not report.passed
     match = re.match(r"dof (\d+) cell (\d+): ", report.counterexample)
     dof, cell = int(match[1]), int(match[2])
-    assert local.tables(mesh, report.k, cell) is shape
+    assert shape is None or table_of(mesh, report.k, cell) is shape
     dofs = face_dofs(report.k, mesh, interior=flavor == FULL_TEST).cell_dofs[cell]
     assert dof in {d for _, d in dofs}
 
 
+def bump_first_linear(columns):
+    columns[1][0] += 1  # at degree 0, column 1 of D is d of the first linear function
+
+
+def double(columns):
+    columns[:] = [[2 * v for v in column] for column in columns]
+
+
+@pytest.mark.parametrize("perturb", [bump_first_linear, double], ids=["bump", "double"])
 @pytest.mark.parametrize("flavor", [INTERIOR_TEST, FULL_TEST])
-def test_a_perturbed_d_matrix_entry_fails_at_a_dof_and_cell(flavor):
-    # graded 2D, degree 0: column 1 of D is d of the first linear function
+def test_a_perturbed_d_matrix_entry_fails_at_a_dof_and_cell(monkeypatch, flavor, perturb):
+    # graded 2D, degree 0: the shared D, edited in a copy, is read on every shape
     mesh = graded_mesh(GRADED["2d"])
-
-    def bump(columns):
-        columns[1][0] += 1
-
-    report, shape = perturbed_square(mesh, flavor, 0, "d_matrix", bump)
+    columns, den = copy.deepcopy(local.d_matrix(2, 0))
+    perturb(columns)
+    real = local.d_matrix
+    monkeypatch.setattr(local, "d_matrix",
+                        lambda n, k: (columns, den) if (n, k) == (2, 0) else real(n, k))
+    report = check_commuting_squares(mesh, flavor)
     assert report.k == 0
-    assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
+    assert_names_a_dof_and_cell_of(report, mesh, flavor)
     # the per-cell reference reads the same D, and fails at the same place
     assert report == reference_commuting_squares(mesh, flavor)
 
@@ -562,13 +562,13 @@ def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
     # graded 3D, degree 1: one coefficient of one face function's projection
     mesh = graded_mesh(GRADED["3d"])
     a = face_dofs(1, mesh, interior=flavor == FULL_TEST).cell_dofs[mesh.n_cells - 1][0][0]
-
-    def bump(patterns):
-        j = next(j for j, col in enumerate(local.tables(mesh, 1, 0).d_matrix[0]) if any(col))
-        _, pattern = patterns[a]  # (s, primitive integer pattern {j: int})
-        pattern[j] = pattern.get(j, 0) + 1
-
-    report, shape = perturbed_square(mesh, flavor, 1, "integer_patterns", bump)
+    shape = table_of(mesh, 1, mesh.n_cells - 1)
+    patterns = copy.deepcopy(shape.integer_patterns)
+    j = next(j for j, col in enumerate(local.d_matrix(3, 1)[0]) if any(col))
+    _, pattern = patterns[a]  # (s, primitive integer pattern {j: int})
+    pattern[j] = pattern.get(j, 0) + 1
+    shape.__dict__["integer_patterns"] = patterns
+    report = check_commuting_squares(mesh, flavor)
     assert report.k == 1
     assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
 
@@ -578,9 +578,11 @@ def count_work(monkeypatch, check, *args):
 
     The face functional is counted once per face-DOF row, by the freezing
     of that local face's normal coordinates.  The reference cell's tables
-    are cleared first, so every count holds their one build.
+    and the shared ones are cleared first, so every count holds their one build.
     """
     local.reference.cache_clear()
+    local.d_matrix.cache_clear()
+    local.incidence.cache_clear()
     counts = {"coefficients": 0, "face_dof": 0}
     real_coefficients = projection.LocalProjector.coefficients
     real_face_plane = local.face_plane
