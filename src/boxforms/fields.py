@@ -182,7 +182,13 @@ def parse_component(name, n, text):
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Closed-form solution with analytic derivative data and load."""
+    """Closed-form solution with analytic derivative data and load.
+
+    A catalog load's terms per component are delta(d(omega))'s followed by
+    omega's single term, with no key in common (they carry pi^2 and pi^0),
+    so its values on any points are, bit for bit, delta_d's plus omega's:
+    the solver evaluates the two and adds them instead of the load.
+    """
 
     name: str
     n: int

@@ -9,15 +9,18 @@ of a face-DOF table.  Every face carries the ascending-axes orientation,
 so a cell and a face never disagree on it; the face functional is the
 (unnormalized) integral of the trace over the face, taken on a cell's own
 box (``local.face_dof_matrix``).  ``cells`` is built only for the exact
-callers that read it.  A cell's shape is its tuple of per-axis width
-classes, read off ``grid``.  Face-DOF tables hold no reference to the mesh.
+callers that read it.  Each axis's grid planes are integers over one
+denominator (``planes``; ``grid`` is their Fraction view, built once).  A
+cell's shape is its tuple of per-axis width classes, read off them, and
+so are the sizes and float slots (``int / int`` rounds once, as
+``float(Fraction)`` does).  Face-DOF tables hold no reference to the mesh.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -49,9 +52,11 @@ class CubicalMesh:
         self.domain = domain
         self.divisions = divisions
         self.n = domain.n
-        self.grid = [[domain.lo[i] + Fraction(j, m) * (domain.hi[i] - domain.lo[i])
-                      for j in range(m + 1)]
-                     for i, m in enumerate(divisions)]
+        self.planes = []  # per axis (ints, den): plane j, lo + j (hi - lo) / m, is ints[j] / den
+        for lo, hi, m in zip(domain.lo, domain.hi, divisions):
+            den = lcm(lo.denominator, hi.denominator)
+            a, b = int(lo * den), int(hi * den)
+            self.planes.append(([a * m + j * (b - a) for j in range(m + 1)], den * m))
         self.dof_tables = {}    # (k, interior) -> DofTable, filled by face_dofs
         self.local_tables = {}  # k -> LocalTables per shape, filled by local.shapes
         self.moved_bases = {}   # (k, cell id) -> P1minus basis in print order, whitney.cell_terms
@@ -62,6 +67,11 @@ class CubicalMesh:
     @cached_property
     def cell_tuples(self):
         return list(product(*map(range, self.divisions)))
+
+    @cached_property
+    def grid(self):
+        """Per axis, the grid planes as Fractions."""
+        return [[Fraction(v, den) for v in ints] for ints, den in self.planes]
 
     def cell(self, cell_id):
         """The box of one cell, from the grid."""
@@ -82,9 +92,9 @@ class CubicalMesh:
         share a shape exactly when their widths are equal.
         """
         classes = []
-        for axis in self.grid:
+        for ints, _ in self.planes:
             seen = {}
-            classes.append([seen.setdefault(b - a, len(seen)) for a, b in zip(axis, axis[1:])])
+            classes.append([seen.setdefault(b - a, len(seen)) for a, b in zip(ints, ints[1:])])
         codes = np.ravel_multi_index(np.ix_(*classes), [max(c) + 1 for c in classes]).ravel()
         # classes in first-appearance order put the shapes' first cells in code order
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -98,14 +108,15 @@ class CubicalMesh:
 
     @property
     def h_max(self):
-        return max(b - a for axis in self.grid for a, b in zip(axis, axis[1:]))
+        return max(Fraction(max(b - a for a, b in zip(ints, ints[1:])), den)
+                   for ints, den in self.planes)
 
     @cached_property
     def float_slots(self):
-        """Per axis: (slot centers, slot half widths) as float arrays, rounded from the grid."""
-        return [(np.array([float((a + b) / 2) for a, b in zip(axis, axis[1:])]),
-                 np.array([float(b - a) / 2.0 for a, b in zip(axis, axis[1:])]))
-                for axis in self.grid]
+        """Per axis: (slot centers, slot half widths) as float arrays, rounded from the planes."""
+        return [(np.array([(a + b) / (2 * den) for a, b in zip(ints, ints[1:])]),
+                 np.array([(b - a) / den / 2.0 for a, b in zip(ints, ints[1:])]))
+                for ints, den in self.planes]
 
     def gauss_axes(self, order):
         """Per axis, the order-``order`` Gauss coordinates of every slot as a (slot, node) array.

@@ -9,9 +9,10 @@ data use quadrature.  A generating set's V is scattered from its shapes' float
 projection patterns, and its pruning reads the exact supports of their
 integer forms, eliminating integer rows only when two vectors' leading
 columns collide (``whitney.GeneratorSpace``), so the float path makes no
-Fraction per entry.  Each quadrature pass evaluates its
-fields once on the whole mesh, on the per-axis Gauss coordinates
-(``FormField.on_axes``), and slices the values by cell id per shape.
+Fraction per entry.  A quadrature pass reads each field's values on the
+whole mesh, evaluated once on the per-axis Gauss coordinates
+(``FormField.on_axes``): on a one-shape mesh the arrays themselves, else
+sliced by cell id per shape.
 
 Solver paths: conjugate gradients on the sparse Gram matrix (relative
 residual 1e-12, at most 50*N iterations) by default; an exact solve when
@@ -42,11 +43,10 @@ sequence of them.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse
@@ -142,30 +142,28 @@ class DiscreteProblem:
         return math.sqrt(max(float(vec @ self.factor.solve(vec)), 0.0))
 
 
-def _gauss_grid(pw, quad_order, *fields):
-    """Per cell shape: (cell ids, tabulation, each field's components as (component, cell, point)).
+def gauss_values(mesh, quad_order, degree, on_axes):
+    """A field's components on the mesh's Gauss points, as one (component, cell, point) array.
 
-    ``fields`` are (degree, evaluator) pairs, an evaluator being a
-    ``FormField.on_axes`` or ``d_on_axes``.  Each is evaluated once, on the
-    mesh's per-axis Gauss coordinates, and sliced by cell id per shape.
+    ``on_axes`` is a ``FormField.on_axes`` or ``d_on_axes`` of a degree-``degree``
+    form, evaluated once on the mesh's per-axis Gauss coordinates.
     """
-    mesh = pw.mesh
-    axes = mesh.gauss_axes(quad_order)
-    size = (mesh.n_cells, quad_order ** mesh.n)
-    arrays = [component_array(on_axes(axes), degree, mesh.n, size) for degree, on_axes in fields]
-    shape_ids, tables = local.shapes(mesh, pw.k)
+    return component_array(on_axes(mesh.gauss_axes(quad_order)), degree, mesh.n,
+                           (mesh.n_cells, quad_order ** mesh.n))
+
+
+def _gauss_grid(pw, quad_order, *arrays):
+    """Per cell shape: (cell ids, tabulation, each ``gauss_values`` array on its cells).
+
+    A one-shape mesh yields the arrays themselves; otherwise each is sliced
+    by cell id into a contiguous copy, so einsum sums in the same order on both.
+    """
+    shape_ids, tables = local.shapes(pw.mesh, pw.k)
     for shape, table in enumerate(tables):
         ids = np.flatnonzero(shape_ids == shape)
-        # contiguous slices: einsum then sums in the same order as on a fresh array
         yield (ids, table.tabulation(quad_order),
-               *(np.ascontiguousarray(values[:, ids]) for values in arrays))
-
-
-def _load_pw_float(pw, load, quad_order):
-    out = np.zeros((pw.mesh.n_cells, pw.dim_local))
-    for ids, tab, f in _gauss_grid(pw, quad_order, (pw.k, load.on_axes)):
-        out[ids] = np.einsum("acp,jap->cj", f * tab.weights, tab.values)
-    return out.ravel()
+               *(arrays if len(tables) == 1 else
+                 (np.ascontiguousarray(values[:, ids]) for values in arrays)))
 
 
 def assemble(space, load, quad_order=5):
@@ -173,10 +171,11 @@ def assemble(space, load, quad_order=5):
 
     V holds the basis vectors in broken coordinates and E is the broken
     energy, each cell's block its shape's table, picked by shape id.
-    ``load`` is a FormField (quadrature path) or a PolyForm, then also
-    assembled exactly, in broken coordinates and over the basis; the exact
-    Gram waits for ``G_exact``.  Raises when the basis is dependent, as
-    decided exactly unless the space carries its proof.
+    ``load`` is a FormField or its ``gauss_values`` at ``quad_order``
+    (quadrature path), or a PolyForm, then also assembled exactly, in
+    broken coordinates and over the basis; the exact Gram waits for
+    ``G_exact``.  Raises when the basis is dependent, as decided exactly
+    unless the space carries its proof.
     """
     if not space.independent and len(space.independent_indices()) < space.dim:
         raise ValueError("basis vectors are linearly dependent; "
@@ -213,7 +212,12 @@ def assemble(space, load, quad_order=5):
                    for row, d in space.integer_vectors]
         f_float = np.array([float(x) for x in f_exact])
     else:
-        f_float = np.asarray(v_mat.T @ _load_pw_float(pw, load, quad_order))
+        if not isinstance(load, np.ndarray):
+            load = gauss_values(mesh, quad_order, pw.k, load.on_axes)
+        load_pw = np.zeros((mesh.n_cells, pw.dim_local))
+        for ids, tab, f in _gauss_grid(pw, quad_order, load):
+            load_pw[ids] = np.einsum("acp,jap->cj", f * tab.weights, tab.values)
+        f_float = np.asarray(v_mat.T @ load_pw.ravel())
     return DiscreteProblem(space, gram, f_float, v_mat, quad_order,
                            F_exact=f_exact, load_broken=load_broken)
 
@@ -381,14 +385,17 @@ def solve(problem, method="cg"):
 def broken_error(exact_field, solution, quad_order=5):
     """(L2 error, broken energy error) of a discrete solution vs a field.
 
-    The energy error adds the cell-wise L2 error of the exterior
-    derivative: err_Hd = sqrt(err_L2^2 + err_dL2^2).
+    ``exact_field`` is a FormField, or its values and d values, each as
+    ``gauss_values`` at ``quad_order``.  The energy error adds the cell-wise
+    L2 error of the exterior derivative: err_Hd = sqrt(err_L2^2 + err_dL2^2).
     """
     pw = solution.space.pw
+    if not isinstance(exact_field, tuple):
+        exact_field = (gauss_values(pw.mesh, quad_order, pw.k, exact_field.on_axes),
+                       gauss_values(pw.mesh, quad_order, pw.k + 1, exact_field.d_on_axes))
     coeffs = solution.pw_coefficients().reshape(pw.mesh.n_cells, pw.dim_local)
     err0 = err1 = 0.0
-    for ids, tab, w, dw in _gauss_grid(pw, quad_order, (pw.k, exact_field.on_axes),
-                                        (pw.k + 1, exact_field.d_on_axes)):
+    for ids, tab, w, dw in _gauss_grid(pw, quad_order, *exact_field):
         u = coeffs[ids]
         e0 = np.einsum("cj,jap->acp", u, tab.values) - w
         e1 = np.einsum("cj,jap->acp", u, tab.d_values) - dw
@@ -409,14 +416,17 @@ def consistency_with_floor(entry, problem):
     Algorithms, 2nd ed., 2002, section 3.1).  The floor is gamma_m times
     the G^-1 norm of that absolute-value sum; a residual at or below it
     may be all rounding.  The pass uses the order the load was assembled at.
+    ``entry`` is a ManufacturedSolution, or its d omega and delta d omega,
+    each as ``gauss_values`` at that order.
     """
     pw = problem.space.pw
+    if not isinstance(entry, tuple):
+        entry = (gauss_values(pw.mesh, problem.quad_order, pw.k + 1, entry.omega.d_on_axes),
+                 gauss_values(pw.mesh, problem.quad_order, pw.k, entry.delta_d.on_axes))
     ell_pw = np.zeros((pw.mesh.n_cells, pw.dim_local))
     abs_pw = np.zeros_like(ell_pw)
     terms = 0
-    for ids, tab, dw, dd in _gauss_grid(pw, problem.quad_order,
-                                        (pw.k + 1, entry.omega.d_on_axes),
-                                        (pw.k, entry.delta_d.on_axes)):
+    for ids, tab, dw, dd in _gauss_grid(pw, problem.quad_order, *entry):
         dw = dw * tab.weights
         dd = dd * tab.weights
         ell_pw[ids] = (np.einsum("acp,jap->cj", dw, tab.d_values)
@@ -458,16 +468,22 @@ def solve_level(entry, mesh, flavor, quad_order):
 
     They are the space dimension, the L2 and broken energy errors,
     the consistency residual and whether it is at its roundoff floor, and
-    the CG iteration count and final residual.  d(omega) is evaluated once
-    and read by both the energy error and the consistency residual.
+    the CG iteration count and final residual.  omega, d(omega) and
+    delta(d(omega)) are evaluated once each on the Gauss points, and the
+    load's values are delta(d(omega))'s plus omega's, the same doubles as
+    its own evaluation (``ManufacturedSolution``).  The passes run in the
+    order that frees each field's values after its last reader: assembly,
+    consistency residual, then the solve and the errors.
     """
     space = build_solver_space(entry.k, mesh, flavor)
-    problem = assemble(space, entry.load, quad_order)
+    omega = gauss_values(mesh, quad_order, entry.k, entry.omega.on_axes)
+    delta_d = gauss_values(mesh, quad_order, entry.k, entry.delta_d.on_axes)
+    problem = assemble(space, delta_d + omega, quad_order)
+    d_omega = gauss_values(mesh, quad_order, entry.k + 1, entry.omega.d_on_axes)
+    cons, floor = consistency_with_floor((d_omega, delta_d), problem)
+    del delta_d
     sol = solve(problem)
-    d_omega = entry.omega.d_on_axes(mesh.gauss_axes(quad_order))
-    omega = SimpleNamespace(on_axes=entry.omega.on_axes, d_on_axes=lambda axes: d_omega)
-    err_l2, err_hd = broken_error(omega, sol, quad_order)
-    cons, floor = consistency_with_floor(replace(entry, omega=omega), problem)
+    err_l2, err_hd = broken_error((omega, d_omega), sol, quad_order)
     return {
         "dim_space": space.dim,
         "err_L2": err_l2,

@@ -14,7 +14,7 @@ from boxforms import fields
 from boxforms.fields import CATALOG, constant_solution, manufactured
 from boxforms.indices import complement, hodge_sign, multi_indices, wedge_sign
 from boxforms.mesh import build_grid
-from boxforms.quadrature import centered_rule
+from boxforms.quadrature import centered_rule, component_array
 
 
 def fd_partial(component, point, axis, h=1e-6):
@@ -408,6 +408,27 @@ def test_per_axis_evaluation_equals_the_pointwise_evaluators(name):
             assert_on_axes_match_at(entry.omega, mesh, order, derivative=True)
             assert_on_axes_match_at(entry.delta_d, mesh, order)
             assert_on_axes_match_at(entry.load, mesh, order)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_the_load_is_delta_d_omega_then_omega_term_by_term(name):
+    # the solver adds delta_d's values to omega's for the load's: the same
+    # doubles, since the load sums delta_d's terms and then omega's one term
+    entry = manufactured(name)
+    load, delta_d, omega = ({alpha: fn.args[0] for alpha, fn in field.components.items()}
+                            for field in (entry.load, entry.delta_d, entry.omega))
+    assert set(load) == set(delta_d) | set(omega)
+    assert all(len(terms) == 1 for terms in omega.values())
+    for alpha, terms in load.items():
+        first, then = delta_d.get(alpha, {}), omega.get(alpha, {})
+        assert not set(first) & set(then)
+        assert list(terms.items()) == [*first.items(), *then.items()]
+    for mesh in axis_meshes(entry.n):
+        for order in (2, 5):
+            axes, size = mesh.gauss_axes(order), (mesh.n_cells, order ** entry.n)
+            got, first, then = (component_array(field.on_axes(axes), entry.k, entry.n, size)
+                                for field in (entry.load, entry.delta_d, entry.omega))
+            assert got.tobytes() == (first + then).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -247,18 +247,19 @@ def test_definition_scan_flags_unreferenced_members_and_aliases():
     assert dead == ["sample.Form.der", "sample.Form.twice", "sample.Form.unread", "sample.helper"]
 
 
-#: per name of the cell-shape layout, the modules that may use it: the mesh's shape map
-#: and its per-shape table cache are read only through ``local.shapes``, and only
-#: ``local`` builds a LocalTables
-LAYOUT_OWNERS = {"cell_shapes": {"mesh.py", "local.py"}, "local_tables": {"mesh.py", "local.py"},
-                 "LocalTables()": {"local.py"}}
+#: per name of the mesh and cell-shape layout, the modules that may use it: the mesh's
+#: integer plane tables are read only inside ``mesh``, its shape map and per-shape table
+#: cache only through ``local.shapes``, and only ``local`` builds a LocalTables
+LAYOUT_OWNERS = {"planes": {"mesh.py"}, "cell_shapes": {"mesh.py", "local.py"},
+                 "local_tables": {"mesh.py", "local.py"}, "LocalTables()": {"local.py"}}
 
 
 def layout_uses(tree):
-    """The layout names a module uses: a ``cell_shapes`` or ``local_tables`` attribute,
-    and ``LocalTables()`` for a call of a name or attribute ``LocalTables``."""
+    """The layout names a module uses: a ``planes``, ``cell_shapes`` or ``local_tables``
+    attribute, and ``LocalTables()`` for a call of a name or attribute ``LocalTables``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("cell_shapes", "local_tables"):
+        if isinstance(node, ast.Attribute) and node.attr in ("planes", "cell_shapes",
+                                                             "local_tables"):
             yield node.attr
         elif isinstance(node, ast.Call):
             func = node.func
@@ -270,7 +271,8 @@ def layout_uses(tree):
 def test_only_local_knows_the_cell_shape_layout():
     uses = {(path.name, name) for path in SRC.glob("*.py")
             for name in layout_uses(ast.parse(path.read_text(), filename=str(path)))}
-    assert {("local.py", "cell_shapes"), ("local.py", "LocalTables()")} <= uses
+    assert {("mesh.py", "planes"), ("local.py", "cell_shapes"),
+            ("local.py", "LocalTables()")} <= uses
     assert sorted((module, name) for module, name in uses
                   if module not in LAYOUT_OWNERS[name]) == []
 
@@ -278,9 +280,10 @@ def test_only_local_knows_the_cell_shape_layout():
 def test_layout_scan_flags_a_foreign_reader():
     tree = ast.parse("ids = mesh.cell_shapes[0]\nmesh.local_tables.clear()\n"
                      "table = local.LocalTables(1, cell)\nother = LocalTables(0, cell)\n"
-                     "def cell_shapes(): return tables\n")
+                     "def cell_shapes(): return tables\n"
+                     "ints, den = mesh.planes[0]\nmesh.planes = []\nplanes = 2\n")
     assert sorted(layout_uses(tree)) == ["LocalTables()", "LocalTables()", "cell_shapes",
-                                         "local_tables"]
+                                         "local_tables", "planes", "planes"]
 
 
 #: the definition the console script and ``python -m boxforms`` run

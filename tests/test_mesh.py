@@ -2,7 +2,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.indices import multi_indices
 from boxforms.mesh import build_grid, face_dofs
-from boxforms.quadrature import centered_rule
+from boxforms.quadrature import centered_rule, gauss_nodes
 from boxforms.spaces import Q1MINUS, basis
 
 
@@ -110,15 +110,13 @@ def face_measure(mesh, face):
 def graded_mesh(breakpoints):
     """Tensor mesh with the given breakpoints per axis, so its cells have several shapes.
 
-    ``CubicalMesh`` spaces its grid planes evenly; this sets ``grid`` and
-    ``cells`` after construction, before anything is cached on the mesh.
+    ``CubicalMesh`` spaces its grid planes evenly; this sets each axis's
+    integer ``planes`` after construction, before anything is cached on the mesh.
     """
     grid = [[Fraction(x) for x in axis] for axis in breakpoints]
     mesh = build_grid([[axis[0], axis[-1]] for axis in grid], [len(axis) - 1 for axis in grid])
-    mesh.grid = grid
-    mesh.cells = [CellBox(tuple(grid[i][t[i]] for i in range(mesh.n)),
-                          tuple(grid[i][t[i] + 1] for i in range(mesh.n)))
-                  for t in mesh.cell_tuples]
+    dens = [lcm(*(x.denominator for x in axis)) for axis in grid]
+    mesh.planes = [([int(x * den) for x in axis], den) for axis, den in zip(grid, dens)]
     return mesh
 
 
@@ -293,6 +291,55 @@ def test_gauss_axes_are_the_cells_gauss_points():
                        for nodes in product(range(order), repeat=mesh.n)]
                 expected = np.array(center) + centered_rule(cell.widths, order)[0]
                 assert np.array_equal(got, expected)
+
+
+#: uniform meshes of rational, non-unit domains: (domain, divisions)
+RATIONAL_DOMAINS = {
+    "1d": ([["-7/6", "3/4"]], (7,)),
+    "2d": ([["-1/3", "5/7"], [2, "9/4"]], (3, 5)),
+    "3d": ([[0, "2/9"], ["1/2", 3], [-2, "-1/5"]], (2, 3, 4)),
+}
+
+
+def fraction_grid(name):
+    """(mesh, its grid planes as Fractions, computed here from the domain or breakpoints)."""
+    kind, key = name.split("-")
+    if kind == "graded":
+        return graded_mesh(GRADED[key]), [[Fraction(x) for x in axis] for axis in GRADED[key]]
+    domain, divisions = RATIONAL_DOMAINS[key]
+    return build_grid(domain, divisions), [
+        [Fraction(lo) + Fraction(j, m) * (Fraction(hi) - Fraction(lo)) for j in range(m + 1)]
+        for (lo, hi), m in zip(domain, divisions)]
+
+
+@pytest.mark.parametrize("name", [f"uniform-{key}" for key in sorted(RATIONAL_DOMAINS)]
+                         + [f"graded-{key}" for key in sorted(GRADED)])
+def test_plane_integers_give_what_the_fraction_grid_gives(name):
+    # every table the mesh reads off its integer planes, against the same
+    # table read off the Fraction planes: equal, and bit for bit as floats
+    mesh, grid = fraction_grid(name)
+    widths = [[b - a for a, b in zip(axis, axis[1:])] for axis in grid]
+    slots = [(np.array([float((a + b) / 2) for a, b in zip(axis, axis[1:])]),
+              np.array([float(b - a) / 2.0 for a, b in zip(axis, axis[1:])])) for axis in grid]
+    for got, (mids, halves) in zip(mesh.float_slots, slots):
+        assert (got[0].tobytes(), got[1].tobytes()) == (mids.tobytes(), halves.tobytes())
+    for order in (1, 2, 5):
+        for got, (mids, halves) in zip(mesh.gauss_axes(order), slots):
+            expected = mids[:, None] + gauss_nodes(order) * halves[:, None]
+            assert got.tobytes() == expected.tobytes()
+    assert mesh.h_max == max(map(max, widths))
+    # a cell's shape: its per-axis width classes, numbered in first-appearance order
+    classes = [[list(dict.fromkeys(axis)).index(w) for w in axis] for axis in widths]
+    shape_of = [tuple(c[j] for c, j in zip(classes, t))
+                for t in product(*map(range, mesh.divisions))]
+    shapes = list(dict.fromkeys(shape_of))
+    ids, first = mesh.cell_shapes
+    assert (ids.tolist(), first) == ([shapes.index(s) for s in shape_of],
+                                     [shape_of.index(s) for s in shapes])
+    assert mesh.grid == grid and mesh.grid is mesh.grid
+    assert mesh.cells == [CellBox(tuple(axis[j] for axis, j in zip(grid, t)),
+                                  tuple(axis[j + 1] for axis, j in zip(grid, t)))
+                          for t in product(*map(range, mesh.divisions))]
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse
 
 import boxforms
-from boxforms import exactla, fields, local, projection, whitney
+from boxforms import exactla, fields, local, projection, solver, whitney
 from boxforms.fields import FormField, constant_solution, manufactured
 from boxforms.forms import CellBox, PolyForm, Polynomial
 from boxforms.mesh import CubicalMesh, build_grid
@@ -733,18 +733,20 @@ class CountingTrig:
 @pytest.mark.parametrize("name", ["sin2d_k1", "cos2d_k0", "sin3d_k1"])
 def test_a_sweep_evaluates_d_omega_once_per_level(monkeypatch, name):
     # the energy error and the consistency residual read one evaluation, and
-    # give what each gives on its own
+    # give what each gives on its own; so do omega and delta d omega, and the
+    # load's values are their sum, with no evaluation of its own
     entry, levels = manufactured(name), [2, 3]
+    names = {id(entry.omega): "omega", id(entry.delta_d): "delta_d", id(entry.load): "load"}
     calls = []
-    real = FormField.d_on_axes
+    for method in ("on_axes", "d_on_axes"):
+        def counted(field, axes, real=getattr(FormField, method), method=method):
+            calls.append((method, names[id(field)]))
+            return real(field, axes)
 
-    def d_on_axes(field, axes):
-        calls.append(field)
-        return real(field, axes)
-
-    monkeypatch.setattr(FormField, "d_on_axes", d_on_axes)
+        monkeypatch.setattr(FormField, method, counted)
     rows = convergence_sweep(entry, levels)
-    assert calls == [entry.omega] * len(levels)
+    assert sorted(calls) == sorted([("d_on_axes", "omega"), ("on_axes", "delta_d"),
+                                    ("on_axes", "omega")] * len(levels))
     for row, m in zip(rows, levels):
         space = build_solver_space(entry.k, build_grid(entry.domain, (m,) * entry.n),
                                    flavor_for(entry))
@@ -752,6 +754,56 @@ def test_a_sweep_evaluates_d_omega_once_per_level(monkeypatch, name):
         assert (row["err_L2"], row["err_Hd"]) == broken_error(entry.omega, solve(problem))
         cons, floor = consistency_with_floor(entry, problem)
         assert (row["consistency"], row["consistency_at_floor"]) == (cons, cons <= floor)
+
+
+def copying_gauss_grid(pw, quad_order, *arrays):
+    """``solver._gauss_grid`` with a contiguous copy of each array per shape, one shape too."""
+    shape_ids, tables = local.shapes(pw.mesh, pw.k)
+    for shape, table in enumerate(tables):
+        ids = np.flatnonzero(shape_ids == shape)
+        yield (ids, table.tabulation(quad_order),
+               *(np.ascontiguousarray(values[:, ids]) for values in arrays))
+
+
+@pytest.mark.parametrize("name", sorted(fields.CATALOG))
+def test_solve_level_equals_the_pipeline_that_evaluates_the_load(monkeypatch, name):
+    # the reference evaluates the load on its own, each pass its own fields,
+    # and slices every array by shape: the same rows, exactly
+    entry = manufactured(name)
+    flavor = flavor_for(entry)
+    cases = [(mesh, order) for order in (2, 5)
+             for mesh in (lambda: build_grid(entry.domain, (3,) * entry.n),
+                          lambda: graded_mesh(GRADED[f"{entry.n}d"]))]
+    rows = [solver.solve_level(entry, mesh(), flavor, order) for mesh, order in cases]
+    monkeypatch.setattr(solver, "_gauss_grid", copying_gauss_grid)
+    for row, (mesh, order) in zip(rows, cases):
+        space = build_solver_space(entry.k, mesh(), flavor)
+        problem = assemble(space, entry.load, order)
+        sol = solve(problem)
+        err_l2, err_hd = broken_error(entry.omega, sol, order)
+        cons, floor = consistency_with_floor(entry, problem)
+        assert row == {"dim_space": space.dim, "err_L2": err_l2, "err_Hd": err_hd,
+                       "consistency": cons, "consistency_at_floor": cons <= floor,
+                       "cg_iterations": sol.cg_iterations, "cg_residual": sol.cg_residual}
+
+
+def test_the_gauss_grid_reads_a_one_shape_mesh_in_place():
+    # and copies each shape's cells of a graded one
+    omega = manufactured("sin2d_k1").omega
+    shapes = []
+    for mesh in (build_grid([[0, 1], [0, 3]], (3, 2)), graded_mesh(GRADED["2d"])):
+        arrays = (solver.gauss_values(mesh, 3, 1, omega.on_axes),
+                  solver.gauss_values(mesh, 3, 2, omega.d_on_axes))
+        pieces = list(solver._gauss_grid(PiecewiseWhitney(1, mesh), 3, *arrays))
+        shapes.append(len(pieces))
+        if len(pieces) == 1:
+            assert pieces[0][2] is arrays[0] and pieces[0][3] is arrays[1]
+            continue
+        for ids, _, *slices in pieces:
+            for got, values in zip(slices, arrays):
+                assert got.flags.c_contiguous and np.array_equal(got, values[:, ids])
+                assert not np.shares_memory(got, values)
+    assert shapes[0] == 1 < shapes[1]
 
 
 @pytest.mark.parametrize("name, levels", [("sin2d_k1", (2, 4, 8)), ("cos2d_k0", (2, 4, 8)),
