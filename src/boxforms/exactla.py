@@ -55,14 +55,6 @@ def common_denominator(tables):
     return [[[v * den // d for v in row] for row in rows] for rows, d in tables], den
 
 
-def primitive_part(values, den=1):
-    """(s, row): the primitive integer row {index: int} of a list of values over ``den``,
-    and s >= 0 with ``values[i] / den == s * row.get(i, 0)``."""
-    ints, d = integer_scaled(values)
-    g = gcd(*ints)
-    return Fraction(g, d * den), {i: v // g for i, v in enumerate(ints) if v}
-
-
 def _integer_row(row):
     """The primitive integer multiple of a dense or {column: value} row of ints and Fractions."""
     row = {c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}

@@ -16,11 +16,12 @@ kinds:
   lift of dx^gamma), pulls back to h^e_j times the reference's, h the
   half-widths, and face functions and the projector commute with the
   pullback.  So projection pattern a is the reference's with column j over
-  h^e_j (``integer_patterns``), the gluing pairings are the reference's
-  times h^e_j, and energy entry (i, j) is ``h^(e_i+e_j) h^(1,...,1) sum_I
+  h^e_j (``patterns``), the gluing pairings are the reference's times
+  h^e_j, and energy entry (i, j) is ``h^(e_i+e_j) h^(1,...,1) sum_I
   h^(-2I) T_I[i][j]`` with T_I the reference's mass (I a k-index) or
   stiffness ((k+1)-index) table on component I (``energy_integers``): all
-  equal the tables built on the cell;
+  equal the tables built on the cell, and all take their powers of h from
+  one integer helper;
 * built on the shape's own box, from the families ``spaces.basis`` builds
   once at the origin and moves there: the face-DOF Vandermonde, the face
   functions and the projector, which the mesh checks read, and the Gauss
@@ -34,12 +35,11 @@ Fraction's float does.
 from collections import namedtuple
 from functools import cache, cached_property
 from math import prod
-from operator import getitem
 
 import numpy as np
 
 from . import spaces
-from .exactla import common_denominator, inverse_integers, primitive_part
+from .exactla import common_denominator, inverse_integers
 from .forms import CellBox, PolyForm, scaled_terms
 from .mesh import local_faces
 from .projection import LocalProjector
@@ -84,13 +84,11 @@ class LocalTables:
         """(rows, den): <d phi_i, d phi_j> + <phi_i, phi_j> as integer rows over one
         denominator, the reference's ``energy_terms`` scaled."""
         terms, den = reference(self.cell.n, self.k).energy_terms
-        h = [w / 2 for w in self.cell.widths]
-        # h_a^m as an integer over the cube of h_a's denominator
-        powers = [[x.numerator ** m * x.denominator ** (3 - m) for m in range(4)] for x in h]
-        den *= prod(x.denominator for x in h) ** 3
+        exponents = sorted({m for row in terms for entry in row for m, _ in entry})
+        scales, d = self._scales(exponents)
+        scale = dict(zip(exponents, scales))
         (rows,), den = common_denominator([(
-            [[sum(c * prod(map(getitem, powers, m)) for m, c in entry) for entry in row]
-             for row in terms], den)])
+            [[sum(c * scale[m] for m, c in entry) for entry in row] for row in terms], den * d)])
         return rows, den
 
     @cached_property
@@ -154,50 +152,55 @@ class LocalTables:
         """The exact degree-k adjoint projector of the shape, on this table's cell."""
         return LocalProjector(self.k, self.cell)
 
-    def _column_scales(self, up):
-        """(ints, den): h^e_j if ``up`` else h^-e_j per basis function j, over one den."""
-        num, den = zip(*((w.numerator, 2 * w.denominator) for w in self.cell.widths))
-        num, den = (num, den) if up else (den, num)
-        return [prod(num[i - 1] if i in e else den[i - 1] for i in range(1, self.cell.n + 1))
-                for _, e in reference(self.cell.n, self.k).basis.labels], prod(den)
+    def _scales(self, exponents):
+        """(ints, den): h^m for each exponent tuple m (one integer per axis), h the
+        half-widths, over one den.  With h_a = p/q and lo <= 0 <= hi bounding the
+        exponents on axis a, h_a^v is p^(v - lo) q^(hi - v) over p^-lo q^hi."""
+        axes = [(w.numerator, 2 * w.denominator, min(0, *m), max(0, *m))
+                for w, m in zip(self.cell.widths, zip(*exponents))]
+        return ([prod(p ** (v - lo) * q ** (hi - v) for (p, q, lo, hi), v in zip(axes, m))
+                 for m in exponents], prod(p ** -lo * q ** hi for p, q, lo, hi in axes))
+
+    def _scaled_columns(self, name, sign):
+        """(rows, den) in lowest terms: the reference's table ``name`` with column j times
+        h^(sign e_j)."""
+        ref = reference(self.cell.n, self.k)
+        (rows, d), axes = getattr(ref, name), range(1, self.cell.n + 1)
+        scales, den = self._scales([[sign * (a in e) for a in axes] for _, e in ref.basis.labels])
+        (rows,), den = common_denominator([
+            ([[v * c for v, c in zip(row, scales)] for row in rows], d * den)])
+        return rows, den
 
     @cached_property
-    def integer_patterns(self):
-        """Per local face a: (s, primitive integer pattern {j: int}), s times it the P1minus
-        coefficients of the adjoint projection of face function a; off the reference, the
-        reference's with column j times h^-e_j, made primitive."""
-        ref = reference(self.cell.n, self.k)
-        if ref is self:
-            return [primitive_part(*self.projector.integers(f)) for f in self.face_functions]
-        scales, den = self._column_scales(up=False)
-        return [(s * g, row) for s, (g, row) in (
-            (s, primitive_part([p.get(j, 0) * c for j, c in enumerate(scales)], den))
-            for s, p in ref.integer_patterns)]
+    def patterns(self):
+        """(rows, den): row a, the P1minus coefficients of the adjoint projection of face
+        function a; off the reference, the reference's with column j times h^-e_j."""
+        if reference(self.cell.n, self.k) is not self:
+            return self._scaled_columns("patterns", -1)
+        tables, den = common_denominator(
+            [([ints], d) for ints, d in map(self.projector.integers, self.face_functions)])
+        return [row for (row,) in tables], den
 
     @cached_property
     def gluing_pairings(self):
         """(rows, den): row a, column j, ``adjoint_table([phi_j], [star f_a])``, f_a face function
         a of Q1minus^(n-k-1): one cell's gluing constraint entries.  The pairing is a boundary
         integral of traces, so off the reference it is the reference's times h^e_j."""
-        n, ref = self.cell.n, reference(self.cell.n, self.k)
-        if ref is self:
-            tests = [f.hodge() for f in reference(n, n - self.k - 1).face_functions]
-            # <mu, d phi> - <delta mu, phi>: the adjoint table, transposed
-            table = self.cell.pairing_terms(
-                scaled_terms([(mu, -mu.codifferential()) for mu in tests]),
-                scaled_terms([(phi.exterior_derivative(), phi) for phi in self.basis]))
-        else:
-            (rows, d), (scales, den) = ref.gluing_pairings, self._column_scales(up=True)
-            table = [[v * c for v, c in zip(row, scales)] for row in rows], d * den
-        (rows,), den = common_denominator([table])
+        n = self.cell.n
+        if reference(n, self.k) is not self:
+            return self._scaled_columns("gluing_pairings", 1)
+        tests = [f.hodge() for f in reference(n, n - self.k - 1).face_functions]
+        # <mu, d phi> - <delta mu, phi>: the adjoint table, transposed
+        (rows,), den = common_denominator([self.cell.pairing_terms(
+            scaled_terms([(mu, -mu.codifferential()) for mu in tests]),
+            scaled_terms([(phi.exterior_derivative(), phi) for phi in self.basis]))])
         return rows, den
 
     @cached_property
     def float_patterns(self):
-        """The patterns as a (local face, j) float array, each entry s * p_j as one
-        ``int / int``."""
-        return np.array([[s.numerator * p.get(j, 0) / s.denominator for j in range(len(self.basis))]
-                         for s, p in self.integer_patterns])
+        """The patterns as a (local face, j) float array, each entry one ``int / int``."""
+        rows, den = self.patterns
+        return np.array([[v / den for v in row] for row in rows])
 
     def tabulation(self, order):
         """Basis values and d-values at the Gauss points of the given order."""

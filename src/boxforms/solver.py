@@ -65,9 +65,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def basis_matrix(space):
-    """Sparse float matrix with one column per space basis vector."""
-    return scipy.sparse.csc_matrix(space.float_columns(),
-                                   shape=(space.pw.ncols, space.dim)).sorted_indices()
+    """Sparse float matrix with one column per space basis vector; each space's
+    ``float_columns`` gives every column's rows in ascending order."""
+    return scipy.sparse.csc_matrix(space.float_columns(), shape=(space.pw.ncols, space.dim))
 
 
 def broken_energy(pw):

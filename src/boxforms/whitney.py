@@ -24,11 +24,12 @@ The space is built two ways:
 * the generating set obtained by projecting every conforming
   tensor-product basis function cell by cell (possibly dependent).  It
   stores no vector: each is a scatter of per-shape projection patterns
-  through the face-DOF table.  Pruning keeps every vector when their
-  leading columns, read off the patterns' exact supports, are distinct
-  (every full-test and top-degree set); otherwise it eliminates primitive
-  integer rows made from the patterns' primitive integer forms and
-  per-cell multipliers.  Pruned, it is the basis of every float solve.
+  through the face-DOF table, the same scatter as the constraint rows,
+  over the patterns' common denominator.  Pruning keeps every vector when
+  their leading columns, read off the patterns' exact supports, are
+  distinct (every full-test and top-degree set); otherwise it eliminates
+  the scattered rows, made primitive.  Pruned, it is the basis of every
+  float solve.
 
 The second is contained in the first; the test-suite checks containment,
 and equality of dimensions on small meshes, exactly.
@@ -42,8 +43,7 @@ from math import gcd
 import numpy as np
 
 from . import local, spaces
-from .exactla import (common_denominator, independent_rows, integer_scaled, kernel_vectors, rank,
-                      spans_equal)
+from .exactla import common_denominator, independent_rows, kernel_vectors, rank, spans_equal
 from .forms import PolyForm, print_order, scaled_terms
 from .global_spaces import VQ, VQ0
 from .mesh import face_dofs, local_faces
@@ -159,11 +159,16 @@ def build_constraints(k, mesh, flavor=INTERIOR_TEST):
 
 
 def _scatter(pw, cell_dofs, n_dofs, per_shape):
-    """Sparse rows {column: int}, one per DOF: row a of each cell's shape table at face a."""
+    """Sparse rows {column: int}, one per DOF: row a of each cell's shape table at face a.
+
+    It builds the constraint rows, the mean-jump rows and the generator rows.
+    """
+    entries = [[[(j, v) for j, v in enumerate(row) if v] for row in table] for table in per_shape]
     rows = [{} for _ in range(n_dofs)]
     for ci, (s, pairs) in enumerate(zip(local.shapes(pw.mesh, pw.k)[0].tolist(), cell_dofs)):
+        base = ci * pw.dim_local
         for a, dof in pairs:
-            rows[dof].update((pw.col(ci, j), v) for j, v in enumerate(per_shape[s][a]) if v)
+            rows[dof].update((base + j, v) for j, v in entries[s][a])
     return rows
 
 
@@ -211,11 +216,12 @@ class GeneratorSpace(WhitneySpace):
 
     The function of a degree-k face DOF is, on every cell that has the face
     as its local face a, pattern a of the cell's shape
-    (``local.LocalTables.integer_patterns``).  No vector is stored:
-    ``integer_vectors`` (for exact callers) is scattered from the per-shape
-    integer patterns on first read; pruning reads the integer patterns'
-    supports, and their rows only when two leading columns collide, and
-    the float basis matrix reads the float patterns.
+    (``local.LocalTables.patterns``).  No vector is stored: the integer
+    rows are scattered from the shapes' patterns over their common den, as
+    the constraint rows are from the gluing pairings; ``integer_vectors``
+    (for exact callers) on first read, and pruning only when two leading
+    columns, read off the patterns, collide.  The float basis matrix reads
+    the float patterns.
     """
 
     def __init__(self, k, mesh, flavor, pw, dofs, members, independent=False):
@@ -228,48 +234,25 @@ class GeneratorSpace(WhitneySpace):
     def dim(self):
         return len(self.members)
 
-    @cached_property
-    def _supports(self):
-        """Per face DOF: ((shape, local face) pairs, first columns) of the cells that have it."""
-        cells, faces = np.nonzero(self.dofs.array >= 0)  # in (cell, local face) order
-        dofs = self.dofs.array[cells, faces]
-        order = np.argsort(dofs, kind="stable")  # keeps each DOF's cells in cell order
-        cells, faces = cells[order], faces[order]
-        pairs = list(zip(local.shapes(self.mesh, self.k)[0][cells].tolist(), faces.tolist()))
-        bases = (cells * self.pw.dim_local).tolist()
-        ends = np.cumsum(np.bincount(dofs, minlength=self.dofs.n_dofs)).tolist()
-        return [(tuple(pairs[a:b]), bases[a:b]) for a, b in zip([0] + ends, ends)]
-
-    def _primitive_rows(self):
-        """Each vector as (primitive integer row {column: int}, s >= 0), the vector s times
-        the row, in order, each row a new dict.
-
-        A vector is s_c * p_c on each cell c of its support, (s_c, p_c) the
-        ``integer_patterns`` entry of the cell's (shape, local face); its row
-        is p_c times integers proportional to the s_c, with gcd 1, found once
-        per tuple of the support's (shape, local face) pairs.
-        """
-        scaled = [table.integer_patterns for table in local.shapes(self.mesh, self.k)[1]]
-        entries = [[list(p.items()) for _, p in per_shape] for per_shape in scaled]
-        multipliers = {}
-        for m in self.members:
-            pairs, bases = self._supports[m]
-            if pairs not in multipliers:
-                mults, den = integer_scaled([scaled[s][a][0] for s, a in pairs])
-                g = gcd(*mults)
-                multipliers[pairs] = [v // g for v in mults], Fraction(g, den)
-            mults, scale = multipliers[pairs]
-            yield {base + j: mult * v for (s, a), base, mult in zip(pairs, bases, mults)
-                   for j, v in entries[s][a]}, scale
+    def _scattered_rows(self):
+        """(rows, den): each vector as an integer row {column: int} over one den, in order,
+        each a new dict, scattered from the shapes' patterns over their common den."""
+        patterns, den = common_denominator(
+            [table.patterns for table in local.shapes(self.mesh, self.k)[1]])
+        rows = _scatter(self.pw, self.dofs.cell_dofs, self.dofs.n_dofs, patterns)
+        return [rows[m] for m in self.members], den
 
     def integer_rows(self):
         """Each vector's primitive integer row {column: int}, in order, each a new dict."""
-        return (row for row, _ in self._primitive_rows())
+        for row in self._scattered_rows()[0]:
+            g = gcd(*row.values())
+            yield {c: v // g for c, v in row.items()}
 
     @cached_property
     def integer_vectors(self):
-        return [({c: v * s.numerator for c, v in row.items()}, s.denominator)
-                for row, s in self._primitive_rows()]
+        rows, den = self._scattered_rows()
+        gcds = [gcd(den, *row.values()) for row in rows]
+        return [({c: v // g for c, v in row.items()}, den // g) for row, g in zip(rows, gcds)]
 
     def independent_indices(self):
         """Indices of a maximal independent subset of the vectors, scanning in order (exact).
@@ -280,8 +263,8 @@ class GeneratorSpace(WhitneySpace):
         """
         none = self.pw.ncols  # past every column: the lead of a zero pattern
         shape_ids, tables = local.shapes(self.mesh, self.k)
-        leads = np.array([[min(p, default=none) for _, p in table.integer_patterns]
-                          for table in tables])[shape_ids]
+        leads = np.array([[next((j for j, v in enumerate(row) if v), none)
+                           for row in table.patterns[0]] for table in tables])[shape_ids]
         leads += np.arange(self.mesh.n_cells)[:, None] * self.pw.dim_local
         first = np.full(self.dofs.n_dofs + 1, none)  # the last takes the faces with no DOF
         np.minimum.at(first, self.dofs.array, leads)
@@ -331,7 +314,7 @@ def interpolated_generating_set(k, mesh, flavor=INTERIOR_TEST):
         raise ValueError(f"unknown flavor {flavor!r}")
     dofs = face_dofs(k, mesh, interior=flavor == FULL_TEST)
     for table in local.shapes(mesh, k)[1]:
-        table.integer_patterns  # the exact projections, built once per shape
+        table.patterns  # the exact projections, built once per shape
     return GeneratorSpace(k, mesh, flavor, PiecewiseWhitney(k, mesh), dofs,
                           list(range(dofs.n_dofs)))
 
@@ -402,7 +385,7 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
     cell; the projectors and d act cell by cell and commute with the
     translation onto the shape's first cell.  So the global square is the
     union of the local squares ``P^(k+1)(d f_a) == D . p_a`` (D the shared
-    ``local.d_matrix``, p_a the shape's pattern a, ``integer_patterns``), one
+    ``local.d_matrix``, p_a the shape's pattern a, ``patterns``), one
     per (shape, local face a) that the source face-DOF table uses: every face
     for interior-test, the interior ones for full-test.  A failure names the
     first (dof, cell) in DOF order.
@@ -430,8 +413,9 @@ def check_commuting_squares(mesh, flavor=INTERIOR_TEST):
 def _square_gap(shape, shape_up, a):
     """None when face function a of the shape's cell commutes, else (left, right)."""
     left = shape_up.projector.coefficients(shape.face_functions[a].exterior_derivative())
-    (s, pattern), (cols, den) = shape.integer_patterns[a], local.d_matrix(shape.cell.n, shape.k)
-    right = [s * sum(c * cols[j][i] for j, c in pattern.items()) / den for i in range(len(left))]
+    (rows, den), (cols, d) = shape.patterns, local.d_matrix(shape.cell.n, shape.k)
+    right = [Fraction(sum(c * cols[j][i] for j, c in enumerate(rows[a])), den * d)
+             for i in range(len(left))]
     return None if left == right else (left, right)
 
 

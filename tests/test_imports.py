@@ -251,15 +251,16 @@ def test_definition_scan_flags_unreferenced_members_and_aliases():
 #: integer plane tables are read only inside ``mesh``, its shape map and per-shape table
 #: cache only through ``local.shapes``, and only ``local`` builds a LocalTables
 LAYOUT_OWNERS = {"planes": {"mesh.py"}, "cell_shapes": {"mesh.py", "local.py"},
-                 "local_tables": {"mesh.py", "local.py"}, "LocalTables()": {"local.py"}}
+                 "local_tables": {"mesh.py", "local.py"}, "LocalTables()": {"local.py"},
+                 "dof_tables": {"mesh.py"}, "gauss_coordinates": {"mesh.py"},
+                 "moved_bases": {"mesh.py", "whitney.py"}}
 
 
 def layout_uses(tree):
-    """The layout names a module uses: a ``planes``, ``cell_shapes`` or ``local_tables``
-    attribute, and ``LocalTables()`` for a call of a name or attribute ``LocalTables``."""
+    """The layout names a module uses: an attribute named in ``LAYOUT_OWNERS`` (a mesh
+    cache), and ``LocalTables()`` for a call of a name or attribute ``LocalTables``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("planes", "cell_shapes",
-                                                             "local_tables"):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_OWNERS:
             yield node.attr
         elif isinstance(node, ast.Call):
             func = node.func
@@ -268,13 +269,22 @@ def layout_uses(tree):
                 yield "LocalTables()"
 
 
+def foreign_uses(sources):
+    """Sorted (module, name) pairs of the layout names that modules ({file name: source})
+    use without owning them."""
+    return sorted((module, name) for module, source in sources.items()
+                  for name in layout_uses(ast.parse(source, filename=module))
+                  if module not in LAYOUT_OWNERS[name])
+
+
 def test_only_local_knows_the_cell_shape_layout():
-    uses = {(path.name, name) for path in SRC.glob("*.py")
-            for name in layout_uses(ast.parse(path.read_text(), filename=str(path)))}
-    assert {("mesh.py", "planes"), ("local.py", "cell_shapes"),
-            ("local.py", "LocalTables()")} <= uses
-    assert sorted((module, name) for module, name in uses
-                  if module not in LAYOUT_OWNERS[name]) == []
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    uses = {(module, name) for module, source in sources.items()
+            for name in layout_uses(ast.parse(source, filename=module))}
+    assert {("mesh.py", "planes"), ("local.py", "cell_shapes"), ("local.py", "LocalTables()"),
+            ("mesh.py", "dof_tables"), ("mesh.py", "gauss_coordinates"),
+            ("whitney.py", "moved_bases")} <= uses
+    assert foreign_uses(sources) == []
 
 
 def test_layout_scan_flags_a_foreign_reader():
@@ -284,6 +294,15 @@ def test_layout_scan_flags_a_foreign_reader():
                      "ints, den = mesh.planes[0]\nmesh.planes = []\nplanes = 2\n")
     assert sorted(layout_uses(tree)) == ["LocalTables()", "LocalTables()", "cell_shapes",
                                          "local_tables", "planes", "planes"]
+    # a mesh cache read outside its owners
+    reader = ("table = mesh.dof_tables[0, False]\naxes = mesh.gauss_coordinates[2]\n"
+              "terms = mesh.moved_bases[1, 0]\ndof_tables = {}\n")
+    assert foreign_uses({"solver.py": reader}) == [
+        ("solver.py", "dof_tables"), ("solver.py", "gauss_coordinates"),
+        ("solver.py", "moved_bases")]
+    assert foreign_uses({"whitney.py": reader}) == [
+        ("whitney.py", "dof_tables"), ("whitney.py", "gauss_coordinates")]
+    assert foreign_uses({"mesh.py": reader}) == []
 
 
 #: the definition the console script and ``python -m boxforms`` run

@@ -4,7 +4,7 @@ quadrature contractions against the per-cell loops they replaced."""
 import math
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import prod
 
 import numpy as np
@@ -14,7 +14,6 @@ from test_mesh import GRADED, cell_faces, face_dof, graded_mesh
 from test_spaces import expand_in_span, per_box_basis
 
 from boxforms import local, spaces
-from boxforms.exactla import primitive_part
 from boxforms.fields import manufactured
 from boxforms.forms import CellBox, PolyForm, adjoint_table
 from boxforms.global_spaces import check_conforming_complex, check_unisolvence
@@ -52,11 +51,6 @@ def fractions_of(table):
     return [[Fraction(v, den) for v in row] for row in rows]
 
 
-def pattern_fractions(table):
-    """The projection patterns as Fraction lists: (s, {j: int}) is s times the row."""
-    return [[s * p.get(j, 0) for j in range(len(table.basis))] for s, p in table.integer_patterns]
-
-
 def cell_bases(pw):
     """The P1minus basis built on each cell of the broken space's mesh, one cell at a time."""
     return [spaces.basis(spaces.P1MINUS, pw.k, cell) for cell in pw.mesh.cells]
@@ -86,7 +80,7 @@ def test_tables_equal_per_cell_exact_data(mesh):
             energy, vinv, patterns = _cell_data(mesh, k, ci)
             assert fractions_of(table.energy_integers) == energy
             assert fractions_of(table.vandermonde_inverse) == vinv
-            assert pattern_fractions(table) == patterns
+            assert fractions_of(table.patterns) == patterns
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=["2d", "3d"])
@@ -128,15 +122,15 @@ def test_tabulation_equals_the_per_box_basis_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))
-def test_integer_patterns_scale_from_the_reference_on_graded_meshes(name):
-    # the reference's primitive patterns with column j times h^-e_j and one gcd,
-    # against primitive_part of the patterns projected on each shape's own cell
+def test_patterns_scale_from_the_reference_on_graded_meshes(name):
+    # the reference's patterns with column j times h^-e_j, in lowest terms,
+    # against the patterns projected on each shape's own cell
     mesh = graded_mesh(GRADED[name])
     for k in range(mesh.n + 1):
         assert len(shapes(mesh, k)[1]) > 1
         for s, table in enumerate(shapes(mesh, k)[1]):
             patterns = [table.projector.coefficients(f) for f in table.face_functions]
-            assert table.integer_patterns == [primitive_part(p) for p in patterns], (k, s)
+            assert_lowest_integer_rows(table.patterns, patterns, (k, s))
 
 
 def test_one_table_per_shape():
@@ -248,7 +242,11 @@ def oracle_shared_tables(k, cell):
 
 #: the exact (rows, den) tables of a LocalTables; the last one exists below the top degree
 EXACT_TABLES = ("vandermonde", "vandermonde_inverse", "energy_integers", "energy_inverse",
-                "gluing_pairings")
+                "patterns", "gluing_pairings")
+#: the other cached properties of a LocalTables: families, forms, the projector, the
+#: reference's per-component energy terms, and the float tables
+OTHER_PROPERTIES = ("basis", "q_basis", "face_functions", "projector", "energy_terms",
+                    "energy_float", "float_patterns")
 
 
 def assert_lowest_integer_rows(table, expected, name):
@@ -269,14 +267,33 @@ def assert_shared_tables(k, cell):
 
 def assert_table_contract(table):
     expected = oracle_tables(table.k, table.cell)
-    for name in EXACT_TABLES[:4 if table.k == table.cell.n else None]:
+    for name in EXACT_TABLES[:-1 if table.k == table.cell.n else None]:
         assert_lowest_integer_rows(getattr(table, name), expected[name], name)
     patterns, energy = expected["patterns"], expected["energy_integers"]
-    assert table.integer_patterns == [primitive_part(p) for p in patterns]
     for got, expect in ((table.float_patterns, as_floats(patterns)),
                         (table.energy_float, np.array(energy, dtype=float))):
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
+
+
+def unlisted_properties(cls):
+    """The cached properties of ``cls`` named in neither EXACT_TABLES nor OTHER_PROPERTIES."""
+    return sorted(name for klass in cls.__mro__ for name, value in vars(klass).items()
+                  if isinstance(value, cached_property)
+                  and name not in EXACT_TABLES + OTHER_PROPERTIES)
+
+
+def test_every_cached_table_is_listed():
+    # a new per-shape table joins EXACT_TABLES, and so the lowest-terms contract,
+    # or OTHER_PROPERTIES by name
+    assert unlisted_properties(LocalTables) == []
+
+    class Grown(LocalTables):
+        @cached_property
+        def mass_integers(self):
+            return [[1]], 1
+
+    assert unlisted_properties(Grown) == ["mass_integers"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -336,7 +353,7 @@ def test_the_reference_is_built_once_per_dimension_and_degree():
     local.reference.cache_clear()
     mesh = graded_mesh(GRADED["2d"])
     for table in shapes(mesh, 1)[1]:
-        table.integer_patterns, table.energy_integers
+        table.patterns, table.energy_integers
     assert len(shapes(mesh, 1)[1]) > 1 and local.reference.cache_info().misses == 1
     assert local.reference(2, 0) is not local.reference(2, 1)
 

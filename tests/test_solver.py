@@ -617,8 +617,8 @@ def test_float_path_from_scaled_tables_matches_direct_tables(monkeypatch, name):
 
     scaled = operators()
     # patterns projected and energy paired on each shape's own cell
-    monkeypatch.setattr(local.LocalTables, "integer_patterns", property(lambda table: [
-        exactla.primitive_part(table.projector.coefficients(f)) for f in table.face_functions]))
+    monkeypatch.setattr(local.LocalTables, "patterns", property(lambda table: integer_table(
+        [table.projector.coefficients(f) for f in table.face_functions])))
     monkeypatch.setattr(local.LocalTables, "energy_integers", property(
         lambda table: integer_table(local_energy_matrix(table.basis, table.cell))))
     direct = operators()
@@ -645,6 +645,24 @@ def test_float_assembly_matches_the_per_entry_builds(name, representation):
             assert_same_sparse(broken_energy(space.pw), energy)
             gram = v_mat.T @ (energy @ v_mat)
             assert_same_sparse(problem.G, ((gram + gram.T) / 2.0).tocsr())
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_MESHES))
+@pytest.mark.parametrize("representation", ["kernel", "generators"])
+def test_float_columns_give_each_columns_rows_ascending(name, representation):
+    # basis_matrix builds its CSC matrix from them as given, with no sorted copy
+    mesh = CHECK_MESHES[name]()
+    for k in range(mesh.n + 1):
+        for flavor in (INTERIOR_TEST, FULL_TEST):
+            built = [exact_space(k, mesh, flavor, representation)[1]]
+            if representation == "generators":
+                built.append(interpolated_generating_set(k, mesh, flavor))
+            for space in built:
+                _, rows, starts = space.float_columns()
+                rows = np.asarray(rows)
+                for a, b in zip(starts[:-1], starts[1:]):
+                    assert (np.diff(rows[a:b]) > 0).all(), (k, flavor)
+                assert solver.basis_matrix(space).has_sorted_indices
 
 
 def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
@@ -681,7 +699,7 @@ def test_a_sweep_builds_no_per_cell_objects(monkeypatch):
         raise AssertionError("a full-test generating set built its integer rows")
 
     # the generators of a full-test space are independent by their leading columns
-    monkeypatch.setattr(whitney.GeneratorSpace, "_primitive_rows", no_rows)
+    monkeypatch.setattr(whitney.GeneratorSpace, "_scattered_rows", no_rows)
     rows = convergence_sweep("sin2d_k1", [4, 8])
     assert [row["n_cells"] for row in rows] == [16, 64]
     # every row of the reference's one Vandermonde: four edges in 2D

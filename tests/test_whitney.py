@@ -6,7 +6,7 @@ import re
 import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -425,9 +425,10 @@ def test_constraint_build_pairs_once_per_shape(monkeypatch):
 
 
 def test_generators_scatter_matches_the_face_lookup():
-    # the per-face build the scatter through the cell DOF table replaced
-    for domain, divisions in CONSTRAINT_MESHES.values():
-        mesh = build_grid(domain, divisions)
+    # the per-face build the scatter through the cell DOF table replaced, on uniform
+    # meshes and on graded ones, whose shapes' patterns differ in denominator
+    for name in sorted(CONSTRAINT_MESHES) + [f"graded-{n}" for n in GRADED]:
+        mesh = constraint_mesh(name)
         for k in range(mesh.n + 1):
             for flavor in (INTERIOR_TEST, FULL_TEST):
                 pw = PiecewiseWhitney(k, mesh)
@@ -441,38 +442,13 @@ def test_generators_scatter_matches_the_face_lookup():
                             if c:
                                 vec[pw.col(ci, j)] = c
                     expected.append(vec)
-                assert interpolated_generating_set(k, mesh, flavor).vectors == expected
-
-
-def reference_supports(space):
-    """The loop over (cell, local face) that the sort of the DOF table replaced."""
-    shape_ids = space.mesh.cell_shapes[0].tolist()
-    supports = [([], []) for _ in range(space.dofs.n_dofs)]
-    for ci, row in enumerate(space.dofs.array.tolist()):
-        for a, dof in enumerate(row):
-            if dof >= 0:
-                supports[dof][0].append((shape_ids[ci], a))
-                supports[dof][1].append(space.pw.col(ci, 0))
-    return [(tuple(pairs), bases) for pairs, bases in supports]
-
-
-SUPPORT_MESHES = {**{f"graded-{name}": (lambda bp=bp: graded_mesh(bp))
-                     for name, bp in GRADED.items()},
-                  "uniform-1d": lambda: build_grid([[0, 1]], (4,)),
-                  "uniform-2d": lambda: build_grid([[0, 1], [0, 3]], (3, 2)),
-                  "uniform-3d": lambda: build_grid([[0, 1]] * 3, (2, 3, 2))}
-
-
-@pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
-def test_generator_supports_match_the_cell_loop(name):
-    mesh = SUPPORT_MESHES[name]()
-    for k in range(mesh.n + 1):
-        for flavor in (INTERIOR_TEST, FULL_TEST):
-            space = interpolated_generating_set(k, mesh, flavor)
-            got = space._supports
-            assert got == reference_supports(space)
-            assert all(type(v) is int for pairs, bases in got for pair in pairs
-                       for v in (*pair, *bases))
+                space = interpolated_generating_set(k, mesh, flavor)
+                assert space.vectors == expected, (name, k, flavor)
+                # the primitive rows: positive multiples of the vectors, with gcd 1
+                for row, vec in zip(space.integer_rows(), expected):
+                    assert row.keys() == vec.keys() and gcd(*row.values()) == 1
+                    assert len({row[c] / v for c, v in vec.items()}) == 1
+                    assert next(iter(row.values())) * next(iter(vec.values())) > 0
 
 
 def test_summary_from_built_objects_matches_space_summary():
@@ -563,11 +539,11 @@ def test_a_perturbed_pattern_entry_fails_at_a_dof_and_cell(flavor):
     mesh = graded_mesh(GRADED["3d"])
     a = face_dofs(1, mesh, interior=flavor == FULL_TEST).cell_dofs[mesh.n_cells - 1][0][0]
     shape = table_of(mesh, 1, mesh.n_cells - 1)
-    patterns = copy.deepcopy(shape.integer_patterns)
+    patterns = copy.deepcopy(shape.patterns)
     j = next(j for j, col in enumerate(local.d_matrix(3, 1)[0]) if any(col))
-    _, pattern = patterns[a]  # (s, primitive integer pattern {j: int})
-    pattern[j] = pattern.get(j, 0) + 1
-    shape.__dict__["integer_patterns"] = patterns
+    rows, _ = patterns  # (integer rows, den)
+    rows[a][j] += 1
+    shape.__dict__["patterns"] = patterns
     report = check_commuting_squares(mesh, flavor)
     assert report.k == 1
     assert_names_a_dof_and_cell_of(report, mesh, flavor, shape)
