@@ -112,7 +112,8 @@ def _apply_config_file(parser, argv):
                 injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
     except OSError as err:
         parser.error(f"cannot read config file: {err}")
-    at = next((i for i, tok in enumerate(argv) if tok in _COMMANDS), None)
+    at = next((i for i, tok in enumerate(argv)
+               if tok in _COMMANDS and argv[i - 1:i] != ["--config"]), None)
     if at is None:
         return argv
     return argv[:at + 1] + injected + argv[at + 1:]
@@ -171,21 +172,13 @@ def cmd_verify(args):
     return 0
 
 
-_DEFAULT_SOLUTIONS = {
-    (1, 0): "sin1d_k0",
-    (2, 0): "sin2d_k0",
-    (2, 1): "sin2d_k1",
-    (2, 2): "sin2d_k2",
-    (3, 1): "sin3d_k1",
-    (3, 2): "sin3d_k2",
-}
-
-
 def _pick_solution(args, allow_constant=False):
     name = getattr(args, "solution", None)
     k = args.k if args.k is not None else 0
     if name in (None, ""):
-        name = _DEFAULT_SOLUTIONS.get((args.dim, k))
+        # the default is the first catalog entry of that dimension and degree
+        name = next((key for key, (n, deg, *_) in CATALOG.items() if (n, deg) == (args.dim, k)),
+                    None)
         if name is None:
             raise SystemExit(_usage_error(
                 f"no default manufactured solution for n={args.dim}, k={k}; "
@@ -196,7 +189,7 @@ def _pick_solution(args, allow_constant=False):
     try:
         entry = manufactured(name)
     except KeyError as err:
-        raise SystemExit(_usage_error(str(err)))
+        raise SystemExit(_usage_error(err.args[0]))
     if entry.n != args.dim or (args.k is not None and entry.k != args.k):
         raise SystemExit(_usage_error(
             f"{name} is an n={entry.n}, k={entry.k} entry"))

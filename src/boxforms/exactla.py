@@ -25,10 +25,11 @@ Fraction-free entries swell to thousands of bits on large systems with
 small solutions.  So ``solve_consistent`` first eliminates mod a prime,
 lifts p-adically (Dixon, Numer. Math. 40, 1982) and reconstructs fractions
 (Wang, SYMSAC 1981), and keeps the answer only once proven in integers.
+It promises one exact solution, not a canonical one: where a prime divides
+a pivot, the two paths may answer a singular system differently.
 """
 
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt, lcm
 
 
@@ -152,11 +153,12 @@ def inverse_integers(matrix, den=1):
 
 
 def solve_consistent(rows, rhs, ncols):
-    """One solution of a sparse system that may be singular, zero at its free columns.
+    """One exact solution of a sparse system that may be singular.
 
     ``rows`` are ``{column: value}`` dicts over ``ncols`` columns.  Raises
     ValueError when ``rhs`` is not in the span of the columns.  The
     fraction-free elimination answers where the modular solve proves nothing.
+    Which solution of a singular system comes back is not promised.
     """
     found = _solve_modular(rows, rhs)
     if found:
@@ -234,13 +236,14 @@ def _reconstruct(digits, modulus):
     return {c: v for c, v in num.items() if v}, den
 
 
-def _lift(rows, pivots, steps, norms, rhs):
+def _lift(rows, pivots, steps, rhs):
     """(num, den) with ``rows num == den rhs`` exactly, num zero at the free columns mod
     PRIME; None if a zero row is inconsistent mod PRIME, or if PRIME^K passes twice the
-    squared Hadamard bound of the pivot rows (``norms``: their squared norms on the pivot
-    columns), where reconstruction must have succeeded, with no exact solution found.
-    The bound is compared by bit lengths, which overstate it: it gives up no earlier."""
-    bound_bits = sum((norm + b * b).bit_length() for norm, b in zip(norms, rhs) if norm)
+    squared Hadamard bound of the pivot rows on the pivot columns, where reconstruction
+    must have succeeded, with no exact solution found.  The bound is compared by bit
+    lengths, which overstate it: it gives up no earlier."""
+    bound_bits = sum((sum(v * v for j, v in row.items() if j in pivots) + b * b).bit_length()
+                     for row, b, (_, lead) in zip(rows, rhs, steps) if lead)
     digits, modulus, residual = {}, 1, rhs
     while True:
         x = _solve_mod(pivots, steps, residual)
@@ -260,26 +263,10 @@ def _lift(rows, pivots, steps, norms, rhs):
 
 
 def _solve_modular(rows, rhs):
-    """``solve_consistent``'s solution as (integers {column: int}, den), or None.
-
-    A prime dividing a pivot can move the free columns.  So each free column
-    mod PRIME left of the solution's last nonzero column must lift to a sum
-    of pivot columns left of it: then the pivot columns up to there are the
-    rational ones, and the solution is zero at the rational free columns.
-    """
+    """One exact solution of ``rows x = rhs`` as (integers {column: int}, den), or None."""
     scaled = [integer_scaled([*row.values(), b])[0] for row, b in zip(rows, rhs)]
     rows = [dict(zip(row, ints)) for row, ints in zip(rows, scaled)]
-    pivots, steps = _eliminate_mod(rows)
-    lift = partial(_lift, rows, pivots, steps, [
-        lead and sum(v * v for j, v in row.items() if j in pivots)
-        for row, (_, lead) in zip(rows, steps)])
-    found = lift([ints[-1] for ints in scaled])
-    for j in range(max(found[0], default=0) if found else 0):
-        if j not in pivots:
-            column = lift([row.get(j, 0) for row in rows])
-            if column is None or max(column[0], default=-1) >= j:
-                return None
-    return found
+    return _lift(rows, *_eliminate_mod(rows), [ints[-1] for ints in scaled])
 
 
 # -- span utilities (rows are coefficient vectors)

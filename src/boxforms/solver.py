@@ -291,8 +291,9 @@ def condensed_solution(problem):
     multipliers solve ``S lam = g``, where S and g scatter ``P_c A_c^-1 P_c^T``
     and ``P_c A_c^-1 f_c`` through the test face DOFs; then
     ``w_c = A_c^-1 f_c - (P_c A_c^-1)^T lam_c`` cell by cell.  Dependent rows
-    of B make S singular but consistent: lam is taken zero at its free
-    columns, and w is unique all the same.  All of it is integer matrices
+    of B make S singular but consistent: lam is any one solution, and w is
+    unique all the same, since ``S (lam1 - lam2) = 0`` gives
+    ``B^T (lam1 - lam2) = 0`` when A is SPD.  All of it is integer matrices
     over denominators every shape shares, ``P A^-1`` and S formed per shape; P_c
     and the test face DOFs are the ``whitney.gluing`` table's.
     """

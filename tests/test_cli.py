@@ -14,7 +14,7 @@ from test_mesh import GRADED, graded_mesh
 import boxforms
 from boxforms import cli, solver, spaces
 from boxforms.cli import CSV_COLUMNS, main
-from boxforms.fields import FormField, manufactured
+from boxforms.fields import CATALOG, FormField, manufactured
 from boxforms.forms import PolyForm
 from boxforms.mesh import build_grid
 from boxforms.whitney import (FULL_TEST, INTERIOR_TEST, build_constraints,
@@ -266,7 +266,21 @@ def test_unknown_solution_lists_catalog():
     code, _, err = run_cli(["convergence", "--dim", "2", "--k", "0",
                             "--solution", "nope"])
     assert code == 2
-    assert "available" in err
+    assert err == ("error: unknown manufactured solution 'nope'; available: "
+                   f"{', '.join(sorted(CATALOG))}\n")
+
+
+def test_default_solution_is_the_first_catalog_entry_of_its_dimension_and_degree():
+    firsts = {}
+    for name, (n, k, *_) in CATALOG.items():
+        firsts.setdefault((n, k), name)
+    assert firsts == {(1, 0): "sin1d_k0", (2, 0): "sin2d_k0", (2, 1): "sin2d_k1",
+                      (2, 2): "sin2d_k2", (3, 1): "sin3d_k1", (3, 2): "sin3d_k2"}
+    for (n, k), name in firsts.items():
+        code, out, _ = run_cli(["convergence", "--dim", str(n), "--k", str(k), "--levels", "1",
+                                "--base", "1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["config"]["solution"] == name, (n, k)
 
 
 def test_solve_constant_json():
@@ -362,6 +376,16 @@ def test_config_file_defaults_and_override(tmp_path):
     code, out, _ = run_cli(["convergence", "--config", str(cfg), "--levels", "1"])
     assert code == 0
     assert len(list(csv.DictReader(io.StringIO(out)))) == 1
+
+
+def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch):
+    # the value of --config names a file, not the subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "verify").write_text("dim = 1\n")
+    for flag in (["--config", "verify"], ["--config=verify"]):
+        code, out, _ = run_cli([*flag, "verify"])
+        assert code == 0, flag
+        assert json.loads(out)["n"] == 1
 
 
 def test_config_files_do_not_leak_between_calls(tmp_path):

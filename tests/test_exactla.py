@@ -419,10 +419,11 @@ def test_kernel_vectors_are_the_sparse_nullspace():
     assert kernel_vectors([], 2) == ([0, 1], [({0: 1}, 1), ({1: 1}, 1)])
 
 
-def test_solve_consistent_takes_zero_at_free_columns_and_rejects_inconsistency():
+def test_solve_consistent_solves_exactly_and_rejects_inconsistency():
     # rank 2 in 3 columns, the third row the sum of the first two
     rows = [{0: F(1), 1: F(2)}, {1: F(1), 2: F(-1)}, {0: F(1), 1: F(3), 2: F(-1)}]
     x = solve_consistent(rows, [F(3), F(1, 2), F(7, 2)], 3)
+    assert [sum(v * x[c] for c, v in row.items()) for row in rows] == [3, F(1, 2), F(7, 2)]
     assert x == [F(2), F(1, 2), F(0)]
     with pytest.raises(ValueError, match="no solution"):
         solve_consistent(rows, [F(3), F(1, 2), F(3)], 3)
@@ -513,12 +514,13 @@ def test_modular_solve_matches_the_fraction_free_elimination(monkeypatch, kind):
 
 def test_a_prime_dividing_a_pivot_changes_no_answer(monkeypatch):
     p = exactla.PRIME
-    # mod p the first column vanishes, so the second takes its pivot: x = (0, 1)
-    # solves the system exactly but is not the solution zero at the free column
+    # mod p the first column vanishes, so the second takes its pivot: the modular solve
+    # answers x = (0, 1), exact, where the fraction-free elimination answers (1/p, 0)
     rows, rhs = [{0: p, 1: 1}], [1]
-    assert exactla._solve_modular(rows, rhs) is None
-    assert solve_consistent(rows, rhs, 2) == [F(1, p), 0] == fraction_free(monkeypatch, rows,
-                                                                          rhs, 2)
+    assert exactla._solve_modular(rows, rhs) == ({1: 1}, 1)
+    x = solve_consistent(rows, rhs, 2)
+    assert [sum(v * x[c] for c, v in row.items()) for row in rows] == rhs
+    assert x == [0, 1] and fraction_free(monkeypatch, rows, rhs, 2) == [F(1, p), 0]
     # nonsingular, but of rank 1 mod p, where the right side is inconsistent
     rows, rhs = [{0: p, 1: 1}, {1: F(1, 2)}], [2, F(1, 2)]
     assert exactla._solve_modular(rows, rhs) is None

@@ -515,10 +515,13 @@ def test_modular_exact_solve_of_a_singular_multiplier_system(monkeypatch, n, k, 
                        seeded_rational_load(n, k, seed=17))
     reference = fraction_free_solve(monkeypatch, problem)
     calls = recording_modular_solves(monkeypatch)
+    lifts, lift = [], exactla._lift
+    monkeypatch.setattr(exactla, "_lift", lambda *args: lifts.append(1) or lift(*args))
     assert_same_exact_solution(solve(problem, method="exact"), reference)
     [(rows, found)] = calls
     assert found is not None
     assert exactla.rank(rows) < len(rows)
+    assert len(lifts) == 1  # one lift of the right side
 
 
 def test_a_corrupted_lift_is_refused_and_the_solve_falls_back(monkeypatch):
